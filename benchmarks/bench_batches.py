@@ -1,6 +1,6 @@
 """repro.batch — columnar vs per-row data plane, measured.
 
-Three measurements over the same landed :class:`ColumnStore` history
+Two measurements over the same landed :class:`ColumnStore` history
 (one gTLD source, a 60-day window):
 
 * the detect phase — boxing every row into ``DomainObservation`` +
@@ -8,9 +8,6 @@ Three measurements over the same landed :class:`ColumnStore` history
   ``SegmentDetector.process_batch`` over one concatenated batch. The
   ≥2× bar is asserted unconditionally: both sides are serial, so core
   count cannot excuse a miss;
-* stream ingest — ``StoreReplayFeed(batches=False)`` (legacy per-row
-  boxing) vs the columnar default, asserting the engines end in
-  byte-identical state and recording the speedup;
 * peak working-set RSS — forked children materialise the boxed row
   history vs the columnar batch and report their ``ru_maxrss`` growth;
   the reduction lands in ``extra_info``.
@@ -33,9 +30,7 @@ from repro.core.detection import SegmentDetector
 from repro.core.pipeline import AdoptionStudy
 from repro.measurement.snapshot import ObservationSegment
 from repro.measurement.storage import ColumnStore
-from repro.stream.checkpoint import state_digest
-from repro.stream.engine import StreamEngine
-from repro.stream.feed import SegmentReplayFeed, StoreReplayFeed
+from repro.stream.feed import SegmentReplayFeed
 from repro.world.scenario import ScenarioConfig, build_paper_world
 
 import pytest
@@ -119,39 +114,6 @@ def test_batch_detect_speedup(benchmark, batch_bench):
     # Serial vs serial: no core-count gate applies.
     assert speedup >= 2.0, (
         f"columnar detect only {speedup:.2f}x over the row path"
-    )
-
-
-def _ingest(store, batches):
-    engine = StreamEngine(
-        store_horizon(store), sources=(SOURCE,),
-        windows={SOURCE: (0, DAYS)},
-    )
-    engine.ingest_feed(StoreReplayFeed(store, batches=batches).days())
-    return engine
-
-
-def store_horizon(store):
-    return max(day for _, day in store.partitions()) + 1
-
-
-def test_stream_ingest_row_vs_batch(benchmark, batch_bench):
-    _, store = batch_bench
-
-    started = time.perf_counter()
-    row_engine = _ingest(store, batches=False)
-    row_seconds = time.perf_counter() - started
-
-    batch_engine = benchmark.pedantic(
-        lambda: _ingest(store, batches=True), rounds=3, iterations=1
-    )
-
-    assert state_digest(batch_engine) == state_digest(row_engine)
-
-    batch_seconds = benchmark.stats.stats.mean
-    benchmark.extra_info["row_seconds"] = round(row_seconds, 4)
-    benchmark.extra_info["speedup"] = round(
-        row_seconds / batch_seconds, 3
     )
 
 

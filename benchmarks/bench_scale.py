@@ -1,15 +1,16 @@
-"""repro.store — the 10× world-scale gate, measured.
+"""repro.store — the 10× world-scale gates, measured.
 
 Two gates over the same landed history (one gTLD source, a 60-day
 window, ``REPRO_BENCH_SCALE10`` world — default 4000 → ~34k domains,
 ~1.7M observation rows, roughly 10× the columnar-plane bench world of
 ``bench_batches.py``):
 
-* whole-history detect throughput — v1 (``ColumnStore.load`` of the
-  zlib-JSON layout, then :meth:`AdoptionStudy.detect_from_store`)
-  against v2 (:class:`SegmentStore` mmap open + the same detect). The
-  results must be identical and the v2 path ≥3× faster end to end;
-  both sides are serial, so core count cannot excuse a miss;
+* whole-history detect from disk — :class:`SegmentStore` mmap open plus
+  :meth:`AdoptionStudy.detect_from_store`, timed, and its result must
+  be identical to the same detect over the in-memory store the history
+  was landed from. (The former "≥3× over the v1 zlib-JSON layout" gate
+  went with the v1 writer; its last measurement, 3.57× at 1.74 M rows,
+  is the recorded baseline in ``docs/PERFORMANCE.md``.)
 * sublinear read memory — fresh child processes open a 60-day and a
   12-day segment store and read one day's batch; manifest pruning plus
   mmap paging must keep the peak RSS of the long-history read within
@@ -22,7 +23,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import time
 
 from repro.core.pipeline import AdoptionStudy
 from repro.measurement.storage import ColumnStore
@@ -43,7 +43,7 @@ PROBE_DAY = 5
 
 @pytest.fixture(scope="module")
 def scale_bench(tmp_path_factory):
-    """(study, results, v1 dir, v2 dir, short v2 dir) at 10× scale."""
+    """(study, landed store, store dir, short store dir) at 10× scale."""
     world = build_paper_world(
         ScenarioConfig(scale=SCALE10, seed=SCALE10_SEED)
     )
@@ -56,55 +56,34 @@ def scale_bench(tmp_path_factory):
         landed.append(part.source, part.day, list(part.observations))
 
     root = tmp_path_factory.mktemp("scale10")
-    v1_dir = str(root / "v1")
-    v2_dir = str(root / "v2")
-    short_dir = str(root / "v2-short")
-    landed.save_legacy(v1_dir)
-    landed.save(v2_dir)
+    full_dir = str(root / "full")
+    short_dir = str(root / "short")
+    landed.save(full_dir)
     with SegmentStore(short_dir, create=True) as short_store:
         for source, day in landed.partitions():
             if day < SHORT_DAYS:
                 short_store.append_batch(
                     source, day, landed.batch(source, day)
                 )
-    return study, landed, v1_dir, v2_dir, short_dir
+    return study, landed, full_dir, short_dir
 
 
-def _detect_v1(study, directory):
-    store = ColumnStore.load(directory)
-    return study.detect_from_store(store, (SOURCE,))
-
-
-def _detect_v2(study, directory):
+def _detect_from_disk(study, directory):
     with SegmentStore(directory) as store:
         return study.detect_from_store(store, (SOURCE,))
 
 
-def test_detect_from_store_speedup_at_10x(benchmark, scale_bench):
-    study, landed, v1_dir, v2_dir, _ = scale_bench
-    total_rows = sum(
+def test_detect_from_store_at_10x(benchmark, scale_bench):
+    study, landed, full_dir, _ = scale_bench
+    disk_result = benchmark.pedantic(
+        lambda: _detect_from_disk(study, full_dir), rounds=2, iterations=1
+    )
+    # Identity: disk bytes and the columns they were written from must
+    # detect the same.
+    assert disk_result == study.detect_from_store(landed, (SOURCE,))
+    benchmark.extra_info["rows"] = sum(
         landed.row_count(source, day)
         for source, day in landed.partitions()
-    )
-
-    started = time.perf_counter()
-    v1_result = _detect_v1(study, v1_dir)
-    v1_seconds = time.perf_counter() - started
-
-    v2_result = benchmark.pedantic(
-        lambda: _detect_v2(study, v2_dir), rounds=2, iterations=1
-    )
-
-    # Identity first: the speedup is worthless if the results differ.
-    assert v2_result == v1_result
-
-    v2_seconds = benchmark.stats.stats.mean
-    speedup = v1_seconds / v2_seconds
-    benchmark.extra_info["rows"] = total_rows
-    benchmark.extra_info["v1_seconds"] = round(v1_seconds, 4)
-    benchmark.extra_info["speedup"] = round(speedup, 3)
-    assert speedup >= 3.0, (
-        f"segment store detect only {speedup:.2f}x over the v1 path"
     )
 
 
@@ -144,11 +123,11 @@ def test_single_day_read_rss_sublinear_in_history(benchmark, scale_bench):
     """A pruned single-day read must not pay for the rest of history."""
     if not os.path.exists("/proc/self/statm"):
         pytest.skip("requires /proc for resident-set measurement")
-    _, _, _, v2_dir, short_dir = scale_bench
+    _, _, full_dir, short_dir = scale_bench
 
     short_rows, short_rss = _probe_rss(short_dir, PROBE_DAY)
     long_rows, long_rss = benchmark.pedantic(
-        lambda: _probe_rss(v2_dir, PROBE_DAY), rounds=2, iterations=1
+        lambda: _probe_rss(full_dir, PROBE_DAY), rounds=2, iterations=1
     )
     assert long_rows == short_rows > 0
 

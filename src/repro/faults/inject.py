@@ -15,9 +15,7 @@ name), never from an RNG shared with firing decisions.
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 import zlib
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
@@ -29,6 +27,7 @@ from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.measurement.prober import FastProber
 from repro.measurement.scheduler import DayPartition
 from repro.measurement.snapshot import ObservationSegment
+from repro.store.manifest import StoreManifest
 from repro.world.world import World
 
 # -- byte corruption -----------------------------------------------------------
@@ -59,52 +58,17 @@ def corrupt_store_files(
 ) -> List[str]:
     """Apply ``storage.segment_read`` faults to a saved store tree.
 
-    Understands both store layouts. Walks the manifest in order and
-    fires once per partition (key ``source/day``):
-
-    * v2 segment stores: a firing partition damages its segment file
-      (or removes it for kind ``missing``) — the honest blast radius,
-      since partitions sharing a compacted run share its bytes;
-    * legacy v1 stores: damages one deterministically-chosen column
-      file, or removes the partition directory for ``missing``.
+    Walks the manifest in order and fires once per partition (key
+    ``source/day``); a firing partition damages its segment file (or
+    removes it for kind ``missing``) — the honest blast radius, since
+    partitions sharing a compacted run share its bytes.
 
     Returns the paths affected.
     """
-    manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path) as handle:
-        manifest = json.load(handle)
-    if isinstance(manifest, dict):
-        return _corrupt_v2_store(directory, manifest, injector)
     affected: List[str] = []
-    for entry in manifest:
-        source, day = entry["source"], int(entry["day"])
-        key = f"{source}/{day}"
-        event = injector.fire("storage.segment_read", key=key)
-        if event is None:
-            continue
-        partition_dir = os.path.join(directory, source, str(day))
-        if event.kind == "missing":
-            shutil.rmtree(partition_dir)
-            affected.append(partition_dir)
-            continue
-        columns = sorted(entry["columns"])
-        column = columns[zlib.crc32(key.encode("utf-8")) % len(columns)]
-        path = os.path.join(partition_dir, f"{column}.col")
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(corrupt_blob(blob, event.kind, salt=key))
-        affected.append(path)
-    return affected
-
-
-def _corrupt_v2_store(
-    directory: str, manifest: dict, injector: FaultInjector
-) -> List[str]:
-    affected: List[str] = []
-    for segment in manifest.get("segments", []):
-        path = os.path.join(directory, segment["file"])
-        for source, day, _rows in segment["partitions"]:
+    for segment in StoreManifest.load(directory).segments:
+        path = os.path.join(directory, segment.file)
+        for source, day, _rows in segment.partitions:
             key = f"{source}/{day}"
             event = injector.fire("storage.segment_read", key=key)
             if event is None:

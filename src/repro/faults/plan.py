@@ -33,7 +33,7 @@ from repro.faults.runtime import faults_suppressed
 #: site → (description, (kind, ...)).
 FAULT_SITES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "storage.segment_read": (
-        "columnar segment reads from disk (ColumnStore.load)",
+        "segment file reads from disk (SegmentStore, ColumnStore.load)",
         ("truncate", "bitflip", "missing"),
     ),
     "feed.partition": (

@@ -50,7 +50,13 @@ class MeasurementRun:
 
 
 class ClusterManager:
-    """Drives daily measurement rounds for one or more sources."""
+    """Drives daily measurement rounds for one or more sources.
+
+    The rounds themselves are :meth:`PartitionFeed.partition` — one
+    listing → shard → probe → build → enrich → land loop for the whole
+    tree; the manager adds the store it always lands in and the
+    per-round bookkeeping.
+    """
 
     def __init__(
         self,
@@ -59,48 +65,35 @@ class ClusterManager:
         shard_count: int = 8,
         enrich: bool = True,
     ):
-        self._world = world
-        self._feed = ZoneFeed(world)
-        self._prober = FastProber(world)
-        self._enricher = AsnEnricher(world) if enrich else None
         self.store = store if store is not None else ColumnStore()
+        self._partitions = PartitionFeed(
+            world, enrich=enrich, store=self.store, shard_count=shard_count
+        )
         self._shard_count = shard_count
-        #: One pool pair for every batch this manager lands — domains
-        #: repeat daily, so interning compounds across rounds.
-        self._builder = BatchBuilder()
         self.runs: List[MeasurementRun] = []
 
-    @property
-    def feed(self) -> ZoneFeed:
-        return self._feed
+    def measure_day(
+        self, source: str, day: int
+    ) -> Sequence[DomainObservation]:
+        """Measure every name of *source* on *day* and store the rows.
 
-    def measure_day(self, source: str, day: int) -> List[DomainObservation]:
-        """Measure every name of *source* on *day* and store the rows."""
-        if source == "alexa":
-            listing = self._feed.alexa_listing(day)
-        else:
-            listing = self._feed.listing(source, day)
-        probed: List[DomainObservation] = []
-        shards = shard(listing.names, self._shard_count)
-        for worker_names in shards:
-            probed.extend(self._prober.observe_day(worker_names, day))
-        batch = self._builder.build(probed)
-        if self._enricher is not None:
-            batch = self._enricher.enrich_batch(batch)
-        self.store.append_batch(source, day, batch)
+        Returns the partition's lazy row view: rows are boxed only if
+        the caller reads them.
+        """
+        partition = self._partitions.partition(source, day)
         self.runs.append(
             MeasurementRun(
                 source=source,
                 day=day,
-                shards=len(shards),
-                observations=len(batch),
+                shards=self._shard_count,
+                observations=len(partition),
             )
         )
-        return batch.rows()
+        return partition.observations
 
     def measure_range(
         self, source: str, start: int, days: int
-    ) -> Iterator[List[DomainObservation]]:
+    ) -> Iterator[Sequence[DomainObservation]]:
         """Daily rounds over ``[start, start+days)`` for *source*."""
         for day in range(start, start + days):
             yield self.measure_day(source, day)
@@ -154,9 +147,10 @@ class PartitionFeed:
     The OpenINTEL-style platform lands one partition per source per day;
     this iterator reproduces that cadence over the simulated world:
     day-major, sources in :data:`ALL_SOURCES` order, each source only
-    within its measurement window. Unlike :class:`ClusterManager` it does
-    not retain what it measured (the engine owns the state); pass *store*
-    to additionally land every partition in a :class:`ColumnStore`.
+    within its measurement window. It does not retain what it measured
+    (the engine owns the state); pass *store* to additionally land every
+    partition in a :class:`ColumnStore` — which is all
+    :class:`ClusterManager` does.
     """
 
     def __init__(
@@ -173,6 +167,8 @@ class PartitionFeed:
         self._enricher = AsnEnricher(world) if enrich else None
         self._store = store
         self._shard_count = shard_count
+        #: One pool pair for every batch this feed lands — domains
+        #: repeat daily, so interning compounds across rounds.
         self._builder = BatchBuilder()
         self.sources = tuple(sources) if sources else ALL_SOURCES
         unknown = set(self.sources) - set(ALL_SOURCES)

@@ -1,61 +1,42 @@
-"""Columnar observation storage with compression accounting.
+"""In-memory columnar observation partitions with size accounting.
 
 The real platform lands measurements in Parquet on a Hadoop cluster;
-Table 1 reports per-source data-point counts and compressed sizes. This
-store keeps observations in per-``(source, day)`` partitions as columns
-(one list per field), encodes partitions in the v2 binary segment
-format (:mod:`repro.store` — dictionary pages, adaptive per-column
-codecs, CRC-32 checked), tracks the resulting on-disk byte sizes so the
-Table 1 reproduction reports measured-vs-extrapolated storage honestly,
-and persists/loads partitions as segment files behind a manifest.
+Table 1 reports per-source data-point counts and compressed sizes.
+:class:`ColumnStore` is the in-memory face of :mod:`repro.store`: it
+holds each ``(source, day)`` partition as the column lists
+:mod:`repro.store` shreds, and everything that turns those lists into
+bytes, rows or files — shredding, the segment encoding behind the
+Table 1 byte sizes, row boxing, the on-disk layout — is a call into
+that package. ``docs/STORAGE.md`` specifies the format.
 
-Disk layout (v2): ``<dir>/segments/g0-<seq>.rseg`` — one generation-0
-segment per partition — plus ``<dir>/manifest.json``. The legacy v1
-layout (zlib-JSON ``<source>/<day>/<column>.col`` files behind a
-list-shaped manifest) is still read transparently by :meth:`
-ColumnStore.load`; ``repro store migrate`` converts it in place. For
-big on-disk histories prefer :class:`repro.store.SegmentStore`, which
-reads the same segments lazily (mmap, pruned by the manifest) instead
-of materialising every partition up front.
+:meth:`ColumnStore.save` writes ``<dir>/segments/g0-<seq>.rseg`` — one
+generation-0 segment per partition — plus ``<dir>/manifest.json``, the
+same directory :class:`repro.store.SegmentStore` opens. For big on-disk
+histories prefer ``SegmentStore``, which reads segments lazily (mmap,
+pruned by the manifest) instead of materialising every partition.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    cast,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.batch.batch import BatchBuilder, ObservationBatch
-from repro.measurement.snapshot import (
-    DomainObservation,
-    MEASUREMENTS_PER_DOMAIN_DAY,
-)
-from repro.store import codecs as _codecs
+from repro.measurement.snapshot import DomainObservation
 from repro.store.errors import StorageError
-from repro.store.manifest import (
-    SegmentMeta,
-    StoreManifest,
-    load_manifest_payload,
-    manifest_format,
-)
-from repro.store.segment import (
-    SEGMENT_SUFFIX,
-    SegmentReader,
-    build_segment,
-    write_segment_bytes,
-)
+from repro.store.manifest import StoreManifest
+from repro.store.segment import build_segment
 from repro.store.stats import PartitionStats
+from repro.store.store import (
+    Columns,
+    SegmentStore,
+    batch_columns,
+    column_rows,
+    extend_batch,
+    extend_columns,
+    land_segment,
+    observation_columns,
+)
 
 __all__ = [
     "ColumnStore",
@@ -63,56 +44,12 @@ __all__ = [
     "StorageError",
 ]
 
-_COLUMNS = (
-    "domain",
-    "tld",
-    "ns_names",
-    "apex_addrs",
-    "www_cnames",
-    "www_addrs",
-    "apex_addrs6",
-    "www_addrs6",
-    "asns",
-)
-
-
-def _encode_column(values: Sequence[Any]) -> bytes:
-    """Legacy v1 column encoding: dictionary+RLE JSON head, deflated.
-
-    Kept for the v1 read path, `save_legacy`, and migration tests; the
-    live format is the binary page codec in :mod:`repro.store.codecs`.
-    """
-    dictionary: Dict[str, int] = {}
-    runs: List[List[int]] = []
-    for value in values:
-        key = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        index = dictionary.setdefault(key, len(dictionary))
-        if runs and runs[-1][0] == index:
-            runs[-1][1] += 1
-        else:
-            runs.append([index, 1])
-    payload = json.dumps(
-        {"dict": list(dictionary), "runs": runs}, separators=(",", ":")
-    ).encode("utf-8")
-    return zlib.compress(payload, level=6)
-
-
-def _decode_column(blob: bytes) -> List[Any]:
-    payload = json.loads(zlib.decompress(blob))
-    dictionary = [json.loads(key) for key in payload["dict"]]
-    values: List[Any] = []
-    for index, count in payload["runs"]:
-        values.extend([dictionary[index]] * count)
-    return values
-
 
 class ColumnStore:
     """In-memory columnar partitions of observations."""
 
     def __init__(self) -> None:
-        self._partitions: Dict[Tuple[str, int], Dict[str, List[Any]]] = {}
-        self._encoded: Dict[Tuple[str, int], Dict[str, bytes]] = {}
-        self._segments: Dict[Tuple[str, int], bytes] = {}
+        self._partitions: Dict[Tuple[str, int], Columns] = {}
         #: (source, day, reason) for partitions dropped by a lenient load.
         self.skipped_partitions: List[Tuple[str, int, str]] = []
 
@@ -122,100 +59,38 @@ class ColumnStore:
         self, source: str, day: int, observations: Sequence[DomainObservation]
     ) -> None:
         """Write a day's observations into the (source, day) partition."""
-        partition = self._partitions.setdefault(
-            (source, day), {column: [] for column in _COLUMNS}
-        )
-        self._invalidate(source, day)
-        for observation in observations:
-            partition["domain"].append(observation.domain)
-            partition["tld"].append(observation.tld)
-            partition["ns_names"].append(list(observation.ns_names))
-            partition["apex_addrs"].append(list(observation.apex_addrs))
-            partition["www_cnames"].append(list(observation.www_cnames))
-            partition["www_addrs"].append(list(observation.www_addrs))
-            partition["apex_addrs6"].append(list(observation.apex_addrs6))
-            partition["www_addrs6"].append(list(observation.www_addrs6))
-            partition["asns"].append(sorted(observation.asns))
+        self._extend(source, day, observation_columns(observations))
 
     def append_batch(
         self, source: str, day: int, batch: ObservationBatch
     ) -> None:
-        """Write a batch into the (source, day) partition.
+        """Write a batch into the (source, day) partition — the same
+        columns as ``append(source, day, batch.rows())``, without boxing
+        a row per observation."""
+        self._extend(source, day, batch_columns(batch))
 
-        Value-identical to ``append(source, day, batch.rows())`` — the
-        stored column lists, and therefore the encoded partition bytes
-        backing Table 1's size accounting, come out the same — without
-        boxing a row view per observation.
-        """
-        partition = self._partitions.setdefault(
-            (source, day), {column: [] for column in _COLUMNS}
-        )
-        self._invalidate(source, day)
-        names = batch.names
-        addresses = batch.addresses
-        for index in range(len(batch)):
-            partition["domain"].append(names.value(batch.domains[index]))
-            partition["tld"].append(names.value(batch.tlds[index]))
-            partition["ns_names"].append(
-                list(names.values(batch.ns_names[index]))
-            )
-            partition["apex_addrs"].append(
-                list(addresses.texts(batch.apex_addrs[index]))
-            )
-            partition["www_cnames"].append(
-                list(names.values(batch.www_cnames[index]))
-            )
-            partition["www_addrs"].append(
-                list(addresses.texts(batch.www_addrs[index]))
-            )
-            partition["apex_addrs6"].append(
-                list(addresses.texts(batch.apex_addrs6[index]))
-            )
-            partition["www_addrs6"].append(
-                list(addresses.texts(batch.www_addrs6[index]))
-            )
-            partition["asns"].append(list(batch.asns[index]))
-
-    def _invalidate(self, source: str, day: int) -> None:
-        self._encoded.pop((source, day), None)
-        self._segments.pop((source, day), None)
+    def _extend(self, source: str, day: int, columns: Columns) -> None:
+        existing = self._partitions.setdefault((source, day), columns)
+        if existing is not columns:
+            extend_columns(existing, columns)
 
     # -- reading --------------------------------------------------------------
 
     def partitions(self) -> List[Tuple[str, int]]:
         return sorted(self._partitions)
 
-    def partition_columns(self, source: str, day: int) -> Dict[str, List[Any]]:
+    def partition_columns(self, source: str, day: int) -> Columns:
         """One partition's raw column lists (the storage shape)."""
-        partition = self._partitions.get((source, day))
-        if partition is None:
-            raise KeyError((source, day))
-        return partition
+        return self._partitions[(source, day)]
 
     def rows(self, source: str, day: int) -> Iterator[DomainObservation]:
         """Re-materialise the observations of one partition."""
-        partition = self._partitions.get((source, day))
-        if partition is None:
-            return
-        for index in range(len(partition["domain"])):
-            # The row-shaped compatibility path; bulk consumers use
-            # batches() instead.
-            yield DomainObservation(  # repro: ignore[row-boxing-in-hot-path]
-                day=day,
-                domain=partition["domain"][index],
-                tld=partition["tld"][index],
-                ns_names=tuple(partition["ns_names"][index]),
-                apex_addrs=tuple(partition["apex_addrs"][index]),
-                www_cnames=tuple(partition["www_cnames"][index]),
-                www_addrs=tuple(partition["www_addrs"][index]),
-                apex_addrs6=tuple(partition["apex_addrs6"][index]),
-                www_addrs6=tuple(partition["www_addrs6"][index]),
-                asns=frozenset(partition["asns"][index]),
-            )
+        columns = self._partitions.get((source, day))
+        return column_rows(day, columns) if columns else iter(())
 
     def row_count(self, source: str, day: int) -> int:
-        partition = self._partitions.get((source, day))
-        return len(partition["domain"]) if partition else 0
+        columns = self._partitions.get((source, day))
+        return len(columns["domain"]) if columns else 0
 
     def batch(
         self,
@@ -231,34 +106,14 @@ class ColumnStore:
         out = (
             builder if builder is not None else BatchBuilder()
         ).new_batch()
-        partition = self._partitions.get((source, day))
-        if partition is None:
-            return out
-        names = out.names
-        addresses = out.addresses
-        domains = partition["domain"]
-        tlds = partition["tld"]
-        ns_names = partition["ns_names"]
-        apex_addrs = partition["apex_addrs"]
-        www_cnames = partition["www_cnames"]
-        www_addrs = partition["www_addrs"]
-        apex_addrs6 = partition["apex_addrs6"]
-        www_addrs6 = partition["www_addrs6"]
-        asns = partition["asns"]
-        for index in range(len(domains)):
-            out.append_ids(
-                day=day,
-                domain=names.intern(domains[index]),
-                tld=names.intern(tlds[index]),
-                ns_names=names.intern_tuple(ns_names[index]),
-                www_cnames=names.intern_tuple(www_cnames[index]),
-                apex_addrs=addresses.intern_tuple(apex_addrs[index]),
-                www_addrs=addresses.intern_tuple(www_addrs[index]),
-                apex_addrs6=addresses.intern_tuple(apex_addrs6[index]),
-                www_addrs6=addresses.intern_tuple(www_addrs6[index]),
-                # append() stores sorted(asns), so the stored column is
-                # already in canonical tuple form.
-                asns=tuple(asns[index]),
+        columns = self._partitions.get((source, day))
+        if columns is not None:
+            # Un-encoded columns are pages whose every row is an entry.
+            rows = range(len(columns["domain"]))
+            extend_batch(
+                out,
+                day,
+                {name: (cells, rows) for name, cells in columns.items()},
             )
         return out
 
@@ -273,272 +128,70 @@ class ColumnStore:
 
     # -- encoding and statistics --------------------------------------------------
 
-    def encode_partition(self, source: str, day: int) -> Dict[str, bytes]:
-        """Columnar-encode one partition (cached).
-
-        Each column's blob is its v2 page — codec id byte followed by
-        the page bytes — a deterministic function of the column values.
-        """
-        key = (source, day)
-        encoded = self._encoded.get(key)
-        if encoded is None:
-            partition = self._partitions[key]
-            encoded = {}
-            for column, values in sorted(partition.items()):
-                codec, page = _codecs.encode_column(
-                    _codecs.COLUMN_KINDS[column], values
-                )
-                encoded[column] = bytes([codec]) + page
-            self._encoded[key] = encoded
-        return encoded
-
-    def decode_partition(
-        self, source: str, day: int
-    ) -> Dict[str, List[Any]]:
-        """Round-trip check helper: decode an encoded partition."""
-        decoded = {}
-        for column, blob in sorted(self.encode_partition(source, day).items()):
-            decoded[column] = _codecs.decode_column(
-                _codecs.COLUMN_KINDS[column], blob[0], blob[1:]
-            )
-        return decoded
-
     def segment_bytes(self, source: str, day: int) -> bytes:
-        """The partition as one standalone v2 segment (cached) — the
-        exact bytes :meth:`save` lands on disk for it."""
-        key = (source, day)
-        data = self._segments.get(key)
-        if data is None:
-            data = build_segment([(source, day, self._partitions[key])])
-            self._segments[key] = data
-        return data
+        """The partition as one standalone segment — the exact bytes
+        :meth:`save` lands on disk for it."""
+        return build_segment(
+            [(source, day, self._partitions[(source, day)])]
+        )
 
     def partition_stats(self, source: str, day: int) -> PartitionStats:
-        rows = self.row_count(source, day)
-        return PartitionStats(
-            source=source,
-            day=day,
-            rows=rows,
-            data_points=rows * MEASUREMENTS_PER_DOMAIN_DAY,
-            encoded_bytes=len(self.segment_bytes(source, day)),
+        return PartitionStats.measured(
+            source,
+            day,
+            self.row_count(source, day),
+            len(self.segment_bytes(source, day)),
+        )
+
+    def total_stats(self, source: Optional[str] = None) -> PartitionStats:
+        """Aggregate stats over all (or one source's) partitions."""
+        return PartitionStats.total(
+            source or "total",
+            (
+                self.partition_stats(*key)
+                for key in self._partitions
+                if source is None or key[0] == source
+            ),
         )
 
     # -- disk persistence ---------------------------------------------------
 
     def save(self, directory: str) -> List[str]:
-        """Write every partition as a v2 segment plus a manifest.
+        """Write every partition as a segment plus a manifest.
 
         Layout: ``<dir>/segments/g0-<seq>.rseg`` — one generation-0
         segment per partition, in sorted partition order — and
         ``<dir>/manifest.json``. Returns the file paths written.
         """
-        written: List[str] = []
         manifest = StoreManifest()
-        for sequence, (source, day) in enumerate(self.partitions()):
-            relative = os.path.join(
-                "segments", f"g0-{sequence:06d}{SEGMENT_SUFFIX}"
+        written = [
+            os.path.join(
+                directory,
+                land_segment(
+                    directory, manifest, 0, sequence,
+                    [(source, day, self._partitions[(source, day)])],
+                ),
             )
-            path = os.path.join(directory, relative)
-            data = self.segment_bytes(source, day)
-            write_segment_bytes(path, data)
-            written.append(path)
-            manifest.segments.append(
-                SegmentMeta.describe(
-                    file=relative,
-                    generation=0,
-                    size=len(data),
-                    partitions=[(source, day, self.row_count(source, day))],
-                )
-            )
-        os.makedirs(directory, exist_ok=True)
+            for sequence, (source, day) in enumerate(self.partitions())
+        ]
         written.append(manifest.save(directory))
-        return written
-
-    def save_legacy(self, directory: str) -> List[str]:
-        """Write the deprecated v1 layout (zlib-JSON column files).
-
-        Kept so migration and dual-format loading stay testable against
-        real v1 stores; new code should use :meth:`save`.
-        """
-        written: List[str] = []
-        manifest: List[Dict[str, object]] = []
-        for source, day in self.partitions():
-            partition_dir = os.path.join(directory, source, str(day))
-            os.makedirs(partition_dir, exist_ok=True)
-            encoded = {
-                column: _encode_column(values)
-                for column, values in sorted(
-                    self._partitions[(source, day)].items()
-                )
-            }
-            for column, blob in sorted(encoded.items()):
-                path = os.path.join(partition_dir, f"{column}.col")
-                with open(path, "wb") as handle:
-                    handle.write(blob)
-                written.append(path)
-            manifest.append(
-                {
-                    "source": source,
-                    "day": day,
-                    "rows": self.row_count(source, day),
-                    "columns": sorted(encoded),
-                    "checksums": {
-                        column: zlib.crc32(encoded[column])
-                        for column in sorted(encoded)
-                    },
-                }
-            )
-        manifest_path = os.path.join(directory, "manifest.json")
-        os.makedirs(directory, exist_ok=True)
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle, indent=1)
-        written.append(manifest_path)
         return written
 
     @classmethod
     def load(cls, directory: str, on_error: str = "raise") -> "ColumnStore":
-        """Rebuild a store from :meth:`save` (or legacy v1) output.
+        """Rebuild a store from a segment store directory.
 
-        Both manifest formats load transparently: v2 segment stores are
-        read through the checked segment reader, v1 stores through the
-        legacy zlib-JSON decoder with its manifest CRC-32 checks. A
-        damaged partition raises :class:`StorageError`, or — with
+        A damaged partition raises :class:`StorageError`, or — with
         ``on_error="skip"`` — is dropped whole and recorded in
         :attr:`skipped_partitions`, so one rotten day costs one day of
-        data, not the run.
+        data, not the run. A legacy v1 directory is rejected with a
+        :class:`StorageError` naming ``repro store migrate``.
         """
-        if on_error not in ("raise", "skip"):
-            raise ValueError("on_error must be 'raise' or 'skip'")
-        payload = load_manifest_payload(directory)
-        if manifest_format(payload) == 1:
-            return cls._load_v1(directory, payload, on_error)
-        manifest = StoreManifest.from_dict(cast(Dict[str, Any], payload))
         store = cls()
-        for meta in manifest.segments:
-            store._load_segment(directory, meta, on_error)
+        with SegmentStore(directory, on_error=on_error) as disk:
+            for source, day in disk.partitions():
+                columns = disk.columns(source, day)
+                if columns is not None:
+                    store._partitions[(source, day)] = columns
+            store.skipped_partitions = disk.skipped_partitions
         return store
-
-    def _load_segment(
-        self, directory: str, meta: SegmentMeta, on_error: str
-    ) -> None:
-        """Eagerly read and verify one v2 segment into partitions."""
-        path = os.path.join(directory, meta.file)
-        try:
-            reader = SegmentReader(path)
-        except StorageError as exc:
-            if on_error == "raise":
-                raise
-            for source, day, _rows in meta.partitions:
-                self.skipped_partitions.append((source, day, str(exc)))
-            return
-        declared = {
-            (source, day): rows for source, day, rows in meta.partitions
-        }
-        with reader:
-            for ref in reader.partitions:
-                try:
-                    expected = declared.get((ref.source, ref.day))
-                    if expected is not None and expected != ref.rows:
-                        raise StorageError(
-                            f"row count mismatch in {path}: "
-                            f"{ref.rows} != {expected}"
-                        )
-                    columns = {
-                        column: reader.column_cells(ref, column)
-                        for column in _COLUMNS
-                    }
-                except StorageError as exc:
-                    if on_error == "raise":
-                        raise
-                    self.skipped_partitions.append(
-                        (ref.source, ref.day, str(exc))
-                    )
-                    continue
-                partition = self._partitions.setdefault(
-                    (ref.source, ref.day),
-                    {column: [] for column in _COLUMNS},
-                )
-                for column in _COLUMNS:
-                    partition[column].extend(columns[column])
-
-    @classmethod
-    def _load_v1(
-        cls, directory: str, manifest: List[Any], on_error: str
-    ) -> "ColumnStore":
-        store = cls()
-        for entry in manifest:
-            source = cast(str, entry["source"])
-            day = int(cast(int, entry["day"]))
-            try:
-                columns = cls._load_v1_partition(directory, entry)
-            except (StorageError, OSError) as exc:
-                if on_error == "raise":
-                    raise
-                store.skipped_partitions.append((source, day, str(exc)))
-                continue
-            store._partitions[(source, day)] = {
-                column: columns.get(column, []) for column in _COLUMNS
-            }
-        return store
-
-    @staticmethod
-    def _load_v1_partition(
-        directory: str, entry: Dict[str, object]
-    ) -> Dict[str, List[Any]]:
-        """Read and verify one legacy manifest entry's column files."""
-        source = str(entry["source"])
-        day = int(cast(int, entry["day"]))
-        partition_dir = os.path.join(directory, source, str(day))
-        checksums = cast(
-            Dict[str, int], entry.get("checksums", {})
-        )
-        rows = cast(Optional[int], entry.get("rows"))
-        columns: Dict[str, List[Any]] = {}
-        for column in cast(List[str], entry["columns"]):
-            path = os.path.join(partition_dir, f"{column}.col")
-            try:
-                with open(path, "rb") as handle:
-                    blob = handle.read()
-            except OSError as exc:
-                raise StorageError(
-                    f"missing segment file {path}: {exc}"
-                ) from exc
-            expected = checksums.get(column)
-            if expected is not None and zlib.crc32(blob) != expected:
-                raise StorageError(f"checksum mismatch in {path}")
-            try:
-                values = _decode_column(blob)
-            except (zlib.error, ValueError, KeyError, IndexError,
-                    TypeError) as exc:
-                raise StorageError(
-                    f"cannot decode segment {path}: {exc}"
-                ) from exc
-            if rows is not None and len(values) != rows:
-                raise StorageError(
-                    f"row count mismatch in {path}: "
-                    f"{len(values)} != {rows}"
-                )
-            columns[column] = values
-        return columns
-
-    def total_stats(self, source: Optional[str] = None) -> PartitionStats:
-        """Aggregate stats over all (or one source's) partitions."""
-        rows = 0
-        data_points = 0
-        encoded_bytes = 0
-        days: Set[int] = set()
-        for key in self._partitions:
-            if source is not None and key[0] != source:
-                continue
-            stats = self.partition_stats(*key)
-            rows += stats.rows
-            data_points += stats.data_points
-            encoded_bytes += stats.encoded_bytes
-            days.add(key[1])
-        return PartitionStats(
-            source=source or "total",
-            day=len(days),
-            rows=rows,
-            data_points=data_points,
-            encoded_bytes=encoded_bytes,
-        )

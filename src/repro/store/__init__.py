@@ -1,7 +1,8 @@
-"""The v2 segment store: binary column segments with an LSM flavor.
+"""The segment store: binary column segments with an LSM flavor.
 
-``repro.store`` replaces the zlib-JSON partition files of the original
-:mod:`repro.measurement.storage` head with a real segment store:
+``repro.store`` is the only code that knows what bytes a partition
+becomes — how it is shredded into columns, encoded, boxed back into
+rows, loaded from disk and accounted:
 
 * :mod:`repro.store.codecs` — per-column page codecs (dictionary pages
   with raw or run-length index streams, delta varints for int lists,
@@ -13,10 +14,13 @@
 * :mod:`repro.store.manifest` — the store manifest: per-segment
   generation, day range, and source set, enabling partition pruning by
   day window and source before any segment byte is touched.
-* :mod:`repro.store.store` — :class:`SegmentStore`, the on-disk
-  counterpart of :class:`repro.measurement.storage.ColumnStore`, with
-  tiered compaction of day segments into multi-day runs.
-* :mod:`repro.store.migrate` — v1 zlib-JSON → v2 segment conversion.
+* :mod:`repro.store.store` — the column shredders and row boxer, and
+  :class:`SegmentStore`, the on-disk store with tiered compaction of
+  day segments into multi-day runs
+  (:class:`repro.measurement.storage.ColumnStore` is its in-memory
+  face).
+* :mod:`repro.store.migrate` — the legacy v1 zlib-JSON layout's only
+  reader, converting it into a new segment store directory.
 
 See ``docs/STORAGE.md`` for the byte-level format specification.
 """

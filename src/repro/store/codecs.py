@@ -422,12 +422,17 @@ def decode_page(
     return entries, indexes
 
 
-def decode_column(kind: int, codec: int, data: bytes) -> List[Any]:
-    """Materialise a page back into plain cell values (compat shape:
-    ``str`` cells for STR, fresh-shared ``list`` cells otherwise, as the
-    v1 JSON decoder produced)."""
-    entries, indexes = decode_page(kind, codec, data)
+def materialise(
+    kind: int, entries: Sequence[Entry], indexes: Sequence[int]
+) -> List[Any]:
+    """A decoded page as plain cell values: ``str`` cells for STR,
+    ``list`` cells (shared between rows of one entry) otherwise."""
     if kind == KIND_STR:
         return [entries[i] for i in indexes]
     materialised = [list(entry) for entry in entries]
     return [materialised[i] for i in indexes]
+
+
+def decode_column(kind: int, codec: int, data: bytes) -> List[Any]:
+    """Decode a page straight to plain cell values."""
+    return materialise(kind, *decode_page(kind, codec, data))

@@ -1,4 +1,4 @@
-"""The storage failure type shared by the v1 and v2 read paths."""
+"""The storage failure type of every store read path."""
 
 from __future__ import annotations
 

@@ -5,8 +5,9 @@ compaction generation, day range, source set, and the exact partitions
 inside — so a reader can answer "which segments could hold com days
 40–60?" from the manifest alone and never open (or fault in a single
 page of) the cold ones. The v1 manifest was a plain JSON list of
-partition entries; :func:`manifest_format` tells the two apart so the
-dual-format load path can keep old stores readable.
+partition entries; :func:`manifest_format` tells the two apart so a v1
+directory is rejected with a typed error naming the migrate command
+(:mod:`repro.store.migrate` holds the only v1 reader).
 """
 
 from __future__ import annotations
@@ -207,8 +208,8 @@ class StoreManifest:
         payload = load_manifest_payload(directory)
         if manifest_format(payload) != MANIFEST_FORMAT:
             raise StorageError(
-                f"{directory} holds a v1 store; run `repro store migrate` "
-                f"(or load it with ColumnStore.load, which reads both)"
+                f"{directory} holds a legacy v1 store; convert it with "
+                f"`repro store migrate {directory} NEW_DIR`"
             )
         return cls.from_dict(payload)
 

@@ -1,7 +1,7 @@
 """The structural store interface feeds and the study pipeline accept.
 
-Both :class:`repro.measurement.storage.ColumnStore` (in-memory, eager)
-and :class:`repro.store.store.SegmentStore` (on-disk, lazy, pruned)
+Both :class:`repro.store.store.SegmentStore` (on-disk, lazy, pruned)
+and its in-memory face :class:`repro.measurement.storage.ColumnStore`
 satisfy this protocol, so everything downstream of landing — replay
 feeds, whole-history detection, Table 1 accounting — is store-agnostic.
 """
@@ -16,7 +16,7 @@ from repro.store.stats import PartitionStats
 
 
 class ObservationStore(Protocol):
-    """Reading surface shared by the v1 and v2 stores."""
+    """Reading surface shared by the on-disk and in-memory stores."""
 
     #: (source, day, reason) for partitions dropped by lenient reads.
     skipped_partitions: List[Tuple[str, int, str]]

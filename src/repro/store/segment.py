@@ -148,12 +148,15 @@ def build_segment(
     return b"".join([header, bytes(directory), *pages, footer])
 
 
-def write_segment_bytes(path: str, data: bytes) -> int:
-    """Atomically land pre-built segment bytes; returns the size.
+def write_segment(
+    path: str, partitions: Sequence[Tuple[str, int, PartitionColumns]]
+) -> int:
+    """Build and atomically write a segment file; returns its size.
 
     The bytes go to a temporary sibling first and are renamed into
     place, so readers never observe a torn segment.
     """
+    data = build_segment(partitions)
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -164,13 +167,6 @@ def write_segment_bytes(path: str, data: bytes) -> int:
         os.fsync(handle.fileno())
     os.replace(temporary, path)
     return len(data)
-
-
-def write_segment(
-    path: str, partitions: Sequence[Tuple[str, int, PartitionColumns]]
-) -> int:
-    """Build and atomically write a segment file; returns its size."""
-    return write_segment_bytes(path, build_segment(partitions))
 
 
 def _parse_directory(
@@ -344,10 +340,9 @@ class SegmentReader:
     def column_cells(self, partition: PartitionRef, name: str) -> List[Any]:
         """One column materialised back to plain cell values."""
         entries, indexes = self.column_page(partition, name)
-        if partition.columns[name].kind == codecs.KIND_STR:
-            return [entries[i] for i in indexes]
-        materialised = [list(entry) for entry in entries]
-        return [materialised[i] for i in indexes]
+        return codecs.materialise(
+            partition.columns[name].kind, entries, indexes
+        )
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -24,6 +24,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -31,11 +32,7 @@ from typing import (
 )
 
 from repro.batch.batch import BatchBuilder, ObservationBatch
-from repro.measurement.snapshot import (
-    DomainObservation,
-    MEASUREMENTS_PER_DOMAIN_DAY,
-)
-from repro.store import codecs
+from repro.measurement.snapshot import DomainObservation
 from repro.store.codecs import COLUMN_ORDER
 from repro.store.errors import StorageError
 from repro.store.manifest import SegmentMeta, StoreManifest
@@ -54,32 +51,15 @@ SEGMENTS_DIR = "segments"
 #: Columns as stored: plain Python cell lists, one list per column.
 Columns = Dict[str, List[Any]]
 
-
-def observation_columns(
-    observations: Sequence[DomainObservation],
-) -> Columns:
-    """Shred row-shaped observations into storage column lists."""
-    columns: Columns = {name: [] for name in COLUMN_ORDER}
-    for observation in observations:
-        columns["domain"].append(observation.domain)
-        columns["tld"].append(observation.tld)
-        columns["ns_names"].append(list(observation.ns_names))
-        columns["apex_addrs"].append(list(observation.apex_addrs))
-        columns["www_cnames"].append(list(observation.www_cnames))
-        columns["www_addrs"].append(list(observation.www_addrs))
-        columns["apex_addrs6"].append(list(observation.apex_addrs6))
-        columns["www_addrs6"].append(list(observation.www_addrs6))
-        columns["asns"].append(sorted(observation.asns))
-    return columns
+#: One column as ``(distinct entries, per-row index into them)`` — the
+#: shape a segment page decodes to.
+Page = Tuple[Sequence[Any], Sequence[int]]
 
 
 def batch_columns(batch: ObservationBatch) -> Columns:
-    """Shred a columnar batch into storage column lists.
-
-    Value-identical to ``observation_columns(batch.rows())`` without
-    boxing a row per observation: each distinct pool id is resolved to
-    its text once, rows map through plain list lookups.
-    """
+    """Shred a columnar batch into storage column lists: each distinct
+    pool id is resolved to its text once, rows map through plain list
+    lookups, and no row is boxed."""
     names = batch.names
     addresses = batch.addresses
     name_texts = [names.value(i) for i in range(len(names))]
@@ -107,6 +87,106 @@ def batch_columns(batch: ObservationBatch) -> Columns:
         ],
         "asns": [list(asns) for asns in batch.asns],
     }
+
+
+def observation_columns(
+    observations: Sequence[DomainObservation],
+) -> Columns:
+    """Shred row-shaped observations into storage column lists — by
+    way of a batch, so there is one shredder."""
+    return batch_columns(ObservationBatch.from_rows(observations))
+
+
+def column_rows(day: int, columns: Columns) -> Iterator[DomainObservation]:
+    """Box stored column lists back into row-shaped observations — the
+    inverse of :func:`observation_columns`, and the row-shaped
+    compatibility path (bulk consumers read batches instead)."""
+    for index in range(len(columns["domain"])):
+        yield DomainObservation(  # repro: ignore[row-boxing-in-hot-path]
+            day=day,
+            domain=columns["domain"][index],
+            tld=columns["tld"][index],
+            ns_names=tuple(columns["ns_names"][index]),
+            apex_addrs=tuple(columns["apex_addrs"][index]),
+            www_cnames=tuple(columns["www_cnames"][index]),
+            www_addrs=tuple(columns["www_addrs"][index]),
+            apex_addrs6=tuple(columns["apex_addrs6"][index]),
+            www_addrs6=tuple(columns["www_addrs6"][index]),
+            asns=frozenset(columns["asns"][index]),
+        )
+
+
+def extend_columns(columns: Columns, more: Columns) -> None:
+    """Append the rows of *more* to *columns*, column by column."""
+    for name in COLUMN_ORDER:
+        columns[name].extend(more[name])
+
+
+def extend_batch(
+    out: ObservationBatch, day: int, pages: Mapping[str, Page]
+) -> None:
+    """Append one partition's *pages* to *out*, translate-once: each
+    distinct entry is interned exactly once and rows map through the
+    page's index stream with plain list lookups."""
+    names = out.names
+    addresses = out.addresses
+    translated: Dict[str, List[Any]] = {}
+    for name in ("domain", "tld"):
+        entries, indexes = pages[name]
+        ids = [names.intern(entry) for entry in entries]
+        translated[name] = [ids[i] for i in indexes]
+    for name in ("ns_names", "www_cnames"):
+        entries, indexes = pages[name]
+        tuples = [names.intern_tuple(entry) for entry in entries]
+        translated[name] = [tuples[i] for i in indexes]
+    for name in (
+        "apex_addrs", "www_addrs", "apex_addrs6", "www_addrs6"
+    ):
+        entries, indexes = pages[name]
+        tuples = [addresses.intern_tuple(entry) for entry in entries]
+        translated[name] = [tuples[i] for i in indexes]
+    asn_entries, asn_indexes = pages["asns"]
+    # Stored asns cells are sorted, so tuple() is the canonical form.
+    asn_tuples = [tuple(entry) for entry in asn_entries]
+    out.days.extend([day] * len(translated["domain"]))
+    out.domains.extend(translated["domain"])
+    out.tlds.extend(translated["tld"])
+    out.ns_names.extend(translated["ns_names"])
+    out.www_cnames.extend(translated["www_cnames"])
+    out.apex_addrs.extend(translated["apex_addrs"])
+    out.www_addrs.extend(translated["www_addrs"])
+    out.apex_addrs6.extend(translated["apex_addrs6"])
+    out.www_addrs6.extend(translated["www_addrs6"])
+    out.asns.extend([asn_tuples[i] for i in asn_indexes])
+
+
+def land_segment(
+    directory: str,
+    manifest: StoreManifest,
+    generation: int,
+    sequence: int,
+    partitions: Sequence[Tuple[str, int, Columns]],
+) -> str:
+    """Write *partitions* as segment ``g<generation>-<sequence>`` under
+    *directory* and enter it in *manifest*; saving the manifest — the
+    caller's step — is what publishes it. Returns the segment's path
+    relative to *directory*."""
+    relative = os.path.join(
+        SEGMENTS_DIR, f"g{generation}-{sequence:06d}{SEGMENT_SUFFIX}"
+    )
+    size = write_segment(os.path.join(directory, relative), partitions)
+    manifest.segments.append(
+        SegmentMeta.describe(
+            file=relative,
+            generation=generation,
+            size=size,
+            partitions=[
+                (source, day, len(columns["domain"]))
+                for source, day, columns in partitions
+            ],
+        )
+    )
+    return relative
 
 
 class SegmentStore:
@@ -210,20 +290,12 @@ class SegmentStore:
         crash can strand an unreferenced file but never a manifest that
         double-counts a partition.
         """
-        sequence = self._manifest.next_sequence()
-        relative = os.path.join(
-            SEGMENTS_DIR, f"g{generation}-{sequence:06d}{SEGMENT_SUFFIX}"
-        )
-        path = os.path.join(self.directory, relative)
-        size = write_segment(path, partitions)
-        meta = SegmentMeta.describe(
-            file=relative,
-            generation=generation,
-            size=size,
-            partitions=[
-                (source, day, len(columns["domain"]))
-                for source, day, columns in partitions
-            ],
+        relative = land_segment(
+            self.directory,
+            self._manifest,
+            generation,
+            self._manifest.next_sequence(),
+            partitions,
         )
         if replacing:
             self._manifest.segments = [
@@ -231,7 +303,6 @@ class SegmentStore:
                 for existing in self._manifest.segments
                 if existing.file not in replacing
             ]
-        self._manifest.segments.append(meta)
         self._manifest.save(self.directory)
         return relative
 
@@ -283,27 +354,25 @@ class SegmentStore:
     def row_count(self, source: str, day: int) -> int:
         return self._manifest.row_count(source, day)
 
+    def columns(self, source: str, day: int) -> Optional[Columns]:
+        """One partition's stored column lists, its fragments joined in
+        manifest order; ``None`` when no fragment is readable."""
+        merged: Optional[Columns] = None
+        for reader, ref in self._partition_refs(source, day):
+            fragment = self._read_columns(reader, ref, source, day)
+            if fragment is None:
+                continue
+            if merged is None:
+                merged = fragment
+            else:
+                extend_columns(merged, fragment)
+        return merged
+
     def rows(self, source: str, day: int) -> Iterator[DomainObservation]:
         """Re-materialise the observations of one partition."""
-        for reader, ref in self._partition_refs(source, day):
-            columns = self._read_columns(reader, ref, source, day)
-            if columns is None:
-                continue
-            for index in range(ref.rows):
-                # The row-shaped compatibility path; bulk consumers use
-                # batch()/batches() instead.
-                yield DomainObservation(  # repro: ignore[row-boxing-in-hot-path]
-                    day=day,
-                    domain=columns["domain"][index],
-                    tld=columns["tld"][index],
-                    ns_names=tuple(columns["ns_names"][index]),
-                    apex_addrs=tuple(columns["apex_addrs"][index]),
-                    www_cnames=tuple(columns["www_cnames"][index]),
-                    www_addrs=tuple(columns["www_addrs"][index]),
-                    apex_addrs6=tuple(columns["apex_addrs6"][index]),
-                    www_addrs6=tuple(columns["www_addrs6"][index]),
-                    asns=frozenset(columns["asns"][index]),
-                )
+        columns = self.columns(source, day)
+        if columns is not None:
+            yield from column_rows(day, columns)
 
     def _read_columns(
         self, reader: SegmentReader, ref: PartitionRef, source: str, day: int
@@ -328,12 +397,9 @@ class SegmentStore:
         day: int,
         builder: Optional[BatchBuilder] = None,
     ) -> ObservationBatch:
-        """One partition as a columnar batch, interned translate-once.
-
-        Each distinct dictionary entry is interned exactly once; rows
-        map through the page's index stream with plain list lookups —
-        the zero-copy hot path from segment bytes to batch columns.
-        """
+        """One partition as a columnar batch, interned translate-once
+        (:func:`extend_batch`) — the zero-copy hot path from segment
+        bytes to batch columns."""
         out = (
             builder if builder is not None else BatchBuilder()
         ).new_batch()
@@ -349,8 +415,6 @@ class SegmentStore:
         source: str,
         day: int,
     ) -> None:
-        names = out.names
-        addresses = out.addresses
         try:
             pages = {
                 name: reader.column_page(ref, name)
@@ -364,33 +428,7 @@ class SegmentStore:
             )
             self.skipped_partitions.append((source, day, str(exc)))
             return
-        translated: Dict[str, List[Any]] = {}
-        for name in ("domain", "tld"):
-            entries, indexes = pages[name]
-            ids = [names.intern(entry) for entry in entries]
-            translated[name] = [ids[i] for i in indexes]
-        for name in ("ns_names", "www_cnames"):
-            entries, indexes = pages[name]
-            tuples = [names.intern_tuple(entry) for entry in entries]
-            translated[name] = [tuples[i] for i in indexes]
-        for name in (
-            "apex_addrs", "www_addrs", "apex_addrs6", "www_addrs6"
-        ):
-            entries, indexes = pages[name]
-            tuples = [addresses.intern_tuple(entry) for entry in entries]
-            translated[name] = [tuples[i] for i in indexes]
-        asn_entries, asn_indexes = pages["asns"]
-        translated["asns"] = [asn_entries[i] for i in asn_indexes]
-        out.days.extend([day] * ref.rows)
-        out.domains.extend(translated["domain"])
-        out.tlds.extend(translated["tld"])
-        out.ns_names.extend(translated["ns_names"])
-        out.www_cnames.extend(translated["www_cnames"])
-        out.apex_addrs.extend(translated["apex_addrs"])
-        out.www_addrs.extend(translated["www_addrs"])
-        out.apex_addrs6.extend(translated["apex_addrs6"])
-        out.www_addrs6.extend(translated["www_addrs6"])
-        out.asns.extend(translated["asns"])
+        extend_batch(out, day, pages)
 
     def batches(
         self, builder: Optional[BatchBuilder] = None
@@ -435,47 +473,29 @@ class SegmentStore:
                     for ref in reader.partitions
                     if ref.source == source and ref.day == day
                 )
-        return PartitionStats(
-            source=source,
-            day=day,
-            rows=rows,
-            data_points=rows * MEASUREMENTS_PER_DOMAIN_DAY,
-            encoded_bytes=encoded,
-        )
+        return PartitionStats.measured(source, day, rows, encoded)
 
     def total_stats(self, source: Optional[str] = None) -> PartitionStats:
         """Aggregate stats over all (or one source's) partitions."""
         if source is None:
-            rows = sum(meta.rows for meta in self._manifest.segments)
-            encoded = sum(meta.bytes for meta in self._manifest.segments)
             days = {
                 day
                 for meta in self._manifest.segments
                 for _, day, _ in meta.partitions
             }
-            return PartitionStats(
-                source="total",
-                day=len(days),
-                rows=rows,
-                data_points=rows * MEASUREMENTS_PER_DOMAIN_DAY,
-                encoded_bytes=encoded,
+            return PartitionStats.measured(
+                "total",
+                len(days),
+                sum(meta.rows for meta in self._manifest.segments),
+                sum(meta.bytes for meta in self._manifest.segments),
             )
-        rows = 0
-        encoded = 0
-        source_days: Set[int] = set()
-        for partition_source, day in self.partitions():
-            if partition_source != source:
-                continue
-            stats = self.partition_stats(source, day)
-            rows += stats.rows
-            encoded += stats.encoded_bytes
-            source_days.add(day)
-        return PartitionStats(
-            source=source,
-            day=len(source_days),
-            rows=rows,
-            data_points=rows * MEASUREMENTS_PER_DOMAIN_DAY,
-            encoded_bytes=encoded,
+        return PartitionStats.total(
+            source,
+            (
+                self.partition_stats(source, day)
+                for partition_source, day in self.partitions()
+                if partition_source == source
+            ),
         )
 
     # -- compaction ---------------------------------------------------------
@@ -528,8 +548,7 @@ class SegmentStore:
                 if existing is None:
                     gathered[(ref.source, ref.day)] = columns
                 else:
-                    for name in COLUMN_ORDER:
-                        existing[name].extend(columns[name])
+                    extend_columns(existing, columns)
         ordered = [
             (source, day, gathered[(source, day)])
             for source, day in sorted(
@@ -618,7 +637,12 @@ class SegmentStore:
 
 
 __all__ = [
+    "Columns",
     "SegmentStore",
     "batch_columns",
+    "column_rows",
+    "extend_batch",
+    "extend_columns",
+    "land_segment",
     "observation_columns",
 ]

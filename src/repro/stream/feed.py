@@ -5,7 +5,7 @@ The live path measures partitions through
 the *same* :class:`~repro.measurement.scheduler.DayPartition` stream from
 data that already exists:
 
-* :class:`StoreReplayFeed` — from a :class:`ColumnStore` (the landed
+* :class:`StoreReplayFeed` — from an observation store (the landed
   columnar partitions of earlier measurement runs);
 * :class:`SegmentReplayFeed` — from per-domain enriched
   :class:`ObservationSegment` histories (the batch pipeline's working
@@ -59,43 +59,28 @@ class StoreReplayFeed:
     :class:`~repro.store.store.SegmentStore` (whose manifest pruning
     and mmap reads keep replay memory flat in history length).
 
-    By default partitions are produced columnar (``batches=True``): the
-    store's columns intern straight into one shared
-    :class:`~repro.batch.batch.BatchBuilder` pool pair and the
-    partition's ``observations`` are lazy row views. ``batches=False``
-    replays through the legacy per-row boxing path — the two are
-    value-identical (the benchmark suite measures them against each
-    other).
+    Partitions are produced columnar: the store's columns intern
+    straight into one shared :class:`~repro.batch.batch.BatchBuilder`
+    pool pair and the partition's ``observations`` are lazy row views.
     """
 
     def __init__(
         self,
         store: ObservationStore,
         zone_sizes: Optional[Mapping[Tuple[str, int], int]] = None,
-        batches: bool = True,
     ):
         self._store = store
         #: Optional (source, day) → listing size; defaults to row count.
         self._zone_sizes = dict(zone_sizes or {})
-        self._batches = batches
-        self._builder = BatchBuilder() if batches else None
+        self._builder = BatchBuilder()
 
     def partition(self, source: str, day: int) -> DayPartition:
-        if self._builder is not None:
-            batch = self._store.batch(source, day, builder=self._builder)
-            return DayPartition.from_batch(
-                source=source,
-                day=day,
-                zone_size=self._zone_sizes.get((source, day), len(batch)),
-                batch=batch,
-            )
-        observations = list(self._store.rows(source, day))
-        zone_size = self._zone_sizes.get((source, day), len(observations))
-        return DayPartition(
+        batch = self._store.batch(source, day, builder=self._builder)
+        return DayPartition.from_batch(
             source=source,
             day=day,
-            zone_size=zone_size,
-            observations=observations,
+            zone_size=self._zone_sizes.get((source, day), len(batch)),
+            batch=batch,
         )
 
     def days(

@@ -51,9 +51,9 @@ class TestAppendBatch:
     ):
         """Table 1's ``estimated_bytes`` must not depend on which append
         path landed a partition."""
-        assert batch_store.encode_partition(
+        assert batch_store.segment_bytes(
             "com", 2
-        ) == row_store.encode_partition("com", 2)
+        ) == row_store.segment_bytes("com", 2)
 
     def test_stats_identical(self, row_store, batch_store):
         assert batch_store.partition_stats(

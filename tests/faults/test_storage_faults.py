@@ -1,5 +1,6 @@
 """Segment-read faults: corruption helpers and the hardened store load."""
 
+import hashlib
 import json
 import os
 
@@ -9,6 +10,8 @@ from repro.faults.inject import corrupt_blob, corrupt_store_files
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.measurement.snapshot import DomainObservation
 from repro.measurement.storage import ColumnStore, StorageError
+from repro.store import SegmentStore
+from repro.store.migrate import migrate_store
 
 
 def observation(domain, day, tld="com"):
@@ -102,24 +105,11 @@ class TestCorruptStoreFiles:
         assert len(affected) == 1
         assert affected[0].endswith(".rseg")
 
-    def test_legacy_missing_removes_partition_dir(self, tmp_path):
-        store = populated_store()
-        store.save_legacy(str(tmp_path))
-        affected = corrupt_store_files(
-            str(tmp_path), self.plan("missing", keys=("com/1",)).injector()
-        )
-        assert affected == [str(tmp_path / "com" / "1")]
-        assert not os.path.exists(affected[0])
-
-    def test_legacy_bitflip_touches_one_column_file(self, tmp_path):
-        store = populated_store()
-        store.save_legacy(str(tmp_path))
-        affected = corrupt_store_files(
-            str(tmp_path), self.plan("bitflip", keys=("nl/0",)).injector()
-        )
-        assert len(affected) == 1
-        assert affected[0].endswith(".col")
-        assert os.sep + "nl" + os.sep + "0" + os.sep in affected[0]
+    def test_legacy_store_is_refused(self, v1_store):
+        with pytest.raises(StorageError, match="repro store migrate"):
+            corrupt_store_files(
+                v1_store.directory, self.plan("bitflip").injector()
+            )
 
 
 class TestHardenedLoad:
@@ -161,30 +151,37 @@ class TestHardenedLoad:
 
     @pytest.mark.parametrize("kind", ["truncate", "bitflip", "missing"])
     def test_legacy_lenient_load_drops_only_damaged_partition(
-        self, tmp_path, kind
+        self, v1_store, tmp_path, kind
     ):
-        store = populated_store()
-        store.save_legacy(str(tmp_path))
-        self.damage(tmp_path, kind, keys=("com/1",))
-        loaded = ColumnStore.load(str(tmp_path), on_error="skip")
+        """The v1 reader (now only behind ``migrate_store``) drops a
+        damaged partition whole — never a wrong row."""
+        v1_store.damage("com", 4, "www_addrs6", kind)
+        with pytest.raises(StorageError):
+            migrate_store(v1_store.directory, str(tmp_path / "strict"))
+        v2 = str(tmp_path / "v2")
+        report = migrate_store(v1_store.directory, v2, on_error="skip")
         assert [
-            (source, day)
-            for source, day, _reason in loaded.skipped_partitions
-        ] == [("com", 1)]
-        expected = rows_of(store)
-        expected.pop(("com", 1))
-        assert rows_of(loaded) == expected
+            (source, day) for source, day, _reason in report.skipped
+        ] == [("com", 4)]
+        expected = dict(v1_store.rows)
+        expected.pop(("com", 4))
+        with SegmentStore(v2) as migrated:
+            assert rows_of(migrated) == expected
 
-    def test_legacy_manifest_without_checksums_loads(self, tmp_path):
-        store = populated_store()
-        store.save_legacy(str(tmp_path))
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
+    def test_legacy_manifest_without_checksums_loads(
+        self, v1_store, tmp_path
+    ):
+        manifest_path = os.path.join(v1_store.directory, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
         for entry in manifest:
             del entry["checksums"]
-        manifest_path.write_text(json.dumps(manifest))
-        loaded = ColumnStore.load(str(tmp_path))
-        assert rows_of(loaded) == rows_of(store)
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        v2 = str(tmp_path / "v2")
+        migrate_store(v1_store.directory, v2)
+        with SegmentStore(v2) as migrated:
+            assert rows_of(migrated) == v1_store.rows
 
     def test_clean_roundtrip_is_exact(self, tmp_path):
         store = populated_store()
@@ -197,3 +194,36 @@ class TestHardenedLoad:
         populated_store().save(str(tmp_path))
         with pytest.raises(ValueError, match="on_error"):
             ColumnStore.load(str(tmp_path), on_error="ignore")
+
+
+#: sha256 of every file ``populated_store().save()`` wrote at the last
+#: commit that had its own encoder in ``measurement/storage.py``.
+SAVED_SHA256 = {
+    "manifest.json":
+        "a536ad09279e1c85ee51e8f10fcca84deefb11361858b62db89889467121c0ce",
+    "segments/g0-000000.rseg":
+        "d147e9c8cd7b09e2a0465de8e995e8c3db969c258c6c71f69bee41a10508f224",
+    "segments/g0-000001.rseg":
+        "47de5d30b8cfdc9bf6e48f8cb21d49f2a50e6d7deb213d10f9308470b2b241f2",
+    "segments/g0-000002.rseg":
+        "fa220a679aef3d0b85db102381bece1b273e57a5b7f529c12947a38bcdbdb514",
+    "segments/g0-000003.rseg":
+        "a5033ef03129e10210df66fad4d9beae1e0e68e56a2983c64590272378f1a614",
+    "segments/g0-000004.rseg":
+        "73a93dd0625b6a5202d5f19c7cc766dbe78821f6e87e14b13740ccbeeb63c8ac",
+    "segments/g0-000005.rseg":
+        "44aaa2a3f1fc8ce07d29e14c1353aacd5463ac16c8d2b24e4719fcf60c78d351",
+}
+
+
+def test_saved_bytes_are_pinned(tmp_path):
+    """``ColumnStore.save`` writes the same file names and bytes it did
+    before its bodies became calls into ``repro.store``."""
+    written = populated_store().save(str(tmp_path))
+    digests = {}
+    for path in written:
+        with open(path, "rb") as handle:
+            digests[
+                os.path.relpath(path, tmp_path).replace(os.sep, "/")
+            ] = hashlib.sha256(handle.read()).hexdigest()
+    assert digests == SAVED_SHA256

@@ -12,6 +12,8 @@ from repro.measurement.snapshot import DomainObservation
 from repro.measurement.storage import ColumnStore
 from repro.routing.pfx2as import Pfx2As, Pfx2AsEntry
 
+from tests.store.cells import stored_cells
+
 _label = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1,
                  max_size=10)
 
@@ -127,6 +129,6 @@ def test_column_store_roundtrip(observations):
     store.append("com", day, normalised)
     assert list(store.rows("com", day)) == normalised
     # The encoded form decodes to the same columns.
-    decoded = store.decode_partition("com", day)
+    decoded = stored_cells(store, "com", day)
     assert decoded["domain"] == [o.domain for o in normalised]
     assert decoded["asns"] == [sorted(o.asns) for o in normalised]

@@ -122,6 +122,24 @@ class TestPartitionFeed:
             == manager.measure_day("org", 0)
         )
 
+    @pytest.mark.parametrize("source", ALL_SOURCES)
+    def test_measure_day_is_the_partition_landing_loop(
+        self, tiny_world, source
+    ):
+        day = CCTLD_START_DAY + 1
+        manager = ClusterManager(tiny_world)
+        measured = manager.measure_day(source, day)
+        landed = ColumnStore()
+        PartitionFeed(tiny_world, store=landed).partition(source, day)
+        assert manager.store.partition_columns(
+            source, day
+        ) == landed.partition_columns(source, day)
+        assert manager.store.segment_bytes(
+            source, day
+        ) == landed.segment_bytes(source, day)
+        assert measured == list(manager.store.rows(source, day))
+        assert len(measured) > 0
+
     def test_partition_lands_in_store(self, tiny_world):
         store = ColumnStore()
         feed = PartitionFeed(tiny_world, sources=("org",), store=store)

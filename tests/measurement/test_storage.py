@@ -1,11 +1,15 @@
 """Tests for the columnar store and its size accounting."""
 
+import pytest
 
 from repro.measurement.snapshot import (
     DomainObservation,
     MEASUREMENTS_PER_DOMAIN_DAY,
 )
-from repro.measurement.storage import ColumnStore, _decode_column, _encode_column
+from repro.measurement.storage import ColumnStore, StorageError
+from repro.store import SegmentStore, StoreManifest, build_segment
+
+from tests.store.cells import segment_roundtrip, stored_cells
 
 
 def observation(index, day=0):
@@ -22,16 +26,18 @@ def observation(index, day=0):
 class TestColumnCodec:
     def test_roundtrip_strings(self):
         values = ["a", "b", "b", "b", "a"]
-        assert _decode_column(_encode_column(values)) == values
+        assert segment_roundtrip("domain", values) == values
 
     def test_roundtrip_lists(self):
         values = [["x", "y"], ["x", "y"], []]
-        assert _decode_column(_encode_column(values)) == values
+        assert segment_roundtrip("ns_names", values) == values
 
     def test_repetition_compresses_well(self):
-        repeated = ["same-value"] * 10_000
-        varied = [f"value-{i}" for i in range(10_000)]
-        assert len(_encode_column(repeated)) < len(_encode_column(varied)) / 50
+        repeated = build_segment([("com", 0, {"domain": ["same-value"] * 10_000})])
+        varied = build_segment(
+            [("com", 0, {"domain": [f"value-{i}" for i in range(10_000)]})]
+        )
+        assert len(repeated) < len(varied) / 50
 
 
 class TestStore:
@@ -61,8 +67,9 @@ class TestStore:
     def test_encoded_partition_roundtrip(self):
         store = ColumnStore()
         store.append("com", 0, [observation(i) for i in range(20)])
-        decoded = store.decode_partition("com", 0)
+        decoded = stored_cells(store, "com", 0)
         assert decoded["domain"] == [f"d{i}.com" for i in range(20)]
+        assert decoded == store.partition_columns("com", 0)
 
     def test_partition_stats(self):
         store = ColumnStore()
@@ -98,20 +105,14 @@ class TestStore:
         store.save(str(tmp_path))
         assert os.path.exists(tmp_path / "segments" / "g0-000000.rseg")
 
-    def test_saved_legacy_layout(self, tmp_path):
-        import os
-
-        store = ColumnStore()
-        store.append("com", 7, [observation(0, day=7)])
-        store.save_legacy(str(tmp_path))
-        assert os.path.exists(tmp_path / "com" / "7" / "domain.col")
-
-    def test_legacy_store_loads_transparently(self, tmp_path):
-        store = ColumnStore()
-        store.append("com", 0, [observation(i) for i in range(8)])
-        store.save_legacy(str(tmp_path))
-        loaded = ColumnStore.load(str(tmp_path))
-        assert list(loaded.rows("com", 0)) == list(store.rows("com", 0))
+    def test_legacy_store_is_rejected_naming_migrate(self, v1_store):
+        v1 = v1_store.directory
+        for opener in (ColumnStore.load, SegmentStore, StoreManifest.load):
+            with pytest.raises(StorageError) as caught:
+                opener(v1)
+            message = str(caught.value)
+            assert f"`repro store migrate {v1} NEW_DIR`" in message
+            assert "ColumnStore.load" not in message
 
     def test_stats_report_exact_segment_file_size(self, tmp_path):
         import os

@@ -7,7 +7,9 @@ encode → persist → load → decode unchanged.
 """
 
 from repro.measurement.snapshot import DomainObservation
-from repro.measurement.storage import ColumnStore, _decode_column, _encode_column
+from repro.measurement.storage import ColumnStore
+
+from tests.store.cells import segment_roundtrip, stored_cells
 
 
 def full_observation(index, day=0):
@@ -40,21 +42,19 @@ def bare_observation(index, day=0):
 class TestCodecRoundtrip:
     def test_ipv6_strings_roundtrip(self):
         values = [f"2001:db8::{i:x}" for i in range(50)]
-        assert _decode_column(_encode_column(values)) == values
+        assert segment_roundtrip("domain", values) == values
 
     def test_empty_lists_roundtrip(self):
         values = [[], ["one"], [], [], ["a", "b"], []]
-        assert _decode_column(_encode_column(values)) == values
+        assert segment_roundtrip("ns_names", values) == values
 
     def test_all_empty_column_roundtrips(self):
         values = [[] for _ in range(20)]
-        assert _decode_column(_encode_column(values)) == values
+        assert segment_roundtrip("ns_names", values) == values
 
     def test_non_ascii_strings_roundtrip(self):
         # IDNs land in zone files both as punycode and (in sloppy feeds)
-        # as raw unicode; the codec must not mangle either. The JSON
-        # head escapes non-ASCII (ensure_ascii), so the zlib payload is
-        # pure ASCII but the decoded values carry the original text.
+        # as raw unicode; the codec must not mangle either.
         values = [
             "xn--mnchen-3ya.de",
             "münchen.de",
@@ -63,22 +63,21 @@ class TestCodecRoundtrip:
             "emoji-\U0001f310.example",
             "mixed-ß-ascii.com",
         ]
-        blob = _encode_column(values)
-        assert _decode_column(blob) == values
+        assert segment_roundtrip("domain", values) == values
 
     def test_non_ascii_list_values_roundtrip(self):
         values = [["ns1.münchen.de", "ns2.例え.jp"], [], ["ascii.net"]]
-        assert _decode_column(_encode_column(values)) == values
+        assert segment_roundtrip("ns_names", values) == values
 
     def test_column_larger_than_64kib_roundtrips(self):
-        # A full .com day is tens of thousands of rows; the encoded JSON
-        # head far exceeds zlib's 32 KiB window and any 16-bit length
+        # A full .com day is tens of thousands of rows; the dictionary
+        # page far exceeds zlib's 32 KiB window and any 16-bit length
         # assumption. Use distinct values so dictionary encoding cannot
-        # shrink the head below the threshold.
+        # shrink the page below the threshold.
         values = [f"domain-{i:07d}.example-{i % 97}.com" for i in range(20000)]
         head = sum(len(v) for v in values)
         assert head > 64 * 1024
-        assert _decode_column(_encode_column(values)) == values
+        assert segment_roundtrip("domain", values) == values
 
     def test_high_codepoints_and_controls_roundtrip(self):
         values = [
@@ -88,7 +87,7 @@ class TestCodecRoundtrip:
             "\uffff",
             "\U0010ffff",
         ]
-        assert _decode_column(_encode_column(values)) == values
+        assert segment_roundtrip("domain", values) == values
 
     def test_run_boundaries_roundtrip_exactly(self):
         # Runs of repeated values interleaved with singletons: the RLE
@@ -96,7 +95,7 @@ class TestCodecRoundtrip:
         values = (
             ["a"] * 1000 + ["b"] + ["a"] * 3 + ["c"] * 500 + ["b"] * 2
         )
-        assert _decode_column(_encode_column(values)) == values
+        assert segment_roundtrip("domain", values) == values
 
 
 class TestStoreRoundtrip:
@@ -131,7 +130,7 @@ class TestStoreRoundtrip:
         rows = [full_observation(i) for i in range(6)]
         store.append("com", 0, rows)
         store.save(str(tmp_path))
-        decoded = ColumnStore.load(str(tmp_path)).decode_partition("com", 0)
+        decoded = stored_cells(ColumnStore.load(str(tmp_path)), "com", 0)
         assert decoded["apex_addrs6"] == [
             list(row.apex_addrs6) for row in rows
         ]

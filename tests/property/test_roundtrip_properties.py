@@ -24,12 +24,15 @@ from repro.dnscore.wire import decode_message, encode_message  # noqa: E402
 from repro.measurement.scheduler import DayPartition  # noqa: E402
 from repro.measurement.snapshot import DomainObservation  # noqa: E402
 from repro.measurement.storage import ColumnStore  # noqa: E402
+from repro.store import build_segment  # noqa: E402
 from repro.stream.checkpoint import (  # noqa: E402
     load_checkpoint,
     save_checkpoint,
     state_digest,
 )
 from repro.stream.engine import StreamEngine  # noqa: E402
+
+from tests.store.cells import segment_roundtrip, stored_cells  # noqa: E402
 
 RELAXED = settings(
     max_examples=25,
@@ -153,8 +156,8 @@ class TestStorageRoundtrip:
     @given(store=stores())
     def test_encode_decode_partition_is_identity(self, store):
         for source, day in store.partitions():
-            decoded = store.decode_partition(source, day)
-            assert decoded == store._partitions[(source, day)]
+            decoded = stored_cells(store, source, day)
+            assert decoded == store.partition_columns(source, day)
 
     @RELAXED
     @given(store=stores())
@@ -171,33 +174,39 @@ class TestStorageRoundtrip:
         ]
 
 
-#: Values a stored column can legally hold: strings (unicode included),
-#: ints, and flat lists of strings — the shapes append()/append_batch()
-#: actually write.
-column_value = st.one_of(
-    st.text(max_size=24),
-    st.integers(min_value=-(2**40), max_value=2**40),
-    st.lists(st.text(max_size=12), max_size=4),
+#: The cell shapes a stored column can hold, each paired with a column
+#: of that kind: strings (unicode included), flat lists of strings, and
+#: lists of ints — the shapes append()/append_batch() actually write.
+stored_column = st.one_of(
+    st.tuples(st.just("domain"), st.lists(st.text(max_size=24), max_size=60)),
+    st.tuples(
+        st.just("ns_names"),
+        st.lists(st.lists(st.text(max_size=12), max_size=4), max_size=60),
+    ),
+    st.tuples(
+        st.just("asns"),
+        st.lists(
+            st.lists(st.integers(0, 2**32 - 1), max_size=4).map(sorted),
+            max_size=60,
+        ),
+    ),
 )
 
 
 class TestColumnCodecProperties:
     @RELAXED
-    @given(values=st.lists(column_value, max_size=60))
-    def test_encode_decode_is_identity(self, values):
-        from repro.measurement.storage import (
-            _decode_column,
-            _encode_column,
-        )
-
-        assert _decode_column(_encode_column(values)) == values
+    @given(column=stored_column)
+    def test_encode_decode_is_identity(self, column):
+        name, values = column
+        assert segment_roundtrip(name, values) == values
 
     @RELAXED
-    @given(values=st.lists(column_value, max_size=60))
-    def test_encoding_is_deterministic(self, values):
-        from repro.measurement.storage import _encode_column
-
-        assert _encode_column(values) == _encode_column(list(values))
+    @given(column=stored_column)
+    def test_encoding_is_deterministic(self, column):
+        name, values = column
+        assert build_segment([("com", 0, {name: values})]) == build_segment(
+            [("com", 0, {name: list(values)})]
+        )
 
 
 # -- stream.checkpoint ---------------------------------------------------------

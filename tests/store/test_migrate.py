@@ -1,11 +1,10 @@
-"""v1 → v2 store migration."""
+"""v1 → segment store migration, against the checked-in v1 fixture."""
 
+import json
 import os
 
 import pytest
 
-from repro.faults.plan import FaultPlan, FaultSpec
-from repro.faults.inject import corrupt_store_files
 from repro.measurement.snapshot import DomainObservation
 from repro.measurement.storage import ColumnStore
 from repro.store import SegmentStore, StorageError
@@ -44,56 +43,56 @@ def rows_of(store):
 
 
 class TestMigrate:
-    def test_v1_roundtrips_exactly(self, tmp_path):
-        store = populated_store()
-        v1 = tmp_path / "v1"
-        store.save_legacy(str(v1))
-        report = migrate_store(str(v1), str(tmp_path / "v2"))
+    def test_v1_roundtrips_exactly(self, v1_store, tmp_path):
+        report = migrate_store(v1_store.directory, str(tmp_path / "v2"))
         with SegmentStore(str(tmp_path / "v2")) as migrated:
-            assert rows_of(migrated) == rows_of(store)
-        assert report.partitions == 8
-        assert report.rows == 4 * (5 + 2)
+            assert rows_of(migrated) == v1_store.rows
+        assert report.partitions == 4
+        assert report.rows == 5 + 5 + 5 + 2
         assert report.skipped == []
 
-    def test_report_byte_accounting(self, tmp_path):
-        store = populated_store()
-        v1, v2 = tmp_path / "v1", tmp_path / "v2"
-        store.save_legacy(str(v1))
-        report = migrate_store(str(v1), str(v2))
-        assert report.source_bytes == directory_bytes(str(v1))
+    def test_fixture_covers_the_awkward_rows(self, v1_store):
+        rows = [row for part in v1_store.rows.values() for row in part]
+        assert any(not r.apex_addrs and r.apex_addrs6 for r in rows)
+        assert any(not r.www_cnames for r in rows)
+        assert any(len(r.asns) > 1 for r in rows)
+        assert any(not r.domain.isascii() for r in rows)
+
+    def test_report_byte_accounting(self, v1_store, tmp_path):
+        v1, v2 = v1_store.directory, tmp_path / "v2"
+        report = migrate_store(v1, str(v2))
+        assert report.source_bytes == directory_bytes(v1)
         assert report.target_bytes == directory_bytes(str(v2))
         assert report.segments == len(os.listdir(v2 / "segments"))
 
-    def test_compact_fanout_merges_segments(self, tmp_path):
-        store = populated_store(days=6)
-        v1, v2 = tmp_path / "v1", tmp_path / "v2"
-        store.save_legacy(str(v1))
-        report = migrate_store(str(v1), str(v2), compact_fanout=4)
-        assert report.segments < 12
+    def test_compact_fanout_merges_segments(self, v1_store, tmp_path):
+        v2 = tmp_path / "v2"
+        report = migrate_store(v1_store.directory, str(v2), compact_fanout=4)
+        assert report.segments < 4
         with SegmentStore(str(v2)) as migrated:
-            assert rows_of(migrated) == rows_of(store)
+            assert rows_of(migrated) == v1_store.rows
 
-    def test_skip_damaged_v1_partition(self, tmp_path):
-        store = populated_store()
-        v1, v2 = tmp_path / "v1", tmp_path / "v2"
-        store.save_legacy(str(v1))
-        plan = FaultPlan(
-            seed=5,
-            specs=(
-                FaultSpec(
-                    "storage.segment_read", "bitflip", keys=("com/2",)
-                ),
-            ),
-        )
-        corrupt_store_files(str(v1), plan.injector())
-        with pytest.raises(StorageError):
-            migrate_store(str(v1), str(tmp_path / "strict"))
-        report = migrate_store(str(v1), str(v2), on_error="skip")
-        assert [(s, d) for s, d, _ in report.skipped] == [("com", 2)]
+    def test_skip_damaged_v1_partition(self, v1_store, tmp_path):
+        v1, v2 = v1_store.directory, tmp_path / "v2"
+        v1_store.damage("com", 4, "ns_names", "bitflip")
+        with pytest.raises(StorageError, match="checksum mismatch"):
+            migrate_store(v1, str(tmp_path / "strict"))
+        report = migrate_store(v1, str(v2), on_error="skip")
+        assert [(s, d) for s, d, _ in report.skipped] == [("com", 4)]
         with SegmentStore(str(v2)) as migrated:
-            expected = rows_of(store)
-            expected.pop(("com", 2))
+            expected = dict(v1_store.rows)
+            expected.pop(("com", 4))
             assert rows_of(migrated) == expected
+
+    def test_row_count_mismatch_is_caught(self, v1_store, tmp_path):
+        manifest_path = os.path.join(v1_store.directory, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest[0]["rows"] += 1
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(StorageError, match="row count mismatch"):
+            migrate_store(v1_store.directory, str(tmp_path / "v2"))
 
     def test_v2_source_rewrites_harmlessly(self, tmp_path):
         store = populated_store()
@@ -103,3 +102,17 @@ class TestMigrate:
         assert report.partitions == 8
         with SegmentStore(str(v2b)) as rewritten:
             assert rows_of(rewritten) == rows_of(store)
+
+    def test_refuses_a_target_that_already_holds_a_store(
+        self, v1_store, tmp_path
+    ):
+        """Migrating twice into one directory used to append every
+        partition a second time (``row_count`` doubled)."""
+        v2 = str(tmp_path / "v2")
+        migrate_store(v1_store.directory, v2)
+        with pytest.raises(StorageError, match="already holds a store"):
+            migrate_store(v1_store.directory, v2)
+        with SegmentStore(v2) as migrated:
+            assert migrated.row_count("com", 3) == 5
+        with pytest.raises(StorageError, match="already holds a store"):
+            migrate_store(v1_store.directory, v1_store.directory)

@@ -30,6 +30,11 @@ class TestStoreReplayFeed:
         assert part.observations == list(landed_store.rows("com", 0))
         assert part.zone_size == len(part.observations)
 
+    def test_replay_is_columnar_with_no_row_path_switch(self, landed_store):
+        with pytest.raises(TypeError):
+            StoreReplayFeed(landed_store, batches=False)
+        assert StoreReplayFeed(landed_store).partition("com", 0).batch is not None
+
     def test_explicit_zone_sizes_win(self, landed_store):
         replay = StoreReplayFeed(landed_store, zone_sizes={("com", 0): 999})
         assert replay.partition("com", 0).zone_size == 999

@@ -248,42 +248,16 @@ class TestServe:
 
 
 class TestStore:
-    def seeded_v1(self, tmp_path):
-        from repro.measurement.snapshot import DomainObservation
-        from repro.measurement.storage import ColumnStore
-
-        store = ColumnStore()
-        for day in range(3):
-            store.append(
-                "com",
-                day,
-                [
-                    DomainObservation(
-                        day=day,
-                        domain=f"a{i}.com",
-                        tld="com",
-                        ns_names=("ns1.hostco.net.",),
-                        apex_addrs=("192.0.2.1",),
-                        asns=frozenset({64500}),
-                    )
-                    for i in range(4)
-                ],
-            )
-        v1 = tmp_path / "v1"
-        store.save_legacy(str(v1))
-        return store, v1
-
-    def test_migrate_then_stats(self, capsys, tmp_path):
+    def test_migrate_then_stats(self, capsys, v1_store, tmp_path):
         from repro.store import SegmentStore
 
-        store, v1 = self.seeded_v1(tmp_path)
         v2 = tmp_path / "v2"
-        code = main(["store", "migrate", str(v1), str(v2)])
+        code = main(["store", "migrate", v1_store.directory, str(v2)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "migrated 3 partitions (12 rows)" in out
+        assert "migrated 4 partitions (17 rows)" in out
         with SegmentStore(str(v2)) as migrated:
-            assert migrated.partitions() == store.partitions()
+            assert migrated.partitions() == sorted(v1_store.rows)
 
         code = main(["store", "stats", str(v2)])
         out = capsys.readouterr().out
@@ -291,12 +265,22 @@ class TestStore:
         assert "SOURCE" in out and "com" in out
         assert "generations" in out
 
-    def test_compact_command(self, capsys, tmp_path):
+    def test_migrate_into_existing_store_fails(
+        self, capsys, v1_store, tmp_path
+    ):
+        v2 = str(tmp_path / "v2")
+        assert main(["store", "migrate", v1_store.directory, v2]) == 0
+        capsys.readouterr()
+        for target in (v2, v1_store.directory):
+            code = main(["store", "migrate", v1_store.directory, target])
+            assert code == 1
+            assert "already holds a store" in capsys.readouterr().err
+
+    def test_compact_command(self, capsys, v1_store, tmp_path):
         import os
 
-        _, v1 = self.seeded_v1(tmp_path)
         v2 = tmp_path / "v2"
-        assert main(["store", "migrate", str(v1), str(v2)]) == 0
+        assert main(["store", "migrate", v1_store.directory, str(v2)]) == 0
         capsys.readouterr()
         code = main(["store", "compact", str(v2), "--fanout", "3"])
         out = capsys.readouterr().out
@@ -304,10 +288,9 @@ class TestStore:
         assert ".rseg" in out
         assert len(os.listdir(v2 / "segments")) == 1
 
-    def test_compact_nothing_to_do(self, capsys, tmp_path):
-        _, v1 = self.seeded_v1(tmp_path)
+    def test_compact_nothing_to_do(self, capsys, v1_store, tmp_path):
         v2 = tmp_path / "v2"
-        assert main(["store", "migrate", str(v1), str(v2)]) == 0
+        assert main(["store", "migrate", v1_store.directory, str(v2)]) == 0
         capsys.readouterr()
         code = main(["store", "compact", str(v2), "--fanout", "8"])
         assert code == 0
@@ -318,9 +301,8 @@ class TestStore:
         assert code == 1
         assert capsys.readouterr().err != ""
 
-    def test_stats_on_v1_store_points_at_migrate(self, capsys, tmp_path):
-        _, v1 = self.seeded_v1(tmp_path)
-        code = main(["store", "stats", str(v1)])
+    def test_stats_on_v1_store_points_at_migrate(self, capsys, v1_store):
+        code = main(["store", "stats", v1_store.directory])
         assert code == 1
         assert "repro store migrate" in capsys.readouterr().err
 
