@@ -19,6 +19,7 @@ import os
 import time
 
 from repro.core.detection import DetectionResult
+from repro.parallel.backend import resolve_backend
 from repro.parallel.study import run_sharded_measurement
 from repro.routing.prefixtrie import PrefixTrie
 
@@ -43,7 +44,8 @@ def test_parallel_study_speedup(benchmark, bench_study):
 
     measured = benchmark.pedantic(
         lambda: run_sharded_measurement(
-            bench_study, workers=_PARALLEL_WORKERS
+            bench_study,
+            backend=resolve_backend(workers=_PARALLEL_WORKERS),
         ),
         rounds=1,
         iterations=1,

@@ -32,9 +32,9 @@ mode that is invisible to any single-file pass:
 
 ``fork-unsafe-capture``
     Objects holding locks, sockets, or open file handles must not
-    cross the fork boundary into ``ShardedExecutor.map_shards`` /
-    ``ParallelBackend.map_shards`` arguments: a forked lock can
-    deadlock the pool, a forked descriptor interleaves writes.
+    cross the fork boundary into ``Backend.map_shards`` arguments:
+    a forked lock can deadlock the pool, a forked descriptor
+    interleaves writes.
     Classes become fork-unsafe transitively (a class holding a
     fork-unsafe class is itself fork-unsafe).
 

@@ -105,14 +105,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study.add_argument(
         "--shard-count", type=int, default=None, metavar="M",
-        help="number of hash shards for --workers (default: 4 per worker)",
+        help=(
+            "number of hash shards for the sharded measurement phase "
+            "(default: 4 per worker)"
+        ),
     )
     study.add_argument(
         "--backend", default=None, metavar="NAME[:N]",
         help=(
             "execution backend for the sharded measurement phase "
             "(serial, local, or cluster:N for N simulated nodes; "
-            "default: $REPRO_BACKEND, else local when --workers is set)"
+            "default: $REPRO_BACKEND, else local, when --workers or "
+            "--shard-count is set)"
         ),
     )
     study.add_argument(
@@ -437,13 +441,19 @@ def _cmd_study(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    # Any of the three execution flags shards the measurement phase;
+    # one backend carries all of them into run().
     backend = None
-    if getattr(args, "backend", None):
+    if (
+        args.backend
+        or args.workers is not None
+        or args.shard_count is not None
+    ):
         from repro.parallel.backend import BackendError, resolve_backend
 
         try:
             backend = resolve_backend(
-                args.backend,
+                args.backend or None,
                 workers=args.workers,
                 shard_count=args.shard_count,
             )
@@ -452,12 +462,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
             return 2
     world = _build_world(args)
     study = AdoptionStudy(world, fault_plan=fault_plan)
-    results = study.run(
-        parallel=args.workers is not None or backend is not None,
-        workers=args.workers,
-        shard_count=args.shard_count,
-        backend=backend,
-    )
+    results = study.run(backend=backend)
     quarantined = results.quarantined_scopes
     renderers = {
         "table1": lambda: fig.render_table1(results),

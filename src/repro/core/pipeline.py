@@ -116,6 +116,22 @@ class StudyResults:
         return self.growth_gtld["Overall expansion"].growth_factor
 
 
+@dataclass
+class StudyMeasurement:
+    """Everything the measurement phase produces, whole-world or per shard."""
+
+    segments: Dict[str, List[ObservationSegment]]
+    detection_gtld: DetectionResult
+    detection_nl: DetectionResult
+    detection_alexa: DetectionResult
+    flux: Dict[str, FluxSeries]
+    peaks: Dict[str, PeakStats]
+    #: The measuring study's fault accounting (empty on clean runs).
+    fault_log: FaultLog = field(default_factory=FaultLog)
+    #: scope → reason quarantined while measuring.
+    quarantined: Dict[str, str] = field(default_factory=dict)
+
+
 class AdoptionStudy:
     """Runs the full methodology over a world."""
 
@@ -227,12 +243,46 @@ class AdoptionStudy:
                 )
         return detector.result()
 
+    def measure(
+        self,
+        domain_names: Optional[Sequence[str]] = None,
+        alexa_names: Optional[Sequence[str]] = None,
+    ) -> StudyMeasurement:
+        """The measurement + detection phase over *domain_names*.
+
+        Probe → enrich → detect (gTLD, .nl, Alexa) → flux/peaks. The
+        defaults cover the whole world — the serial study; a sharded run
+        (:mod:`repro.parallel.study`) calls this once per shard with
+        that shard's names and merges the parts exactly.
+        """
+        if domain_names is None:
+            domain_names = list(self.world.domains)
+        domains = self.world.domains
+        horizon = self.world.horizon
+        segments = self.collect_segments(domain_names)
+        gtld_names = [
+            name for name in domain_names if domains[name].tld in GTLDS
+        ]
+        nl_names = [
+            name for name in domain_names if domains[name].tld == "nl"
+        ]
+        detection_gtld = self.detect(segments, gtld_names)
+        return StudyMeasurement(
+            segments=segments,
+            detection_gtld=detection_gtld,
+            detection_nl=self.detect(segments, nl_names),
+            detection_alexa=self.detect_alexa(segments, alexa_names),
+            flux=FluxAnalysis(horizon).analyze(detection_gtld),
+            peaks=PeakAnalysis(horizon).analyze(detection_gtld),
+            fault_log=self.fault_log,
+            quarantined=dict(self.quarantined_scopes),
+        )
+
     def detect_from_store(
         self,
         store: ObservationStore,
         sources: Sequence[str],
         backend: Optional["BackendSpec"] = None,
-        shard_count: Optional[int] = None,
     ) -> DetectionResult:
         """Whole-history columnar detection over landed partitions.
 
@@ -269,7 +319,6 @@ class AdoptionStudy:
                 self.catalog,
                 self.world.horizon,
                 backend=backend,
-                shard_count=shard_count,
             )
         detector = SegmentDetector(self.catalog, self.world.horizon)
         builder = BatchBuilder()
@@ -285,59 +334,34 @@ class AdoptionStudy:
 
     # -- the full study -----------------------------------------------------------
 
-    def run(
-        self,
-        parallel: bool = False,
-        workers: Optional[int] = None,
-        shard_count: Optional[int] = None,
-        backend: Optional["BackendSpec"] = None,
-    ) -> StudyResults:
+    def run(self, backend: Optional["BackendSpec"] = None) -> StudyResults:
         """Run the full methodology.
 
-        With ``parallel=True`` (or any *backend*) the measurement +
-        detection phase is hash-sharded over an execution backend
-        (see :mod:`repro.parallel.backend`; *backend* accepts an
-        instance or a ``"name[:nodes]"`` spec, defaulting to
-        ``REPRO_BACKEND`` then the local fork pool); the merged result
-        — and hence the returned :class:`StudyResults` — is
-        byte-identical to a serial run for any backend, worker count,
-        and shard count.
+        With a *backend* (a :class:`repro.parallel.backend.Backend`
+        instance or a ``"name[:nodes]"`` spec; worker and shard counts
+        are set on the backend) the measurement + detection phase is
+        hash-sharded over it; the merged result — and hence the
+        returned :class:`StudyResults` — is byte-identical to the
+        in-process run ``backend=None`` gives, for any backend, worker
+        count, and shard count.
         """
         world = self.world
         horizon = world.horizon
         window_start = CCTLD_START_DAY
 
-        if parallel or backend is not None:
+        if backend is not None:
             # Imported lazily: repro.parallel imports from this module.
             from repro.parallel.study import run_sharded_measurement
 
-            measured = run_sharded_measurement(
-                self,
-                workers=workers,
-                shard_count=shard_count,
-                backend=backend,
-            )
-            segments = measured.segments
-            detection_gtld = measured.detection_gtld
-            detection_nl = measured.detection_nl
-            detection_alexa = measured.detection_alexa
-            flux = measured.flux
-            peaks = measured.peaks
+            measured = run_sharded_measurement(self, backend=backend)
         else:
-            segments = self.collect_segments()
-            gtld_names = [
-                name for name, timeline in world.domains.items()
-                if timeline.tld in GTLDS
-            ]
-            nl_names = [
-                name for name, timeline in world.domains.items()
-                if timeline.tld == "nl"
-            ]
-            detection_gtld = self.detect(segments, gtld_names)
-            detection_nl = self.detect(segments, nl_names)
-            detection_alexa = self.detect_alexa(segments)
-            flux = FluxAnalysis(horizon).analyze(detection_gtld)
-            peaks = PeakAnalysis(horizon).analyze(detection_gtld)
+            measured = self.measure()
+        segments = measured.segments
+        detection_gtld = measured.detection_gtld
+        detection_nl = measured.detection_nl
+        detection_alexa = measured.detection_alexa
+        flux = measured.flux
+        peaks = measured.peaks
 
         # The study.detect fault site: an injected poison here models a
         # detection stage blowing up on one scope's data.

@@ -61,9 +61,9 @@ class PersistentFault(FaultError):
 class WorkerCrash(InjectedFault):
     """A worker process dying mid-shard (simulated).
 
-    ``shard_retryable`` is the duck-typed marker
-    :class:`~repro.parallel.executor.ShardedExecutor` looks for when
-    deciding to re-execute the shard in the parent process.
+    ``shard_retryable`` is the duck-typed marker every
+    :class:`~repro.parallel.backend.Backend` looks for when deciding
+    to re-execute the shard in the parent process.
     """
 
     shard_retryable = True

@@ -9,7 +9,7 @@ disables every injector in this process for the duration; injectors
 check :func:`faults_suppressed` before drawing.
 
 The scope is a plain re-entrant depth counter, not thread-local: the
-executor's deterministic retry path is single-threaded by construction
+backends' deterministic retry path is single-threaded by construction
 and worker processes each get their own module instance via fork.
 """
 

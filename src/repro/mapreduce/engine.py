@@ -7,22 +7,30 @@ pairs into a configurable number of partitions by key hash and reduces
 each partition independently — the same dataflow a Hadoop job has, scaled
 to one process.
 
-A *backend* (see :class:`repro.parallel.mapreduce.ParallelBackend`) can
-take over the map+combine phase: records are split into contiguous
-chunks, each chunk is mapped and combined in a worker process, and the
-engine merges the per-chunk shuffles **in chunk order** before the
-reduce. Because chunks are contiguous and merged in order, every per-key
-value list arrives at the reducer in exactly the order a sequential pass
-would have produced — so for a fixed chunk count the outputs and
-counters are independent of the worker count, and for associative
-combiners the outputs match the backend-less engine byte for byte.
+Every run has one shape: records are split into contiguous chunks, each
+chunk is mapped and combined through
+:meth:`repro.parallel.backend.Backend.map_shards`, and the engine merges
+the per-chunk shuffles **in chunk order** before the reduce. Without a
+*backend* that is a single chunk mapped in this process; with one, the
+backend's ``shard_count`` chunks run on its workers. Because chunks are
+contiguous and merged in order, every per-key value list arrives at the
+reducer in exactly the order a sequential pass would have produced — so
+for a fixed chunk count the outputs and counters are independent of the
+worker count and of which backend (pool, serial, simulated cluster) runs
+the chunks, and for associative combiners the outputs match the
+backend-less engine byte for byte.
+
+The job description travels through the backend's initializer, which
+the ``fork`` start method inherits without pickling — so jobs built from
+closures (every job in :mod:`repro.mapreduce.jobs`) work unchanged. Only
+the record chunks and the (combined, hence small) shuffle results cross
+the process boundary as pickles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any,
     Callable,
     Dict,
     Generic,
@@ -34,6 +42,14 @@ from typing import (
     TypeVar,
 )
 
+from repro.batch.batch import ObservationBatch
+from repro.parallel.backend import (
+    Backend,
+    BackendSpec,
+    SerialBackend,
+    resolve_backend,
+)
+from repro.parallel.sharding import chunk_batches, chunk_records
 from repro.world.ipam import stable_hash
 
 R = TypeVar("R")  # input record
@@ -91,10 +107,10 @@ def map_combine(
 ) -> Tuple[Shuffle, JobCounters]:
     """The map + map-side-combine phase over one batch of records.
 
-    This is the unit of work a parallel backend ships to a worker; the
-    serial engine runs it once over everything. Returns the partitioned
-    shuffle and the map-side counters (``records_read``,
-    ``pairs_emitted``, ``pairs_after_combine``).
+    This is the unit of work the engine ships to a backend worker, one
+    call per chunk. Returns the partitioned shuffle and the map-side
+    counters (``records_read``, ``pairs_emitted``,
+    ``pairs_after_combine``).
 
     *records* is any iterable — in particular a columnar
     :class:`repro.batch.batch.ObservationBatch`, whose iteration yields
@@ -120,37 +136,67 @@ def map_combine(
     return shuffled, counters
 
 
+#: Per-worker-process job state (set by the backend initializer).
+_WORKER_JOB: Optional[Job] = None
+_WORKER_PARTITIONS: int = 0
+
+
+def _init_map_worker(job: Job, partitions: int) -> None:
+    global _WORKER_JOB, _WORKER_PARTITIONS
+    _WORKER_JOB = job
+    _WORKER_PARTITIONS = partitions
+
+
+def _map_chunk(
+    shard_index: int, chunk: Iterable[object]
+) -> Tuple[Shuffle, JobCounters]:
+    job = _WORKER_JOB
+    assert job is not None, "worker initializer did not run"
+    return map_combine(job, chunk, _WORKER_PARTITIONS)
+
+
 class MapReduceEngine:
     """Runs jobs over in-process record iterables.
 
-    *backend*, when given, must provide ``map_shards(job, records,
-    partitions) -> List[Tuple[Shuffle, JobCounters]]`` returning one
-    ``map_combine`` result per chunk, **in chunk order** (duck-typed so
-    this module never imports :mod:`repro.parallel`).
+    *backend* (a :class:`~repro.parallel.backend.Backend` instance or a
+    ``"name[:nodes]"`` spec) fans the map+combine phase out over that
+    backend's ``shard_count`` chunks; without one the whole input is one
+    chunk mapped in this process.
     """
 
-    def __init__(self, partitions: int = 8, backend: Optional[Any] = None):
+    def __init__(
+        self, partitions: int = 8, backend: Optional[BackendSpec] = None
+    ):
         if partitions < 1:
             raise ValueError("at least one partition is required")
         self._partitions = partitions
-        self._backend = backend
+        self._backend: Optional[Backend] = (
+            None if backend is None else resolve_backend(backend)
+        )
         self.last_counters: Optional[JobCounters] = None
-
-    def _partition_of(self, key: Any) -> int:
-        return stable_hash(repr(key)) % self._partitions
 
     def run(self, job: Job, records: Iterable[R]) -> List[Out]:
         """Execute *job* over *records* and return all reducer outputs."""
-        if self._backend is not None:
-            return self._run_sharded(job, records)
-        shuffled, counters = map_combine(job, records, self._partitions)
-        outputs = self._reduce(job, shuffled, counters)
-        self.last_counters = counters
-        return outputs
-
-    def _run_sharded(self, job: Job, records: Iterable[R]) -> List[Out]:
-        """Map/combine in the backend's workers, reduce here."""
-        parts = self._backend.map_shards(job, records, self._partitions)
+        backend = self._backend
+        chunks: Sequence[Iterable[R]]
+        if backend is None:
+            # One chunk, handed over as it came: never boxed into a row
+            # list, never re-compacted.
+            backend = SerialBackend()
+            chunks = [records]
+        elif isinstance(records, ObservationBatch):
+            # A columnar batch is chunked as compacted sub-batches, so
+            # what crosses the fork boundary is each chunk's interned
+            # columns; workers iterate the rows lazily in map_combine.
+            chunks = chunk_batches(records, backend.shard_count)
+        else:
+            chunks = chunk_records(list(records), backend.shard_count)
+        parts = backend.map_shards(
+            _map_chunk,
+            chunks,
+            initializer=_init_map_worker,
+            initargs=(job, self._partitions),
+        )
         counters = JobCounters.merge([part[1] for part in parts])
         shuffled: Shuffle = [{} for _ in range(self._partitions)]
         # Chunk-order merge: per-key value lists concatenate exactly as
@@ -160,13 +206,6 @@ class MapReduceEngine:
                 merged = shuffled[index]
                 for key, values in bucket.items():
                     merged.setdefault(key, []).extend(values)
-        outputs = self._reduce(job, shuffled, counters)
-        self.last_counters = counters
-        return outputs
-
-    def _reduce(
-        self, job: Job, shuffled: Shuffle, counters: JobCounters
-    ) -> List[Out]:
         # Reduce phase: keys within a partition in sorted order, like
         # Hadoop's sort-before-reduce.
         outputs: List[Out] = []
@@ -176,6 +215,7 @@ class MapReduceEngine:
                 for output in job.reducer(key, bucket[key]):
                     counters.outputs_written += 1
                     outputs.append(output)
+        self.last_counters = counters
         return outputs
 
 

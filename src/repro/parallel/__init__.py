@@ -5,36 +5,37 @@ to serial ones, for any backend, any worker count, and any shard count:
 
 * :mod:`repro.parallel.sharding` — stable hash partitioning of names and
   contiguous chunking of record streams;
-* :mod:`repro.parallel.backend` — the :class:`Backend` protocol every
-  sharded pass runs through, its registry (``--backend`` /
-  ``REPRO_BACKEND``), and the :class:`SerialBackend` /
-  :class:`LocalPoolBackend` implementations;
-* :mod:`repro.parallel.executor` — :class:`ShardedExecutor`, the fork
-  process pool behind :class:`LocalPoolBackend` (worker count from
-  ``REPRO_WORKERS``, serial in-process fallback at one worker), which
-  collects shard results in shard-index order;
+* :mod:`repro.parallel.backend` — the :class:`Backend` protocol whose
+  ``map_shards`` is the one fan-out primitive every sharded pass runs
+  through, its registry (``--backend`` / ``REPRO_BACKEND``), and the
+  :class:`SerialBackend` / :class:`LocalPoolBackend` implementations
+  (the fork process pool: worker count from ``REPRO_WORKERS``, serial
+  in-process fallback at one worker, shard results collected in
+  shard-index order);
 * :mod:`repro.parallel.cluster` — :class:`ClusterBackend`, a simulated
   elastic multi-node cluster with deterministic placement, work
   stealing, and speculative re-execution on logical ticks;
-* :mod:`repro.parallel.study` / :mod:`repro.parallel.mapreduce` /
-  :mod:`repro.parallel.detect` — the sharded measurement phase behind
-  ``AdoptionStudy.run(parallel=True)``, the map+combine backend for
-  :class:`MapReduceEngine`, and whole-history detection from segment
-  store manifest slices.
+* :mod:`repro.parallel.study` / :mod:`repro.parallel.detect` — the
+  sharded measurement phase behind ``AdoptionStudy.run(backend=...)``
+  and whole-history detection from segment store manifest slices.
 
 See ``docs/PERFORMANCE.md`` for the architecture and tuning knobs.
 """
 
 from repro.parallel.backend import (
     REPRO_BACKEND_ENV,
+    REPRO_WORKERS_ENV,
+    SHARDS_PER_WORKER,
     Backend,
     BackendError,
     BackendSpec,
     LocalPoolBackend,
     SerialBackend,
     backend_names,
+    fork_available,
     register_backend,
     resolve_backend,
+    resolve_workers,
 )
 from repro.parallel.cluster import (
     ClusterBackend,
@@ -42,14 +43,6 @@ from repro.parallel.cluster import (
     ClusterSchedule,
 )
 from repro.parallel.detect import detect_from_slices
-from repro.parallel.executor import (
-    REPRO_WORKERS_ENV,
-    SHARDS_PER_WORKER,
-    ShardedExecutor,
-    fork_available,
-    resolve_workers,
-)
-from repro.parallel.mapreduce import ParallelBackend
 from repro.parallel.sharding import chunk_records, partition_names, shard_of
 from repro.parallel.study import StudyMeasurement, run_sharded_measurement
 
@@ -61,12 +54,10 @@ __all__ = [
     "ClusterEvent",
     "ClusterSchedule",
     "LocalPoolBackend",
-    "ParallelBackend",
     "REPRO_BACKEND_ENV",
     "REPRO_WORKERS_ENV",
     "SHARDS_PER_WORKER",
     "SerialBackend",
-    "ShardedExecutor",
     "StudyMeasurement",
     "backend_names",
     "chunk_records",

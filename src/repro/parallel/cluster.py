@@ -57,8 +57,12 @@ from typing import (
 
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.faults.runtime import rerun_shard, shard_retryable
-from repro.parallel.backend import Backend, BackendError, register_backend
-from repro.parallel.executor import SHARDS_PER_WORKER
+from repro.parallel.backend import (
+    Backend,
+    BackendError,
+    register_backend,
+    resolve_shard_count,
+)
 from repro.world.ipam import stable_hash
 
 #: Event actions a schedule may script.
@@ -134,7 +138,7 @@ class ClusterBackend:
     """Deterministic simulation of an elastic shard-running cluster.
 
     Counters accumulate across :meth:`map_shards` calls (matching
-    :attr:`ShardedExecutor.shards_retried` semantics);
+    :attr:`LocalPoolBackend.shards_retried` semantics);
     :attr:`makespan_ticks` and :attr:`completions` describe the most
     recent call.
     """
@@ -154,11 +158,7 @@ class ClusterBackend:
             raise ValueError("nodes must be >= 1")
         self.nodes = nodes
         self.workers = nodes
-        if shard_count is None:
-            shard_count = nodes * SHARDS_PER_WORKER
-        if shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        self.shard_count = shard_count
+        self.shard_count = resolve_shard_count(shard_count, nodes)
         self.schedule = schedule or ClusterSchedule()
         self.work_stealing = work_stealing
         self.shard_cost = shard_cost or default_shard_cost

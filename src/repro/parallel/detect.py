@@ -55,8 +55,6 @@ def detect_from_slices(
     catalog: SignatureCatalog,
     horizon: int,
     backend: Optional[BackendSpec] = None,
-    workers: Optional[int] = None,
-    shard_count: Optional[int] = None,
 ) -> DetectionResult:
     """Distributed :meth:`AdoptionStudy.detect_from_store`.
 
@@ -64,9 +62,7 @@ def detect_from_slices(
     worker (and no merge step) ever materialises more than one
     partition plus its own domain shard's rows.
     """
-    executor = resolve_backend(
-        backend, workers=workers, shard_count=shard_count
-    )
+    executor = resolve_backend(backend)
     slices = store.manifest_slices(
         executor.shard_count, sources=sources, by="domains"
     )

@@ -3,9 +3,9 @@
 The expensive phase of :meth:`repro.core.pipeline.AdoptionStudy.run` —
 probe → enrich → detect over every domain — is embarrassingly parallel
 per domain. Each worker holds its own :class:`AdoptionStudy` over the
-same world (forked, so the world ships once) and runs the *identical*
-serial code over its shard's domains; the parent then merges the
-per-shard aggregates through the exact merge hooks
+same world (forked, so the world ships once) and runs the serial body
+itself — :meth:`AdoptionStudy.measure` — over its shard's domains; the
+parent then merges the per-shard aggregates through the exact merge hooks
 (:meth:`DetectionResult.merge`, :meth:`FluxAnalysis.merge`,
 :meth:`PeakAnalysis.merge`). Because every merge is an integer sum or a
 disjoint keyed union, the merged measurement is byte-identical to a
@@ -17,64 +17,41 @@ has already aggregated exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detection import DetectionResult
-from repro.core.flux import FluxAnalysis, FluxSeries
-from repro.core.peaks import PeakAnalysis, PeakStats
+from repro.core.flux import FluxAnalysis
+from repro.core.peaks import PeakAnalysis
+from repro.core.pipeline import AdoptionStudy, StudyMeasurement
+from repro.core.references import SignatureCatalog
 from repro.faults.errors import WorkerCrash
 from repro.faults.plan import FaultLog, FaultPlan
 from repro.measurement.snapshot import ObservationSegment
 from repro.parallel.backend import BackendSpec, resolve_backend
 from repro.parallel.sharding import partition_names
-
-if TYPE_CHECKING:  # avoid a circular import at runtime
-    from repro.core.pipeline import AdoptionStudy
-    from repro.core.references import SignatureCatalog
-    from repro.world.world import World
-
-
-@dataclass
-class StudyMeasurement:
-    """Everything the sharded measurement phase produces."""
-
-    segments: Dict[str, List[ObservationSegment]]
-    detection_gtld: DetectionResult
-    detection_nl: DetectionResult
-    detection_alexa: DetectionResult
-    flux: Dict[str, FluxSeries]
-    peaks: Dict[str, PeakStats]
-    #: This shard's fault accounting (empty on clean runs).
-    fault_log: FaultLog = field(default_factory=FaultLog)
-    #: scope → reason quarantined while measuring this shard.
-    quarantined: Dict[str, str] = field(default_factory=dict)
-
+from repro.world.world import World
 
 #: Per-worker-process study instance (set by the pool initializer).
-_WORKER_STUDY: Optional["AdoptionStudy"] = None
+_WORKER_STUDY: Optional[AdoptionStudy] = None
 
 
 def _init_study_worker(
-    world: "World",
-    catalog: "SignatureCatalog",
+    world: World,
+    catalog: SignatureCatalog,
     fault_plan: Optional[FaultPlan] = None,
 ) -> None:
     """Build this worker's study once; shards reuse its caches."""
     global _WORKER_STUDY
-    from repro.core.pipeline import AdoptionStudy
-
     _WORKER_STUDY = AdoptionStudy(world, catalog, fault_plan=fault_plan)
 
 
 def _study_shard(
     shard_index: int, payload: Tuple[Sequence[str], Sequence[str]]
 ) -> StudyMeasurement:
-    """Measure + detect one shard with the serial code paths."""
+    """Measure + detect one shard with the serial code path."""
     study = _WORKER_STUDY
     assert study is not None, "worker initializer did not run"
     domain_names, alexa_names = payload
-    from repro.core.pipeline import GTLDS
 
     # Per-shard accounting: a worker process handles many shards with
     # one study, so reset the log/quarantine surfaces between shards —
@@ -87,39 +64,15 @@ def _study_shard(
         injector.log = study.fault_log
         event = injector.fire("parallel.executor", key=str(shard_index))
         if event is not None:
-            # Models this worker dying mid-shard; the executor
+            # Models this worker dying mid-shard; the backend
             # re-executes the shard in the parent under suppression.
             raise WorkerCrash(event.site, event.kind, event.key)
 
-    segments = study.collect_segments(domain_names)
-    gtld_names = [
-        name
-        for name in domain_names
-        if study.world.domains[name].tld in GTLDS
-    ]
-    nl_names = [
-        name
-        for name in domain_names
-        if study.world.domains[name].tld == "nl"
-    ]
-    detection_gtld = study.detect(segments, gtld_names)
-    horizon = study.world.horizon
-    return StudyMeasurement(
-        segments=segments,
-        detection_gtld=detection_gtld,
-        detection_nl=study.detect(segments, nl_names),
-        detection_alexa=study.detect_alexa(segments, alexa_names),
-        flux=FluxAnalysis(horizon).analyze(detection_gtld),
-        peaks=PeakAnalysis(horizon).analyze(detection_gtld),
-        fault_log=study.fault_log,
-        quarantined=dict(study.quarantined_scopes),
-    )
+    return study.measure(domain_names, alexa_names)
 
 
 def run_sharded_measurement(
-    study: "AdoptionStudy",
-    workers: Optional[int] = None,
-    shard_count: Optional[int] = None,
+    study: AdoptionStudy,
     backend: Optional[BackendSpec] = None,
 ) -> StudyMeasurement:
     """The parallel equivalent of the serial measurement phase.
@@ -127,12 +80,10 @@ def run_sharded_measurement(
     Execution goes through a :class:`repro.parallel.backend.Backend`
     (*backend* spec/instance > ``REPRO_BACKEND`` > the local pool).
     Shards are merged in shard-index order; the result is
-    byte-identical to the serial path for any backend and any
-    ``(workers, shard_count)``.
+    byte-identical to the serial path for any backend and any worker
+    and shard count it carries.
     """
-    executor = resolve_backend(
-        backend, workers=workers, shard_count=shard_count
-    )
+    executor = resolve_backend(backend)
     retried_before = executor.shards_retried
     domain_shards = partition_names(
         study.world.domains, executor.shard_count

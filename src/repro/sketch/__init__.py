@@ -8,8 +8,8 @@ serial, sharded, and kill/resumed runs produce **byte-identical**
 sketch state. :class:`~repro.sketch.plane.SketchPlane` bundles the
 per-scope instances the :class:`~repro.stream.engine.StreamEngine`
 maintains incrementally; :mod:`repro.sketch.build` rebuilds the same
-plane from a landed store, serially or under
-:class:`~repro.parallel.executor.ShardedExecutor`.
+plane from a landed store, serially or sharded over a
+:class:`~repro.parallel.backend.Backend`.
 
 See ``docs/SKETCHES.md`` for the error guarantees and the exact merge
 semantics (what is provably order-independent, and what is not).

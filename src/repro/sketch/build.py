@@ -162,8 +162,6 @@ def sketch_from_store_sharded(
     config: Optional[SketchConfig] = None,
     sources: Optional[Sequence[str]] = None,
     catalog: Optional[SignatureCatalog] = None,
-    workers: Optional[int] = None,
-    shard_count: Optional[int] = None,
     backend: Optional[BackendSpec] = None,
 ) -> SketchPlane:
     """The sharded rebuild; byte-identical to :func:`sketch_from_store`.
@@ -175,9 +173,7 @@ def sketch_from_store_sharded(
     """
     catalog = catalog or SignatureCatalog.paper_table2()
     config = config or SketchConfig()
-    executor = resolve_backend(
-        backend, workers=workers, shard_count=shard_count
-    )
+    executor = resolve_backend(backend)
     chunks = chunk_records(
         store_partitions(store, sources), executor.shard_count
     )

@@ -4,7 +4,7 @@
 
 import threading
 
-from repro.parallel.executor import ShardedExecutor
+from repro.parallel.backend import LocalPoolBackend
 
 
 class LockedCounter:
@@ -29,7 +29,7 @@ def _task(shard):
 
 def run_bad(shards):
     counter = LockedCounter()
-    executor = ShardedExecutor(2)
+    executor = LocalPoolBackend(2)
     return executor.map_shards(  # expect: fork-unsafe-capture
         _task, shards, initargs=(counter,)
     )
@@ -37,7 +37,7 @@ def run_bad(shards):
 
 def run_transitive(shards):
     writer = ShardWriter()
-    executor = ShardedExecutor(2)
+    executor = LocalPoolBackend(2)
     return executor.map_shards(  # expect: fork-unsafe-capture
         _task, shards, initargs=(writer,)
     )
@@ -45,5 +45,5 @@ def run_transitive(shards):
 
 def run_ok(shards):
     config = PlainConfig()
-    executor = ShardedExecutor(2)
+    executor = LocalPoolBackend(2)
     return executor.map_shards(_task, shards, initargs=(config.limit,))

@@ -152,13 +152,13 @@ def test_segment_decode_scoped_to_store_package():
 
 
 def test_parallel_executor_is_clean():
-    # The real executor must satisfy its own rule.
+    # The real executor (the pool backend) must satisfy its own rule.
     path = (
         Path(__file__).resolve().parents[2]
-        / "src" / "repro" / "parallel" / "executor.py"
+        / "src" / "repro" / "parallel" / "backend.py"
     )
     result = Analyzer().analyze_source(
-        path.read_text(), str(path), module="repro/parallel/executor.py"
+        path.read_text(), str(path), module="repro/parallel/backend.py"
     )
     assert not result.findings
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.pipeline import AdoptionStudy
 from repro.measurement.storage import ColumnStore
+from repro.parallel.backend import resolve_backend
 from repro.reporting.export import study_to_dict
 from repro.stream.checkpoint import (
     load_checkpoint,
@@ -60,7 +61,7 @@ class TestThreeSeedIdentity:
     def test_workers2_export_byte_identical(self, seeded):
         world, _, results, _ = seeded
         parallel = AdoptionStudy(world).run(
-            parallel=True, workers=2, shard_count=4
+            backend=resolve_backend(workers=2, shard_count=4)
         )
         assert _canonical(parallel) == _canonical(results)
 

@@ -13,7 +13,11 @@ import pytest
 from repro.core.pipeline import AdoptionStudy
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.report import SCOPE_EXPORT_KEYS, scope_digest, strip_scopes
-from repro.parallel.backend import LocalPoolBackend, SerialBackend
+from repro.parallel.backend import (
+    LocalPoolBackend,
+    SerialBackend,
+    resolve_backend,
+)
 from repro.parallel.cluster import ClusterBackend, ClusterSchedule
 from repro.reporting.export import study_to_dict
 from repro.world.scenario import ScenarioConfig, build_paper_world
@@ -83,7 +87,7 @@ class TestChaosInvariant:
     def test_parallel(self, chaos_world, clean_payload, seed):
         results = AdoptionStudy(
             chaos_world, fault_plan=chaos_plan(seed)
-        ).run(parallel=True, workers=2, shard_count=4)
+        ).run(backend=resolve_backend(workers=2, shard_count=4))
         assert_invariant(results, clean_payload)
 
     def test_schedules_actually_inject(self, chaos_world, clean_payload):
@@ -134,7 +138,7 @@ class TestChaosInvariant:
         serial run on every non-quarantined scope."""
         results = AdoptionStudy(
             chaos_world, fault_plan=chaos_plan(CHAOS_SEEDS[0])
-        ).run(parallel=True, backend=backend())
+        ).run(backend=backend())
         assert_invariant(results, clean_payload)
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
@@ -149,7 +153,7 @@ class TestChaosInvariant:
         ).run()
         parallel = AdoptionStudy(
             chaos_world, fault_plan=chaos_plan(seed)
-        ).run(parallel=True, workers=2, shard_count=4)
+        ).run(backend=resolve_backend(workers=2, shard_count=4))
         union = sorted(
             set(serial.quarantined_scopes) | set(parallel.quarantined_scopes)
         )

@@ -1,4 +1,4 @@
-"""Worker-death containment in the sharded executor.
+"""Worker-death containment in the serial and pool backends.
 
 The tasks live at module level so the fork-based pool can run them; the
 crash helpers consult :func:`faults_suppressed` so the parent's
@@ -11,7 +11,7 @@ import pytest
 
 from repro.faults.errors import WorkerCrash
 from repro.faults.runtime import faults_suppressed
-from repro.parallel.executor import ShardedExecutor
+from repro.parallel.backend import LocalPoolBackend, SerialBackend
 
 
 def double(index, shard):
@@ -42,44 +42,49 @@ SHARDS = [10, 20, 30, 40]
 EXPECTED = [(0, 20), (1, 40), (2, 60), (3, 80)]
 
 
+def _in_process_backends():
+    """Both spellings of the in-process loop share one retry path."""
+    return [SerialBackend(), LocalPoolBackend(workers=1)]
+
+
 class TestSerialPath:
     def test_clean_run(self):
-        executor = ShardedExecutor(workers=1)
-        assert executor.map_shards(double, SHARDS) == EXPECTED
-        assert executor.shards_retried == 0
+        for executor in _in_process_backends():
+            assert executor.map_shards(double, SHARDS) == EXPECTED
+            assert executor.shards_retried == 0
 
     def test_crashed_shard_reexecuted_in_order(self):
-        executor = ShardedExecutor(workers=1)
-        assert executor.map_shards(crash_on_two, SHARDS) == EXPECTED
-        assert executor.shards_retried == 1
+        for executor in _in_process_backends():
+            assert executor.map_shards(crash_on_two, SHARDS) == EXPECTED
+            assert executor.shards_retried == 1
 
     def test_non_retryable_error_propagates(self):
-        executor = ShardedExecutor(workers=1)
-        with pytest.raises(ValueError, match="broken for real"):
-            executor.map_shards(fail_on_two, SHARDS)
-        assert executor.shards_retried == 0
+        for executor in _in_process_backends():
+            with pytest.raises(ValueError, match="broken for real"):
+                executor.map_shards(fail_on_two, SHARDS)
+            assert executor.shards_retried == 0
 
 
 class TestPoolPath:
     def test_clean_run(self):
-        executor = ShardedExecutor(workers=2, shard_count=4)
+        executor = LocalPoolBackend(workers=2, shard_count=4)
         assert executor.map_shards(double, SHARDS) == EXPECTED
         assert executor.shards_retried == 0
 
     def test_worker_crash_retries_only_that_shard(self):
-        executor = ShardedExecutor(workers=2, shard_count=4)
+        executor = LocalPoolBackend(workers=2, shard_count=4)
         assert executor.map_shards(crash_on_two, SHARDS) == EXPECTED
         assert executor.shards_retried == 1
 
     def test_non_retryable_error_propagates(self):
-        executor = ShardedExecutor(workers=2, shard_count=4)
+        executor = LocalPoolBackend(workers=2, shard_count=4)
         with pytest.raises(ValueError, match="broken for real"):
             executor.map_shards(fail_on_two, SHARDS)
 
     def test_dead_worker_process_breaks_pool_but_not_run(self):
         """``os._exit`` kills the worker outright; every shard the broken
         pool lost is re-executed in the parent and the output is intact."""
-        executor = ShardedExecutor(workers=2, shard_count=4)
+        executor = LocalPoolBackend(workers=2, shard_count=4)
         assert executor.map_shards(die_on_two, SHARDS) == EXPECTED
         assert executor.shards_retried >= 1
 

@@ -98,7 +98,7 @@ def test_backend_matrix_byte_identity(baseline, variant):
     """Exports and stream/sketch digests across the whole matrix."""
     world, _, _, store, truth = baseline
     run = AdoptionStudy(world).run(
-        parallel=True, backend=VARIANTS[variant]()
+        backend=VARIANTS[variant]()
     )
     assert _canonical(run) == truth["export"]
     assert _stream_digest(world, run.segments) == truth["stream"]

@@ -47,6 +47,14 @@ class TestPrecedence:
         instance = ClusterBackend(nodes=3)
         assert resolve_backend(instance) is instance
 
+    @pytest.mark.parametrize(
+        "numbers", [{"workers": 2}, {"shard_count": 4}]
+    )
+    def test_instance_refuses_worker_and_shard_numbers(self, numbers):
+        """An instance carries its own; nothing is dropped silently."""
+        with pytest.raises(BackendError, match="backend instance"):
+            resolve_backend(SerialBackend(), **numbers)
+
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv(REPRO_BACKEND_ENV, "serial")
         assert isinstance(resolve_backend(), SerialBackend)
@@ -106,3 +114,12 @@ class TestSpawnFallback:
         )
         resolved = resolve_backend("local", workers=2, shard_count=4)
         assert resolved.workers == 2
+
+
+def test_package_exports_resolve_without_removed_executors():
+    """A stale re-export of a deleted module fails here, fast."""
+    import repro.parallel as package
+
+    for name in package.__all__:
+        assert getattr(package, name) is not None, name
+    assert not {"ShardedExecutor", "ParallelBackend"} & set(package.__all__)

@@ -1,14 +1,14 @@
-"""ShardedExecutor: worker resolution, serial fallback, ordering."""
+"""LocalPoolBackend: worker resolution, serial fallback, ordering."""
 
 import os
 import time
 
 import pytest
 
-from repro.parallel.executor import (
+from repro.parallel.backend import (
     REPRO_WORKERS_ENV,
     SHARDS_PER_WORKER,
-    ShardedExecutor,
+    LocalPoolBackend,
     resolve_workers,
 )
 
@@ -71,29 +71,29 @@ class TestResolveWorkers:
             assert resolve_workers() == 1
 
     def test_shard_count_defaults_to_multiple_of_workers(self):
-        executor = ShardedExecutor(workers=3)
+        executor = LocalPoolBackend(workers=3)
         assert executor.shard_count == 3 * SHARDS_PER_WORKER
 
     def test_rejects_nonpositive_shard_count(self):
         with pytest.raises(ValueError):
-            ShardedExecutor(workers=1, shard_count=0)
+            LocalPoolBackend(workers=1, shard_count=0)
 
 
 class TestSerialFallback:
     def test_single_worker_runs_in_process(self):
-        executor = ShardedExecutor(workers=1, shard_count=4)
+        executor = LocalPoolBackend(workers=1, shard_count=4)
         results = executor.map_shards(_record_pid, ["a", "b", "c", "d"])
         assert [payload for _, payload, _ in results] == ["a", "b", "c", "d"]
         assert {pid for _, _, pid in results} == {os.getpid()}
 
     def test_single_shard_runs_in_process(self):
-        executor = ShardedExecutor(workers=4, shard_count=1)
+        executor = LocalPoolBackend(workers=4, shard_count=1)
         results = executor.map_shards(_record_pid, ["only"])
         assert results == [(0, "only", os.getpid())]
 
     def test_initializer_runs_in_process(self):
         _INIT_STATE.clear()
-        executor = ShardedExecutor(workers=1, shard_count=2)
+        executor = LocalPoolBackend(workers=1, shard_count=2)
         results = executor.map_shards(
             _read_init_state,
             ["x", "y"],
@@ -104,25 +104,25 @@ class TestSerialFallback:
         assert _INIT_STATE["value"] == "seeded"
 
     def test_errors_propagate(self):
-        executor = ShardedExecutor(workers=1, shard_count=2)
+        executor = LocalPoolBackend(workers=1, shard_count=2)
         with pytest.raises(ValueError, match="shard 0 exploded"):
             executor.map_shards(_explode, ["a", "b"])
 
 
 class TestProcessPool:
     def test_results_in_shard_index_order(self):
-        executor = ShardedExecutor(workers=2, shard_count=4)
+        executor = LocalPoolBackend(workers=2, shard_count=4)
         results = executor.map_shards(_sleepy_identity, list("abcd"))
         assert results == [0, 1, 2, 3]
 
     def test_work_happens_in_child_processes(self):
-        executor = ShardedExecutor(workers=2, shard_count=4)
+        executor = LocalPoolBackend(workers=2, shard_count=4)
         results = executor.map_shards(_record_pid, list("abcd"))
         assert [payload for _, payload, _ in results] == list("abcd")
         assert os.getpid() not in {pid for _, _, pid in results}
 
     def test_initializer_reaches_workers(self):
-        executor = ShardedExecutor(workers=2, shard_count=4)
+        executor = LocalPoolBackend(workers=2, shard_count=4)
         results = executor.map_shards(
             _read_init_state,
             list("abcd"),
@@ -132,6 +132,6 @@ class TestProcessPool:
         assert results == ["forked"] * 4
 
     def test_errors_propagate_from_workers(self):
-        executor = ShardedExecutor(workers=2, shard_count=3)
+        executor = LocalPoolBackend(workers=2, shard_count=3)
         with pytest.raises(ValueError, match="exploded"):
             executor.map_shards(_explode, ["a", "b", "c"])

@@ -1,4 +1,4 @@
-"""ParallelBackend: engine outputs and counters are deterministic.
+"""MapReduceEngine over a backend: outputs and counters are deterministic.
 
 Two guarantees, both exercised against real measurement records:
 
@@ -14,6 +14,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.batch.batch import ObservationBatch
 from repro.core.references import SignatureCatalog
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.jobs import (
@@ -22,7 +23,7 @@ from repro.mapreduce.jobs import (
     reference_count_job,
 )
 from repro.measurement.scheduler import ClusterManager
-from repro.parallel.mapreduce import ParallelBackend
+from repro.parallel.backend import LocalPoolBackend, resolve_backend
 
 CATALOG = SignatureCatalog.paper_table2()
 
@@ -60,7 +61,7 @@ class TestAcrossWorkerCounts:
     ):
         engine = MapReduceEngine(
             partitions=8,
-            backend=ParallelBackend(workers=workers, shard_count=6),
+            backend=LocalPoolBackend(workers=workers, shard_count=6),
         )
         outputs = engine.run(JOBS[job_name](), records)
         assert outputs == serial_runs[job_name][0]
@@ -70,7 +71,7 @@ class TestAcrossWorkerCounts:
         for workers in (1, 2, 8):
             engine = MapReduceEngine(
                 partitions=8,
-                backend=ParallelBackend(workers=workers, shard_count=6),
+                backend=LocalPoolBackend(workers=workers, shard_count=6),
             )
             engine.run(JOBS[job_name](), records)
             counters.append(asdict(engine.last_counters))
@@ -87,7 +88,7 @@ class TestAcrossWorkerCounts:
         """
         engine = MapReduceEngine(
             partitions=8,
-            backend=ParallelBackend(workers=2, shard_count=6),
+            backend=LocalPoolBackend(workers=2, shard_count=6),
         )
         engine.run(JOBS[job_name](), records)
         sharded = asdict(engine.last_counters)
@@ -104,14 +105,14 @@ def test_outputs_independent_of_shard_count(
 ):
     engine = MapReduceEngine(
         partitions=8,
-        backend=ParallelBackend(workers=2, shard_count=shard_count),
+        backend=LocalPoolBackend(workers=2, shard_count=shard_count),
     )
     outputs = engine.run(JOBS[job_name](), records)
     assert outputs == serial_runs[job_name][0]
 
 
 def test_backend_resolves_executor_defaults():
-    backend = ParallelBackend(workers=3)
+    backend = resolve_backend("local", workers=3)
     assert backend.workers == 3
     assert backend.shard_count == 12
 
@@ -121,10 +122,28 @@ def test_backend_resolves_executor_defaults():
 def test_outputs_identical_through_execution_backends(
     records, serial_runs, job_name, spec
 ):
-    """map_combine honours --backend-style specs end to end."""
-    engine = MapReduceEngine(
-        partitions=8,
-        backend=ParallelBackend(shard_count=6, backend=spec),
-    )
+    """The engine takes --backend-style specs as they are."""
+    engine = MapReduceEngine(partitions=8, backend=spec)
     outputs = engine.run(JOBS[job_name](), records)
     assert outputs == serial_runs[job_name][0]
+    sharded = asdict(engine.last_counters)
+    serial = dict(serial_runs[job_name][1])
+    for counters in (sharded, serial):
+        counters.pop("pairs_after_combine")
+    assert sharded == serial
+
+
+@pytest.mark.parametrize("job_name", sorted(JOBS))
+def test_columnar_records_chunk_without_boxing(
+    records, serial_runs, job_name
+):
+    """An ObservationBatch is chunked as sub-batches; same outputs."""
+    batch = ObservationBatch.from_rows(records)
+    engine = MapReduceEngine(
+        partitions=8, backend=LocalPoolBackend(workers=2, shard_count=3)
+    )
+    assert engine.run(JOBS[job_name](), batch) == serial_runs[job_name][0]
+    backendless = MapReduceEngine(partitions=8)
+    assert backendless.run(JOBS[job_name](), batch) == (
+        serial_runs[job_name][0]
+    )

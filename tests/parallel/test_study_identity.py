@@ -1,4 +1,4 @@
-"""The tentpole contract: ``run(parallel=True)`` is byte-identical to serial.
+"""The tentpole contract: ``run(backend=...)`` is byte-identical to serial.
 
 Identity is asserted on the canonical JSON export (``study_to_dict``
 dumped with sorted keys) — the same bytes ``repro study --output``
@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.core.pipeline import AdoptionStudy
+from repro.parallel.backend import REPRO_WORKERS_ENV, resolve_backend
 from repro.reporting.export import study_to_dict
 
 
@@ -37,20 +38,20 @@ class TestByteIdentity:
         self, tiny_world, serial_json, workers, shard_count
     ):
         parallel = AdoptionStudy(tiny_world).run(
-            parallel=True, workers=workers, shard_count=shard_count
+            backend=resolve_backend(workers=workers, shard_count=shard_count)
         )
         assert _canonical(parallel) == serial_json
 
     def test_segments_identical(self, tiny_world, serial_results):
         parallel = AdoptionStudy(tiny_world).run(
-            parallel=True, workers=2, shard_count=5
+            backend=resolve_backend(workers=2, shard_count=5)
         )
         assert list(parallel.segments) == list(serial_results.segments)
         assert parallel.segments == serial_results.segments
 
     def test_intervals_identical(self, tiny_world, serial_results):
         parallel = AdoptionStudy(tiny_world).run(
-            parallel=True, workers=1, shard_count=7
+            backend=resolve_backend(workers=1, shard_count=7)
         )
         for serial_det, parallel_det in [
             (serial_results.detection_gtld, parallel.detection_gtld),
@@ -65,8 +66,6 @@ class TestByteIdentity:
 
     def test_env_workers_respected(self, tiny_world, serial_json,
                                    monkeypatch):
-        from repro.parallel.executor import REPRO_WORKERS_ENV
-
         monkeypatch.setenv(REPRO_WORKERS_ENV, "2")
-        parallel = AdoptionStudy(tiny_world).run(parallel=True)
+        parallel = AdoptionStudy(tiny_world).run(backend=resolve_backend())
         assert _canonical(parallel) == serial_json

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 
+from repro.parallel.backend import resolve_backend
 from repro.sketch import SketchConfig
 from repro.sketch.build import (
     sketch_from_store,
@@ -52,7 +53,7 @@ class TestThreeSeedSketchIdentity:
         _, _, _, store = sketch_seeded
         serial = sketch_from_store(store)
         sharded = sketch_from_store_sharded(
-            store, workers=2, shard_count=4
+            store, backend=resolve_backend(workers=2, shard_count=4)
         )
         assert sharded.state_digest() == serial.state_digest()
         assert sharded.to_dict() == serial.to_dict()

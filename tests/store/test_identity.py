@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.pipeline import AdoptionStudy
 from repro.measurement.storage import ColumnStore
+from repro.parallel.backend import resolve_backend
 from repro.reporting.export import study_to_dict
 from repro.store import SegmentStore
 from repro.stream.checkpoint import state_digest
@@ -79,7 +80,7 @@ class TestSegmentStoreIdentity:
     def test_workers2_export_byte_identical(self, seeded):
         world, _, results, _, _ = seeded
         parallel = AdoptionStudy(world).run(
-            parallel=True, workers=2, shard_count=4
+            backend=resolve_backend(workers=2, shard_count=4)
         )
         assert _canonical(parallel) == _canonical(results)
 

@@ -129,6 +129,56 @@ class TestStudy:
         assert code == 0
         assert "DPS adoption grew" in out
 
+    @pytest.mark.parametrize(
+        "flags,env,expected",
+        [
+            # --shard-count alone used to be dropped on the floor.
+            (
+                ["--shard-count", "3"],
+                {"REPRO_BACKEND": "serial"},
+                ("SerialBackend", 1, 3),
+            ),
+            (["--workers", "1"], {}, ("LocalPoolBackend", 1, 4)),
+            (
+                ["--backend", "cluster:2", "--shard-count", "5"],
+                {"REPRO_BACKEND": "serial"},
+                ("ClusterBackend", 2, 5),
+            ),
+            # The environment alone never shards a study.
+            ([], {"REPRO_BACKEND": "serial", "REPRO_WORKERS": "2"}, None),
+        ],
+    )
+    def test_any_execution_flag_resolves_one_backend(
+        self, capsys, monkeypatch, flags, env, expected
+    ):
+        from repro.core.pipeline import AdoptionStudy
+
+        for name in ("REPRO_BACKEND", "REPRO_WORKERS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        calls = []
+        real_run = AdoptionStudy.run
+
+        def spy(self, **kwargs):
+            calls.append(kwargs)
+            return real_run(self, **kwargs)
+
+        monkeypatch.setattr(AdoptionStudy, "run", spy)
+        code = main(["study", "--artifact", "fig5"] + flags + SCALE)
+        assert code == 0
+        assert "DPS adoption grew" in capsys.readouterr().out
+        assert [sorted(kwargs) for kwargs in calls] == [["backend"]]
+        backend = calls[0]["backend"]
+        if expected is None:
+            assert backend is None
+        else:
+            assert (
+                type(backend).__name__,
+                backend.workers,
+                backend.shard_count,
+            ) == expected
+
     def test_unknown_backend_exits_2(self, capsys):
         code = main(["study", "--backend", "bogus"] + SCALE)
         captured = capsys.readouterr()
