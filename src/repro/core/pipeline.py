@@ -496,10 +496,15 @@ class AdoptionStudy:
         Data-point totals come from the zone-size series (four measurements
         per domain-day); byte sizes are measured on sampled days through
         the real columnar store and extrapolated — the honest equivalent of
-        reporting cluster storage you cannot rerun in full.
+        reporting cluster storage you cannot rerun in full. The sampled
+        rounds share the study's enricher (address timelines a run has
+        already filled) but probe through a prober of their own, outside
+        any fault plan.
         """
         world = self.world
-        manager = ClusterManager(world, store=ColumnStore(), enrich=True)
+        manager = ClusterManager(
+            world, store=ColumnStore(), enrich=self.enricher
+        )
         rows: List[DatasetRow] = []
         for source in list(GTLDS) + ["nl", "alexa"]:
             if source == "alexa":
@@ -551,7 +556,7 @@ class AdoptionStudy:
         whose parked domains all sit in a DPS's address space, and
         accepting a managed-DNS SLD whose customers mostly don't divert).
         """
-        manager = ClusterManager(self.world, enrich=True)
+        manager = ClusterManager(self.world, enrich=self.enricher)
         observations = []
         for source in GTLDS:
             observations.extend(manager.measure_day(source, day))

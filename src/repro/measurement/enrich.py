@@ -6,11 +6,14 @@ address was contained at measurement time is determined on the basis of
 the Routeviews pfx2as data set. For multi-origin AS we add all the
 involved AS numbers." (§3.2)
 
-Daily enrichment asks the day's pfx2as snapshot for every address. For the
-segment pipeline, :class:`AsnEnricher` also computes an *ASN timeline* per
-address (cheap because only a handful of prefixes ever change origin:
-the diversion episodes of §4.4) and splits observation segments where the
-mapping changes.
+An address's origins only change on a routing change day, so
+:class:`AsnEnricher` resolves each distinct address once, into an *ASN
+timeline* (cheap because only a handful of prefixes ever change origin:
+the diversion episodes of §4.4). Batch enrichment reads the timeline at
+each row's day; segment enrichment splits observation segments where it
+changes. :meth:`AsnEnricher.enrich` asks the day's pfx2as snapshot for
+every address instead — the naive per-day reading of §3.2 the timeline
+paths are tested against.
 """
 
 from __future__ import annotations
@@ -20,9 +23,21 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.batch.batch import ObservationBatch
 from repro.measurement.snapshot import DomainObservation, ObservationSegment
-from repro.routing.pfx2as import Pfx2As
 from repro.routing.prefixtrie import IPAddress, PrefixTrie
 from repro.world.world import World
+
+#: One address's ``[(start_day, origins)]``, ascending, deduplicated.
+Timeline = List[Tuple[int, FrozenSet[int]]]
+
+
+def _origins_at(timeline: Timeline, day: int) -> FrozenSet[int]:
+    """The origins in force on *day*: the last entry starting by then."""
+    current: FrozenSet[int] = frozenset()
+    for start, origins in timeline:
+        if start > day:
+            break
+        current = origins
+    return current
 
 
 class AsnEnricher:
@@ -30,20 +45,26 @@ class AsnEnricher:
 
     def __init__(self, world: World) -> None:
         self._world = world
-        self._change_days = world.routing_change_days()
+        #: The days a timeline is evaluated at: day 0 and every later
+        #: routing change day.
+        self._epoch_days = [0] + [
+            day for day in world.routing_change_days() if day > 0
+        ]
         #: Prefixes whose announcement ever changes after day 0.
         self._dynamic = PrefixTrie()
         for day, prefix, _ in world.routing_events():
             if day > 0:
                 self._dynamic.insert(prefix, True)
-        #: address → [(start_day, origins)] ascending, deduplicated.
-        self._timeline_cache: Dict[str, List[Tuple[int, FrozenSet[int]]]] = {}
+        self._timeline_cache: Dict[str, Timeline] = {}
         #: address text → parsed form, so each unique address parses once.
         self._parsed: Dict[str, IPAddress] = {}
         #: (observation, origins) → the enriched observation (interning).
         self._interned: Dict[
             Tuple[DomainObservation, FrozenSet[int]], DomainObservation
         ] = {}
+        #: Distinct addresses resolved against BGP data (timeline misses)
+        #: — the one count segment and batch enrichment share. The
+        #: per-day oracle :meth:`enrich` adds one per LPM it makes.
         self.lookups = 0
         self.intern_hits = 0
 
@@ -92,17 +113,16 @@ class AsnEnricher:
     def enrich_batch(self, batch: ObservationBatch) -> ObservationBatch:
         """The batch counterpart of :meth:`enrich_day`.
 
-        Addresses parse once in the batch's pool and each distinct
-        ``(day, address)`` pair hits the LPM trie once, however many
-        rows share it (mass hosters give thousands of rows the same
+        Each address's origins are read off its :meth:`address_timeline`
+        at the row's day, so a distinct address is resolved against BGP
+        data once per enricher, however many rows, days or batches
+        share it (mass hosters give thousands of rows the same
         address). Row unions are memoised by the row's deduplicated
         address-id tuple, so identical rows cost one set union total.
         The returned sibling batch's rows equal ``enrich_day`` output
         value-for-value.
         """
         pool = batch.addresses
-        pfx2as_by_day: Dict[int, Pfx2As] = {}
-        origins_by_address: Dict[Tuple[int, int], FrozenSet[int]] = {}
         union_memo: Dict[
             Tuple[int, Tuple[int, ...]], Tuple[int, ...]
         ] = {}
@@ -113,32 +133,24 @@ class AsnEnricher:
             key = (day, address_ids)
             merged = union_memo.get(key)
             if merged is None:
-                pfx2as = pfx2as_by_day.get(day)
-                if pfx2as is None:
-                    pfx2as = self._world.pfx2as_at(day)
-                    pfx2as_by_day[day] = pfx2as
                 combined: Set[int] = set()
                 for address_id in address_ids:
-                    origins = origins_by_address.get((day, address_id))
-                    if origins is None:
-                        self.lookups += 1
-                        origins = pfx2as.lookup(pool.parsed(address_id))
-                        origins_by_address[(day, address_id)] = origins
-                    combined |= origins
+                    combined |= _origins_at(
+                        self.address_timeline(pool.text(address_id)), day
+                    )
                 merged = tuple(sorted(combined))
                 union_memo[key] = merged
             asns_column.append(merged)
         return batch.with_asns(asns_column)
 
-    # -- segment enrichment ------------------------------------------------------
+    # -- address timelines and segment enrichment --------------------------------
 
-    def address_timeline(
-        self, address: str
-    ) -> List[Tuple[int, FrozenSet[int]]]:
+    def address_timeline(self, address: str) -> Timeline:
         """``[(start_day, origins), ...]`` for *address*, compressed.
 
         Addresses outside every dynamic prefix get a single entry; others
-        are evaluated at each routing change day.
+        are evaluated at each routing change day. Cached per address
+        text for the enricher's life.
         """
         cached = self._timeline_cache.get(address)
         if cached is not None:
@@ -150,7 +162,7 @@ class AsnEnricher:
         else:
             timeline = []
             previous: FrozenSet[int] = frozenset({-1})  # sentinel
-            for day in [0] + [d for d in self._change_days if d > 0]:
+            for day in self._epoch_days:
                 origins = self._world.pfx2as_at(day).lookup(parsed)
                 if origins != previous:
                     timeline.append((day, origins))
@@ -177,13 +189,7 @@ class AsnEnricher:
         for sub_start, sub_end in zip(ordered, ordered[1:]):
             origins: Set[int] = set()
             for timeline in timelines:
-                current: FrozenSet[int] = frozenset()
-                for day, value in timeline:
-                    if day <= sub_start:
-                        current = value
-                    else:
-                        break
-                origins |= current
+                origins |= _origins_at(timeline, sub_start)
             pieces.append((sub_start, sub_end, frozenset(origins)))
         return pieces
 

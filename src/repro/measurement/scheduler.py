@@ -10,7 +10,7 @@ paper's, even though the workers here run in one process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.batch.batch import BatchBuilder, BatchRows, ObservationBatch
 from repro.measurement.enrich import AsnEnricher
@@ -55,7 +55,7 @@ class ClusterManager:
     The rounds themselves are :meth:`PartitionFeed.partition` — one
     listing → shard → probe → build → enrich → land loop for the whole
     tree; the manager adds the store it always lands in and the
-    per-round bookkeeping.
+    per-round bookkeeping. *enrich* is passed through to the feed.
     """
 
     def __init__(
@@ -63,7 +63,7 @@ class ClusterManager:
         world: World,
         store: Optional[ColumnStore] = None,
         shard_count: int = 8,
-        enrich: bool = True,
+        enrich: Union[bool, AsnEnricher] = True,
     ):
         self.store = store if store is not None else ColumnStore()
         self._partitions = PartitionFeed(
@@ -150,21 +150,25 @@ class PartitionFeed:
     within its measurement window. It does not retain what it measured
     (the engine owns the state); pass *store* to additionally land every
     partition in a :class:`ColumnStore` — which is all
-    :class:`ClusterManager` does.
+    :class:`ClusterManager` does. *enrich* is ``True`` (a new
+    :class:`AsnEnricher`), ``False`` (rows land without ASNs), or an
+    existing enricher whose address timelines the feed then shares.
     """
 
     def __init__(
         self,
         world: World,
         sources: Optional[Sequence[str]] = None,
-        enrich: bool = True,
+        enrich: Union[bool, AsnEnricher] = True,
         store: Optional[ColumnStore] = None,
         shard_count: int = 8,
     ):
         self._world = world
         self._feed = ZoneFeed(world)
         self._prober = FastProber(world)
-        self._enricher = AsnEnricher(world) if enrich else None
+        self._enricher: Optional[AsnEnricher] = (
+            AsnEnricher(world) if enrich is True else (enrich or None)
+        )
         self._store = store
         self._shard_count = shard_count
         #: One pool pair for every batch this feed lands — domains

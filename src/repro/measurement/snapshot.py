@@ -10,7 +10,7 @@ the same payload, valid over a day interval — that the fast pipeline uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.dnscore.name import DomainName
 
@@ -20,13 +20,27 @@ from repro.dnscore.name import DomainName
 MEASUREMENTS_PER_DOMAIN_DAY = 4
 
 
+#: name text → :func:`sld_of` result, ``None`` included. The function is
+#: pure and its inputs are the NS/CNAME hostnames the string pools already
+#: hold (a few hundred per world), so the memo is process-wide and unbounded.
+_SLD_MEMO: Dict[str, Optional[str]] = {}
+
+
 def sld_of(name_text: str) -> Optional[str]:
-    """The registrable SLD of *name_text*, as text (None if unknown)."""
+    """The registrable SLD of *name_text*, as text (None if unknown).
+
+    Parsed and validated once per distinct text.
+    """
+    if name_text in _SLD_MEMO:
+        return _SLD_MEMO[name_text]
     try:
         sld = DomainName.from_text(name_text).sld()
     except ValueError:
-        return None
-    return sld.to_text() if sld is not None else None
+        sld = None
+    result = _SLD_MEMO[name_text] = (
+        sld.to_text() if sld is not None else None
+    )
+    return result
 
 
 @dataclass(frozen=True)

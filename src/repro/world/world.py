@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import ipaddress
+from bisect import bisect_right
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dnscore.name import DomainName
@@ -60,7 +61,9 @@ class World:
         #: Routing timeline: (day, prefix_text, origin_set), sorted lazily.
         self._routing_events: List[Tuple[int, str, FrozenSet[int]]] = []
         self._routing_sorted = False
+        #: Snapshot per routing epoch (index into the change days).
         self._pfx2as_cache: Dict[int, Pfx2As] = {}
+        self._change_days: Optional[List[int]] = None
         #: Infrastructure addressing for roots and TLD servers.
         self.infra_prefix = self.allocator.allocate(24)
 
@@ -83,6 +86,7 @@ class World:
         self._routing_events.append((day, prefix, frozenset(origins)))
         self._routing_sorted = False
         self._pfx2as_cache.clear()
+        self._change_days = None
 
     def announce(self, org: Organization) -> None:
         """Announce all of *org*'s prefixes from day 0.
@@ -187,8 +191,13 @@ class World:
         return self._sorted_routing_events()
 
     def pfx2as_at(self, day: int) -> Pfx2As:
-        """The Routeviews-style pfx2as snapshot for *day* (cached)."""
-        cached = self._pfx2as_cache.get(day)
+        """The Routeviews-style pfx2as snapshot for *day*.
+
+        Cached per routing epoch: days between two consecutive change
+        days see the same announcements and get the same object.
+        """
+        epoch = bisect_right(self.routing_change_days(), day)
+        cached = self._pfx2as_cache.get(epoch)
         if cached is not None:
             return cached
         table = RoutingTable()
@@ -201,12 +210,17 @@ class World:
             for origin in origins:
                 table.announce(prefix, origin)
         snapshot = table.snapshot_pfx2as()
-        self._pfx2as_cache[day] = snapshot
+        self._pfx2as_cache[epoch] = snapshot
         return snapshot
 
-    def routing_change_days(self) -> List[int]:
-        """Days on which any announcement changes (snapshot boundaries)."""
-        return sorted({event[0] for event in self._sorted_routing_events()})
+    def routing_change_days(self) -> Sequence[int]:
+        """Days on which any announcement changes (snapshot boundaries),
+        ascending; read-only like :meth:`routing_events`."""
+        if self._change_days is None:
+            self._change_days = sorted(
+                {event[0] for event in self._routing_events}
+            )
+        return self._change_days
 
     # -- single-day DNS materialisation (for the wire prober) ---------------------
 

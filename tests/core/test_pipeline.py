@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.classification import UsageClass
+from repro.core.pipeline import AdoptionStudy
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.world.timeline import CCTLD_START_DAY, GTLD_DAYS
 
 
@@ -147,3 +149,41 @@ class TestDynamics:
                 if provider == "Incapsula"
             ]
         )
+
+
+class TestTable1SharesTheStudyEnricher:
+    def test_cold_table_equals_warm_table(self, tiny_world):
+        """Sampling on an enricher whose timelines the run already
+        filled must size Table 1 exactly like a fresh study does."""
+        cold = AdoptionStudy(tiny_world).build_dataset_table()
+        warm_study = AdoptionStudy(tiny_world)
+        warm = warm_study.run().dataset_table
+        assert warm == cold
+        resolved = warm_study.enricher.lookups
+        assert warm_study.build_dataset_table() == cold
+        assert warm_study.enricher.lookups == resolved
+
+    def test_sampling_stays_outside_the_fault_plan(self, tiny_world):
+        plan = FaultPlan(
+            seed=11,
+            specs=(
+                FaultSpec("prober.observe", "transient", rate=0.08),
+                FaultSpec("study.detect", "poison", rate=0.4),
+            ),
+        )
+        study = AdoptionStudy(tiny_world, fault_plan=plan)
+        results = study.run()
+        log = results.fault_log.to_dict()
+        # Counts recorded before the sampled rounds shared the enricher.
+        assert log["injected"] == {
+            "prober.observe/transient": 894, "study.detect/poison": 2,
+        }
+        assert log["retries"] == {"prober.observe": 627}
+        assert log["recovered"] == {"prober.observe": 78}
+        assert log["dropped"] == {"prober.observe": 267}
+        assert log["backoff_ticks"] == 909
+        # The table is sized by an un-faulted prober of its own.
+        clean = AdoptionStudy(tiny_world).build_dataset_table()
+        assert results.dataset_table == clean
+        assert study.build_dataset_table() == clean
+        assert study.fault_log.to_dict() == log

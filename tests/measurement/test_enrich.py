@@ -1,9 +1,14 @@
 """Tests for ASN enrichment (daily and segment paths)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.batch.batch import BatchBuilder
 from repro.measurement.enrich import AsnEnricher
 from repro.measurement.prober import FastProber
+from repro.measurement.snapshot import DomainObservation
+from repro.world.world import World
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +64,119 @@ class TestDailyEnrichment:
         names = list(tiny_world.zone_names("com", 0))[:20]
         rows = enricher.enrich_day(prober.observe_day(names, 0))
         assert all(row.asns for row in rows if not row.is_dark())
+
+
+def _probe_row(day, index, apex=(), www=(), apex6=()):
+    return DomainObservation(
+        day=day, domain=f"probe{index}.com", tld="com", ns_names=(),
+        apex_addrs=tuple(apex), www_addrs=tuple(www),
+        apex_addrs6=tuple(apex6),
+    )
+
+
+def _boundary_days(world):
+    """Day 0, the last day, and every change day with its neighbours."""
+    days = {0, world.horizon - 1}
+    for day in world.routing_change_days():
+        days.update((day - 1, day, day + 1))
+    return sorted(day for day in days if 0 <= day < world.horizon)
+
+
+@pytest.fixture(scope="module")
+def moas_world():
+    """A bare routing timeline with a MOAS prefix, a withdrawal that
+    leaves an address unrouted, a re-announcement and an IPv6 flip."""
+    world = World(horizon=100)
+    world.add_routing_event(0, "10.50.0.0/16", frozenset({100}))
+    world.add_routing_event(0, "10.50.1.0/24", frozenset({200, 300}))
+    world.add_routing_event(30, "10.50.1.0/24", frozenset())
+    world.add_routing_event(0, "10.60.0.0/24", frozenset({400}))
+    world.add_routing_event(40, "10.60.0.0/24", frozenset())
+    world.add_routing_event(70, "10.60.0.0/24", frozenset({400, 500}))
+    world.add_routing_event(0, "fd00::/48", frozenset({64496}))
+    world.add_routing_event(55, "fd00::/48", frozenset({64497}))
+    return world
+
+
+def _moas_rows(day):
+    return [
+        _probe_row(day, 0, apex=["10.50.1.9"]),             # MOAS, then /16
+        _probe_row(day, 1, apex=["10.60.0.7"]),             # withdrawn
+        _probe_row(day, 2, apex=["203.0.113.9"]),           # never routed
+        _probe_row(day, 3, apex6=["fd00::53"]),             # IPv6
+        _probe_row(day, 4, apex=["10.50.1.9"], www=["10.60.0.7", "10.50.2.2"],
+                   apex6=["fd00::53"]),                     # union of all
+        _probe_row(day, 5),                                 # no address
+    ]
+
+
+def _tiny_rows(world, day):
+    """Real probed rows (ENOM's diverted prefixes among them) plus
+    synthetic diverted / IPv6 / unrouted addresses."""
+    names = []
+    for party in ("ENOM", "Wix", "Namecheap"):
+        names.extend(world.thirdparties[party].domains[:3])
+    names.extend(list(world.zone_names("com", day))[:10])
+    rows = list(FastProber(world).observe_day(names, day))
+    diverted = world.thirdparties["ENOM"].base_routing[0][0].split("/")[0]
+    rows.append(_probe_row(day, 0, apex=[diverted], apex6=["fd00::1"]))
+    rows.append(_probe_row(day, 1, www=["203.0.113.9"]))
+    return rows
+
+
+class TestBatchMatchesDailyOracle:
+    """``enrich_batch`` reads address timelines; ``enrich_day`` asks the
+    day's snapshot for every address. They must agree value for value."""
+
+    @staticmethod
+    def _assert_agree(world, rows):
+        batched = AsnEnricher(world).enrich_batch(BatchBuilder().build(rows))
+        assert batched.rows() == AsnEnricher(world).enrich_day(rows)
+        return batched
+
+    def test_every_boundary_day_of_tiny_world(self, tiny_world):
+        for day in _boundary_days(tiny_world):
+            self._assert_agree(tiny_world, _tiny_rows(tiny_world, day))
+
+    def test_moas_withdrawal_and_ipv6(self, moas_world):
+        assert _boundary_days(moas_world)[:3] == [0, 1, 29]
+        seen = set()
+        for day in _boundary_days(moas_world):
+            batched = self._assert_agree(moas_world, _moas_rows(day))
+            seen.update(row.asns for row in batched.rows())
+        assert frozenset({200, 300}) in seen      # MOAS: all origins
+        assert frozenset({100}) in seen           # falls back to the /16
+        assert frozenset({400, 500}) in seen      # re-announced
+        assert frozenset({64497}) in seen
+        assert frozenset() in seen
+
+    def test_one_batch_straddling_a_change_day(self, tiny_world, moas_world):
+        change_day = tiny_world.routing_change_days()[3]
+        rows = [
+            row
+            for day in (change_day - 1, change_day, change_day + 1)
+            for row in _tiny_rows(tiny_world, day)
+        ]
+        batched = self._assert_agree(tiny_world, rows)
+        assert len({row.asns for row in batched.rows()}) > 1
+        self._assert_agree(
+            moas_world,
+            [row for day in (29, 30, 39, 40, 69, 70) for row in _moas_rows(day)],
+        )
+
+    def test_second_batch_resolves_nothing_new(self, tiny_world):
+        enricher = AsnEnricher(tiny_world)
+        rows = _tiny_rows(tiny_world, 100)
+        first = enricher.enrich_batch(BatchBuilder().build(rows))
+        resolved = enricher.lookups
+        assert 0 < resolved <= len(first.unique_address_ids())
+        # Same day again, and a later day over the same addresses, in a
+        # batch with pools of its own: every address is already known.
+        again = enricher.enrich_batch(BatchBuilder().build(rows))
+        assert again.rows() == first.rows()
+        later = [replace(row, day=300) for row in rows]
+        enricher.enrich_batch(BatchBuilder().build(later))
+        assert enricher.lookups == resolved
 
 
 class TestAddressTimelines:

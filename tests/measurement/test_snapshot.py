@@ -31,6 +31,25 @@ class TestSldOf:
     def test_invalid_name_returns_none(self):
         assert sld_of("bad..name") is None
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("ns1.memo-probe.com", "memo-probe.com"),
+            ("NS1.Memo-Probe.COM", "memo-probe.com"),
+            ("ns1.memo-probe.com.", "memo-probe.com"),
+            ("x.co.uk", "x.co.uk"),
+            ("co.uk", None),                          # bare public suffix
+            ("a" * 64 + ".memo-probe.com", None),     # over-long label
+            ("m\u00fcnchen.memo-probe.de", None),     # non-ASCII
+            ("", None),
+        ],
+    )
+    def test_memoised_answer_is_the_first_answer(self, text, expected):
+        """sld_of parses a text once; hits — None included — must repeat
+        what the parse said, and bad names must not raise either time."""
+        assert sld_of(text) == expected
+        assert sld_of(text) == expected
+
 
 class TestObservation:
     def test_all_addresses_deduplicates(self):

@@ -95,6 +95,30 @@ class TestRoutingView:
         world.add_routing_event(5, "10.201.0.0/24", frozenset({2}))
         assert world.pfx2as_at(10) is not first
 
+    def test_snapshots_are_shared_within_a_routing_epoch(self, world):
+        hoster = world.hosters[0]
+        prefix = str(hoster.prefixes[0])
+        world.add_routing_event(50, prefix, frozenset({26415}))
+        world.add_routing_event(70, prefix, frozenset())
+        before = world.pfx2as_at(0)
+        assert world.pfx2as_at(49) is before
+        during = world.pfx2as_at(50)
+        assert during is not before
+        assert world.pfx2as_at(69) is during
+        assert world.pfx2as_at(70) is world.pfx2as_at(99)
+        # Each epoch's snapshot is what a world that never cached gives.
+        for day in (0, 49, 50, 69, 70, 99):
+            scratch = World(horizon=100)
+            for event in world.routing_events():
+                scratch.add_routing_event(*event)
+            assert (
+                world.pfx2as_at(day).to_text()
+                == scratch.pfx2as_at(day).to_text()
+            )
+        address = hoster.host_address("d1.com")
+        assert world.pfx2as_at(60).lookup(address) == frozenset({26415})
+        assert world.pfx2as_at(80).lookup(address) == frozenset()
+
     def test_ns_host_address_via_owner(self, world):
         address = world.ns_host_address("ns1.hostco-dns.com")
         assert address is not None
