@@ -27,9 +27,16 @@ from typing import (
 from repro.batch.columns import AddressPool, StringPool
 from repro.measurement.snapshot import DomainObservation
 
+#: A tuple of pool ids (or of sorted ASNs): one multi-valued cell.
+Ids = Tuple[int, ...]
+
 #: Per-partition match-cache key: (ns name ids, cname ids, sorted ASNs).
 #: Pool-relative — never persist it (ids are not stable across pools).
-MatchKey = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
+MatchKey = Tuple[Ids, Ids, Ids]
+
+#: One row's interned columns, the day aside: domain and TLD name ids,
+#: NS and CNAME name ids, the four address id cells, sorted ASNs.
+RowIds = Tuple[int, int, Ids, Ids, Ids, Ids, Ids, Ids, Ids]
 
 
 class ObservationBatch:
@@ -91,21 +98,26 @@ class ObservationBatch:
             batch.append_row(row)
         return batch
 
-    def append_row(self, row: DomainObservation) -> None:
+    def intern_row(self, row: DomainObservation) -> RowIds:
+        """The id columns of *row* against our pools, in
+        :meth:`append_ids` order after ``day`` — intern once, append
+        for as many days as the row stays valid."""
         names = self.names
         addresses = self.addresses
-        self.append_ids(
-            day=row.day,
-            domain=names.intern(row.domain),
-            tld=names.intern(row.tld),
-            ns_names=names.intern_tuple(row.ns_names),
-            www_cnames=names.intern_tuple(row.www_cnames),
-            apex_addrs=addresses.intern_tuple(row.apex_addrs),
-            www_addrs=addresses.intern_tuple(row.www_addrs),
-            apex_addrs6=addresses.intern_tuple(row.apex_addrs6),
-            www_addrs6=addresses.intern_tuple(row.www_addrs6),
-            asns=tuple(sorted(row.asns)),
+        return (
+            names.intern(row.domain),
+            names.intern(row.tld),
+            names.intern_tuple(row.ns_names),
+            names.intern_tuple(row.www_cnames),
+            addresses.intern_tuple(row.apex_addrs),
+            addresses.intern_tuple(row.www_addrs),
+            addresses.intern_tuple(row.apex_addrs6),
+            addresses.intern_tuple(row.www_addrs6),
+            tuple(sorted(row.asns)),
         )
+
+    def append_row(self, row: DomainObservation) -> None:
+        self.append_ids(row.day, *self.intern_row(row))
 
     def append_fields(
         self,

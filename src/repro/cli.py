@@ -742,10 +742,8 @@ def _sketch_engine(args: argparse.Namespace):
         windows=feed.windows(),
         sketches=SketchConfig(),
     )
-    start = min(window[0] for window in feed.windows().values())
     end = world.horizon if args.days is None else min(args.days, world.horizon)
-    for partition in feed.days(start=start, end=end):
-        engine.ingest(partition, on_duplicate="skip")
+    engine.ingest_feed(feed.days(end=end), on_duplicate="skip")
     return engine
 
 
@@ -923,14 +921,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     swapper = SnapshotSwapper(engine)
     swapper.attach()
 
-    start = min(window[0] for window in feed.windows().values())
     end = (
         world.horizon
         if args.days is None
         else min(args.days, world.horizon)
     )
-    for partition in feed.days(start=start, end=end):
-        engine.ingest(partition, on_duplicate="skip")
+    engine.ingest_feed(feed.days(end=end), on_duplicate="skip")
     index = swapper.current_index()
     days = ", ".join(
         f"{name}@{index.scope(name).day}" for name in index.scope_names

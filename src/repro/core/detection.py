@@ -27,8 +27,13 @@ from typing import (
     Tuple,
 )
 
-from repro.batch.batch import MatchKey, ObservationBatch
-from repro.core.references import RefType, SignatureCatalog
+from repro.batch.batch import ObservationBatch
+from repro.core.references import (
+    BatchMatcher,
+    Matches,
+    RefType,
+    SignatureCatalog,
+)
 from repro.measurement.snapshot import DomainObservation, ObservationSegment
 
 REF_COMBOS: Tuple[FrozenSet[RefType], ...] = tuple(
@@ -328,6 +333,7 @@ class SegmentDetector:
 
     def __init__(self, catalog: SignatureCatalog, horizon: int):
         self._catalog = catalog
+        self._matcher = BatchMatcher(catalog)
         self._horizon = horizon
         self._provider_total: Dict[str, _DiffSeries] = {}
         self._provider_ref: Dict[Tuple[str, RefType], _DiffSeries] = {}
@@ -363,23 +369,15 @@ class SegmentDetector:
         The batch must contain each of its domains' *complete* daily
         history (one detector call per domain, like
         :meth:`process_domain`) — partial histories would close use
-        intervals early. Signature matching is deduplicated by the
-        batch's pool-relative match key — the catalog reads only NS
-        names, CNAMEs, and ASNs, so rows sharing those columns share one
-        match — and each domain's day rows run through the same span
-        ingestion as the segment path, making the aggregate
-        value-identical to per-row detection.
+        intervals early. Signature matching is the shared
+        :class:`~repro.core.references.BatchMatcher` — one catalog match
+        per distinct NS/CNAME/ASN signature — and each domain's day rows
+        run through the same span ingestion as the segment path, making
+        the aggregate value-identical to per-row detection.
         """
-        matches_by_key: Dict[MatchKey, Dict[str, FrozenSet[RefType]]] = {}
-        grouped: Dict[int, List[Tuple[int, Dict[str, FrozenSet[RefType]]]]]
-        grouped = {}
+        grouped: Dict[int, List[Tuple[int, Matches]]] = {}
         tld_of: Dict[int, int] = {}
-        for index in range(len(batch)):
-            key = batch.match_key(index)
-            matches = matches_by_key.get(key)
-            if matches is None:
-                matches = self._catalog.match(batch.row(index))
-                matches_by_key[key] = matches
+        for index, matches in enumerate(self._matcher.match_rows(batch)):
             domain_id = batch.domains[index]
             bucket = grouped.get(domain_id)
             if bucket is None:

@@ -46,7 +46,7 @@ from repro.faults.plan import FaultInjector, FaultLog, FaultPlan
 from repro.faults.report import SCOPE_EXPORT_KEYS
 from repro.measurement.enrich import AsnEnricher
 from repro.measurement.prober import FastProber
-from repro.measurement.scheduler import ClusterManager
+from repro.measurement.scheduler import GTLD_SOURCES as GTLDS, ClusterManager
 from repro.measurement.snapshot import (
     MEASUREMENTS_PER_DOMAIN_DAY,
     ObservationSegment,
@@ -55,8 +55,6 @@ from repro.measurement.storage import ColumnStore
 from repro.store.protocols import ObservationStore
 from repro.world.timeline import CCTLD_START_DAY
 from repro.world.world import World
-
-GTLDS = ("com", "net", "org")
 
 
 @dataclass

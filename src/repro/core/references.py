@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.measurement.snapshot import DomainObservation
+
+# After measurement.snapshot: importing repro.batch first re-enters it
+# half-initialised (batch → measurement → scheduler → batch).
+from repro.batch.batch import MatchKey, ObservationBatch
 from repro.world.providers import PAPER_PROVIDER_BLUEPRINTS
 
 
@@ -23,6 +27,10 @@ class RefType(enum.Enum):
     AS = "AS"
     CNAME = "CNAME"
     NS = "NS"
+
+
+#: One observation's references: provider → reference types found.
+Matches = Dict[str, FrozenSet[RefType]]
 
 
 @dataclass(frozen=True)
@@ -108,9 +116,7 @@ class SignatureCatalog:
 
     # -- matching -----------------------------------------------------------------
 
-    def match(
-        self, observation: DomainObservation
-    ) -> Dict[str, FrozenSet[RefType]]:
+    def match(self, observation: DomainObservation) -> Matches:
         """Per-provider references in *observation* (empty dict = no use).
 
         Uses the inverted indexes: an observation touches few ASNs/SLDs, so
@@ -131,3 +137,46 @@ class SignatureCatalog:
     def to_table(self) -> List[Dict[str, str]]:
         """Presentation rows for the Table 2 reproduction."""
         return [signature.to_row() for signature in self]
+
+
+class BatchMatcher:
+    """The batch form of :meth:`SignatureCatalog.match`, for every
+    consumer of a landed partition.
+
+    Matching reads only the NS names, the CNAME expansion and the origin
+    ASNs, and a domain's are piecewise constant over time. So rows are
+    deduplicated by the batch's pool-relative match key (cheap int-tuple
+    hashing), each distinct key falls back to a memo keyed by the
+    *texts* (pool ids are builder-local; the memo lives as long as the
+    matcher), and only a signature never seen before materialises a row
+    view and consults the catalog.
+    """
+
+    def __init__(self, catalog: SignatureCatalog):
+        self.catalog = catalog
+        self._memo: Dict[
+            Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[int, ...]],
+            Matches,
+        ] = {}
+
+    def match_rows(self, batch: ObservationBatch) -> List[Matches]:
+        """The references of every row of *batch*, in row order."""
+        match = self.catalog.match
+        memo = self._memo
+        by_key: Dict[MatchKey, Matches] = {}
+        row_matches: List[Matches] = []
+        for index in range(len(batch)):
+            id_key = batch.match_key(index)
+            matches = by_key.get(id_key)
+            if matches is None:
+                text_key = (
+                    batch.ns_texts(index),
+                    batch.cname_texts(index),
+                    batch.asns[index],
+                )
+                matches = memo.get(text_key)
+                if matches is None:
+                    matches = memo[text_key] = match(batch.row(index))
+                by_key[id_key] = matches
+            row_matches.append(matches)
+        return row_matches

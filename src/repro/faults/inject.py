@@ -22,10 +22,9 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 from repro.dnscore.transport import SimulatedNetwork, Timeout
 from repro.faults.errors import PersistentFault, TransientFault
 from repro.faults.plan import FaultEvent, FaultInjector
-from repro.faults.report import SCOPE_OF_SOURCE
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.measurement.prober import FastProber
-from repro.measurement.scheduler import DayPartition
+from repro.measurement.scheduler import SCOPE_OF_SOURCE, DayPartition
 from repro.measurement.snapshot import ObservationSegment
 from repro.store.manifest import StoreManifest
 from repro.world.world import World
@@ -132,8 +131,10 @@ class FaultyFeed:
         self._inner = inner
         self._injector = injector
 
-    def windows(self) -> Any:
-        return self._inner.windows()
+    def keys(
+        self, start: Optional[int] = None, end: Optional[int] = None
+    ) -> Any:
+        return self._inner.keys(start, end)
 
     def partition(self, source: str, day: int) -> DayPartition:
         partition = self._inner.partition(source, day)

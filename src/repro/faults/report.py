@@ -20,14 +20,8 @@ import hashlib
 import json
 from typing import Dict, Iterable, Mapping, Tuple
 
-#: measurement source → detection scope.
-SCOPE_OF_SOURCE: Dict[str, str] = {
-    "com": "gtld",
-    "net": "gtld",
-    "org": "gtld",
-    "nl": "nl",
-    "alexa": "alexa",
-}
+# Declared beside ALL_SOURCES; re-exported from here.
+from repro.measurement.scheduler import SCOPE_OF_SOURCE as SCOPE_OF_SOURCE
 
 #: scope → top-level ``study_to_dict`` keys derived from that scope's
 #: detection. Keys absent here (zone_sizes, namespace_distribution,

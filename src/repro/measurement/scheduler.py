@@ -21,8 +21,18 @@ from repro.measurement.zonefeed import ZoneFeed
 from repro.world.timeline import CCTLD_START_DAY
 from repro.world.world import World
 
+#: The gTLD zones: together one detection scope (Figures 2–5).
+GTLD_SOURCES = ("com", "net", "org")
+
 #: Landing order of the measured sources within one calendar day.
-ALL_SOURCES = ("com", "net", "org", "nl", "alexa")
+ALL_SOURCES = GTLD_SOURCES + ("nl", "alexa")
+
+#: source → detection scope (which batch detector it corresponds to).
+SCOPE_OF_SOURCE: Dict[str, str] = {
+    **dict.fromkeys(GTLD_SOURCES, "gtld"),
+    "nl": "nl",
+    "alexa": "alexa",
+}
 
 
 def shard(names: Sequence[str], shard_count: int) -> List[List[str]]:
@@ -112,16 +122,29 @@ class DayPartition:
     source: str
     day: int
     zone_size: int
+    #: Lazy row views over the columns, or — from a row-shaped producer
+    #: (fault shims, tests) — a plain list.
     observations: Sequence[DomainObservation]
-    #: The columnar form of ``observations``, when the partition was
-    #: produced batch-first (excluded from equality: two partitions with
-    #: equal rows are equal whether or not one carries columns).
-    batch: Optional[ObservationBatch] = field(
-        default=None, compare=False, repr=False
+    #: Excluded from equality: two partitions with equal rows are equal
+    #: whichever form they were produced in.
+    _batch: Optional[ObservationBatch] = field(
+        default=None, init=False, compare=False, repr=False
     )
 
     def __len__(self) -> int:
         return len(self.observations)
+
+    @property
+    def batch(self) -> ObservationBatch:
+        """The columnar payload — the only form consumers read.
+
+        A row-shaped producer's rows are interned on first read, not at
+        construction, so an unreadable row surfaces inside the reader's
+        containment (``StreamEngine._apply``).
+        """
+        if self._batch is None:
+            self._batch = ObservationBatch.from_rows(self.observations)
+        return self._batch
 
     @classmethod
     def from_batch(
@@ -132,48 +155,30 @@ class DayPartition:
         batch: ObservationBatch,
     ) -> "DayPartition":
         """A partition whose rows are lazy views over *batch*."""
-        return cls(
+        partition = cls(
             source=source,
             day=day,
             zone_size=zone_size,
             observations=BatchRows(batch),
-            batch=batch,
         )
+        partition._batch = batch
+        return partition
 
 
-class PartitionFeed:
-    """Per-``(source, day)`` partitions in landing order.
+class LandingOrder:
+    """Which ``(source, day)`` partitions a world lands, and in what order.
 
-    The OpenINTEL-style platform lands one partition per source per day;
-    this iterator reproduces that cadence over the simulated world:
-    day-major, sources in :data:`ALL_SOURCES` order, each source only
-    within its measurement window. It does not retain what it measured
-    (the engine owns the state); pass *store* to additionally land every
-    partition in a :class:`ColumnStore` — which is all
-    :class:`ClusterManager` does. *enrich* is ``True`` (a new
-    :class:`AsnEnricher`), ``False`` (rows land without ASNs), or an
-    existing enricher whose address timelines the feed then shares.
+    The OpenINTEL-style platform lands one partition per source per day:
+    day-major, sources in the configured order (default
+    :data:`ALL_SOURCES`), each source only within its measurement
+    window. Every feed that derives its partitions from a world is a
+    subclass supplying :meth:`partition`.
     """
 
     def __init__(
-        self,
-        world: World,
-        sources: Optional[Sequence[str]] = None,
-        enrich: Union[bool, AsnEnricher] = True,
-        store: Optional[ColumnStore] = None,
-        shard_count: int = 8,
+        self, world: World, sources: Optional[Sequence[str]] = None
     ):
         self._world = world
-        self._feed = ZoneFeed(world)
-        self._prober = FastProber(world)
-        self._enricher: Optional[AsnEnricher] = (
-            AsnEnricher(world) if enrich is True else (enrich or None)
-        )
-        self._store = store
-        self._shard_count = shard_count
-        #: One pool pair for every batch this feed lands — domains
-        #: repeat daily, so interning compounds across rounds.
-        self._builder = BatchBuilder()
         self.sources = tuple(sources) if sources else ALL_SOURCES
         unknown = set(self.sources) - set(ALL_SOURCES)
         if unknown:
@@ -190,6 +195,63 @@ class PartitionFeed:
 
     def windows(self) -> Dict[str, Tuple[int, int]]:
         return {source: self.window(source) for source in self.sources}
+
+    def keys(
+        self, start: Optional[int] = None, end: Optional[int] = None
+    ) -> Iterator[Tuple[str, int]]:
+        """``(source, day)`` for every day in ``[start, end)``."""
+        windows = self.windows()
+        if start is None:
+            start = min(window[0] for window in windows.values())
+        if end is None:
+            end = max(window[1] for window in windows.values())
+        for day in range(start, end):
+            for source in self.sources:
+                window_start, window_end = windows[source]
+                if window_start <= day < window_end:
+                    yield source, day
+
+    def partition(self, source: str, day: int) -> DayPartition:
+        raise NotImplementedError
+
+    def days(
+        self, start: Optional[int] = None, end: Optional[int] = None
+    ) -> Iterator[DayPartition]:
+        """Partitions for every day in ``[start, end)``, landing order."""
+        for source, day in self.keys(start, end):
+            yield self.partition(source, day)
+
+
+class PartitionFeed(LandingOrder):
+    """Per-``(source, day)`` partitions, measured in landing order.
+
+    It does not retain what it measured (the engine owns the state);
+    pass *store* to additionally land every partition in a
+    :class:`ColumnStore` — which is all :class:`ClusterManager` does.
+    *enrich* is ``True`` (a new :class:`AsnEnricher`), ``False`` (rows
+    land without ASNs), or an existing enricher whose address timelines
+    the feed then shares.
+    """
+
+    def __init__(
+        self,
+        world: World,
+        sources: Optional[Sequence[str]] = None,
+        enrich: Union[bool, AsnEnricher] = True,
+        store: Optional[ColumnStore] = None,
+        shard_count: int = 8,
+    ):
+        super().__init__(world, sources)
+        self._feed = ZoneFeed(world)
+        self._prober = FastProber(world)
+        self._enricher: Optional[AsnEnricher] = (
+            AsnEnricher(world) if enrich is True else (enrich or None)
+        )
+        self._store = store
+        self._shard_count = shard_count
+        #: One pool pair for every batch this feed lands — domains
+        #: repeat daily, so interning compounds across rounds.
+        self._builder = BatchBuilder()
 
     def partition(self, source: str, day: int) -> DayPartition:
         """Measure one ``(source, day)`` partition through the cluster."""
@@ -211,18 +273,3 @@ class PartitionFeed:
             zone_size=len(listing),
             batch=batch,
         )
-
-    def days(
-        self, start: Optional[int] = None, end: Optional[int] = None
-    ) -> Iterator[DayPartition]:
-        """Partitions for every day in ``[start, end)``, landing order."""
-        windows = self.windows()
-        if start is None:
-            start = min(window[0] for window in windows.values())
-        if end is None:
-            end = max(window[1] for window in windows.values())
-        for day in range(start, end):
-            for source in self.sources:
-                window_start, window_end = windows[source]
-                if window_start <= day < window_end:
-                    yield self.partition(source, day)

@@ -1,7 +1,7 @@
 """The streaming sketch plane: per-scope summaries the engine maintains.
 
-One :class:`ScopeSketches` per detection scope, updated row by row as
-partitions apply (both engine ingest paths feed it identically):
+One :class:`ScopeSketches` per detection scope, updated row by row by
+:meth:`SketchPlane.fold_batch` — engine ingest and store rebuild alike:
 
 * ``provider_days`` / ``provider_topk`` — domain-days per provider
   (count-min + space-saving), the top-K-by-adoption stream;
@@ -37,11 +37,13 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    Sequence,
     Set,
     Tuple,
 )
 
-from repro.core.references import SignatureCatalog
+from repro.batch.batch import MatchKey, ObservationBatch
+from repro.core.references import Matches, SignatureCatalog
 from repro.measurement.snapshot import sld_of
 from repro.sketch.cms import CountMinSketch, SketchMergeError
 from repro.sketch.hashing import hash64
@@ -427,6 +429,34 @@ class SketchPlane:
         result = tuple(sorted(keys))
         self._third_party_cache[cache_key] = result
         return result
+
+    def fold_batch(
+        self,
+        scope: str,
+        day: int,
+        batch: ObservationBatch,
+        row_matches: Sequence[Matches],
+    ) -> None:
+        """Fold one landed partition — *batch* and its rows' matches,
+        index-aligned — into *scope*'s sketches."""
+        sketches = self.scopes[scope]
+        names = batch.names
+        # Third-party keys depend only on the NS/CNAME texts, so the
+        # per-batch match key dedups their extraction exactly like it
+        # dedups signature matching.
+        third_by_key: Dict[MatchKey, Tuple[str, ...]] = {}
+        for index, matches in enumerate(row_matches):
+            domain = names.value(batch.domains[index])
+            if matches:
+                sketches.observe(domain, day, matches, ())
+                continue
+            id_key = batch.match_key(index)
+            third = third_by_key.get(id_key)
+            if third is None:
+                third = third_by_key[id_key] = self.third_party_keys(
+                    batch.ns_texts(index), batch.cname_texts(index)
+                )
+            sketches.observe(domain, day, matches, third)
 
     def merge(self, other: "SketchPlane") -> None:
         if self.config != other.config:

@@ -27,12 +27,12 @@ from repro.stream.checkpoint import (
     save_checkpoint,
     state_digest,
 )
+from repro.measurement.scheduler import SCOPE_OF_SOURCE
 from repro.stream.engine import (
     APPLIED,
     DUPLICATE,
     QUARANTINED,
     RECONCILED,
-    SCOPE_OF_SOURCE,
     StreamEngine,
 )
 from repro.stream.feed import SegmentReplayFeed, StoreReplayFeed

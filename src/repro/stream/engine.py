@@ -38,7 +38,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -48,31 +47,27 @@ from typing import (
     Tuple,
 )
 
-from repro.batch.batch import MatchKey, ObservationBatch
+from repro.batch.batch import ObservationBatch
 from repro.core.detection import DetectionResult, UseInterval
 from repro.core.flux import FluxAnalysis, FluxSeries
 from repro.core.growth import GrowthAnalysis, GrowthSeries
 from repro.core.peaks import PeakAnalysis, PeakStats
-from repro.core.references import RefType, SignatureCatalog
-from repro.measurement.scheduler import ALL_SOURCES, DayPartition
-from repro.measurement.snapshot import DomainObservation
+from repro.core.references import BatchMatcher, SignatureCatalog
+
+# The source vocabulary is declared beside ALL_SOURCES; the two names
+# imported ``as`` themselves stay importable from here.
+from repro.measurement.scheduler import (
+    ALL_SOURCES,
+    GTLD_SOURCES as GTLD_SOURCES,
+    SCOPE_OF_SOURCE as SCOPE_OF_SOURCE,
+    DayPartition,
+)
 from repro.sketch.plane import (
     SketchConfig,
     SketchPlane,
     provider_slds_of,
 )
 from repro.stream.state import ScopeState
-
-GTLD_SOURCES = ("com", "net", "org")
-
-#: source → detection scope (which batch detector it corresponds to).
-SCOPE_OF_SOURCE = {
-    "com": "gtld",
-    "net": "gtld",
-    "org": "gtld",
-    "nl": "nl",
-    "alexa": "alexa",
-}
 
 #: ingest() outcomes.
 APPLIED = "applied"
@@ -141,10 +136,10 @@ class StreamEngine:
             source: SourceCursor() for source in self.sources
         }
         #: The optional streaming sketch plane (``repro.sketch``): one
-        #: constant-memory summary set per scope, updated per row on
-        #: both ingest paths and serialized with the engine — byte-
-        #: identity across serial/sharded/resumed runs is what the
-        #: sketch identity suite pins.
+        #: constant-memory summary set per scope, folded per applied
+        #: partition and serialized with the engine — byte-identity
+        #: across serial/sharded/resumed runs is what the sketch
+        #: identity suite pins.
         self._sketches: Optional[SketchPlane] = (
             SketchPlane(
                 sketches,
@@ -154,16 +149,14 @@ class StreamEngine:
             if sketches is not None
             else None
         )
-        #: Signature-match memo. A domain's observation is piecewise
-        #: constant over time and matching only reads the NS names, the
-        #: CNAME expansion and the origin ASNs, so the daily re-match of
-        #: an unchanged domain is a dict hit instead of a DNS-name parse
-        #: (the dominant cost of naive daily ingestion). Derived data —
-        #: never serialised, rebuilt on demand after a resume.
-        self._match_cache: Dict[  # repro: ignore[schema-drift]
-            Tuple[Tuple[str, ...], Tuple[str, ...], FrozenSet[int]],
-            Dict[str, FrozenSet[RefType]],
-        ] = {}
+        #: The signature matcher: the catalog plus its text-keyed memo,
+        #: so the daily re-match of an unchanged domain is a dict hit
+        #: instead of a DNS-name parse (the dominant cost of naive daily
+        #: ingestion). Derived data — never serialised, rebuilt on
+        #: demand after a resume.
+        self._matcher = BatchMatcher(  # repro: ignore[schema-drift]
+            self.catalog
+        )
         #: scope → reason, for scopes under quarantine escalation.
         self._quarantined: Dict[str, str] = {}
         #: Called after every applied/reconciled partition with
@@ -297,119 +290,22 @@ class StreamEngine:
     def _apply(self, partition: DayPartition) -> None:
         """Fold one partition into its scope state.
 
-        Signature matching runs for every row *before* any state
-        mutation, so a partition with unreadable rows raises without
-        half-applying — a clean redelivery later reconciles exactly.
+        Every row is read and matched *before* any state mutation, so a
+        partition with unreadable rows raises without half-applying — a
+        clean redelivery later reconciles exactly.
         """
+        scope_name = SCOPE_OF_SOURCE[partition.source]
+        day = partition.day
         batch = partition.batch
-        if batch is not None:
-            self._apply_batch(partition, batch)
-            return
-        cursor = self._cursors[partition.source]
-        scope = self._scopes[SCOPE_OF_SOURCE[partition.source]]
-        match = self.catalog.match
-        cache = self._match_cache
-        day = partition.day
-        rows: List[Tuple[str, str, Dict[str, FrozenSet[RefType]]]] = []
-        for observation in partition.observations:
-            key = (
-                observation.ns_names,
-                observation.www_cnames,
-                observation.asns,
-            )
-            matches = cache.get(key)
-            if matches is None:
-                matches = cache[key] = match(observation)
-            rows.append((observation.domain, observation.tld, matches))
-        cursor.zone_sizes[day] = partition.zone_size
-        for domain, tld, matches in rows:
+        row_matches = self._matcher.match_rows(batch)
+        domains = batch.names.values(batch.domains)
+        tlds = batch.names.values(batch.tlds)
+        self._cursors[partition.source].zone_sizes[day] = partition.zone_size
+        scope = self._scopes[scope_name]
+        for domain, tld, matches in zip(domains, tlds, row_matches):
             scope.observe(domain, tld, day, matches)
         if self._sketches is not None:
-            plane = self._sketches
-            sketch_scope = plane.scope(
-                SCOPE_OF_SOURCE[partition.source]
-            )
-            for (domain, tld, matches), observation in zip(
-                rows, partition.observations
-            ):
-                third = (
-                    ()
-                    if matches
-                    else plane.third_party_keys(
-                        observation.ns_names, observation.www_cnames
-                    )
-                )
-                sketch_scope.observe(domain, day, matches, third)
-        self.partitions_applied += 1
-
-    def _apply_batch(
-        self, partition: DayPartition, batch: ObservationBatch
-    ) -> None:
-        """The columnar :meth:`_apply`: no per-row boxing on a hit.
-
-        Rows are first deduplicated by the batch's pool-relative match
-        key (cheap int-tuple hashing), then each distinct key falls back
-        to the persistent text-keyed match cache — pool ids are
-        batch-builder-local and never survive a resume, so the
-        persistent memo stays keyed by the text tuples. A row view is
-        materialised only for genuinely new signatures. State mutation
-        order (zone size, then rows in partition order) matches the row
-        path exactly, so either path yields identical engine state.
-        """
-        cursor = self._cursors[partition.source]
-        scope = self._scopes[SCOPE_OF_SOURCE[partition.source]]
-        match = self.catalog.match
-        cache = self._match_cache
-        day = partition.day
-        names = batch.names
-        by_key: Dict[MatchKey, Dict[str, FrozenSet[RefType]]] = {}
-        rows: List[Tuple[str, str, Dict[str, FrozenSet[RefType]]]] = []
-        for index in range(len(batch)):
-            id_key = batch.match_key(index)
-            matches = by_key.get(id_key)
-            if matches is None:
-                text_key = (
-                    batch.ns_texts(index),
-                    batch.cname_texts(index),
-                    batch.asn_set(index),
-                )
-                matches = cache.get(text_key)
-                if matches is None:
-                    matches = match(batch.row(index))
-                    cache[text_key] = matches
-                by_key[id_key] = matches
-            rows.append(
-                (
-                    names.value(batch.domains[index]),
-                    names.value(batch.tlds[index]),
-                    matches,
-                )
-            )
-        cursor.zone_sizes[day] = partition.zone_size
-        for domain, tld, matches in rows:
-            scope.observe(domain, tld, day, matches)
-        if self._sketches is not None:
-            plane = self._sketches
-            sketch_scope = plane.scope(
-                SCOPE_OF_SOURCE[partition.source]
-            )
-            # Third-party keys depend only on the NS/CNAME texts, so
-            # the per-batch match key dedups their extraction exactly
-            # like the signature-match memo above.
-            third_by_key: Dict[MatchKey, Tuple[str, ...]] = {}
-            for index, (domain, tld, matches) in enumerate(rows):
-                if matches:
-                    sketch_scope.observe(domain, day, matches, ())
-                    continue
-                id_key = batch.match_key(index)
-                third = third_by_key.get(id_key)
-                if third is None:
-                    third = plane.third_party_keys(
-                        batch.ns_texts(index),
-                        batch.cname_texts(index),
-                    )
-                    third_by_key[id_key] = third
-                sketch_scope.observe(domain, day, matches, third)
+            self._sketches.fold_batch(scope_name, day, batch, row_matches)
         self.partitions_applied += 1
 
     def _apply_or_quarantine(self, partition: DayPartition) -> bool:
@@ -798,24 +694,14 @@ def _partition_to_dict(partition: DayPartition) -> Dict[str, object]:
 
 
 def _partition_from_dict(payload: Mapping[str, Any]) -> DayPartition:
-    return DayPartition(
+    batch = ObservationBatch()
+    for row in payload["observations"]:
+        # Row dicts carry exactly append_fields's parameters; any other
+        # shape is a TypeError — a corrupt checkpoint to load_checkpoint.
+        batch.append_fields(**row)
+    return DayPartition.from_batch(
         source=payload["source"],
         day=int(payload["day"]),
         zone_size=int(payload["zone_size"]),
-        observations=[
-            # Checkpoint decode is row-shaped by format; cold path.
-            DomainObservation(  # repro: ignore[row-boxing-in-hot-path]
-                day=int(row["day"]),
-                domain=row["domain"],
-                tld=row["tld"],
-                ns_names=tuple(row["ns_names"]),
-                apex_addrs=tuple(row["apex_addrs"]),
-                www_cnames=tuple(row["www_cnames"]),
-                www_addrs=tuple(row["www_addrs"]),
-                apex_addrs6=tuple(row["apex_addrs6"]),
-                www_addrs6=tuple(row["www_addrs6"]),
-                asns=frozenset(row["asns"]),
-            )
-            for row in payload["observations"]
-        ],
+        batch=batch,
     )

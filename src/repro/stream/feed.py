@@ -13,7 +13,9 @@ data that already exists:
 
 Both honour landing order (day-major, source order as configured), so an
 engine fed from a replay ends in exactly the state a live run would have
-produced.
+produced. Every feed states its order as ``keys(start, end)``: the
+segment feed inherits :class:`~repro.measurement.scheduler.LandingOrder`
+from the live path, the store feed sorts the keys the store holds.
 
 :class:`ResilientFeed` wraps any of them (or an injected-fault shim)
 with bounded retry and deterministic backoff: a transiently failing
@@ -36,13 +38,16 @@ from typing import (
     Tuple,
 )
 
-from repro.batch.batch import BatchBuilder
+from repro.batch.batch import BatchBuilder, RowIds
 from repro.faults.plan import FaultLog
 from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.measurement.scheduler import ALL_SOURCES, DayPartition
-from repro.measurement.snapshot import DomainObservation, ObservationSegment
+from repro.measurement.scheduler import (
+    ALL_SOURCES,
+    DayPartition,
+    LandingOrder,
+)
+from repro.measurement.snapshot import ObservationSegment
 from repro.store.protocols import ObservationStore
-from repro.world.timeline import CCTLD_START_DAY
 from repro.world.world import World
 
 
@@ -83,10 +88,10 @@ class StoreReplayFeed:
             batch=batch,
         )
 
-    def days(
+    def keys(
         self, start: Optional[int] = None, end: Optional[int] = None
-    ) -> Iterator[DayPartition]:
-        """Stored partitions in landing order (day-major)."""
+    ) -> Iterator[Tuple[str, int]]:
+        """Stored ``(source, day)`` keys in landing order (day-major)."""
         source_rank = {source: i for i, source in enumerate(ALL_SOURCES)}
         keys = sorted(
             self._store.partitions(),
@@ -97,10 +102,16 @@ class StoreReplayFeed:
                 continue
             if end is not None and day >= end:
                 continue
+            yield source, day
+
+    def days(
+        self, start: Optional[int] = None, end: Optional[int] = None
+    ) -> Iterator[DayPartition]:
+        for source, day in self.keys(start, end):
             yield self.partition(source, day)
 
 
-class SegmentReplayFeed:
+class SegmentReplayFeed(LandingOrder):
     """Expands enriched observation segments back into daily partitions.
 
     *segments* is the batch pipeline's working set — domain → enriched
@@ -108,6 +119,10 @@ class SegmentReplayFeed:
     :meth:`AdoptionStudy.collect_segments`). Replaying it day-by-day
     yields exactly what daily measurement would have observed, because
     segments are the run-length-compressed form of the daily rows.
+
+    Partitions are built segment-natively: a segment's id columns are
+    interned once, into one pool pair shared by every batch of the feed,
+    and appended under each day the segment covers — no row is boxed.
     """
 
     def __init__(
@@ -116,87 +131,58 @@ class SegmentReplayFeed:
         segments: Mapping[str, Sequence[ObservationSegment]],
         sources: Optional[Sequence[str]] = None,
     ):
-        self._world = world
-        self.sources = tuple(sources) if sources else ALL_SOURCES
-        unknown = set(self.sources) - set(ALL_SOURCES)
-        if unknown:
-            raise ValueError(f"unknown sources: {sorted(unknown)}")
-        #: tld source → [(name, sorted segments)].
-        self._by_tld: Dict[str, List[Tuple[str, List[ObservationSegment]]]] = {}
-        for name, domain_segments in segments.items():
-            timeline = world.domains.get(name)
-            if timeline is None or timeline.tld not in self.sources:
-                continue
-            self._by_tld.setdefault(timeline.tld, []).append(
-                (name, sorted(domain_segments, key=lambda s: s.start))
-            )
+        super().__init__(world, sources)
         self._segments = segments
-
-    def window(self, source: str) -> Tuple[int, int]:
-        if source == "alexa":
-            return (CCTLD_START_DAY, self._world.horizon)
-        start, days = self._world.tld_windows.get(
-            source, (0, self._world.horizon)
-        )
-        return (start, start + days)
-
-    def windows(self) -> Dict[str, Tuple[int, int]]:
-        return {source: self.window(source) for source in self.sources}
-
-    @staticmethod
-    def _observation_at(
-        segments: Sequence[ObservationSegment], day: int
-    ) -> Optional[DomainObservation]:
-        for segment in segments:
-            if segment.start <= day < segment.end:
-                return segment.at(day)
-            if segment.start > day:
-                return None
-        return None
+        #: tld source → its domains, in *segments* order.
+        self._names_of: Dict[str, List[str]] = {}
+        for name in segments:
+            timeline = world.domains.get(name)
+            if timeline is not None and timeline.tld in self.sources:
+                self._names_of.setdefault(timeline.tld, []).append(name)
+        self._builder = BatchBuilder()
+        #: domain → the segment that covered the last day asked for and
+        #: its interned columns. Days replay in order, so one slot per
+        #: domain hits on all but a segment's first day.
+        self._current: Dict[str, Tuple[ObservationSegment, RowIds]] = {}
 
     def partition(self, source: str, day: int) -> DayPartition:
-        observations: List[DomainObservation] = []
         if source == "alexa":
-            names = self._world.alexa_list(day)
-            for name in names:
-                observation = self._observation_at(
-                    self._segments.get(name, ()), day
-                )
-                if observation is not None:
-                    observations.append(observation)
+            names: Sequence[str] = self._world.alexa_list(day)
         else:
-            for name, segments in self._by_tld.get(source, ()):
-                observation = self._observation_at(segments, day)
-                if observation is not None:
-                    observations.append(observation)
-        return DayPartition(
-            source=source,
-            day=day,
-            zone_size=len(observations),
-            observations=observations,
+            names = self._names_of.get(source, ())
+        batch = self._builder.new_batch()
+        current = self._current
+        for name in names:
+            slot = current.get(name)
+            if slot is None or not slot[0].start <= day < slot[0].end:
+                segment = self._segment_at(name, day)
+                if segment is None:
+                    continue
+                slot = current[name] = (
+                    segment,
+                    batch.intern_row(segment.observation),
+                )
+            batch.append_ids(day, *slot[1])
+        return DayPartition.from_batch(
+            source=source, day=day, zone_size=len(batch), batch=batch
         )
 
-    def days(
-        self, start: Optional[int] = None, end: Optional[int] = None
-    ) -> Iterator[DayPartition]:
-        windows = self.windows()
-        if start is None:
-            start = min(window[0] for window in windows.values())
-        if end is None:
-            end = max(window[1] for window in windows.values())
-        for day in range(start, end):
-            for source in self.sources:
-                window_start, window_end = windows[source]
-                if window_start <= day < window_end:
-                    yield self.partition(source, day)
+    def _segment_at(
+        self, name: str, day: int
+    ) -> Optional[ObservationSegment]:
+        for segment in self._segments.get(name, ()):
+            if segment.start <= day < segment.end:
+                return segment
+        return None
 
 
 class ResilientFeed:
     """Bounded retry with deterministic backoff around any feed.
 
-    Wraps anything exposing ``windows()`` and ``partition(source, day)``.
-    Each failing read is retried up to ``retry_policy.attempts`` total
-    tries with the policy's logical backoff ticks accounted to *log*.
+    Wraps anything exposing ``keys(start, end)`` and ``partition(source,
+    day)`` — store replay included. Each failing read is retried up to
+    ``retry_policy.attempts`` total tries with the policy's logical
+    backoff ticks accounted to *log*.
     Exhaustion behaviour: ``on_exhausted="raise"`` raises a
     :class:`FeedError` chaining the last error; ``"skip"`` records the
     partition in :attr:`skipped` and drops it — combine with the
@@ -221,9 +207,6 @@ class ResilientFeed:
         self.skipped: List[Tuple[str, int]] = []
 
     site = "feed.partition"
-
-    def windows(self) -> Dict[str, Tuple[int, int]]:
-        return dict(self._inner.windows())
 
     def partition(self, source: str, day: int) -> Optional[DayPartition]:
         """The partition, retried; None when skipped after exhaustion."""
@@ -256,19 +239,8 @@ class ResilientFeed:
     def days(
         self, start: Optional[int] = None, end: Optional[int] = None
     ) -> Iterator[DayPartition]:
-        """Day-major partitions over the windows, skipping exhausted ones."""
-        windows = self.windows()
-        lo = min(window[0] for window in windows.values())
-        hi = max(window[1] for window in windows.values())
-        if start is not None:
-            lo = max(lo, start)
-        if end is not None:
-            hi = min(hi, end)
-        for day in range(lo, hi):
-            for source in windows:
-                window_start, window_end = windows[source]
-                if not window_start <= day < window_end:
-                    continue
-                partition = self.partition(source, day)
-                if partition is not None:
-                    yield partition
+        """The inner feed's partitions, skipping exhausted ones."""
+        for source, day in self._inner.keys(start, end):
+            partition = self.partition(source, day)
+            if partition is not None:
+                yield partition

@@ -11,6 +11,7 @@ from repro.core.references import RefType
 from repro.faults.inject import PoisonedRow
 from repro.measurement.scheduler import DayPartition
 from repro.measurement.snapshot import DomainObservation
+from repro.sketch import SketchConfig
 from repro.stream.checkpoint import state_digest
 from repro.stream.engine import (
     APPLIED,
@@ -29,6 +30,9 @@ class StubCatalog:
         if observation.domain.startswith("prot"):
             return {"StubDPS": frozenset({RefType.NS})}
         return {}
+
+    def __iter__(self):  # no provider-owned SLDs (sketch vocabulary)
+        return iter(())
 
 
 def partition(day):
@@ -57,12 +61,14 @@ def poisoned_partition(day):
     )
 
 
-def engine():
-    return StreamEngine(HORIZON, catalog=StubCatalog(), sources=("com",))
+def engine(sketches=None):
+    return StreamEngine(
+        HORIZON, catalog=StubCatalog(), sources=("com",), sketches=sketches
+    )
 
 
-def clean_engine(days):
-    stream = engine()
+def clean_engine(days, sketches=None):
+    stream = engine(sketches)
     for day in range(days):
         stream.ingest(partition(day))
     return stream
@@ -90,6 +96,47 @@ class TestPoisonEscalation:
         row = PoisonedRow()
         with pytest.raises(ValueError, match="poisoned observation row"):
             row.ns_names
+
+
+class TestApplyIsAllOrNothing:
+    """An unreadable row *after* readable ones leaves no trace."""
+
+    @pytest.mark.parametrize(
+        "sketches", [None, SketchConfig()], ids=["plain", "sketches"]
+    )
+    def test_trailing_unreadable_row_mutates_nothing(self, sketches):
+        stream = clean_engine(2, sketches)
+        before = stream.to_dict()
+        torn = DayPartition(
+            source="com",
+            day=2,
+            zone_size=3,
+            observations=list(partition(2).observations) + [PoisonedRow()],
+        )
+        assert stream.ingest(torn) == POISONED
+        after = stream.to_dict()
+        # Only the containment bookkeeping moved: scope state, zone
+        # sizes, counters and the sketch plane are what they were.
+        assert after["quarantined_scopes"].keys() == {"gtld"}
+        assert after["cursors"]["com"]["holes"] == [2]
+        assert after["cursors"]["com"]["next_day"] == 3
+        after["quarantined_scopes"] = before["quarantined_scopes"]
+        after["cursors"]["com"]["holes"] = before["cursors"]["com"]["holes"]
+        after["cursors"]["com"]["next_day"] = (
+            before["cursors"]["com"]["next_day"]
+        )
+        assert after == before
+
+        stream.release_quarantine("gtld")
+        assert stream.ingest(partition(2)) == RECONCILED
+        assert stream.ingest(partition(3)) == APPLIED
+        healed = stream.to_dict()
+        clean = clean_engine(4, sketches).to_dict()
+        # The redelivery is counted as a late arrival; nothing else —
+        # sketch plane included — remembers the incident.
+        assert healed.pop("late_arrivals") == 1
+        assert clean.pop("late_arrivals") == 0
+        assert healed == clean
 
 
 class TestRelease:

@@ -9,9 +9,10 @@ from repro.faults.plan import FaultLog, FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.measurement.scheduler import DayPartition
 from repro.measurement.snapshot import DomainObservation
+from repro.measurement.storage import ColumnStore
 from repro.stream.checkpoint import state_digest
 from repro.stream.engine import RECONCILED, StreamEngine
-from repro.stream.feed import FeedError, ResilientFeed
+from repro.stream.feed import FeedError, ResilientFeed, StoreReplayFeed
 
 HORIZON = 6
 DOMAINS = ("prot-a.com", "plain-b.com")
@@ -48,16 +49,17 @@ class InMemoryFeed:
     def __init__(self, days=HORIZON):
         self._days = days
 
-    def windows(self):
-        return {"com": (0, self._days)}
+    def keys(self, start=None, end=None):
+        for day in range(start or 0, self._days if end is None else end):
+            yield "com", day
 
     def partition(self, source, day):
         assert source == "com"
         return make_partition(day)
 
     def days(self, start=None, end=None):
-        for day in range(start or 0, self._days if end is None else end):
-            yield self.partition("com", day)
+        for source, day in self.keys(start, end):
+            yield self.partition(source, day)
 
 
 class FlakyFeed(InMemoryFeed):
@@ -148,6 +150,67 @@ class TestResilientRetry:
         )
         assert stream.missing_days("com") == []
         assert stream.next_day("com") == clean.next_day("com")
+
+
+class FlakyStoreFeed(StoreReplayFeed):
+    """A store replay whose reads of *flaky_days* fail *failures* times."""
+
+    def __init__(self, store, flaky_days, failures):
+        super().__init__(store)
+        self._left = {day: failures for day in flaky_days}
+
+    def partition(self, source, day):
+        if self._left.get(day, 0) > 0:
+            self._left[day] -= 1
+            raise OSError(f"transient read error on ({source}, {day})")
+        return super().partition(source, day)
+
+
+class TestResilientStoreReplay:
+    """``ResilientFeed`` wraps the one feed that reads disk: a store has
+    landed keys, not windows."""
+
+    @pytest.fixture
+    def store(self):
+        landed = ColumnStore()
+        for day in range(HORIZON):
+            landed.append("com", day, make_partition(day).observations)
+        return landed
+
+    def test_transient_store_read_recovers(self, store):
+        feed = ResilientFeed(
+            FlakyStoreFeed(store, flaky_days=(2,), failures=1),
+            retry_policy=POLICY,
+        )
+        stream = engine()
+        assert stream.ingest_feed(feed.days()) == HORIZON
+        assert state_digest(stream) == clean_digest()
+        payload = feed.log.to_dict()
+        assert payload["retries"] == {"feed.partition": 1}
+        assert payload["recovered"] == {"feed.partition": 1}
+
+    def test_days_honour_bounds(self, store):
+        feed = ResilientFeed(StoreReplayFeed(store))
+        assert [p.day for p in feed.days(start=1, end=3)] == [1, 2]
+
+    def test_exhausted_store_read_is_skipped_then_reconciled(self, store):
+        feed = ResilientFeed(
+            FlakyStoreFeed(store, flaky_days=(2,), failures=POLICY.attempts),
+            retry_policy=POLICY,
+            on_exhausted="skip",
+        )
+        stream = engine()
+        stream.ingest_feed(feed.days(), skip_gaps=True)
+        assert feed.skipped == [("com", 2)]
+        assert stream.missing_days("com") == [2]
+        # The budget is spent: the redelivery reads cleanly.
+        assert stream.ingest(feed.partition("com", 2)) == RECONCILED
+        clean = engine()
+        clean.ingest_feed(StoreReplayFeed(store).days())
+        assert (
+            stream.scope("gtld").to_dict() == clean.scope("gtld").to_dict()
+        )
+        assert stream.missing_days("com") == []
 
 
 class TestInjectedFeedFaults:
