@@ -25,7 +25,7 @@ from repro.batch.batch import BatchBuilder, ObservationBatch
 from repro.measurement.snapshot import DomainObservation
 from repro.store.errors import StorageError
 from repro.store.manifest import StoreManifest
-from repro.store.segment import build_segment
+from repro.store.segment import build_segment, encode_columns
 from repro.store.stats import PartitionStats
 from repro.store.store import (
     Columns,
@@ -35,7 +35,6 @@ from repro.store.store import (
     extend_batch,
     extend_columns,
     land_segment,
-    observation_columns,
 )
 
 __all__ = [
@@ -59,7 +58,9 @@ class ColumnStore:
         self, source: str, day: int, observations: Sequence[DomainObservation]
     ) -> None:
         """Write a day's observations into the (source, day) partition."""
-        self._extend(source, day, observation_columns(observations))
+        self.append_batch(
+            source, day, ObservationBatch.from_rows(observations)
+        )
 
     def append_batch(
         self, source: str, day: int, batch: ObservationBatch
@@ -169,7 +170,9 @@ class ColumnStore:
                 directory,
                 land_segment(
                     directory, manifest, 0, sequence,
-                    [(source, day, self._partitions[(source, day)])],
+                    [encode_columns(
+                        source, day, self._partitions[(source, day)]
+                    )],
                 ),
             )
             for sequence, (source, day) in enumerate(self.partitions())

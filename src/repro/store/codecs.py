@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.store.errors import StorageError
 
@@ -76,6 +76,10 @@ COLUMN_ORDER: Tuple[str, ...] = (
 
 #: A decoded dictionary entry: str, tuple of str, or tuple of int.
 Entry = Union[str, Tuple[str, ...], Tuple[int, ...]]
+
+#: One column as ``(distinct entries, per-row index into them)`` — the
+#: shape a page decodes to and is encoded from.
+Page = Tuple[Sequence[Any], Sequence[int]]
 
 _U32 = struct.Struct("<I")
 _WIDTH_FORMATS = {1: "B", 2: "H", 4: "I"}
@@ -174,31 +178,20 @@ def _pack_array(out: bytearray, width: int, values: Sequence[int]) -> None:
         )
 
 
-def _build_dictionary(
-    kind: int, cells: Sequence[Any]
-) -> Tuple[List[Entry], List[int]]:
-    """First-seen dictionary entries plus per-row entry indexes."""
-    positions: Dict[Entry, int] = {}
-    entries: List[Entry] = []
-    indexes: List[int] = []
-    if kind == KIND_STR:
-        for cell in cells:
-            found = positions.get(cell)
-            if found is None:
-                found = len(entries)
-                positions[cell] = found
-                entries.append(cell)
-            indexes.append(found)
-    else:
-        for cell in cells:
-            key = tuple(cell)
-            found = positions.get(key)
-            if found is None:
-                found = len(entries)
-                positions[key] = found
-                entries.append(key)
-            indexes.append(found)
-    return entries, indexes
+def first_seen(keys: Iterable[Any]) -> Tuple[List[Any], List[int]]:
+    """The distinct *keys* in first-seen order plus each row's index
+    into them — the one dictionary loop. Keys are whatever is equal
+    exactly when the cells are: the cells themselves, ``tuple(cell)``s,
+    or (inside one pool) the ids a batch interned them to."""
+    positions: Dict[Any, int] = {}
+    indexes = [positions.setdefault(key, len(positions)) for key in keys]
+    return list(positions), indexes
+
+
+def cell_page(kind: int, cells: Iterable[Any]) -> Page:
+    """Plain cell values as a ``(dictionary entries, row indexes)``
+    page — the inverse of :func:`materialise`."""
+    return first_seen(cells if kind == KIND_STR else map(tuple, cells))
 
 
 def _encode_string_block(out: bytearray, texts: Sequence[str]) -> None:
@@ -237,19 +230,10 @@ def _encode_dict_section(out: bytearray, kind: int,
         _encode_string_block(out, entries)  # type: ignore[arg-type]
         return
     if kind == KIND_STR_LIST:
-        strings: Dict[str, int] = {}
-        texts: List[str] = []
-        flattened: List[int] = []
-        counts: List[int] = []
-        for entry in entries:
-            counts.append(len(entry))
-            for text in entry:
-                found = strings.get(text)  # type: ignore[call-overload]
-                if found is None:
-                    found = len(texts)
-                    strings[text] = found  # type: ignore[index]
-                    texts.append(text)  # type: ignore[arg-type]
-                flattened.append(found)
+        counts = [len(entry) for entry in entries]
+        texts, flattened = first_seen(
+            text for entry in entries for text in entry
+        )
         out.extend(_U32.pack(len(texts)))
         _encode_string_block(out, texts)
         sid_width = _index_width(len(texts))
@@ -367,15 +351,18 @@ def _decode_indexes(
     raise StorageError(f"unknown index codec {codec}")
 
 
-def encode_column(kind: int, cells: Sequence[Any]) -> Tuple[int, bytes]:
-    """Encode one column's cells into ``(codec id, page bytes)``.
+def encode_page(
+    kind: int, entries: Sequence[Entry], indexes: Sequence[int]
+) -> Tuple[int, bytes]:
+    """Encode one page into ``(codec id, page bytes)``.
 
-    The codec id combines the index codec with :data:`FLAG_ZLIB` when
-    deflating the body pays for itself.
+    *entries* must be distinct and in first-seen order of *indexes*
+    (what :func:`first_seen` yields), so the bytes are a canonical
+    function of the cells. The codec id combines the index codec with
+    :data:`FLAG_ZLIB` when deflating the body pays for itself.
     """
-    entries, indexes = _build_dictionary(kind, cells)
     body = bytearray()
-    body.extend(_U32.pack(len(cells)))
+    body.extend(_U32.pack(len(indexes)))
     body.extend(_U32.pack(len(entries)))
     width = _index_width(len(entries))
     body.append(width)
@@ -386,6 +373,11 @@ def encode_column(kind: int, cells: Sequence[Any]) -> Tuple[int, bytes]:
     if len(deflated) < len(page):
         return codec | FLAG_ZLIB, deflated
     return codec, page
+
+
+def encode_column(kind: int, cells: Sequence[Any]) -> Tuple[int, bytes]:
+    """Encode one column's cells into ``(codec id, page bytes)``."""
+    return encode_page(kind, *cell_page(kind, cells))
 
 
 def decode_page(

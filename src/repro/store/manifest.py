@@ -194,12 +194,18 @@ class StoreManifest:
         )
 
     def save(self, directory: str) -> str:
-        """Atomically write ``manifest.json``; returns its path."""
+        """Atomically and durably write ``manifest.json``; returns its
+        path. This is the store's commit point, so the temporary file
+        is synced before the rename publishes it — the segments it
+        names were synced before it, the ones it drops are unlinked
+        only after it."""
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, MANIFEST_NAME)
         temporary = path + ".tmp"
         with open(temporary, "w") as handle:
             json.dump(self.to_dict(), handle, indent=1)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temporary, path)
         return path
 

@@ -25,9 +25,14 @@ open) plus the footer checks are the only eagerly-read bytes, and
 partition pruning at the manifest level means cold segments are never
 opened at all.
 
-Writing goes through a temporary sibling file and ``os.replace`` so a
-crash never leaves a half-written segment behind; any malformed byte
-on the read side raises :class:`~repro.store.errors.StorageError`.
+Writing is two jobs: *encode* (:func:`encode_partition` — a column's
+dictionary page into ``(kind, codec, page bytes)``) and *layout*
+(:func:`layout_segment` — encoded pages into the bytes above), so a
+page that is already encoded (:meth:`SegmentReader.stored_page`) is
+laid out again without being rebuilt. The bytes go through a synced
+temporary sibling file and ``os.replace`` so a crash never leaves a
+half-written segment behind; any malformed byte on the read side
+raises :class:`~repro.store.errors.StorageError`.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.store import codecs
-from repro.store.codecs import COLUMN_KINDS, Entry, _Cursor
+from repro.store.codecs import COLUMN_KINDS, Entry, Page, _Cursor
 from repro.store.errors import StorageError
 
 MAGIC = b"RSG2"
@@ -56,6 +61,13 @@ _U32 = struct.Struct("<I")
 
 #: One partition's input shape for :func:`build_segment`.
 PartitionColumns = Mapping[str, Sequence[Any]]
+
+#: One encoded column page: ``(cell kind, codec id, page bytes)``.
+EncodedPage = Tuple[int, int, bytes]
+
+#: One partition between *encode* and *layout*: ``(source, day, rows,
+#: encoded page per column)``.
+EncodedPartition = Tuple[str, int, int, Mapping[str, EncodedPage]]
 
 
 @dataclass(frozen=True)
@@ -92,10 +104,40 @@ def _column_kind(name: str) -> int:
     return kind
 
 
-def build_segment(
-    partitions: Sequence[Tuple[str, int, PartitionColumns]],
-) -> bytes:
-    """Serialise partitions (in the given order) into segment bytes.
+def encode_partition(
+    source: str, day: int, pages: Mapping[str, Page]
+) -> EncodedPartition:
+    """The *encode* half of writing: one partition's columns, each as a
+    ``(dictionary entries, row indexes)`` page, into encoded pages."""
+    names = sorted(pages)
+    rows = len(pages[names[0]][1]) if names else 0
+    encoded: Dict[str, EncodedPage] = {}
+    for name in names:
+        entries, indexes = pages[name]
+        if len(indexes) != rows:
+            raise StorageError(
+                f"ragged partition {source}/{day}: column {name!r} "
+                f"has {len(indexes)} rows, expected {rows}"
+            )
+        kind = _column_kind(name)
+        encoded[name] = (kind, *codecs.encode_page(kind, entries, indexes))
+    return source, day, rows, encoded
+
+
+def encode_columns(
+    source: str, day: int, columns: PartitionColumns
+) -> EncodedPartition:
+    """:func:`encode_partition` over plain cell lists."""
+    return encode_partition(source, day, {
+        name: codecs.cell_page(_column_kind(name), columns[name])
+        for name in sorted(columns)
+    })
+
+
+def layout_segment(partitions: Sequence[EncodedPartition]) -> bytes:
+    """The *layout* half of writing: encoded pages (in the given
+    partition order) into segment bytes — directory, absolute offsets,
+    page CRCs, footer.
 
     Column pages are laid out partition-major in sorted column-name
     order; the output is a deterministic function of the input, so two
@@ -103,26 +145,16 @@ def build_segment(
     """
     directory = bytearray()
     pages: List[bytes] = []
-    page_plan: List[Tuple[bytearray, int]] = []
-    pages_size = 0
-    for source, day, columns in partitions:
+    slots: List[int] = []
+    for source, day, rows, columns in partitions:
         source_bytes = source.encode("utf-8")
-        names = sorted(columns)
         directory.extend(_U16.pack(len(source_bytes)))
         directory.extend(source_bytes)
         directory.extend(_U32.pack(day))
-        rows = len(columns[names[0]]) if names else 0
         directory.extend(_U32.pack(rows))
-        directory.extend(_U16.pack(len(names)))
-        for name in names:
-            cells = columns[name]
-            if len(cells) != rows:
-                raise StorageError(
-                    f"ragged partition {source}/{day}: column {name!r} "
-                    f"has {len(cells)} rows, expected {rows}"
-                )
-            kind = _column_kind(name)
-            codec, page = codecs.encode_column(kind, cells)
+        directory.extend(_U16.pack(len(columns)))
+        for name in sorted(columns):
+            kind, codec, page = columns[name]
             name_bytes = name.encode("utf-8")
             directory.extend(_U16.pack(len(name_bytes)))
             directory.extend(name_bytes)
@@ -130,33 +162,37 @@ def build_segment(
             directory.append(codec)
             # Offsets are absolute; patched below once the directory
             # length (and so the pages' base offset) is known.
-            page_plan.append((directory, len(directory)))
+            slots.append(len(directory))
             directory.extend(struct.pack("<QQ", 0, len(page)))
             directory.extend(_U32.pack(zlib.crc32(page)))
             pages.append(page)
-            pages_size += len(page)
-    base = _HEADER.size + len(directory)
-    offset = base
-    for (target, position), page in zip(page_plan, pages):
-        struct.pack_into("<Q", target, position, offset)
+    offset = _HEADER.size + len(directory)
+    for slot, page in zip(slots, pages):
+        struct.pack_into("<Q", directory, slot, offset)
         offset += len(page)
     header = _HEADER.pack(
         MAGIC, VERSION, 0, len(partitions), len(directory)
     )
-    total = _HEADER.size + len(directory) + pages_size + _FOOTER.size
-    footer = _FOOTER.pack(zlib.crc32(bytes(directory)), total, FOOTER_MAGIC)
-    return b"".join([header, bytes(directory), *pages, footer])
+    footer = _FOOTER.pack(
+        zlib.crc32(directory), offset + _FOOTER.size, FOOTER_MAGIC
+    )
+    return b"".join([header, directory, *pages, footer])
 
 
-def write_segment(
-    path: str, partitions: Sequence[Tuple[str, int, PartitionColumns]]
-) -> int:
-    """Build and atomically write a segment file; returns its size.
+def build_segment(
+    partitions: Sequence[Tuple[str, int, PartitionColumns]],
+) -> bytes:
+    """Serialise cell-list partitions (in the given order) into segment
+    bytes: :func:`encode_columns` each, then :func:`layout_segment`."""
+    return layout_segment(
+        [encode_columns(*partition) for partition in partitions]
+    )
 
-    The bytes go to a temporary sibling first and are renamed into
-    place, so readers never observe a torn segment.
-    """
-    data = build_segment(partitions)
+
+def publish_segment(path: str, data: bytes) -> int:
+    """Atomically write segment bytes; returns their size. They go to
+    a temporary sibling first, are synced, and are renamed into place,
+    so readers never observe a torn segment."""
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -167,6 +203,13 @@ def write_segment(
         os.fsync(handle.fileno())
     os.replace(temporary, path)
     return len(data)
+
+
+def write_segment(
+    path: str, partitions: Sequence[Tuple[str, int, PartitionColumns]]
+) -> int:
+    """Build and atomically write a segment file; returns its size."""
+    return publish_segment(path, build_segment(partitions))
 
 
 def _parse_directory(
@@ -286,6 +329,13 @@ class SegmentReader:
 
     # -- page access --------------------------------------------------------
 
+    def _view(self, ref: ColumnRef) -> memoryview:
+        """One column's stored bytes, still in the mapping: the caller
+        releases the view before returning (see :meth:`_page`)."""
+        if self._buffer is None:
+            raise StorageError(f"segment {self.path} is closed")
+        return self._buffer[ref.offset:ref.offset + ref.length]
+
     def _page(self, ref: ColumnRef) -> bytes:
         """One column's page body, CRC-checked and inflated if needed.
 
@@ -294,10 +344,7 @@ class SegmentReader:
         and the view is released before returning (even on error), so
         no exported pointer can outlive the reader and pin the map.
         """
-        buffer = self._buffer
-        if buffer is None:
-            raise StorageError(f"segment {self.path} is closed")
-        view = buffer[ref.offset:ref.offset + ref.length]
+        view = self._view(ref)
         try:
             if zlib.crc32(view) != ref.crc:
                 raise StorageError(
@@ -336,6 +383,22 @@ class SegmentReader:
                 f"{len(indexes)} != {partition.rows}"
             )
         return entries, indexes
+
+    def stored_page(
+        self, partition: PartitionRef, name: str
+    ) -> EncodedPage:
+        """One column's page exactly as stored, for compaction to move
+        instead of re-encode — handed out only after everything a read
+        verifies (:meth:`column_page`: CRC, inflate, structural decode,
+        index range, row count) and a check of its recorded kind."""
+        self.column_page(partition, name)
+        ref = partition.columns[name]
+        if ref.kind != _column_kind(name):
+            raise StorageError(
+                f"column {name!r} has cell kind {ref.kind} in {self.path}"
+            )
+        with self._view(ref) as view:
+            return ref.kind, ref.codec, bytes(view)
 
     def column_cells(self, partition: PartitionRef, name: str) -> List[Any]:
         """One column materialised back to plain cell values."""

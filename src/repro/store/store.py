@@ -7,6 +7,13 @@ merges a generation's segments into one multi-day run of the next
 generation, so read amplification stays bounded as history grows while
 the manifest's per-segment day ranges keep partition pruning exact.
 
+A column page is encoded once in its life. Every writer is a producer
+of encoded pages in front of one layout function: an append builds its
+pages from the batch's interned ids (:func:`batch_pages`), column lists
+go through :func:`~repro.store.segment.encode_columns`, and compaction
+verifies a stored page and moves its bytes, re-encoding only a
+``(source, day)`` it has to join from several fragments.
+
 Reads are lazy and zero-copy: opening the store parses only the
 manifest; opening a segment maps it and parses only its directory; and
 :meth:`SegmentStore.batch` interns each *distinct* dictionary entry
@@ -20,6 +27,7 @@ from __future__ import annotations
 import os
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -33,15 +41,20 @@ from typing import (
 
 from repro.batch.batch import BatchBuilder, ObservationBatch
 from repro.measurement.snapshot import DomainObservation
-from repro.store.codecs import COLUMN_ORDER
+from repro.store import codecs
+from repro.store.codecs import COLUMN_KINDS, COLUMN_ORDER, Page
 from repro.store.errors import StorageError
 from repro.store.manifest import SegmentMeta, StoreManifest
 from repro.store.slices import ManifestSlice
 from repro.store.segment import (
     SEGMENT_SUFFIX,
+    EncodedPartition,
     PartitionRef,
     SegmentReader,
-    write_segment,
+    encode_columns,
+    encode_partition,
+    layout_segment,
+    publish_segment,
 )
 from repro.store.stats import PartitionStats
 
@@ -51,56 +64,46 @@ SEGMENTS_DIR = "segments"
 #: Columns as stored: plain Python cell lists, one list per column.
 Columns = Dict[str, List[Any]]
 
-#: One column as ``(distinct entries, per-row index into them)`` — the
-#: shape a segment page decodes to.
-Page = Tuple[Sequence[Any], Sequence[int]]
 
+def batch_pages(batch: ObservationBatch) -> Dict[str, Page]:
+    """Shred a columnar batch into one dictionary page per column,
+    straight from its id columns: inside one pool equal ids are equal
+    values, so first-seen order over ids *is* first-seen order over
+    cells, and only the distinct ids the batch references are resolved
+    to text — never the pool, which a feed shares across days."""
 
-def batch_columns(batch: ObservationBatch) -> Columns:
-    """Shred a columnar batch into storage column lists: each distinct
-    pool id is resolved to its text once, rows map through plain list
-    lookups, and no row is boxed."""
+    def page(ids: Sequence[Any], resolve: Callable[[Any], Any]) -> Page:
+        distinct, indexes = codecs.first_seen(ids)
+        return [resolve(key) for key in distinct], indexes
+
     names = batch.names
     addresses = batch.addresses
-    name_texts = [names.value(i) for i in range(len(names))]
-    address_texts = [addresses.text(i) for i in range(len(addresses))]
     return {
-        "domain": [name_texts[i] for i in batch.domains],
-        "tld": [name_texts[i] for i in batch.tlds],
-        "ns_names": [
-            [name_texts[i] for i in ids] for ids in batch.ns_names
-        ],
-        "apex_addrs": [
-            [address_texts[i] for i in ids] for ids in batch.apex_addrs
-        ],
-        "www_cnames": [
-            [name_texts[i] for i in ids] for ids in batch.www_cnames
-        ],
-        "www_addrs": [
-            [address_texts[i] for i in ids] for ids in batch.www_addrs
-        ],
-        "apex_addrs6": [
-            [address_texts[i] for i in ids] for ids in batch.apex_addrs6
-        ],
-        "www_addrs6": [
-            [address_texts[i] for i in ids] for ids in batch.www_addrs6
-        ],
-        "asns": [list(asns) for asns in batch.asns],
+        "domain": page(batch.domains, names.value),
+        "tld": page(batch.tlds, names.value),
+        "ns_names": page(batch.ns_names, names.values),
+        "apex_addrs": page(batch.apex_addrs, addresses.texts),
+        "www_cnames": page(batch.www_cnames, names.values),
+        "www_addrs": page(batch.www_addrs, addresses.texts),
+        "apex_addrs6": page(batch.apex_addrs6, addresses.texts),
+        "www_addrs6": page(batch.www_addrs6, addresses.texts),
+        "asns": codecs.cell_page(COLUMN_KINDS["asns"], batch.asns),
     }
 
 
-def observation_columns(
-    observations: Sequence[DomainObservation],
-) -> Columns:
-    """Shred row-shaped observations into storage column lists — by
-    way of a batch, so there is one shredder."""
-    return batch_columns(ObservationBatch.from_rows(observations))
+def batch_columns(batch: ObservationBatch) -> Columns:
+    """A batch as storage column lists: its :func:`batch_pages`,
+    materialised (no row is boxed)."""
+    return {
+        name: codecs.materialise(COLUMN_KINDS[name], *page)
+        for name, page in batch_pages(batch).items()
+    }
 
 
 def column_rows(day: int, columns: Columns) -> Iterator[DomainObservation]:
     """Box stored column lists back into row-shaped observations — the
-    inverse of :func:`observation_columns`, and the row-shaped
-    compatibility path (bulk consumers read batches instead)."""
+    row-shaped compatibility path (bulk consumers read batches
+    instead)."""
     for index in range(len(columns["domain"])):
         yield DomainObservation(  # repro: ignore[row-boxing-in-hot-path]
             day=day,
@@ -120,6 +123,11 @@ def extend_columns(columns: Columns, more: Columns) -> None:
     """Append the rows of *more* to *columns*, column by column."""
     for name in COLUMN_ORDER:
         columns[name].extend(more[name])
+
+
+def _fragment_columns(reader: SegmentReader, ref: PartitionRef) -> Columns:
+    """One stored fragment's canonical columns, materialised."""
+    return {name: reader.column_cells(ref, name) for name in COLUMN_ORDER}
 
 
 def extend_batch(
@@ -165,24 +173,25 @@ def land_segment(
     manifest: StoreManifest,
     generation: int,
     sequence: int,
-    partitions: Sequence[Tuple[str, int, Columns]],
+    partitions: Sequence[EncodedPartition],
 ) -> str:
-    """Write *partitions* as segment ``g<generation>-<sequence>`` under
-    *directory* and enter it in *manifest*; saving the manifest — the
-    caller's step — is what publishes it. Returns the segment's path
-    relative to *directory*."""
+    """Lay out encoded *partitions* as segment ``g<generation>-
+    <sequence>`` under *directory* and enter it in *manifest*; saving
+    the manifest — the caller's step — is what publishes it. Returns
+    the segment's path relative to *directory*."""
     relative = os.path.join(
         SEGMENTS_DIR, f"g{generation}-{sequence:06d}{SEGMENT_SUFFIX}"
     )
-    size = write_segment(os.path.join(directory, relative), partitions)
+    size = publish_segment(
+        os.path.join(directory, relative), layout_segment(partitions)
+    )
     manifest.segments.append(
         SegmentMeta.describe(
             file=relative,
             generation=generation,
             size=size,
             partitions=[
-                (source, day, len(columns["domain"]))
-                for source, day, columns in partitions
+                (source, day, rows) for source, day, rows, _ in partitions
             ],
         )
     )
@@ -234,8 +243,8 @@ class SegmentStore:
         self, source: str, day: int, observations: Sequence[DomainObservation]
     ) -> None:
         """Write a day's observations as a fresh generation-0 segment."""
-        self._write_segment(
-            [(source, day, observation_columns(observations))], generation=0
+        self.append_batch(
+            source, day, ObservationBatch.from_rows(observations)
         )
 
     def append_batch(
@@ -243,7 +252,8 @@ class SegmentStore:
     ) -> None:
         """Write a batch as a fresh generation-0 segment."""
         self._write_segment(
-            [(source, day, batch_columns(batch))], generation=0
+            [encode_partition(source, day, batch_pages(batch))],
+            generation=0,
         )
 
     def append_columns(
@@ -256,7 +266,9 @@ class SegmentStore:
             raise StorageError(
                 f"partition {source}/{day} is missing columns {missing}"
             )
-        self._write_segment([(source, day, columns)], generation=0)
+        self._write_segment(
+            [encode_columns(source, day, columns)], generation=0
+        )
 
     def append_partitions(
         self,
@@ -269,16 +281,19 @@ class SegmentStore:
         fsync and one manifest rewrite per call, which is quadratic in
         partition count over a whole-history load; this pays both
         once."""
-        shredded = [
-            (source, day, observation_columns(observations))
+        encoded = [
+            encode_partition(
+                source, day,
+                batch_pages(ObservationBatch.from_rows(observations)),
+            )
             for source, day, observations in partitions
         ]
-        if shredded:
-            self._write_segment(shredded, generation=0)
+        if encoded:
+            self._write_segment(encoded, generation=0)
 
     def _write_segment(
         self,
-        partitions: Sequence[Tuple[str, int, Columns]],
+        partitions: Sequence[EncodedPartition],
         generation: int,
         replacing: Optional[Set[str]] = None,
     ) -> str:
@@ -378,10 +393,7 @@ class SegmentStore:
         self, reader: SegmentReader, ref: PartitionRef, source: str, day: int
     ) -> Optional[Columns]:
         try:
-            return {
-                name: reader.column_cells(ref, name)
-                for name in COLUMN_ORDER
-            }
+            return _fragment_columns(reader, ref)
         except StorageError as exc:
             if self.on_error == "raise":
                 raise
@@ -530,8 +542,15 @@ class SegmentStore:
     def _merge(
         self, group: Sequence[SegmentMeta], generation: int
     ) -> str:
-        """Merge *group* into one segment of *generation*."""
-        gathered: Dict[Tuple[str, int], Columns] = {}
+        """Merge *group* into one segment of *generation*: a
+        ``(source, day)`` with one fragment in the group has its stored
+        pages verified and moved (encoding is canonical, so re-encoding
+        would write the same bytes); one with several is decoded,
+        joined in group order and encoded afresh. Every input page is
+        verified either way, before anything is written."""
+        fragments: Dict[
+            Tuple[str, int], List[Tuple[SegmentReader, PartitionRef]]
+        ] = {}
         for meta in group:
             reader = self._readers.get(meta.file)
             if reader is None:
@@ -540,21 +559,24 @@ class SegmentStore:
                 )
                 self._readers[meta.file] = reader
             for ref in reader.partitions:
-                columns = {
-                    name: reader.column_cells(ref, name)
+                fragments.setdefault((ref.source, ref.day), []).append(
+                    (reader, ref)
+                )
+        ordered: List[EncodedPartition] = []
+        for source, day in sorted(
+            fragments, key=lambda key: (key[1], key[0])
+        ):
+            (reader, ref), *more = fragments[(source, day)]
+            if more:
+                columns = _fragment_columns(reader, ref)
+                for reader, ref in more:
+                    extend_columns(columns, _fragment_columns(reader, ref))
+                ordered.append(encode_columns(source, day, columns))
+            else:
+                ordered.append((source, day, ref.rows, {
+                    name: reader.stored_page(ref, name)
                     for name in COLUMN_ORDER
-                }
-                existing = gathered.get((ref.source, ref.day))
-                if existing is None:
-                    gathered[(ref.source, ref.day)] = columns
-                else:
-                    extend_columns(existing, columns)
-        ordered = [
-            (source, day, gathered[(source, day)])
-            for source, day in sorted(
-                gathered, key=lambda key: (key[1], key[0])
-            )
-        ]
+                }))
         removed = {meta.file for meta in group}
         relative = self._write_segment(
             ordered, generation=generation, replacing=removed
@@ -640,9 +662,9 @@ __all__ = [
     "Columns",
     "SegmentStore",
     "batch_columns",
+    "batch_pages",
     "column_rows",
     "extend_batch",
     "extend_columns",
     "land_segment",
-    "observation_columns",
 ]

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.batch.batch import BatchBuilder
 from repro.faults.inject import corrupt_blob, corrupt_store_files
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.measurement.snapshot import DomainObservation
@@ -216,14 +217,60 @@ SAVED_SHA256 = {
 }
 
 
+def file_digests(root, paths):
+    """sha256 per file, keyed by its ``/``-separated path under *root*."""
+    digests = {}
+    for path in paths:
+        with open(path, "rb") as handle:
+            digests[
+                os.path.relpath(path, root).replace(os.sep, "/")
+            ] = hashlib.sha256(handle.read()).hexdigest()
+    return digests
+
+
 def test_saved_bytes_are_pinned(tmp_path):
     """``ColumnStore.save`` writes the same file names and bytes it did
     before its bodies became calls into ``repro.store``."""
     written = populated_store().save(str(tmp_path))
-    digests = {}
-    for path in written:
-        with open(path, "rb") as handle:
-            digests[
-                os.path.relpath(path, tmp_path).replace(os.sep, "/")
-            ] = hashlib.sha256(handle.read()).hexdigest()
-    assert digests == SAVED_SHA256
+    assert file_digests(tmp_path, written) == SAVED_SHA256
+
+
+#: sha256 of every file of :func:`compacted_store`, taken at the last
+#: commit whose compaction decoded and re-encoded every page it merged.
+COMPACTED_SHA256 = {
+    "manifest.json":
+        "8ca393829a569e17a7aba11e85c8969e70dee4bb0fc3ccf3c4248e3c53b1f1e0",
+    "segments/g1-000017.rseg":
+        "e39f57da92cf6e9cf0effbaa802e38ad2fd511faf46846f12d329e964a880b78",
+}
+
+
+def compacted_store(directory):
+    """Eight days of com + nl landed through ``append_batch`` from one
+    shared builder, a late second fragment for com day 5 (the one
+    partition compaction has to join), then ``compact(fanout=4)``."""
+    builder = BatchBuilder()
+    with SegmentStore(directory, create=True) as store:
+        for day in range(8):
+            store.append_batch("com", day, builder.build(
+                [observation(f"a{i}.com", day) for i in range(4)]
+            ))
+            store.append_batch("nl", day, builder.build(
+                [observation(f"b{i}.nl", day, tld="nl") for i in range(2)]
+            ))
+        store.append_batch("com", 5, builder.build(
+            [observation(f"late{i}.com", 5) for i in range(3)]
+        ))
+        store.compact(fanout=4)
+
+
+def test_compacted_bytes_are_pinned(tmp_path):
+    """Moving verified pages through compaction writes the same file
+    names and bytes as re-encoding them did."""
+    compacted_store(str(tmp_path))
+    written = [
+        os.path.join(root, name)
+        for root, _dirs, files in os.walk(tmp_path)
+        for name in files
+    ]
+    assert file_digests(tmp_path, written) == COMPACTED_SHA256
