@@ -12,15 +12,16 @@ state. This package checks those invariants statically, via
 Two layers:
 
 * **local rules** (:mod:`repro.analysis.rules`) — single-file AST
-  checks, run by :class:`Analyzer`;
+  checks;
 * **project rules** (:mod:`repro.analysis.interproc`) — cross-function
   checks over a project-wide call graph
   (:mod:`repro.analysis.callgraph`) and dataflow/taint framework
-  (:mod:`repro.analysis.dataflow`), run by
-  :class:`~repro.analysis.project.ProjectAnalyzer` with incremental
-  caching (:mod:`repro.analysis.cache`), SARIF output
-  (:mod:`repro.analysis.sarif`), and a ratcheting suppression baseline
-  (:mod:`repro.analysis.baseline`).
+  (:mod:`repro.analysis.dataflow`).
+
+Both run in the one pass of
+:class:`~repro.analysis.project.ProjectAnalyzer`, with SARIF output
+(:mod:`repro.analysis.sarif`) and a ratcheting suppression baseline
+(:mod:`repro.analysis.baseline`).
 """
 
 from repro.analysis.baseline import (
@@ -29,7 +30,6 @@ from repro.analysis.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.findings import (
     Finding,
     is_suppressed,
@@ -40,31 +40,19 @@ from repro.analysis.interproc import (
     project_rule_ids,
     project_rules,
 )
-from repro.analysis.project import (
-    ProjectAnalyzer,
-    ProjectResult,
-    all_rule_descriptions,
-)
+from repro.analysis.project import ProjectAnalyzer, all_rule_descriptions
 from repro.analysis.report import render_json, render_text
 from repro.analysis.rules import Rule, default_rules, rule_ids
-from repro.analysis.runner import (
-    PARSE_ERROR,
-    AnalysisResult,
-    Analyzer,
-    logical_module,
-)
+from repro.analysis.runner import PARSE_ERROR, AnalysisResult, logical_module
 from repro.analysis.sarif import render_sarif
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisResult",
-    "Analyzer",
     "Baseline",
     "BaselineError",
     "Finding",
     "PARSE_ERROR",
     "ProjectAnalyzer",
-    "ProjectResult",
     "ProjectRule",
     "Rule",
     "all_rule_descriptions",

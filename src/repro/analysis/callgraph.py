@@ -19,10 +19,6 @@ Resolution is deliberately syntactic and conservative:
 * everything else degrades to an *external* dotted symbol
   (``json.dumps``) or an *unknown* method key (``.append``), which the
   dataflow layer treats as opaque pass-through.
-
-Every structure here is plain picklable data so module summaries can be
-cached on disk (``repro/analysis/cache.py``) and shipped across the
-multiprocess analysis pool.
 """
 
 from __future__ import annotations
@@ -701,61 +697,6 @@ class CallGraph:
             if found is not None:
                 return Target("project", found.qualname)
         return Target("external", dotted)
-
-    # -- reachability ------------------------------------------------------
-
-    def transitive_callers(self, roots: Set[str]) -> Set[str]:
-        """*roots* plus every function that can reach one of them."""
-        seen = set(roots)
-        queue = list(roots)
-        while queue:
-            current = queue.pop()
-            for caller in self.callers.get(current, ()):
-                if caller not in seen:
-                    seen.add(caller)
-                    queue.append(caller)
-        return seen
-
-    def module_adjacency(self) -> Dict[str, Set[str]]:
-        """Undirected module dependency map (imports + call edges)."""
-        adjacency: Dict[str, Set[str]] = {
-            module: set() for module in self.modules
-        }
-        dotted_index = {
-            table.dotted: module for module, table in self.modules.items()
-        }
-        for module, table in self.modules.items():
-            for target in table.imports.values():
-                dotted = target
-                while dotted:
-                    if dotted in dotted_index:
-                        other = dotted_index[dotted]
-                        if other != module:
-                            adjacency[module].add(other)
-                            adjacency[other].add(module)
-                        break
-                    dotted = dotted.rpartition(".")[0]
-        for caller, callees in self.edges.items():
-            caller_module = self.functions[caller].module
-            for callee in callees:
-                callee_module = self.functions[callee].module
-                if callee_module != caller_module:
-                    adjacency[caller_module].add(callee_module)
-                    adjacency[callee_module].add(caller_module)
-        return adjacency
-
-    def reachable_modules(self, changed: Set[str]) -> Set[str]:
-        """Modules connected to *changed* through the dependency map."""
-        adjacency = self.module_adjacency()
-        seen = {module for module in changed if module in adjacency}
-        queue = list(seen)
-        while queue:
-            current = queue.pop()
-            for neighbour in adjacency.get(current, ()):
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    queue.append(neighbour)
-        return seen
 
     # -- class classification ----------------------------------------------
 

@@ -1,16 +1,16 @@
-"""Project-level analysis: records, profiles, cache, and the engine.
+"""Project-level analysis: records, profiles, and the engine.
 
-This is the front door of the interprocedural analyzer. One run is::
+This is the front door of the analyzer. One run is::
 
-    collect files  →  hash  →  (cache)  →  per-module records
+    collect files  →  per-module records
                    →  call graph + flows  →  project rules  →  findings
 
+whole, in this process, every time: a verdict is a function of the
+tree and the rule set only, so nothing is kept between runs.
+
 A **module record** is everything the engine needs from one file —
-symbol table, flow summaries, local-rule findings, suppression lines —
-as plain picklable data. Records are built in parallel across a
-process pool on cold runs and come back from the on-disk cache
-(:mod:`repro.analysis.cache`) byte-for-byte on warm ones; the ASTs
-themselves never outlive the builder.
+symbol table, flow summaries, local-rule findings, suppression lines;
+the ASTs themselves never outlive the builder.
 
 **Profiles** tune rules per directory: production sources take every
 rule; benchmarks may read the wall clock (timing *is* their job);
@@ -30,7 +30,6 @@ import ast
 import os
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Dict,
     FrozenSet,
     List,
@@ -41,7 +40,6 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.cache import AnalysisCache, project_fingerprint, source_sha
 from repro.analysis.callgraph import (
     CallGraph,
     ModuleSymbols,
@@ -80,12 +78,8 @@ PROFILE_PROJECT_EXCLUDES: Dict[str, FrozenSet[str]] = {
     "tests": frozenset({"snapshot-mutation"}),
 }
 
-#: Path fragments never analyzed (deliberately-dirty fixture corpora
-#: and the analyzer's own cache).
-EXCLUDED_FRAGMENTS: Tuple[str, ...] = (
-    "tests/analysis/fixtures",
-    ".repro-analysis-cache",
-)
+#: Path fragments never analyzed (deliberately-dirty fixture corpora).
+EXCLUDED_FRAGMENTS: Tuple[str, ...] = ("tests/analysis/fixtures",)
 
 
 def profile_for(module: str) -> str:
@@ -101,7 +95,7 @@ def module_key(path: str, root: Optional[str] = None) -> str:
     """Stable, unique module key for *path*.
 
     Files inside a ``repro`` package keep their logical path
-    (``repro/stream/state.py``) so rule scoping matches the runner;
+    (``repro/stream/state.py``) so rule scoping sees the package path;
     everything else keys by its root-relative path
     (``tests/stream/test_engine.py``).
     """
@@ -121,7 +115,6 @@ class ModuleRecord:
 
     module: str
     path: str
-    sha: str
     profile: str
     symbols: Optional[ModuleSymbols] = None
     flows: Dict[str, FlowSummary] = field(default_factory=dict)
@@ -133,21 +126,10 @@ class ModuleRecord:
 
 
 def build_record(
-    source: str,
-    path: str,
-    module: str,
-    profile: str,
-    sha: Optional[str] = None,
+    source: str, path: str, module: str, profile: str
 ) -> ModuleRecord:
     """Parse one file into its :class:`ModuleRecord`."""
-    record = ModuleRecord(
-        module=module,
-        path=path,
-        sha=sha if sha is not None else source_sha(
-            source.encode("utf-8")
-        ),
-        profile=profile,
-    )
+    record = ModuleRecord(module=module, path=path, profile=profile)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
@@ -175,47 +157,14 @@ def build_record(
     return record
 
 
-def _build_record_from_disk(
-    job: Tuple[str, str, str, str]
-) -> ModuleRecord:
-    """Pool worker: read and analyze one file (submission-ordered)."""
-    path, module, profile, sha = job
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return build_record(source, path, module, profile, sha=sha)
-
-
-def _build_record_chunk(
-    shard_index: int, jobs: Sequence[Tuple[str, str, str, str]]
-) -> List[ModuleRecord]:
-    """Backend shard task: one contiguous chunk of cache misses."""
-    return [_build_record_from_disk(job) for job in jobs]
-
-
-@dataclass
-class ProjectResult(AnalysisResult):
-    """An :class:`AnalysisResult` plus engine-level accounting."""
-
-    cache_stats: Dict[str, Any] = field(default_factory=dict)
-    modules: Tuple[str, ...] = ()
-
-
 class ProjectAnalyzer:
-    """The interprocedural engine over one or more directory roots."""
-
-    #: Cold-miss threshold below which the process pool is not worth
-    #: its fork cost.
-    POOL_THRESHOLD = 24
+    """The analysis engine over one or more directory roots."""
 
     def __init__(
         self,
-        cache: Optional[AnalysisCache] = None,
-        jobs: Optional[int] = None,
         rules: Optional[Sequence[ProjectRule]] = None,
         root: Optional[str] = None,
     ) -> None:
-        self.cache = cache
-        self.jobs = jobs
         self.project_rules: Tuple[ProjectRule, ...] = tuple(
             project_rules() if rules is None else rules
         )
@@ -227,43 +176,25 @@ class ProjectAnalyzer:
         self,
         paths: Sequence[str],
         rule_filter: Optional[Set[str]] = None,
-        changed: Optional[Set[str]] = None,
-    ) -> ProjectResult:
+    ) -> AnalysisResult:
         """Analyze files/directories; see module docstring for phases.
 
-        *rule_filter* keeps only the named rule ids. *changed* is a set
-        of module keys: findings are restricted to modules call-graph-
-        reachable from them (the ``--changed`` fast path).
+        *rule_filter* keeps only the named rule ids.
         """
-        if self.cache is not None:
-            self.cache.reset_stats()
-        files = self._collect(paths)
-        triples = [
-            (module, sha, profile)
-            for module, (_, sha, profile) in sorted(files.items())
-        ]
-        fingerprint = project_fingerprint(triples)
-        # Full-warm shortcut: unchanged tree, unfiltered run.
-        if self.cache is not None and rule_filter is None and (
-            changed is None
-        ):
-            cached = self.cache.load_project(fingerprint)
-            if cached is not None:
-                cached.cache_stats = self.cache.stats.as_dict()
-                return cached
-        records = self._records(files)
-        result = self._assemble(records, rule_filter, changed)
-        if self.cache is not None:
-            result.cache_stats = self.cache.stats.as_dict()
-            if rule_filter is None and changed is None:
-                self.cache.store_project(fingerprint, result)
-        return result
+        records = []
+        for module, path in sorted(self._collect(paths).items()):
+            with open(path, "r", encoding="utf-8") as handle:
+                source = handle.read()
+            records.append(
+                build_record(source, path, module, profile_for(module))
+            )
+        return self._assemble(records, rule_filter)
 
     def analyze_sources(
         self,
         sources: Mapping[str, str],
         rule_filter: Optional[Set[str]] = None,
-    ) -> ProjectResult:
+    ) -> AnalysisResult:
         """In-memory analysis of ``{module key: source}`` mappings.
 
         The test-suite entry point: module keys double as paths, so
@@ -276,15 +207,13 @@ class ProjectAnalyzer:
             )
             for module, source in sorted(sources.items())
         ]
-        return self._assemble(records, rule_filter, None)
+        return self._assemble(records, rule_filter)
 
     # -- phases ------------------------------------------------------------
 
-    def _collect(
-        self, paths: Sequence[str]
-    ) -> Dict[str, Tuple[str, str, str]]:
-        """module key → (path, sha, profile) for every analyzable file."""
-        files: Dict[str, Tuple[str, str, str]] = {}
+    def _collect(self, paths: Sequence[str]) -> Dict[str, str]:
+        """module key → path for every analyzable file."""
+        files: Dict[str, str] = {}
         for path in paths:
             # Fragment exclusions apply to files discovered *by
             # walking*: pointing the analyzer straight at a fixture
@@ -306,68 +235,14 @@ class ProjectAnalyzer:
                     if fragment not in waived
                 ):
                     continue
-                module = module_key(file_path, self.root)
-                with open(file_path, "rb") as handle:
-                    sha = source_sha(handle.read())
-                files[module] = (file_path, sha, profile_for(module))
+                files[module_key(file_path, self.root)] = file_path
         return files
-
-    def _records(
-        self, files: Dict[str, Tuple[str, str, str]]
-    ) -> List[ModuleRecord]:
-        records: Dict[str, ModuleRecord] = {}
-        misses: List[Tuple[str, str, str, str]] = []
-        for module in sorted(files):
-            path, sha, profile = files[module]
-            cached: Optional[ModuleRecord] = None
-            if self.cache is not None:
-                cached = self.cache.load_module(module, sha, profile)
-            if cached is not None:
-                records[module] = cached
-            else:
-                misses.append((path, module, profile, sha))
-        built = self._build_missing(misses)
-        for record in built:
-            records[record.module] = record
-            if self.cache is not None:
-                self.cache.store_module(
-                    record.module, record.sha, record.profile, record
-                )
-        return [records[module] for module in sorted(records)]
-
-    def _build_missing(
-        self, misses: List[Tuple[str, str, str, str]]
-    ) -> List[ModuleRecord]:
-        if not misses:
-            return []
-        jobs = self.jobs
-        if jobs is None:
-            jobs = min(os.cpu_count() or 1, 8)
-        if jobs <= 1 or len(misses) < self.POOL_THRESHOLD:
-            return [_build_record_from_disk(job) for job in misses]
-        # Contiguous chunks through the shared backend layer keep
-        # record order (and therefore every downstream report)
-        # byte-identical to the serial path.
-        from repro.parallel.backend import resolve_backend
-        from repro.parallel.sharding import chunk_records
-
-        chunks = [
-            chunk
-            for chunk in chunk_records(misses, jobs)
-            if chunk
-        ]
-        executor = resolve_backend(
-            "local", workers=jobs, shard_count=len(chunks)
-        )
-        built = executor.map_shards(_build_record_chunk, chunks)
-        return [record for chunk in built for record in chunk]
 
     def _assemble(
         self,
         records: List[ModuleRecord],
         rule_filter: Optional[Set[str]],
-        changed: Optional[Set[str]],
-    ) -> ProjectResult:
+    ) -> AnalysisResult:
         tables = {
             record.module: record.symbols
             for record in records
@@ -390,10 +265,7 @@ class ProjectAnalyzer:
                 rule.id for rule in default_rules()
                 if rule.id not in excluded
             )
-        result = ProjectResult(
-            files_checked=len(records),
-            modules=tuple(sorted(paths)),
-        )
+        result = AnalysisResult(files_checked=len(records))
         findings: List[Finding] = []
         for record in records:
             for finding in record.local_findings:
@@ -418,16 +290,6 @@ class ProjectAnalyzer:
                     if is_suppressed(finding, record.suppressions):
                         continue
                 findings.append(finding)
-        if changed is not None:
-            keep = graph.reachable_modules(set(changed))
-            module_of = {
-                record.path: record.module for record in records
-            }
-            findings = [
-                finding for finding in findings
-                if module_of.get(finding.path, finding.path) in keep
-                or finding.rule == PARSE_ERROR
-            ]
         result.findings = findings
         ids = sorted(local_ids) + ran_project
         if rule_filter is not None:
@@ -455,7 +317,6 @@ def all_rule_descriptions() -> List[Tuple[str, str]]:
 __all__ = [
     "ModuleRecord",
     "ProjectAnalyzer",
-    "ProjectResult",
     "all_rule_descriptions",
     "build_record",
     "dotted_of",

@@ -1,21 +1,20 @@
-"""Running rules over files and trees.
+"""The result type, file discovery and logical module paths.
 
-The runner maps real filesystem paths to *logical module paths* —
+Real filesystem paths map to *logical module paths* —
 ``repro/...``-relative forward-slash paths like ``repro/stream/state.py``
 — which is what rules scope on. That keeps scoping independent of where
 the checkout lives (``src/repro/...``, an installed site-packages, or a
-test fixture passing an explicit override).
+test fixture passing an explicit override). The one runner is
+:class:`repro.analysis.project.ProjectAnalyzer`.
 """
 
 from __future__ import annotations
 
-import ast
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.analysis.findings import Finding, is_suppressed, suppressed_rules
-from repro.analysis.rules import Rule, default_rules
+from repro.analysis.findings import Finding
 
 #: Rule id used for files that fail to parse.
 PARSE_ERROR = "parse-error"
@@ -32,10 +31,6 @@ class AnalysisResult:
     @property
     def clean(self) -> bool:
         return not self.findings
-
-    def merge(self, other: "AnalysisResult") -> None:
-        self.findings.extend(other.findings)
-        self.files_checked += other.files_checked
 
     def finalize(self) -> "AnalysisResult":
         self.findings.sort()
@@ -54,70 +49,6 @@ def logical_module(path: str) -> str:
         if parts[index] == "repro":
             return "/".join(parts[index:])
     return parts[-1]
-
-
-class Analyzer:
-    """Applies a set of rules to sources, files, and directory trees."""
-
-    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
-        self.rules: Tuple[Rule, ...] = tuple(
-            default_rules() if rules is None else rules
-        )
-
-    def analyze_source(
-        self,
-        source: str,
-        path: str,
-        module: Optional[str] = None,
-    ) -> AnalysisResult:
-        """Analyze Python *source*, reporting findings against *path*.
-
-        *module* overrides the logical module path derived from *path*;
-        tests use this to place fixture code on scoped paths like
-        ``repro/stream/fixture.py``.
-        """
-        if module is None:
-            module = logical_module(path)
-        result = AnalysisResult(
-            files_checked=1,
-            rules_run=tuple(rule.id for rule in self.rules),
-        )
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as error:
-            result.findings.append(
-                Finding(
-                    path=path,
-                    line=error.lineno or 1,
-                    column=(error.offset or 0) or 1,
-                    rule=PARSE_ERROR,
-                    message=f"could not parse file: {error.msg}",
-                )
-            )
-            return result.finalize()
-        suppressions = suppressed_rules(source)
-        for rule in self.rules:
-            if not rule.applies_to(module):
-                continue
-            for finding in rule.check(tree, module, path):
-                if not is_suppressed(finding, suppressions):
-                    result.findings.append(finding)
-        return result.finalize()
-
-    def analyze_file(self, path: str) -> AnalysisResult:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        return self.analyze_source(source, path)
-
-    def analyze_paths(self, paths: Iterable[str]) -> AnalysisResult:
-        """Analyze files and (recursively) directories of ``.py`` files."""
-        total = AnalysisResult(
-            rules_run=tuple(rule.id for rule in self.rules)
-        )
-        for path in paths:
-            for file_path in _python_files(path):
-                total.merge(self.analyze_file(file_path))
-        return total.finalize()
 
 
 def _python_files(path: str) -> List[str]:

@@ -291,29 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
             "need justifications filled in) and exit clean"
         ),
     )
-    analyze.add_argument(
-        "--changed", metavar="REF",
-        help=(
-            "restrict findings to modules call-graph-reachable from "
-            "files changed vs the given git ref"
-        ),
-    )
-    analyze.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk incremental cache",
-    )
-    analyze.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="incremental cache directory (default .repro-analysis-cache)",
-    )
-    analyze.add_argument(
-        "--jobs", type=int, metavar="N",
-        help="analysis worker processes (default: auto)",
-    )
-    analyze.add_argument(
-        "--stats", action="store_true",
-        help="print cache hit/miss statistics to stderr",
-    )
 
     store = commands.add_parser(
         "store",
@@ -962,27 +939,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _changed_module_keys(ref: str, root: str) -> "set":
-    """Module keys of files changed versus git *ref*."""
-    import subprocess
-
-    from repro.analysis.project import module_key
-
-    completed = subprocess.run(
-        ["git", "diff", "--name-only", ref, "--"],
-        capture_output=True,
-        text=True,
-        cwd=root,
-        check=True,
-    )
-    keys = set()
-    for line in completed.stdout.splitlines():
-        name = line.strip()
-        if name.endswith(".py"):
-            keys.add(module_key(os.path.join(root, name), root))
-    return keys
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import render_json, render_text
     from repro.analysis.baseline import (
@@ -990,7 +946,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         load_baseline,
         write_baseline,
     )
-    from repro.analysis.cache import DEFAULT_CACHE_DIR, AnalysisCache
     from repro.analysis.project import (
         ProjectAnalyzer,
         all_rule_descriptions,
@@ -1015,29 +970,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             )
             return 2
         rule_filter = set(args.rules)
-    cache = None
-    if not args.no_cache:
-        cache = AnalysisCache(args.cache_dir or DEFAULT_CACHE_DIR)
-    analyzer = ProjectAnalyzer(cache=cache, jobs=args.jobs)
-    changed = None
-    if args.changed:
-        try:
-            changed = _changed_module_keys(args.changed, os.getcwd())
-        except Exception as error:  # subprocess/git failures
-            print(
-                f"error: cannot diff against {args.changed!r}: {error}",
-                file=sys.stderr,
-            )
-            return 2
     try:
-        result = analyzer.analyze_paths(
-            args.paths, rule_filter=rule_filter, changed=changed
+        result = ProjectAnalyzer().analyze_paths(
+            args.paths, rule_filter=rule_filter
         )
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.stats and result.cache_stats:
-        print(f"cache: {result.cache_stats}", file=sys.stderr)
     if args.write_baseline:
         write_baseline(result.findings, args.write_baseline)
         print(

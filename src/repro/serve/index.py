@@ -380,32 +380,10 @@ class ServeIndex:
         """The scope's counters as a :class:`LiveSnapshot`.
 
         Identical to ``QueryAPI.snapshot`` against the engine this index
-        was built from — this shared constructor is what keeps the
-        served and in-process paths from drifting.
+        was built from: both go through :meth:`LiveSnapshot.of`.
         """
         scope_index = self.scope(scope)
-        day = scope_index.day
-        if day is None:
-            return LiveSnapshot(
-                scope=scope,
-                day=None,
-                domains_seen=scope_index.domains_seen,
-                any_use=0,
-                providers={
-                    provider: 0
-                    for provider in scope_index.provider_names
-                },
-            )
-        return LiveSnapshot(
-            scope=scope,
-            day=day,
-            domains_seen=scope_index.domains_seen,
-            any_use=scope_index.any_adoption(day),
-            providers={
-                provider: scope_index.adoption(provider, day)
-                for provider in scope_index.provider_names
-            },
-        )
+        return LiveSnapshot.of(scope, scope_index.day, scope_index)
 
     def snapshot_payload(self) -> Dict[str, object]:
         """Protocol form of the whole-index snapshot/health summary."""

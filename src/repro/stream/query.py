@@ -3,23 +3,44 @@
 :class:`QueryAPI` is the read side of the subsystem: the exact calls the
 issue tracker of a monitoring deployment would make against the always-on
 engine — current adoption counters, growth-to-date, one domain's
-protection history — without touching ingest state.
-
-When a read-optimized snapshot index is attached (the serve plane's
-:class:`repro.serve.index.SnapshotSwapper`), the point-lookup reads are
-routed through it instead of walking live engine state, so the served
-path and the in-process path answer from one implementation and cannot
-drift.
+protection history — without touching ingest state. It reads the live,
+mutable state the ingest thread owns; serve threads read the frozen
+:class:`repro.serve.index.ServeIndex` instead, and both build their
+:class:`LiveSnapshot` through :meth:`LiveSnapshot.of`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol
 
 from repro.core.detection import UseInterval
 from repro.core.growth import GrowthSeries
 from repro.stream.engine import StreamEngine
+
+
+class ScopeCounters(Protocol):
+    """What a :class:`LiveSnapshot` is read from.
+
+    Structural: the live :class:`repro.stream.state.ScopeState` and the
+    frozen :class:`repro.serve.index.ScopeIndex` both satisfy it
+    without this module importing the serve plane (which imports this
+    one).
+    """
+
+    @property
+    def domains_seen(self) -> int:
+        ...
+
+    @property
+    def provider_names(self) -> List[str]:
+        ...
+
+    def adoption(self, provider: str, day: int) -> int:
+        ...
+
+    def any_adoption(self, day: int) -> int:
+        ...
 
 
 @dataclass(frozen=True)
@@ -31,6 +52,24 @@ class LiveSnapshot:
     domains_seen: int
     any_use: int
     providers: Dict[str, int]
+
+    @classmethod
+    def of(
+        cls, scope: str, day: Optional[int], counters: ScopeCounters
+    ) -> "LiveSnapshot":
+        """*counters* read at *day* (None: no day ingested, all zero)."""
+        return cls(
+            scope=scope,
+            day=day,
+            domains_seen=counters.domains_seen,
+            any_use=0 if day is None else counters.any_adoption(day),
+            providers={
+                provider: (
+                    0 if day is None else counters.adoption(provider, day)
+                )
+                for provider in counters.provider_names
+            },
+        )
 
     def top_providers(self, limit: int = 5) -> List[str]:
         return sorted(
@@ -91,63 +130,20 @@ class DomainHistory:
         )
 
 
-class SnapshotIndex(Protocol):
-    """The reads :class:`QueryAPI` can route through a serve index.
-
-    Structural: :class:`repro.serve.index.ServeIndex` satisfies it
-    without this module importing the serve plane (which imports this
-    one).
-    """
-
-    def live_snapshot(self, scope: str) -> LiveSnapshot:
-        ...
-
-    def history(
-        self, domain: str
-    ) -> Dict[str, Dict[str, List[UseInterval]]]:
-        ...
-
-    def adoption(
-        self, provider: str, day: Optional[int], scope: str
-    ) -> int:
-        ...
-
-
 class QueryAPI:
-    """Read-only adoption queries against a :class:`StreamEngine`.
+    """Read-only adoption queries against a :class:`StreamEngine`."""
 
-    *index_source*, when given, is a zero-argument callable returning the
-    current immutable :class:`SnapshotIndex` (typically
-    ``SnapshotSwapper.current_index``); snapshot, adoption and
-    domain-history reads then come from the index instead of live engine
-    state. Growth stays on the engine — it is not part of the serve
-    read path.
-    """
-
-    def __init__(
-        self,
-        engine: StreamEngine,
-        index_source: Optional[Callable[[], SnapshotIndex]] = None,
-    ):
+    def __init__(self, engine: StreamEngine):
         self._engine = engine
-        self._index_source = index_source
 
     @property
     def engine(self) -> StreamEngine:
         return self._engine
 
-    def _index(self) -> Optional[SnapshotIndex]:
-        if self._index_source is None:
-            return None
-        return self._index_source()
-
     def adoption(
         self, provider: str, day: Optional[int] = None, scope: str = "gtld"
     ) -> int:
         """Distinct SLDs using *provider* on *day* (default: latest)."""
-        index = self._index()
-        if index is not None:
-            return index.adoption(provider, day, scope)
         return self._engine.adoption(provider, day=day, scope=scope)
 
     def growth(self, source: str) -> Dict[str, GrowthSeries]:
@@ -156,38 +152,14 @@ class QueryAPI:
 
     def domain_history(self, name: str) -> DomainHistory:
         """The engine's full protection history for one domain."""
-        index = self._index()
-        if index is not None:
-            return DomainHistory(domain=name, intervals=index.history(name))
         return DomainHistory(
             domain=name, intervals=self._engine.domain_history(name)
         )
 
     def snapshot(self, scope: str = "gtld") -> LiveSnapshot:
         """Current counters for *scope* (what the CLI tail prints)."""
-        index = self._index()
-        if index is not None:
-            return index.live_snapshot(scope)
-        engine = self._engine
-        state = engine.scope(scope)
-        day = engine.latest_day(scope)
-        if day is None or day < 0:
-            return LiveSnapshot(
-                scope=scope,
-                day=None,
-                domains_seen=state.domains_seen,
-                any_use=0,
-                providers={
-                    provider: 0 for provider in state.provider_names
-                },
-            )
-        return LiveSnapshot(
-            scope=scope,
-            day=day,
-            domains_seen=state.domains_seen,
-            any_use=state.any_adoption(day),
-            providers={
-                provider: state.adoption(provider, day)
-                for provider in state.provider_names
-            },
-        )
+        state = self._engine.scope(scope)
+        day = self._engine.latest_day(scope)
+        if day is not None and day < 0:
+            day = None
+        return LiveSnapshot.of(scope, day, state)

@@ -134,40 +134,6 @@ def test_exception_classification_transitive():
     )
 
 
-def test_reachable_modules_through_imports_and_calls():
-    graph = _graph(
-        {
-            "repro/demo/core.py": "def center():\n    return 1\n",
-            "repro/demo/user.py": (
-                "from repro.demo.core import center\n"
-                "def outer():\n"
-                "    return center()\n"
-            ),
-            "repro/demo/island.py": "def alone():\n    return 2\n",
-        }
-    )
-    reachable = graph.reachable_modules({"repro/demo/core.py"})
-    assert "repro/demo/user.py" in reachable
-    assert "repro/demo/island.py" not in reachable
-
-
-def test_transitive_callers():
-    graph = _graph(
-        {
-            "repro/demo/chain.py": (
-                "def a():\n    return b()\n"
-                "def b():\n    return c()\n"
-                "def c():\n    return 1\n"
-                "def unrelated():\n    return 2\n"
-            )
-        }
-    )
-    callers = graph.transitive_callers({"repro.demo.chain.c"})
-    assert "repro.demo.chain.a" in callers
-    assert "repro.demo.chain.b" in callers
-    assert "repro.demo.chain.unrelated" not in callers
-
-
 def test_symbols_are_picklable():
     import pickle
 

@@ -2,13 +2,33 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import os
 from pathlib import Path
 
+from repro.analysis import default_rules
 from repro.cli import main
 
 REPO = Path(__file__).parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _write_tree(root: Path) -> None:
+    """A tree whose one finding crosses a module boundary."""
+    package = root / "tree" / "repro" / "demo"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "producer.py").write_text(
+        "def rows(d):\n"
+        "    return [k for k in d.keys()]\n"
+    )
+    (package / "consumer.py").write_text(
+        "import json\n"
+        "from repro.demo.producer import rows\n"
+        "def dump(d):\n"
+        "    return json.dumps(rows(d))\n"
+    )
 
 
 def test_analyze_src_exits_clean(capsys):
@@ -71,3 +91,72 @@ def test_analyze_list_rules(capsys):
 def test_analyze_missing_path(capsys):
     assert main(["analyze", "does/not/exist"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_verdict_ignores_what_an_earlier_run_left(
+    tmp_path, capsys, monkeypatch
+):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "a.py").write_text("def f(x=[]):\n    return x\n")
+    (tree / "b.py").write_text("VALUE = 1\n")
+    monkeypatch.chdir(tmp_path)
+    # An earlier run by an analyzer that did not have the rule yet.
+    older = [
+        rule for rule in default_rules() if rule.id != "mutable-default"
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            "repro.analysis.project.default_rules", lambda: older
+        )
+        assert main(["analyze", "tree"]) == 0
+    capsys.readouterr()
+    (tree / "b.py").write_text("VALUE = 2\n")
+    assert main(["analyze", "tree"]) == 1
+    assert "a.py:1:9: mutable-default" in capsys.readouterr().out
+
+
+def test_planted_cache_directory_is_not_read(
+    tmp_path, capsys, monkeypatch
+):
+    _write_tree(tmp_path)
+    planted = tmp_path / ".repro-analysis-cache" / "project"
+    planted.mkdir(parents=True)
+    (planted / "0.pkl").write_bytes(b"not a pickle")
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "tree"]) == 1
+    out = capsys.readouterr().out
+    assert "canonicalization-taint" in out
+    assert "1 finding in 3 files" in out
+    assert (planted / "0.pkl").read_bytes() == b"not a pickle"
+
+
+def test_analyze_leaves_the_working_directory_as_it_was(
+    tmp_path, capsys, monkeypatch
+):
+    _write_tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert main(["analyze", "tree"]) == 1
+    assert "producer.py:2:" in capsys.readouterr().out
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_analysis_package_imports_nothing_it_judges():
+    """The tool must not be breakable by the code it checks."""
+    outside = []
+    for path in sorted((REPO / "src/repro/analysis").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            outside.extend(
+                f"{path.name}: {name}"
+                for name in names
+                if name.startswith((".", "repro"))
+                and not name.startswith("repro.analysis")
+            )
+    assert not outside

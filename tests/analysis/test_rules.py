@@ -13,8 +13,9 @@ from typing import List, Tuple
 
 import pytest
 
-from repro.analysis import Analyzer, logical_module
+from repro.analysis import logical_module
 from repro.analysis.rules import default_rules, rule_ids
+from tests.analysis.local import analyze_local
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,7 +56,7 @@ def test_fixture_findings_match_markers(filename, module):
     source = (FIXTURES / filename).read_text()
     markers = expected_markers(source)
     assert markers, f"fixture {filename} has no # expect markers"
-    result = Analyzer().analyze_source(source, filename, module=module)
+    result = analyze_local(source, module)
     found = sorted((f.line, f.rule) for f in result.findings)
     assert found == markers, "\n".join(
         f.format() for f in result.findings
@@ -79,9 +80,7 @@ def test_rule_metadata():
 
 def test_broad_except_scoped_to_ingest_paths():
     source = (FIXTURES / "swallowed_exception.py").read_text()
-    result = Analyzer().analyze_source(
-        source, "swallowed_exception.py", module="repro/core/fixture.py"
-    )
+    result = analyze_local(source, "repro/core/fixture.py")
     rules = [f.rule for f in result.findings]
     # Off the ingest paths only the bare except remains flagged.
     assert rules == ["swallowed-exception"]
@@ -90,25 +89,19 @@ def test_broad_except_scoped_to_ingest_paths():
 
 def test_float_equality_scoped_to_stats_modules():
     source = (FIXTURES / "float_equality.py").read_text()
-    result = Analyzer().analyze_source(
-        source, "float_equality.py", module="repro/core/detection.py"
-    )
+    result = analyze_local(source, "repro/core/detection.py")
     assert not any(f.rule == "float-equality" for f in result.findings)
 
 
 def test_wall_clock_scoped_to_deterministic_packages():
     source = (FIXTURES / "wall_clock.py").read_text()
-    result = Analyzer().analyze_source(
-        source, "wall_clock.py", module="repro/reporting/fixture.py"
-    )
+    result = analyze_local(source, "repro/reporting/fixture.py")
     assert not result.findings
 
 
 def test_unordered_futures_scoped_to_parallel_package():
     source = (FIXTURES / "unordered_futures.py").read_text()
-    result = Analyzer().analyze_source(
-        source, "unordered_futures.py", module="repro/stream/fixture.py"
-    )
+    result = analyze_local(source, "repro/stream/fixture.py")
     assert not any(f.rule == "unordered-futures" for f in result.findings)
 
 
@@ -116,16 +109,12 @@ def test_row_boxing_scoped_to_batch_first_packages():
     source = (FIXTURES / "row_boxing.py").read_text()
     # Outside the columnar hot paths (measurement, stream) the same
     # code is fine — e.g. reporting builds rows for human output.
-    result = Analyzer().analyze_source(
-        source, "row_boxing.py", module="repro/reporting/fixture.py"
-    )
+    result = analyze_local(source, "repro/reporting/fixture.py")
     assert not any(
         f.rule == "row-boxing-in-hot-path" for f in result.findings
     )
     # Under repro/stream it fires just like under repro/measurement.
-    result = Analyzer().analyze_source(
-        source, "row_boxing.py", module="repro/stream/fixture.py"
-    )
+    result = analyze_local(source, "repro/stream/fixture.py")
     assert any(
         f.rule == "row-boxing-in-hot-path" for f in result.findings
     )
@@ -135,17 +124,13 @@ def test_segment_decode_scoped_to_store_package():
     source = (FIXTURES / "segment_decode.py").read_text()
     # Outside repro/store the same code is fine — e.g. reporting may
     # legitimately read JSON.
-    result = Analyzer().analyze_source(
-        source, "segment_decode.py", module="repro/reporting/fixture.py"
-    )
+    result = analyze_local(source, "repro/reporting/fixture.py")
     assert not any(
         f.rule == "decode-in-segment-hot-path" for f in result.findings
     )
     # The manifest and migration modules are exempt metadata paths.
     for exempt in ("repro/store/manifest.py", "repro/store/migrate.py"):
-        result = Analyzer().analyze_source(
-            source, "segment_decode.py", module=exempt
-        )
+        result = analyze_local(source, exempt)
         assert not any(
             f.rule == "decode-in-segment-hot-path" for f in result.findings
         )
@@ -157,9 +142,7 @@ def test_parallel_executor_is_clean():
         Path(__file__).resolve().parents[2]
         / "src" / "repro" / "parallel" / "backend.py"
     )
-    result = Analyzer().analyze_source(
-        path.read_text(), str(path), module="repro/parallel/backend.py"
-    )
+    result = analyze_local(path.read_text(), "repro/parallel/backend.py")
     assert not result.findings
 
 
@@ -176,6 +159,6 @@ def test_logical_module_mapping():
 
 
 def test_parse_error_becomes_finding():
-    result = Analyzer().analyze_source("def broken(:\n", "broken.py")
+    result = analyze_local("def broken(:\n", "broken.py")
     assert [f.rule for f in result.findings] == ["parse-error"]
     assert result.files_checked == 1

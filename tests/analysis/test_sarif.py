@@ -89,7 +89,6 @@ def test_cli_sarif_output_file(tmp_path, capsys):
             "analyze",
             "--format", "sarif",
             "--output", str(out),
-            "--no-cache",
             str(FIXTURES / "mutable_default.py"),
         ]
     )

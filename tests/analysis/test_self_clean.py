@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import Analyzer, load_baseline
+from repro.analysis import load_baseline
 from repro.analysis.project import ProjectAnalyzer
 
 REPO = Path(__file__).parents[2]
@@ -19,7 +19,7 @@ SRC = REPO / "src"
 
 
 def test_src_tree_is_clean():
-    result = Analyzer().analyze_paths([str(SRC)])
+    result = ProjectAnalyzer(rules=()).analyze_paths([str(SRC)])
     assert result.files_checked > 50
     assert result.clean, "\n" + "\n".join(
         finding.format() for finding in result.findings
@@ -27,7 +27,9 @@ def test_src_tree_is_clean():
 
 
 def test_all_rules_ran():
-    result = Analyzer().analyze_paths([str(SRC / "repro" / "analysis")])
+    result = ProjectAnalyzer(rules=()).analyze_paths(
+        [str(SRC / "repro" / "analysis")]
+    )
     assert len(result.rules_run) == 12
 
 

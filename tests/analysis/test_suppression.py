@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.analysis import Analyzer, suppressed_rules
+from repro.analysis import suppressed_rules
+from tests.analysis.local import analyze_local
 
 BAD_DEFAULT = "def f(bucket=[]):\n    return bucket\n"
 
@@ -27,13 +28,13 @@ def test_matching_suppression_silences_finding():
     source = BAD_DEFAULT.replace(
         "bucket=[]):", "bucket=[]):  # repro: ignore[mutable-default]"
     )
-    result = Analyzer().analyze_source(source, "x.py")
+    result = analyze_local(source, "x.py")
     assert result.clean
 
 
 def test_bare_suppression_silences_everything():
     source = BAD_DEFAULT.replace("bucket=[]):", "bucket=[]):  # repro: ignore")
-    result = Analyzer().analyze_source(source, "x.py")
+    result = analyze_local(source, "x.py")
     assert result.clean
 
 
@@ -41,11 +42,11 @@ def test_unrelated_suppression_does_not_silence():
     source = BAD_DEFAULT.replace(
         "bucket=[]):", "bucket=[]):  # repro: ignore[wall-clock]"
     )
-    result = Analyzer().analyze_source(source, "x.py")
+    result = analyze_local(source, "x.py")
     assert [f.rule for f in result.findings] == ["mutable-default"]
 
 
 def test_suppression_on_other_line_does_not_silence():
     source = "# repro: ignore[mutable-default]\n" + BAD_DEFAULT
-    result = Analyzer().analyze_source(source, "x.py")
+    result = analyze_local(source, "x.py")
     assert [f.rule for f in result.findings] == ["mutable-default"]

@@ -222,8 +222,8 @@ def test_served_answers_byte_identical_under_concurrent_ingest(
                 final_day
             ]
 
-        # And the in-process QueryAPI over the same engine agrees.
-        api = QueryAPI(engine, index_source=swapper.current_index)
+        # And the in-process QueryAPI over the live engine state agrees.
+        api = QueryAPI(engine)
         assert api.snapshot("gtld").to_dict() == {
             "scope": "gtld",
             "day": served["day"],

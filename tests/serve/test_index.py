@@ -105,17 +105,17 @@ class TestServeIndexReads:
 
 
 class TestQueryApiRouting:
-    """Satellite: QueryAPI reads route through an attached index."""
+    """Served == live: frozen-index reads equal QueryAPI's engine reads."""
 
     def test_snapshots_identical(self, served_stack):
         engine, swapper = served_stack
-        plain = QueryAPI(engine)
-        routed = QueryAPI(engine, index_source=swapper.current_index)
-        for name in swapper.current_index().scope_names:
-            assert routed.snapshot(name) == plain.snapshot(name)
+        live = QueryAPI(engine)
+        index = swapper.current_index()
+        for name in index.scope_names:
+            assert index.live_snapshot(name) == live.snapshot(name)
             assert (
-                routed.snapshot(name).to_dict()
-                == plain.snapshot(name).to_dict()
+                index.live_snapshot(name).to_dict()
+                == live.snapshot(name).to_dict()
             )
 
     def test_domain_history_identical(
@@ -123,25 +123,24 @@ class TestQueryApiRouting:
     ):
         engine, swapper = served_stack
         domain, _ = protected_domain
-        plain = QueryAPI(engine)
-        routed = QueryAPI(engine, index_source=swapper.current_index)
-        assert routed.domain_history(domain) == plain.domain_history(
+        live = QueryAPI(engine)
+        index = swapper.current_index()
+        assert index.history(domain) == live.domain_history(
             domain
+        ).intervals
+        assert index.history("never-seen.example") == (
+            live.domain_history("never-seen.example").intervals
         )
-        assert routed.domain_history(
-            "never-seen.example"
-        ) == plain.domain_history("never-seen.example")
 
     def test_adoption_identical(self, served_stack):
         engine, swapper = served_stack
         index = swapper.current_index()
-        plain = QueryAPI(engine)
-        routed = QueryAPI(engine, index_source=swapper.current_index)
+        live = QueryAPI(engine)
         day = index.scope("gtld").day
         for provider in index.scope("gtld").provider_names:
-            assert routed.adoption(provider) == plain.adoption(provider)
-            assert routed.adoption(provider, day=day // 2) == (
-                plain.adoption(provider, day=day // 2)
+            assert index.adoption(provider) == live.adoption(provider)
+            assert index.adoption(provider, day=day // 2) == (
+                live.adoption(provider, day=day // 2)
             )
 
     def test_total_days_sums_scope_intervals(
