@@ -95,7 +95,7 @@ def module_key(path: str, root: Optional[str] = None) -> str:
     """Stable, unique module key for *path*.
 
     Files inside a ``repro`` package keep their logical path
-    (``repro/stream/state.py``) so rule scoping sees the package path;
+    (``repro/stream/engine.py``) so rule scoping sees the package path;
     everything else keys by its root-relative path
     (``tests/stream/test_engine.py``).
     """

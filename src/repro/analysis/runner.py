@@ -1,7 +1,7 @@
 """The result type, file discovery and logical module paths.
 
 Real filesystem paths map to *logical module paths* —
-``repro/...``-relative forward-slash paths like ``repro/stream/state.py``
+``repro/...``-relative forward-slash paths like ``repro/stream/engine.py``
 — which is what rules scope on. That keeps scoping independent of where
 the checkout lives (``src/repro/...``, an installed site-packages, or a
 test fixture passing an explicit override). The one runner is

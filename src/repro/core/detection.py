@@ -1,6 +1,9 @@
 """Per-domain, per-day DPS use detection and its aggregation (§3.3, §4.1).
 
-The detector consumes enriched observation segments and produces:
+One accumulator, :class:`ScopeState`, turns per-domain match facts into
+everything below; :class:`SegmentDetector` (batch: run-length segments
+or daily rows) and :class:`repro.stream.engine.StreamEngine` (one landed
+partition at a time) only match and feed it. It produces:
 
 * daily use counts per provider, per reference type, per TLD, and combined
   (the series behind Figures 2 and 3);
@@ -17,23 +20,22 @@ domain are counted as one" (§4.1 footnote 9).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import (
+    Any,
     Dict,
     FrozenSet,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
 from repro.batch.batch import ObservationBatch
-from repro.core.references import (
-    BatchMatcher,
-    Matches,
-    RefType,
-    SignatureCatalog,
-)
+from repro.core.references import BatchMatcher, RefType, SignatureCatalog
 from repro.measurement.snapshot import DomainObservation, ObservationSegment
 
 REF_COMBOS: Tuple[FrozenSet[RefType], ...] = tuple(
@@ -91,16 +93,16 @@ class UseInterval:
 
 
 class IntervalBuilder:
-    """Maximal-interval accumulation from single-day use facts.
+    """Maximal-interval accumulation from ``[start, end)`` use facts.
 
-    The batch :class:`SegmentDetector` sees a domain's whole history at
-    once and in order; a daily-ingest engine sees one day at a time and —
-    after a quarantined gap is reconciled — possibly out of order. This
-    builder maintains the same invariant either way: ``runs`` is sorted,
-    non-overlapping and never adjacent, so every run is a maximal range of
-    continuous use, exactly like the batch detector's intervals.
+    A batch producer hands over a domain's history as run-length spans,
+    a daily-ingest engine one day at a time and — after a quarantined
+    gap is reconciled — possibly out of order. This builder maintains
+    the same invariant either way: ``runs`` is sorted, non-overlapping
+    and never adjacent, so every run is a maximal range of continuous
+    use whatever order the facts arrived in.
 
-    In-order insertion (the streaming hot path) is O(1); a late day costs
+    In-order insertion (the hot path of both) is O(1); a late span costs
     a binary search over the existing runs.
     """
 
@@ -109,62 +111,82 @@ class IntervalBuilder:
     def __init__(self, runs: Optional[Iterable[Iterable[int]]] = None):
         self.runs: List[List[int]] = [list(run) for run in (runs or [])]
 
+    def add_run(self, start: int, end: int) -> None:
+        """Record use over ``[start, end)`` (raises on any overlap)."""
+        runs = self.runs
+        if runs and runs[-1][1] == start:  # hot path: in-order extension
+            runs[-1][1] = end
+            return
+        if not runs or runs[-1][1] < start:  # in-order after a gap
+            runs.append([start, end])
+            return
+        self._add_late(start, end)
+
     def add_day(self, day: int) -> None:
         """Record that *day* was a use day (raises if already recorded)."""
-        runs = self.runs
-        if runs and runs[-1][1] == day:  # hot path: in-order extension
-            runs[-1][1] = day + 1
-            return
-        if not runs or runs[-1][1] < day:  # in-order after a gap
-            runs.append([day, day + 1])
-            return
-        self._add_late(day)
+        self.add_run(day, day + 1)
 
-    def _add_late(self, day: int) -> None:
-        """Stitch a late-arriving *day* into the sorted runs."""
+    def _add_late(self, start: int, end: int) -> None:
+        """Stitch a late-arriving ``[start, end)`` into the sorted runs."""
         runs = self.runs
         lo, hi = 0, len(runs)
-        while lo < hi:  # rightmost run with start <= day
+        while lo < hi:  # rightmost run that begins at or before start
             mid = (lo + hi) // 2
-            if runs[mid][0] <= day:
+            if runs[mid][0] <= start:
                 lo = mid + 1
             else:
                 hi = mid
         index = lo - 1
-        if index >= 0 and runs[index][1] > day:
-            raise ValueError(f"day {day} already recorded")
-        if index >= 0 and runs[index][1] == day:
-            runs[index][1] = day + 1
-            if index + 1 < len(runs) and runs[index + 1][0] == day + 1:
+        has_next = index + 1 < len(runs)
+        if (index >= 0 and runs[index][1] > start) or (
+            has_next and runs[index + 1][0] < end
+        ):
+            raise ValueError(f"days [{start}, {end}) already recorded")
+        if index >= 0 and runs[index][1] == start:
+            runs[index][1] = end
+            if has_next and runs[index + 1][0] == end:
                 runs[index][1] = runs.pop(index + 1)[1]
-        elif index + 1 < len(runs) and runs[index + 1][0] == day + 1:
-            runs[index + 1][0] = day
+        elif has_next and runs[index + 1][0] == end:
+            runs[index + 1][0] = start
         else:
-            runs.insert(index + 1, [day, day + 1])
+            runs.insert(index + 1, [start, end])
 
     def intervals(self) -> List[UseInterval]:
         return [UseInterval(start, end) for start, end in self.runs]
 
 
 class _DiffSeries:
-    """A daily count series accumulated as interval differences."""
+    """A daily count series held as its day-over-day differences.
+
+    A ``[start, end)`` fact is two writes however long it is, so a
+    run-length segment costs what a single day does; the counts are a
+    prefix sum taken when somebody reads them.
+    """
 
     __slots__ = ("deltas",)
 
     def __init__(self, horizon: int):
         self.deltas = [0] * (horizon + 1)
 
+    @classmethod
+    def of(cls, values: Sequence[int]) -> "_DiffSeries":
+        """The series whose :meth:`materialize` is *values*."""
+        series = cls(len(values))
+        series.deltas = [
+            after - before
+            for before, after in zip([0, *values], [*values, 0])
+        ]
+        return series
+
     def add(self, start: int, end: int) -> None:
         self.deltas[start] += 1
         self.deltas[end] -= 1
 
+    def at(self, day: int) -> int:
+        return sum(self.deltas[: day + 1])
+
     def materialize(self) -> List[int]:
-        values: List[int] = []
-        running = 0
-        for delta in self.deltas[:-1]:
-            running += delta
-            values.append(running)
-        return values
+        return list(accumulate(self.deltas[:-1]))
 
 
 @dataclass
@@ -328,197 +350,284 @@ class DetectionResult:
         )
 
 
-class SegmentDetector:
-    """Streaming detector over per-domain observation segments."""
+class ScopeState:
+    """The detection accumulator: every producer folds matches through it.
 
-    def __init__(self, catalog: SignatureCatalog, horizon: int):
-        self._catalog = catalog
-        self._matcher = BatchMatcher(catalog)
-        self._horizon = horizon
+    One :meth:`observe` call states one fact — *domain* (under *tld*)
+    made the references *matches* on every day of ``[day, end)`` — and
+    the state maintains the aggregates §3.4 and §4.4 are read off: daily
+    series per provider / reference type / TLD, the any-provider series,
+    per-``(domain, provider)`` maximal use intervals, and
+    reference-combination day tallies. A batch pass states a run-length
+    segment in one call, a daily-ingest engine one day; they differ only
+    in how they obtain *matches*.
+
+    Facts may arrive in any order and in any grouping:
+
+    * every series is a :class:`_DiffSeries`, so a fact is two integer
+      adds wherever it lands, and
+    * intervals go through :class:`IntervalBuilder`, whose stitching
+      keeps runs maximal under out-of-order insertion and raises on a
+      ``(domain, provider)`` day stated twice.
+
+    So there is no whole-history contract: a domain's history may be
+    split across any number of calls, batches or partitions, and
+    ``domains_seen`` counts distinct domains. The whole state
+    serialises to plain JSON-compatible structures (:meth:`to_dict` /
+    :meth:`from_dict`, series as daily counts) so an engine can
+    checkpoint and resume byte-identically.
+    """
+
+    def __init__(self, horizon: int):
+        if horizon < 1:
+            raise ValueError("horizon must be positive")
+        self.horizon = horizon
+        #: provider → daily distinct-SLD use count.
         self._provider_total: Dict[str, _DiffSeries] = {}
-        self._provider_ref: Dict[Tuple[str, RefType], _DiffSeries] = {}
+        #: provider → RefType value → daily count.
+        self._provider_ref: Dict[str, Dict[str, _DiffSeries]] = {}
+        #: tld → daily any-provider use count.
         self._tld_any: Dict[str, _DiffSeries] = {}
+        #: Daily any-provider use count across TLDs.
         self._combined_any = _DiffSeries(horizon)
-        self._intervals: Dict[Tuple[str, str], List[UseInterval]] = {}
+        #: provider → combo label → domain-days.
         self._combo_days: Dict[str, Dict[str, int]] = {}
-        self._domains_seen = 0
+        #: (domain, provider) → maximal-interval builder.
+        self._builders: Dict[Tuple[str, str], IntervalBuilder] = {}
+        #: Every domain ever observed in this scope (matching or not).
+        self._domains: Set[str] = set()
 
     # -- ingestion ----------------------------------------------------------
 
-    def process_domain(
-        self, domain: str, tld: str, segments: Iterable[ObservationSegment]
-    ) -> None:
-        """Ingest one domain's full (enriched) observation history."""
-        ordered = sorted(segments, key=lambda s: s.start)
-        self._ingest_spans(
-            domain,
-            tld,
-            (
-                (
-                    segment.start,
-                    segment.end,
-                    self._catalog.match(segment.observation),
-                )
-                for segment in ordered
-            ),
-        )
-
-    def process_batch(self, batch: ObservationBatch) -> None:
-        """Ingest a whole-history batch of daily observations.
-
-        The batch must contain each of its domains' *complete* daily
-        history (one detector call per domain, like
-        :meth:`process_domain`) — partial histories would close use
-        intervals early. Signature matching is the shared
-        :class:`~repro.core.references.BatchMatcher` — one catalog match
-        per distinct NS/CNAME/ASN signature — and each domain's day rows
-        run through the same span ingestion as the segment path, making
-        the aggregate value-identical to per-row detection.
-        """
-        grouped: Dict[int, List[Tuple[int, Matches]]] = {}
-        tld_of: Dict[int, int] = {}
-        for index, matches in enumerate(self._matcher.match_rows(batch)):
-            domain_id = batch.domains[index]
-            bucket = grouped.get(domain_id)
-            if bucket is None:
-                bucket = []
-                grouped[domain_id] = bucket
-                tld_of[domain_id] = batch.tlds[index]
-            bucket.append((batch.days[index], matches))
-        names = batch.names
-        for domain_id, day_rows in grouped.items():
-            day_rows.sort(key=lambda item: item[0])
-            self._ingest_spans(
-                names.value(domain_id),
-                names.value(tld_of[domain_id]),
-                (
-                    (day, day + 1, matches)
-                    for day, matches in day_rows
-                ),
-            )
-
-    def _ingest_spans(
+    def observe(
         self,
         domain: str,
         tld: str,
-        spans: Iterable[Tuple[int, int, Dict[str, FrozenSet[RefType]]]],
+        day: int,
+        matches: Mapping[str, FrozenSet[RefType]],
+        end: Optional[int] = None,
     ) -> None:
-        """Shared span loop: ``(start, end, matches)`` in start order."""
-        self._domains_seen += 1
-        per_provider_open: Dict[str, Tuple[int, int]] = {}
-        any_open: Optional[Tuple[int, int]] = None
+        """Apply *domain*'s match facts for ``[day, end)``.
 
-        for raw_start, raw_end, matches in spans:
-            start, end = raw_start, min(raw_end, self._horizon)
-            if start >= end:
-                continue
-            for provider, refs in matches.items():
-                for ref in refs:
-                    self._ref_series(provider, ref).add(start, end)
-                self._combo(provider, combo_label(refs), end - start)
-            # Interval building: extend or open per provider.
-            for provider in matches:
-                open_range = per_provider_open.get(provider)
-                if open_range is not None and open_range[1] == start:
-                    per_provider_open[provider] = (open_range[0], end)
-                else:
-                    if open_range is not None:
-                        self._close(domain, provider, open_range)
-                    per_provider_open[provider] = (start, end)
-            for provider in list(per_provider_open):
-                if provider not in matches and \
-                        per_provider_open[provider][1] <= start:
-                    self._close(domain, provider, per_provider_open.pop(provider))
-            # Any-provider series per TLD and combined.
-            if matches:
-                if any_open is not None and any_open[1] == start:
-                    any_open = (any_open[0], end)
-                else:
-                    if any_open is not None:
-                        self._flush_any(tld, any_open)
-                    any_open = (start, end)
-            elif any_open is not None and any_open[1] <= start:
-                self._flush_any(tld, any_open)
-                any_open = None
+        *end* defaults to ``day + 1`` (one daily row); the span is
+        clipped to the horizon.
+        """
+        self._domains.add(domain)
+        if not matches:  # most rows: nothing to aggregate
+            return
+        end = min(day + 1 if end is None else end, self.horizon)
+        if day >= end:
+            return
+        for provider, refs in sorted(matches.items()):
+            self._series(self._provider_total, provider).add(day, end)
+            by_ref = self._provider_ref.setdefault(provider, {})
+            for ref in refs:
+                self._series(by_ref, ref.value).add(day, end)
+            combos = self._combo_days.setdefault(provider, {})
+            label = combo_label(refs)
+            combos[label] = combos.get(label, 0) + end - day
+            builder = self._builders.get((domain, provider))
+            if builder is None:
+                builder = self._builders[(domain, provider)] = (
+                    IntervalBuilder()
+                )
+            builder.add_run(day, end)
+        self._series(self._tld_any, tld).add(day, end)
+        self._combined_any.add(day, end)
 
-        for provider, open_range in per_provider_open.items():
-            self._close(domain, provider, open_range)
-        if any_open is not None:
-            self._flush_any(tld, any_open)
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _ref_series(self, provider: str, ref: RefType) -> _DiffSeries:
-        key = (provider, ref)
-        series = self._provider_ref.get(key)
+    def _series(
+        self, table: Dict[str, _DiffSeries], key: str
+    ) -> _DiffSeries:
+        series = table.get(key)
         if series is None:
-            series = _DiffSeries(self._horizon)
-            self._provider_ref[key] = series
+            series = table[key] = _DiffSeries(self.horizon)
         return series
 
-    def _combo(self, provider: str, label: str, days: int) -> None:
-        bucket = self._combo_days.setdefault(provider, {})
-        bucket[label] = bucket.get(label, 0) + days
+    # -- queries ------------------------------------------------------------
 
-    def _close(
-        self, domain: str, provider: str, open_range: Tuple[int, int]
-    ) -> None:
-        start, end = open_range
+    @property
+    def domains_seen(self) -> int:
+        return len(self._domains)
+
+    @property
+    def provider_names(self) -> List[str]:
+        return sorted(self._provider_total)
+
+    def adoption(self, provider: str, day: int) -> int:
+        """Distinct SLDs using *provider* on *day*."""
         series = self._provider_total.get(provider)
-        if series is None:
-            series = _DiffSeries(self._horizon)
-            self._provider_total[provider] = series
-        series.add(start, end)
-        self._intervals.setdefault((domain, provider), []).append(
-            UseInterval(start, end)
-        )
+        return series.at(day) if series else 0
 
-    def _flush_any(self, tld: str, open_range: Tuple[int, int]) -> None:
-        start, end = open_range
+    def any_adoption(self, day: int) -> int:
+        """Distinct SLDs using any studied provider on *day*."""
+        return self._combined_any.at(day)
+
+    def any_series(self) -> List[int]:
+        return self._combined_any.materialize()
+
+    def tld_series(self, tld: str) -> List[int]:
         series = self._tld_any.get(tld)
-        if series is None:
-            series = _DiffSeries(self._horizon)
-            self._tld_any[tld] = series
-        series.add(start, end)
-        self._combined_any.add(start, end)
+        return series.materialize() if series else [0] * self.horizon
 
-    # -- result ---------------------------------------------------------------
+    def intervals(self) -> Dict[Tuple[str, str], List[UseInterval]]:
+        """Current maximal use intervals (open runs included as-is)."""
+        return {
+            key: builder.intervals()
+            for key, builder in sorted(self._builders.items())
+        }
+
+    def domain_intervals(
+        self, domain: str
+    ) -> Dict[str, List[UseInterval]]:
+        """provider → intervals for one domain."""
+        return {
+            provider: builder.intervals()
+            for (name, provider), builder in sorted(self._builders.items())
+            if name == domain
+        }
 
     def result(self) -> DetectionResult:
+        """Materialise the :class:`DetectionResult` of the facts so far."""
         providers: Dict[str, ProviderSeries] = {}
-        names = set(self._provider_total) | {
-            key[0] for key in self._provider_ref
-        }
-        for name in sorted(names):
-            total_series = self._provider_total.get(name)
+        for name, total in sorted(self._provider_total.items()):
+            by_ref = self._provider_ref[name]
             providers[name] = ProviderSeries(
                 provider=name,
-                total=(
-                    total_series.materialize()
-                    if total_series
-                    else [0] * self._horizon
-                ),
+                total=total.materialize(),
                 by_ref={
-                    ref: self._provider_ref[(name, ref)].materialize()
+                    ref: by_ref[ref.value].materialize()
                     for ref in RefType
-                    if (name, ref) in self._provider_ref
+                    if ref.value in by_ref
                 },
             )
         return DetectionResult(
-            horizon=self._horizon,
+            horizon=self.horizon,
             providers=providers,
             any_use_by_tld={
                 tld: series.materialize()
                 for tld, series in sorted(self._tld_any.items())
             },
             any_use_combined=self._combined_any.materialize(),
-            intervals={
-                key: sorted(values, key=lambda i: i.start)
-                for key, values in sorted(self._intervals.items())
-            },
+            intervals=self.intervals(),
             combo_days={
                 provider: dict(sorted(combos.items()))
                 for provider, combos in sorted(self._combo_days.items())
             },
-            domains_seen=self._domains_seen,
+            domains_seen=len(self._domains),
         )
+
+    # -- serialization ------------------------------------------------------
+
+    def to_dict(self) -> Dict[str, object]:
+        """A canonical, JSON-compatible snapshot of the state.
+
+        All unordered collections are emitted sorted so that equal states
+        produce identical serialisations (the checkpoint byte-identity
+        guarantee rests on this). Series are written as daily counts,
+        the format every checkpoint so far holds; :meth:`from_dict`
+        differences them back.
+        """
+        return {
+            "horizon": self.horizon,
+            "provider_total": {
+                provider: series.materialize()
+                for provider, series in sorted(self._provider_total.items())
+            },
+            "provider_ref": {
+                provider: {
+                    ref: series.materialize()
+                    for ref, series in sorted(by_ref.items())
+                }
+                for provider, by_ref in sorted(self._provider_ref.items())
+            },
+            "tld_any": {
+                tld: series.materialize()
+                for tld, series in sorted(self._tld_any.items())
+            },
+            "combined_any": self._combined_any.materialize(),
+            "combo_days": {
+                provider: dict(sorted(combos.items()))
+                for provider, combos in sorted(self._combo_days.items())
+            },
+            "intervals": [
+                [domain, provider, [list(run) for run in builder.runs]]
+                for (domain, provider), builder in sorted(
+                    self._builders.items()
+                )
+            ],
+            "domains": sorted(self._domains),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "ScopeState":
+        state = cls(int(payload["horizon"]))
+        state._provider_total = {
+            provider: _DiffSeries.of(series)
+            for provider, series in sorted(payload["provider_total"].items())
+        }
+        state._provider_ref = {
+            provider: {
+                ref: _DiffSeries.of(series)
+                for ref, series in sorted(by_ref.items())
+            }
+            for provider, by_ref in sorted(payload["provider_ref"].items())
+        }
+        state._tld_any = {
+            tld: _DiffSeries.of(series)
+            for tld, series in sorted(payload["tld_any"].items())
+        }
+        state._combined_any = _DiffSeries.of(payload["combined_any"])
+        state._combo_days = {
+            provider: dict(sorted(combos.items()))
+            for provider, combos in sorted(payload["combo_days"].items())
+        }
+        state._builders = {
+            (domain, provider): IntervalBuilder(runs)
+            for domain, provider, runs in payload["intervals"]
+        }
+        state._domains = set(payload["domains"])
+        return state
+
+
+class SegmentDetector:
+    """The batch feeder of :class:`ScopeState`: catalog matching in
+    front of one accumulator, for run-length segments or daily rows."""
+
+    def __init__(self, catalog: SignatureCatalog, horizon: int):
+        self._catalog = catalog
+        self._matcher = BatchMatcher(catalog)
+        self._state = ScopeState(horizon)
+
+    def process_domain(
+        self, domain: str, tld: str, segments: Iterable[ObservationSegment]
+    ) -> None:
+        """Ingest (enriched) observation segments of one domain."""
+        for segment in segments:
+            self._state.observe(
+                domain,
+                tld,
+                segment.start,
+                self._catalog.match(segment.observation),
+                segment.end,
+            )
+
+    def process_batch(self, batch: ObservationBatch) -> None:
+        """Ingest a batch of daily observations, one fact per row.
+
+        Signature matching is the shared
+        :class:`~repro.core.references.BatchMatcher` — one catalog match
+        per distinct NS/CNAME/ASN signature. The batch may hold any part
+        of any domain's history, in any order.
+        """
+        names = batch.names
+        observe = self._state.observe
+        for domain, tld, day, matches in zip(
+            names.values(batch.domains),
+            names.values(batch.tlds),
+            batch.days,
+            self._matcher.match_rows(batch),
+        ):
+            observe(domain, tld, day, matches)
+
+    def result(self) -> DetectionResult:
+        return self._state.result()

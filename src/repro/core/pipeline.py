@@ -31,7 +31,7 @@ from typing import (
 if TYPE_CHECKING:  # avoid a circular import at runtime
     from repro.parallel.backend import BackendSpec
 
-from repro.batch.batch import BatchBuilder, ObservationBatch
+from repro.batch.batch import BatchBuilder
 from repro.core.attribution import AnomalyAttributor, Attribution
 from repro.core.classification import DomainUsage, UsageClassifier
 from repro.core.detection import DetectionResult, SegmentDetector
@@ -282,25 +282,25 @@ class AdoptionStudy:
         sources: Sequence[str],
         backend: Optional["BackendSpec"] = None,
     ) -> DetectionResult:
-        """Whole-history columnar detection over landed partitions.
+        """Columnar detection over landed partitions.
 
-        Concatenates every ``(source, day)`` partition of *sources* into
-        one :class:`ObservationBatch` (pools shared across partitions,
-        so each domain/NS/address strings interns once for the whole
-        history) and runs :meth:`SegmentDetector.process_batch` over it.
-        The store must hold the complete daily history of each domain
-        for those sources — the process_batch contract; given that, the
-        result is value-identical to streaming the same partitions
-        through a :class:`repro.stream.engine.StreamEngine` or running
-        the per-domain segment detector over the equivalent segments.
+        Reads the ``(source, day)`` partitions of *sources* one at a
+        time and folds each through :meth:`SegmentDetector.process_batch`
+        — at most one partition's batch is alive at once; the pools are
+        shared across partitions, so each domain/NS/address string
+        interns once for the whole history. The accumulator takes a
+        domain's days in any order and any grouping, so the result is
+        value-identical to one pass over the concatenated history, to
+        streaming the same partitions through a
+        :class:`repro.stream.engine.StreamEngine`, and to the per-domain
+        segment detector over the equivalent segments.
 
         With *backend* (a :class:`repro.parallel.backend.Backend`
         instance or spec) the pass runs sharded instead: the store —
         which must be a :class:`repro.store.store.SegmentStore` — hands
         each worker a manifest slice (all partitions, one domain hash
         shard) and per-shard results merge exactly, byte-identical to
-        the serial concatenation without ever materialising the whole
-        history in one batch.
+        the serial pass.
         """
         if backend is not None:
             if not hasattr(store, "manifest_slices"):
@@ -321,13 +321,11 @@ class AdoptionStudy:
         detector = SegmentDetector(self.catalog, self.world.horizon)
         builder = BatchBuilder()
         wanted = set(sources)
-        parts = [
-            store.batch(source, day, builder=builder)
-            for source, day in store.partitions()
-            if source in wanted
-        ]
-        if parts:
-            detector.process_batch(ObservationBatch.concat(parts))
+        for source, day in store.partitions():
+            if source in wanted:
+                detector.process_batch(
+                    store.batch(source, day, builder=builder)
+                )
         return detector.result()
 
     # -- the full study -----------------------------------------------------------

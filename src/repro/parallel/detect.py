@@ -1,20 +1,20 @@
-"""Sharded whole-history detection over a landed segment store.
+"""Sharded detection over a landed segment store.
 
-The serial :meth:`AdoptionStudy.detect_from_store` concatenates every
-partition into one whole-history batch. This module is its distributed
-form: the store hands each worker a
+The serial :meth:`AdoptionStudy.detect_from_store` folds the store one
+partition at a time through one detector. This module is its
+distributed form: the store hands each worker a
 :class:`~repro.store.slices.ManifestSlice` — the full partition list
-plus a domain hash shard — and the worker folds the history partition
+plus a domain hash shard — and the worker reads the history partition
 by partition from disk, keeping only its shard's rows.
 
-Sharding is by *domain*, not by partition, because
-:meth:`SegmentDetector.process_batch` requires the complete daily
-history of each domain; hash-partitioning domains keeps that contract
-per worker while the per-shard detector results merge exactly
-(:meth:`DetectionResult.merge` is an integer sum / disjoint keyed
-union). Merging in shard-index order makes the result byte-identical
-to the serial concatenation — for any backend, any shard count, and
-any cluster join/leave schedule.
+Sharding is by *domain*, not by partition. The accumulator
+(:class:`repro.core.detection.ScopeState`) would take a domain's days in
+any order and grouping, but the per-shard results have to *merge*:
+:meth:`DetectionResult.merge` is an integer sum plus a disjoint union of
+``(domain, provider)`` interval keys, so a domain's days must be
+stitched into maximal intervals inside one worker. Merging in
+shard-index order makes the result byte-identical to the serial pass —
+for any backend, any shard count, and any cluster join/leave schedule.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _init_detect_worker(catalog: SignatureCatalog, horizon: int) -> None:
 def _detect_shard(
     shard_index: int, manifest_slice: ManifestSlice
 ) -> DetectionResult:
-    """Fold one domain shard's whole history from its slice."""
+    """Fold one domain shard's rows from its slice."""
     assert _WORKER_DETECT is not None, "worker initializer did not run"
     catalog, horizon = _WORKER_DETECT
     detector = SegmentDetector(catalog, horizon)
@@ -58,14 +58,12 @@ def detect_from_slices(
 ) -> DetectionResult:
     """Distributed :meth:`AdoptionStudy.detect_from_store`.
 
-    Byte-identical to the serial whole-history concatenation; no
-    worker (and no merge step) ever materialises more than one
-    partition plus its own domain shard's rows.
+    Byte-identical to the serial pass; no worker (and no merge step)
+    ever materialises more than one partition plus its own domain
+    shard's rows.
     """
     executor = resolve_backend(backend)
-    slices = store.manifest_slices(
-        executor.shard_count, sources=sources, by="domains"
-    )
+    slices = store.manifest_slices(executor.shard_count, sources=sources)
     parts: List[DetectionResult] = executor.map_shards(
         _detect_shard,
         slices,

@@ -47,30 +47,30 @@ def build_scope_index(
     """
     if classifier is None:
         classifier = UsageClassifier(engine.horizon)
-    state = engine.scope(scope_name)
     day = engine.latest_day(scope_name)
     if day is not None and day < 0:
         day = None
-    intervals = state.intervals()
+    # One materialisation of the scope per completed day: intervals and
+    # series are all read off the same result.
+    detection = engine.scope(scope_name).result()
     usage = {
         key: classifier.classify_intervals(
             runs, 0, engine.horizon
         ).value
-        for key, runs in sorted(intervals.items())
+        for key, runs in detection.intervals.items()
         if runs
     }
-    detection = state.result()
     plane = engine.sketches
     return ScopeIndex(
         scope=scope_name,
         day=day,
-        domains_seen=state.domains_seen,
-        any_series=state.any_series(),
+        domains_seen=detection.domains_seen,
+        any_series=detection.any_use_combined,
         provider_series={
-            provider: list(detection.providers[provider].total)
-            for provider in state.provider_names
+            provider: series.total
+            for provider, series in detection.providers.items()
         },
-        intervals=intervals,
+        intervals=detection.intervals,
         usage=usage,
         # A frozen copy of the scope's sketch set (the churn HLLs stay
         # on the live plane — serve answers point/top-K estimates).

@@ -1,30 +1,26 @@
 """Picklable read plans over a :class:`SegmentStore` manifest.
 
 A :class:`ManifestSlice` is the unit of work a distributed pass hands a
-worker: the store directory, the exact ``(source, day)`` partitions to
-read, and optionally a domain hash shard to keep. It carries no open
-file handles or mmap views — only strings and integers — so it crosses
-any process boundary as a tiny pickle; the worker re-opens the store
-from the manifest on its side and reads partition by partition from
-disk.
+worker: the store directory, the ``(source, day)`` partitions to read,
+and the domain hash shard to keep. It carries no open file handles or
+mmap views — only strings and integers — so it crosses any process
+boundary as a tiny pickle; the worker re-opens the store from the
+manifest on its side and reads partition by partition from disk.
 
-Two slicing modes (see :meth:`SegmentStore.manifest_slices`):
-
-* ``by="partitions"`` — contiguous partition runs, for commutative
-  folds like the sketch rebuild where any partition subset can be
-  processed independently;
-* ``by="domains"`` — every slice covers *all* selected partitions but
-  keeps only the rows of its domain hash shard. This is the plan for
-  whole-history passes like detection, whose per-domain contract needs
-  the complete daily history of each domain: each worker scans the
-  history once and materialises only ``1/shard_count`` of its rows,
-  never a whole-history batch.
+Every slice of a plan (see :meth:`SegmentStore.manifest_slices`) covers
+*all* selected partitions and keeps only the rows of its domain shard:
+each worker scans the history once and materialises ``1/shard_count``
+of its rows. The detection accumulator itself takes a domain's days in
+any order and grouping; slices are per-domain because per-shard results
+merge by a disjoint union of ``(domain, provider)`` interval keys
+(:meth:`~repro.core.detection.DetectionResult.merge`), so all of a
+domain's days have to be stitched into maximal intervals in one worker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.batch.batch import BatchBuilder, ObservationBatch
 
@@ -34,14 +30,14 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ManifestSlice:
-    """One worker's read plan: partitions plus an optional domain shard."""
+    """One worker's read plan: partitions plus a domain shard."""
 
     directory: str
     #: ``(source, day)`` partitions this slice reads, in sorted order.
     partitions: Tuple[Tuple[str, int], ...]
     #: ``(shard_index, shard_count)`` — keep only domains hashing to
-    #: this shard; ``None`` keeps every row of the partitions.
-    domain_shard: Optional[Tuple[int, int]] = None
+    #: this shard.
+    domain_shard: Tuple[int, int]
     on_error: str = "raise"
 
     def open(self) -> "SegmentStore":
@@ -57,8 +53,8 @@ class ManifestSlice:
         filtered to the slice's domain shard, so peak row memory is one
         partition plus the slice's own rows — never the whole history.
         Pools are shared across partitions (translate-once interning),
-        matching the serial whole-history concatenation byte for byte
-        on the rows the slice keeps.
+        as in the serial pass, so the rows the slice keeps are the
+        serial pass's rows byte for byte.
         """
         # Imported here: the canonical shard function lives above this
         # layer, in repro.parallel, which must stay importable without
@@ -72,12 +68,9 @@ class ManifestSlice:
             #: domain pool id -> belongs to this shard (ids are stable
             #: across partitions because the pools are shared).
             keep_by_id: Dict[int, bool] = {}
+            index, count = self.domain_shard
             for source, day in self.partitions:
                 batch = store.batch(source, day, builder=builder)
-                if self.domain_shard is None:
-                    parts.append(batch)
-                    continue
-                index, count = self.domain_shard
                 names = batch.names
                 kept: List[int] = []
                 for row, domain_id in enumerate(batch.domains):

@@ -597,48 +597,29 @@ class SegmentStore:
         self,
         shard_count: int,
         sources: Optional[Sequence[str]] = None,
-        by: str = "domains",
     ) -> List[ManifestSlice]:
         """Picklable read plans for a sharded pass over this store.
 
-        ``by="domains"`` returns ``shard_count`` slices that each cover
-        *all* selected partitions and keep only their domain hash
-        shard — the plan for whole-history passes (detection), whose
-        per-domain contract needs every day of a domain in one worker.
-        ``by="partitions"`` splits the sorted partition list into
-        contiguous runs — the plan for commutative per-partition folds
-        (the sketch rebuild). Either way a slice is directory + keys,
+        ``shard_count`` slices that each cover *all* selected
+        partitions and keep only their domain hash shard. Slices are
+        per-domain because :meth:`DetectionResult.merge` unions
+        ``(domain, provider)`` interval keys and needs them disjoint
+        across shards — a domain's days must meet in one worker to be
+        stitched into maximal intervals. A slice is directory + keys,
         no handles, so it ships to any worker as a tiny pickle.
         """
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
         partitions = tuple(self._manifest.partitions(sources=sources))
-        if by == "domains":
-            return [
-                ManifestSlice(
-                    self.directory,
-                    partitions,
-                    domain_shard=(index, shard_count),
-                    on_error=self.on_error,
-                )
-                for index in range(shard_count)
-            ]
-        if by == "partitions":
-            slices: List[ManifestSlice] = []
-            size, extra = divmod(len(partitions), shard_count)
-            start = 0
-            for index in range(shard_count):
-                end = start + size + (1 if index < extra else 0)
-                slices.append(
-                    ManifestSlice(
-                        self.directory,
-                        partitions[start:end],
-                        on_error=self.on_error,
-                    )
-                )
-                start = end
-            return slices
-        raise ValueError("by must be 'domains' or 'partitions'")
+        return [
+            ManifestSlice(
+                self.directory,
+                partitions,
+                domain_shard=(index, shard_count),
+                on_error=self.on_error,
+            )
+            for index in range(shard_count)
+        ]
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -7,7 +7,9 @@ one landed ``(source, day)`` partition at a time:
 * :class:`StreamEngine` — the stateful core: per-scope incremental
   detection state, ordering discipline (quarantine, missing days, late
   arrivals), live queries;
-* :class:`ScopeState` — one scope's aggregates (series, intervals);
+* :class:`ScopeState` — one scope's aggregates (series, intervals):
+  :class:`repro.core.detection.ScopeState`, the accumulator the batch
+  detector folds through too, re-exported here;
 * feeds — :class:`~repro.measurement.scheduler.PartitionFeed` measures
   live; :class:`StoreReplayFeed` / :class:`SegmentReplayFeed` replay
   existing data;
@@ -27,6 +29,7 @@ from repro.stream.checkpoint import (
     save_checkpoint,
     state_digest,
 )
+from repro.core.detection import ScopeState
 from repro.measurement.scheduler import SCOPE_OF_SOURCE
 from repro.stream.engine import (
     APPLIED,
@@ -37,7 +40,6 @@ from repro.stream.engine import (
 )
 from repro.stream.feed import SegmentReplayFeed, StoreReplayFeed
 from repro.stream.query import DomainHistory, LiveSnapshot, QueryAPI
-from repro.stream.state import ScopeState
 
 __all__ = [
     "APPLIED",

@@ -48,7 +48,7 @@ from typing import (
 )
 
 from repro.batch.batch import ObservationBatch
-from repro.core.detection import DetectionResult, UseInterval
+from repro.core.detection import DetectionResult, ScopeState, UseInterval
 from repro.core.flux import FluxAnalysis, FluxSeries
 from repro.core.growth import GrowthAnalysis, GrowthSeries
 from repro.core.peaks import PeakAnalysis, PeakStats
@@ -67,7 +67,6 @@ from repro.sketch.plane import (
     SketchPlane,
     provider_slds_of,
 )
-from repro.stream.state import ScopeState
 
 #: ingest() outcomes.
 APPLIED = "applied"

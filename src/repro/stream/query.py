@@ -22,7 +22,7 @@ from repro.stream.engine import StreamEngine
 class ScopeCounters(Protocol):
     """What a :class:`LiveSnapshot` is read from.
 
-    Structural: the live :class:`repro.stream.state.ScopeState` and the
+    Structural: the live :class:`repro.core.detection.ScopeState` and the
     frozen :class:`repro.serve.index.ScopeIndex` both satisfy it
     without this module importing the serve plane (which imports this
     one).

@@ -1,6 +1,8 @@
 """Tests for the streaming detector (intervals, series, combinations)."""
 
+import pytest
 
+from repro.batch.batch import ObservationBatch
 from repro.core.detection import (
     SegmentDetector,
     UseInterval,
@@ -215,3 +217,47 @@ class TestCombos:
         )
         assert result.interval_count() == 2
         assert result.providers_of("a.com") == ["CloudFlare"]
+
+
+class TestNoWholeHistoryContract:
+    """A domain's history may reach one detector in any number of
+    pieces: intervals stay maximal and the domain counts once."""
+
+    def test_consecutive_daily_batches_build_one_interval(self):
+        detector = SegmentDetector(CATALOG, HORIZON)
+        for day in (0, 1):
+            detector.process_batch(
+                ObservationBatch.from_rows(
+                    [ObservationSegment(0, 2, CLOUDFLARE_OBS).at(day)]
+                )
+            )
+        result = detector.result()
+        assert result.intervals[("a.com", "CloudFlare")] == [
+            UseInterval(0, 2)
+        ]
+        assert result.domains_seen == 1
+        assert result.providers["CloudFlare"].total[:3] == [1, 1, 0]
+
+    def test_domain_fed_twice_counts_once(self):
+        result = run_detector(
+            [
+                ("a.com", "com", [ObservationSegment(10, 20, CLOUDFLARE_OBS)]),
+                ("a.com", "com", [ObservationSegment(0, 10, CLOUDFLARE_OBS)]),
+            ]
+        )
+        assert result.domains_seen == 1
+        assert result.intervals[("a.com", "CloudFlare")] == [
+            UseInterval(0, 20)
+        ]
+
+    def test_overlapping_spans_raise(self):
+        detector = SegmentDetector(CATALOG, HORIZON)
+        with pytest.raises(ValueError):
+            detector.process_domain(
+                "a.com",
+                "com",
+                [
+                    ObservationSegment(0, 10, CLOUDFLARE_OBS),
+                    ObservationSegment(5, 15, CLOUDFLARE_OBS),
+                ],
+            )

@@ -149,10 +149,7 @@ def test_observe_day_by_day_with_late_arrivals(world, shuffler, data):
     """Out-of-order days, and a checkpoint round trip taken mid-feed:
     the restored state continues to the same result and the same
     serialised bytes as the one that never stopped."""
-    # The parent's ScopeState indexes daily arrays, so a day past the
-    # horizon is an IndexError there; the engine's windows never deliver
-    # one. The reference sees the same rows the state does.
-    rows = [row for row in _daily_rows(world) if row.day < HORIZON]
+    rows = _daily_rows(world)
     shuffler.shuffle(rows)
     cut = data.draw(st.integers(0, len(rows)))
     state = ScopeState(HORIZON)
@@ -170,3 +167,20 @@ def test_observe_day_by_day_with_late_arrivals(world, shuffler, data):
         assert restored.result() == expected
         assert json.dumps(restored.to_dict()) == json.dumps(state.to_dict())
 
+
+@DETERMINISTIC
+@given(micro_worlds(), st.randoms(use_true_random=False))
+def test_per_day_batches_in_shuffled_day_order(world, shuffler):
+    """No whole-history contract: one detector fed a batch per day, days
+    in any order, builds the same maximal intervals."""
+    rows = _daily_rows(world)
+    days = sorted({row.day for row in rows})
+    shuffler.shuffle(days)
+    detector = SegmentDetector(CATALOG, HORIZON)
+    for day in days:
+        detector.process_batch(
+            ObservationBatch.from_rows(
+                [row for row in rows if row.day == day]
+            )
+        )
+    assert detector.result() == _reference(rows)

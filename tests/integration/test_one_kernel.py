@@ -7,7 +7,9 @@ every way in — whole-history ``process_batch``, an engine fed from the
 store, from the segment-native replay feed, from row-built partitions
 (the shape fault shims hand over) and from partitions a checkpoint
 decoded, the serial and sharded sketch rebuilds — asserting one
-``DetectionResult`` and one digest.
+``DetectionResult`` and one digest. Detection folds through one
+accumulator that takes a domain's days in any order, so a store landed
+or read backwards detects the same.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from repro.core.pipeline import AdoptionStudy
 from repro.core.references import BatchMatcher, SignatureCatalog
 from repro.measurement.scheduler import (
     ALL_SOURCES,
+    GTLD_SOURCES,
     SCOPE_OF_SOURCE,
     DayPartition,
 )
@@ -26,6 +29,7 @@ from repro.measurement.storage import ColumnStore
 from repro.parallel.backend import resolve_backend
 from repro.sketch import SketchConfig
 from repro.sketch.build import sketch_from_store, sketch_from_store_sharded
+from repro.store.store import SegmentStore
 from repro.stream.checkpoint import (
     load_checkpoint,
     save_checkpoint,
@@ -168,6 +172,37 @@ class TestEveryDoor:
             rebuild(landed).state_digest()
             == reference_engine.sketches.state_digest()
         )
+
+
+class _ReadBackwards:
+    """A store that lists its partitions last day first."""
+
+    def __init__(self, store):
+        self._store = store
+
+    def partitions(self):
+        return self._store.partitions()[::-1]
+
+    def batch(self, source, day, builder=None):
+        return self._store.batch(source, day, builder=builder)
+
+
+class TestPartitionAtATime:
+    def test_store_landed_or_read_backwards_detects_the_same(
+        self, tiny_world, landed, tmp_path
+    ):
+        study = AdoptionStudy(tiny_world)
+        expected = study.detect_from_store(landed, GTLD_SOURCES)
+        assert expected.domains_seen > 0 and expected.intervals
+        directory = str(tmp_path / "reversed")
+        with SegmentStore(directory, create=True) as store:
+            for source, day in reversed(landed.partitions()):
+                store.append_batch(source, day, landed.batch(source, day))
+            assert study.detect_from_store(store, GTLD_SOURCES) == expected
+            assert (
+                study.detect_from_store(_ReadBackwards(store), GTLD_SOURCES)
+                == expected
+            )
 
 
 class TestSegmentNativeFeed:

@@ -147,19 +147,7 @@ class TestManifestSlices:
         assert sum(sizes) == total
         assert all(0 < size < total for size in sizes)
 
-    def test_partition_slices_split_contiguously(self, baseline):
-        _, _, _, store, _ = baseline
-        slices = store.manifest_slices(
-            3, sources=SOURCES, by="partitions"
-        )
-        full = store.manifest_slices(1, sources=SOURCES)[0].partitions
-        joined = tuple(key for s in slices for key in s.partitions)
-        assert joined == full
-        assert all(s.domain_shard is None for s in slices)
-
     def test_rejects_bad_split(self, baseline):
         _, _, _, store, _ = baseline
         with pytest.raises(ValueError):
             store.manifest_slices(0)
-        with pytest.raises(ValueError):
-            store.manifest_slices(2, by="bogus")

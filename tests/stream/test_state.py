@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.detection import IntervalBuilder, UseInterval
 from repro.core.references import RefType
-from repro.stream.state import ScopeState
+from repro.stream import ScopeState
 
 
 class TestIntervalBuilder:
@@ -60,6 +60,18 @@ class TestIntervalBuilder:
         builder = IntervalBuilder([[0, 5]])
         with pytest.raises(ValueError):
             builder.add_day(2)
+
+    def test_late_span_bridges_both_neighbours(self):
+        builder = IntervalBuilder([[0, 2], [6, 8]])
+        builder.add_run(2, 6)
+        assert builder.runs == [[0, 8]]
+
+    @pytest.mark.parametrize("span", [(1, 3), (4, 7), (3, 9), (6, 7)])
+    def test_late_span_overlapping_either_neighbour_raises(self, span):
+        builder = IntervalBuilder([[0, 2], [6, 8]])
+        with pytest.raises(ValueError):
+            builder.add_run(*span)
+        assert builder.runs == [[0, 2], [6, 8]]
 
     def test_out_of_order_equals_in_order(self):
         days = [9, 0, 4, 2, 1, 7, 8, 3]
