@@ -1,8 +1,9 @@
-"""Ablation — radix-trie longest-prefix match vs linear scan.
+"""Ablation — per-length hash longest-prefix match vs linear scan.
 
-The enrichment stage performs one LPM per observed address; this ablation
-shows why the trie (O(32) per lookup) matters against scanning the whole
-prefix table.
+The enrichment stage performs one LPM per distinct observed address;
+this ablation shows why ``PrefixTable`` (one dict probe per distinct
+stored prefix length) matters against scanning the whole prefix table,
+and cross-checks the two on a sample of the probes.
 """
 
 import ipaddress
@@ -10,7 +11,7 @@ import random
 
 import pytest
 
-from repro.routing.prefixtrie import PrefixTrie
+from repro.routing.prefixtable import PrefixTable
 
 TABLE_SIZE = 2000
 PROBES = 500
@@ -34,17 +35,32 @@ def table():
     return prefixes, probes
 
 
-def test_lpm_with_prefix_trie(benchmark, table):
-    prefixes, probes = table
-    trie = PrefixTrie()
+def _build(prefixes):
+    table = PrefixTable()
     for network, asn in prefixes:
-        trie.insert(network, asn)
+        table.insert(network, asn)
+    return table
+
+
+def _record_shape(benchmark, prefixes):
+    # benchmarks/schema.py rejects an uploaded entry without extra_info.
+    benchmark.extra_info["table_size"] = len(prefixes)
+    benchmark.extra_info["probes"] = PROBES
+    benchmark.extra_info["distinct_lengths"] = len(
+        {network.prefixlen for network, _ in prefixes}
+    )
+
+
+def test_lpm_with_prefix_table(benchmark, table):
+    prefixes, probes = table
+    lpm = _build(prefixes)
 
     def run():
-        return [trie.longest_match(address) for address in probes]
+        return [lpm.longest_match(address) for address in probes]
 
     results = benchmark(run)
     assert len(results) == PROBES
+    _record_shape(benchmark, prefixes)
 
 
 def test_lpm_with_linear_scan(benchmark, table):
@@ -62,12 +78,11 @@ def test_lpm_with_linear_scan(benchmark, table):
         return out
 
     results = benchmark.pedantic(run, rounds=2, iterations=1)
-    # Correctness cross-check against the trie on a sample.
-    trie = PrefixTrie()
-    for network, asn in prefixes:
-        trie.insert(network, asn)
+    _record_shape(benchmark, prefixes)
+    # Correctness cross-check against the table on a sample.
+    lpm = _build(prefixes)
     for address, expected in list(zip(probes, results))[:50]:
-        got = trie.longest_match(address)
+        got = lpm.longest_match(address)
         if expected is None:
             assert got is None
         else:

@@ -3,7 +3,7 @@
 :class:`ObservationBatch` is the batch-first unit of data flow across
 the measurement, enrichment, detection, streaming, and parallel layers:
 parallel columns per field, interned string pools for domains / TLDs /
-NS names / CNAMEs, a packed-int address pool shared with the LPM cache,
+NS names / CNAMEs, a pool of verbatim address texts,
 and per-row sorted ASN tuples. Row-shaped call sites keep working
 through lazy :class:`repro.measurement.snapshot.DomainObservation` views
 (``batch.row(i)``). See ``docs/DATA_MODEL.md``.

@@ -13,10 +13,7 @@ a fork boundary).
 
 from __future__ import annotations
 
-import ipaddress
-from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class StringPool:
@@ -73,21 +70,19 @@ class StringPool:
 
 
 class AddressPool:
-    """Interned IP address texts with lazily parsed / packed forms.
+    """Interned IP address texts.
 
     Address *texts* are kept verbatim (round-trips must be byte-exact —
     ``"192.0.2.1"`` must come back as ``"192.0.2.1"``, not a normalised
-    respelling); the parsed :mod:`ipaddress` object and its packed
-    ``(version, int)`` key are derived lazily, once per distinct
-    address, for the longest-prefix-match path.
+    respelling) and never parsed here: enrichment parses each distinct
+    text once, when it resolves that address's timeline.
     """
 
-    __slots__ = ("_ids", "_texts", "_parsed", "_tuple_memo")
+    __slots__ = ("_ids", "_texts", "_tuple_memo")
 
     def __init__(self) -> None:
         self._ids: Dict[str, int] = {}
         self._texts: List[str] = []
-        self._parsed: List[Optional[IPAddress]] = []
         self._tuple_memo: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
 
     def __len__(self) -> int:
@@ -100,7 +95,6 @@ class AddressPool:
         index = len(self._texts)
         self._ids[text] = index
         self._texts.append(text)
-        self._parsed.append(None)
         return index
 
     def intern_all(self, texts: Iterable[str]) -> Tuple[int, ...]:
@@ -122,18 +116,3 @@ class AddressPool:
     def texts(self, indexes: Iterable[int]) -> Tuple[str, ...]:
         table = self._texts
         return tuple(table[index] for index in indexes)
-
-    def parsed(self, index: int) -> IPAddress:
-        """The :mod:`ipaddress` object for id *index* (parsed once)."""
-        address = self._parsed[index]
-        if address is None:
-            address = ipaddress.ip_address(self._texts[index])
-            self._parsed[index] = address
-        return address
-
-    def packed(self, index: int) -> Tuple[int, int]:
-        """The ``(version, integer)`` key of id *index* — the same key
-        the :class:`repro.routing.prefixtrie.PrefixTrie` LPM cache uses.
-        """
-        address = self.parsed(index)
-        return (address.version, int(address))

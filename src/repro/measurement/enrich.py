@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.batch.batch import ObservationBatch
 from repro.measurement.snapshot import DomainObservation, ObservationSegment
-from repro.routing.prefixtrie import IPAddress, PrefixTrie
+from repro.routing.prefixtable import PrefixTable
 from repro.world.world import World
 
 #: One address's ``[(start_day, origins)]``, ascending, deduplicated.
@@ -51,13 +51,11 @@ class AsnEnricher:
             day for day in world.routing_change_days() if day > 0
         ]
         #: Prefixes whose announcement ever changes after day 0.
-        self._dynamic = PrefixTrie()
+        self._dynamic = PrefixTable()
         for day, prefix, _ in world.routing_events():
             if day > 0:
                 self._dynamic.insert(prefix, True)
         self._timeline_cache: Dict[str, Timeline] = {}
-        #: address text → parsed form, so each unique address parses once.
-        self._parsed: Dict[str, IPAddress] = {}
         #: (observation, origins) → the enriched observation (interning).
         self._interned: Dict[
             Tuple[DomainObservation, FrozenSet[int]], DomainObservation
@@ -67,14 +65,6 @@ class AsnEnricher:
         #: per-day oracle :meth:`enrich` adds one per LPM it makes.
         self.lookups = 0
         self.intern_hits = 0
-
-    def _parse(self, address: str) -> IPAddress:
-        """The parsed form of *address*, parsed at most once per text."""
-        parsed = self._parsed.get(address)
-        if parsed is None:
-            parsed = ipaddress.ip_address(address)
-            self._parsed[address] = parsed
-        return parsed
 
     def _intern(
         self, observation: DomainObservation, origins: FrozenSet[int]
@@ -102,7 +92,7 @@ class AsnEnricher:
         asns: Set[int] = set()
         for address in observation.all_addresses():
             self.lookups += 1
-            asns |= pfx2as.lookup(self._parse(address))
+            asns |= pfx2as.lookup(address)
         return observation.with_asns(frozenset(asns))
 
     def enrich_day(
@@ -156,7 +146,7 @@ class AsnEnricher:
         if cached is not None:
             return cached
         self.lookups += 1
-        parsed = self._parse(address)
+        parsed = ipaddress.ip_address(address)
         if self._dynamic.longest_match(parsed) is None:
             timeline = [(0, self._world.pfx2as_at(0).lookup(parsed))]
         else:

@@ -5,13 +5,13 @@ Routeviews *pfx2as* data: "The origin AS of the most-specific prefix in
 which an address was contained at measurement time" (§3.2), attaching all
 origins for multi-origin (MOAS) prefixes. This package provides the pieces
 needed to simulate and to consume that data: an AS registry with names, a
-binary radix trie with longest-prefix match, a routing table with
+per-length hash table with longest-prefix match, a routing table with
 announce/withdraw semantics and MOAS tracking, and pfx2as snapshots in the
 Routeviews text format.
 """
 
 from repro.routing.asn import ASRegistry, AutonomousSystem
-from repro.routing.prefixtrie import PrefixTrie
+from repro.routing.prefixtable import PrefixTable
 from repro.routing.table import RouteAnnouncement, RoutingTable
 from repro.routing.pfx2as import Pfx2As, Pfx2AsEntry
 
@@ -20,7 +20,7 @@ __all__ = [
     "AutonomousSystem",
     "Pfx2As",
     "Pfx2AsEntry",
-    "PrefixTrie",
+    "PrefixTable",
     "RouteAnnouncement",
     "RoutingTable",
 ]

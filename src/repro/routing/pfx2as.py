@@ -13,7 +13,7 @@ import ipaddress
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Union
 
-from repro.routing.prefixtrie import IPAddress, IPNetwork, PrefixTrie
+from repro.routing.prefixtable import IPAddress, IPNetwork, PrefixTable
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,11 @@ class Pfx2As:
     """An immutable prefix → origin-AS-set mapping with LPM lookup."""
 
     def __init__(self, entries: Iterable[Pfx2AsEntry] = ()):
-        self._trie: PrefixTrie[FrozenSet[int]] = PrefixTrie()
-        self._entries: List[Pfx2AsEntry] = []
+        #: The one copy of the mapping; a repeated prefix merges origins.
+        self._table: PrefixTable[FrozenSet[int]] = PrefixTable()
         for entry in entries:
-            existing = self._trie.get(entry.prefix)
-            if existing is not None:
-                merged = Pfx2AsEntry(entry.prefix, existing | entry.origins)
-                self._entries = [
-                    e for e in self._entries if e.prefix != entry.prefix
-                ]
-                entry = merged
-            self._trie.insert(entry.prefix, entry.origins)
-            self._entries.append(entry)
+            known = self._table.get(entry.prefix) or frozenset()
+            self._table.insert(entry.prefix, known | entry.origins)
 
     def lookup(
         self, address: Union[str, IPAddress]
@@ -75,7 +68,7 @@ class Pfx2As:
         Returns the empty set for unrouted addresses. Multi-origin prefixes
         yield every origin (the paper attaches all involved AS numbers).
         """
-        match = self._trie.longest_match(address)
+        match = self._table.longest_match(address)
         if match is None:
             return frozenset()
         return match[1]
@@ -84,23 +77,16 @@ class Pfx2As:
         self, address: Union[str, IPAddress]
     ) -> Optional[IPNetwork]:
         """The most-specific covering prefix itself, or None."""
-        match = self._trie.longest_match(address)
+        match = self._table.longest_match(address)
         return match[0] if match else None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._table)
 
     def __iter__(self) -> Iterator[Pfx2AsEntry]:
-        return iter(
-            sorted(
-                self._entries,
-                key=lambda e: (
-                    e.prefix.version,
-                    int(e.prefix.network_address),
-                    e.prefix.prefixlen,
-                ),
-            )
-        )
+        """Entries ordered by (version, network address, prefixlen)."""
+        for prefix, origins in self._table.items():
+            yield Pfx2AsEntry(prefix, origins)
 
     def moas_entries(self) -> List[Pfx2AsEntry]:
         """All multi-origin entries."""

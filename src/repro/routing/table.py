@@ -14,7 +14,7 @@ import ipaddress
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator, List, Optional, Set, Union
 
-from repro.routing.prefixtrie import IPAddress, IPNetwork, PrefixTrie
+from repro.routing.prefixtable import IPAddress, IPNetwork, PrefixTable
 from repro.routing.pfx2as import Pfx2As, Pfx2AsEntry
 
 
@@ -33,7 +33,7 @@ class RoutingTable:
     """Tracks announced prefixes and their origin AS sets."""
 
     def __init__(self) -> None:
-        self._trie: PrefixTrie[Set[int]] = PrefixTrie()
+        self._table: PrefixTable[Set[int]] = PrefixTable()
         self.announcements_processed = 0
         self.withdrawals_processed = 0
 
@@ -46,9 +46,9 @@ class RoutingTable:
     def announce(self, prefix: Union[str, IPNetwork], origin: int) -> None:
         """AS *origin* announces *prefix* (idempotent per origin)."""
         network = self._coerce(prefix)
-        origins = self._trie.get(network)
+        origins = self._table.get(network)
         if origins is None:
-            self._trie.insert(network, {origin})
+            self._table.insert(network, {origin})
         else:
             origins.add(origin)
         self.announcements_processed += 1
@@ -58,7 +58,7 @@ class RoutingTable:
     ) -> bool:
         """Withdraw *prefix* (for one origin, or entirely when None)."""
         network = self._coerce(prefix)
-        origins = self._trie.get(network)
+        origins = self._table.get(network)
         if origins is None:
             return False
         if origin is None:
@@ -66,7 +66,7 @@ class RoutingTable:
         else:
             origins.discard(origin)
         if not origins:
-            self._trie.remove(network)
+            self._table.remove(network)
         self.withdrawals_processed += 1
         return True
 
@@ -74,14 +74,14 @@ class RoutingTable:
         self, prefix: Union[str, IPNetwork]
     ) -> FrozenSet[int]:
         """Origin set announced for exactly *prefix* (may be empty)."""
-        origins = self._trie.get(self._coerce(prefix))
+        origins = self._table.get(self._coerce(prefix))
         return frozenset(origins) if origins else frozenset()
 
     def origins_for_address(
         self, address: Union[str, IPAddress]
     ) -> FrozenSet[int]:
         """Origins of the most-specific prefix containing *address*."""
-        match = self._trie.longest_match(address)
+        match = self._table.longest_match(address)
         if match is None:
             return frozenset()
         return frozenset(match[1])
@@ -90,7 +90,7 @@ class RoutingTable:
         self, address: Union[str, IPAddress]
     ) -> Optional[RouteAnnouncement]:
         """The covering route with the lowest-numbered origin, if any."""
-        match = self._trie.longest_match(address)
+        match = self._table.longest_match(address)
         if match is None:
             return None
         prefix, origins = match
@@ -98,16 +98,16 @@ class RoutingTable:
 
     def routes(self) -> Iterator[RouteAnnouncement]:
         """All (prefix, origin) pairs currently in the table."""
-        for prefix, origins in self._trie.items():
+        for prefix, origins in self._table.items():
             for origin in sorted(origins):
                 yield RouteAnnouncement(prefix, origin)
 
     def __len__(self) -> int:
-        return len(self._trie)
+        return len(self._table)
 
     def snapshot_pfx2as(self) -> Pfx2As:
         """Export the current table as a Routeviews-style pfx2as mapping."""
         entries: List[Pfx2AsEntry] = []
-        for prefix, origins in self._trie.items():
+        for prefix, origins in self._table.items():
             entries.append(Pfx2AsEntry(prefix, frozenset(origins)))
         return Pfx2As(entries)

@@ -251,13 +251,6 @@ class TestSegmentEnrichment:
 
 
 class TestHotPathCaches:
-    def test_each_address_parses_once(self, tiny_world):
-        fresh = AsnEnricher(tiny_world)
-        address = tiny_world.hosters[0].host_address("probe.example")
-        first = fresh._parse(address)
-        assert fresh._parse(address) is first
-        assert str(first) == address
-
     def test_string_and_parsed_lookups_agree(self, tiny_world, enricher):
         import ipaddress
 

@@ -1,6 +1,7 @@
 """Tests for the Routeviews-style pfx2as dataset."""
 
 import ipaddress
+import random
 
 import pytest
 
@@ -82,6 +83,31 @@ class TestDataset:
         )
         listed = [str(e.prefix) for e in dataset]
         assert listed == ["10.0.0.0/8", "192.0.2.0/24"]
+
+    def test_shuffled_duplicates_merge_and_serialise_identically(self):
+        entries = [
+            entry("10.0.0.0/8", 1),
+            entry("10.1.0.0/16", 2),
+            entry("10.1.0.0/16", 3),  # the duplicated prefix
+            entry("10.1.0.0/24", 4),
+            entry("192.0.2.0/24", 5),
+            entry("2001:db8::/32", 6),
+        ]
+        merged = [
+            entry("10.0.0.0/8", 1),
+            entry("10.1.0.0/16", 2, 3),
+            entry("10.1.0.0/24", 4),
+            entry("192.0.2.0/24", 5),
+            entry("2001:db8::/32", 6),
+        ]
+        text = "".join(e.to_line() + "\n" for e in merged)
+        shuffler = random.Random(23)
+        for _ in range(10):
+            shuffler.shuffle(entries)
+            dataset = Pfx2As(entries)
+            assert list(dataset) == merged
+            assert len(dataset) == len(merged)
+            assert dataset.to_text() == text
 
     def test_moas_entries(self):
         dataset = Pfx2As(

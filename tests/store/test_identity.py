@@ -89,10 +89,17 @@ class TestSegmentStoreIdentity:
     ):
         world, study, results, _, segment_store = seeded
         directory = tmp_path_factory.mktemp("compacted")
+        by_day = {}
+        for source, day in segment_store.partitions():
+            by_day.setdefault(day, []).append(source)
         with SegmentStore(str(directory), create=True) as compacted:
-            for source, day in segment_store.partitions():
-                compacted.append_batch(
-                    source, day, segment_store.batch(source, day)
+            # One commit per day, not per partition: every commit
+            # rewrites the whole manifest. Still hundreds of gen-0
+            # segments for ``compact`` to merge.
+            for day, sources in sorted(by_day.items()):
+                compacted.append_partitions(
+                    (source, day, list(segment_store.rows(source, day)))
+                    for source in sources
                 )
             assert compacted.compact(fanout=8)
             detected = study.detect_from_store(
