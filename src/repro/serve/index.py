@@ -339,8 +339,14 @@ class ServeIndex:
             )
         if day is None:
             day = scope_index.day
-        if day is not None and not 0 <= day < self.horizon:
+        elif not 0 <= day < self.horizon:
             raise ServeError(f"day {day} outside horizon {self.horizon}")
+        elif scope_index.day is None or day > scope_index.day:
+            # The plane holds nothing past the last ingested day: a
+            # future day would read as zero adoption, a wrong number.
+            raise ServeError(
+                f"day {day} not ingested yet for scope {scope!r}"
+            )
         providers = {
             provider: (
                 sketches.adoption_estimate(provider, day)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.batch.batch import BatchBuilder
 from repro.core.references import BatchMatcher, SignatureCatalog
 from repro.measurement.scheduler import SCOPE_OF_SOURCE
 from repro.parallel.backend import BackendSpec, resolve_backend
@@ -40,15 +41,18 @@ def _fold_partitions(
     partitions: Sequence[PartitionKey],
 ) -> SketchPlane:
     """A fresh plane with *partitions* folded in, in the given order —
-    matcher and fold are the ones ``StreamEngine._apply`` uses."""
+    matcher and fold are the ones ``StreamEngine._apply`` uses. Every
+    partition is read through one builder, so a string repeated across
+    days is interned once per rebuild, not once per partition."""
     plane = SketchPlane(
         config,
         scope_names=dict.fromkeys(SCOPE_OF_SOURCE.values()),
         provider_slds=provider_slds_of(catalog),
     )
     matcher = BatchMatcher(catalog)
+    builder = BatchBuilder()
     for source, day in partitions:
-        batch = store.batch(source, day)
+        batch = store.batch(source, day, builder=builder)
         plane.fold_batch(
             SCOPE_OF_SOURCE[source], day, batch, matcher.match_rows(batch)
         )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Mapping
 
-from repro.sketch.hashing import hash64, row_indexes
+from repro.sketch.hashing import digest64, keyed_hasher, row_indexes
 
 
 class SketchMergeError(ValueError):
@@ -51,6 +51,8 @@ class CountMinSketch:
         self.depth = depth
         self.width = width
         self.seed = seed
+        #: Derived from ``seed``; copied per key, never serialized.
+        self._hasher = keyed_hasher(seed)  # repro: ignore[schema-drift]
         self.conservative = conservative
         self.total = 0
         self.rows: List[List[int]] = [
@@ -79,7 +81,7 @@ class CountMinSketch:
         if count < 0:
             raise ValueError("count must be non-negative")
         positions = row_indexes(
-            hash64(key, self.seed), self.depth, self.width
+            digest64(self._hasher, key), self.depth, self.width
         )
         if self.conservative:
             floor = count + min(
@@ -97,7 +99,7 @@ class CountMinSketch:
 
     def estimate(self, key: str) -> int:
         positions = row_indexes(
-            hash64(key, self.seed), self.depth, self.width
+            digest64(self._hasher, key), self.depth, self.width
         )
         return min(
             row[positions[index]]

@@ -26,7 +26,7 @@ import math
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.sketch.cms import SketchMergeError
-from repro.sketch.hashing import hash64
+from repro.sketch.hashing import digest64, keyed_hasher
 
 
 def _alpha(m: int) -> float:
@@ -48,6 +48,8 @@ class HyperLogLog:
         self.precision = precision
         self.seed = seed
         self.registers = 1 << precision  # repro: ignore[schema-drift]
+        #: Derived from ``seed``; copied per key, never serialized.
+        self._hasher = keyed_hasher(seed)  # repro: ignore[schema-drift]
         #: Sparse regime: touched register → max rank, sorted on dump.
         self.sparse: Optional[Dict[int, int]] = {}
         #: Dense regime: one rank per register (None while sparse).
@@ -66,7 +68,7 @@ class HyperLogLog:
     # -- updates ------------------------------------------------------------
 
     def add(self, key: str) -> None:
-        value = hash64(key, self.seed)
+        value = digest64(self._hasher, key)
         tail_bits = 64 - self.precision
         index = value >> tail_bits
         tail = value & ((1 << tail_bits) - 1)

@@ -1,7 +1,8 @@
 """The streaming sketch plane: per-scope summaries the engine maintains.
 
-One :class:`ScopeSketches` per detection scope, updated row by row by
-:meth:`SketchPlane.fold_batch` — engine ingest and store rebuild alike:
+One :class:`ScopeSketches` per detection scope, updated one partition
+at a time by :meth:`SketchPlane.fold_batch` — engine ingest and store
+rebuild alike:
 
 * ``provider_days`` / ``provider_topk`` — domain-days per provider
   (count-min + space-saving), the top-K-by-adoption stream;
@@ -95,7 +96,8 @@ class SketchConfig:
 
 
 class ScopeSketches:
-    """One scope's sketch set; every mutation goes through observe()."""
+    """One scope's sketch set; :meth:`SketchPlane.fold_batch` is the
+    only code that mutates it (``merge`` aside)."""
 
     def __init__(self, config: SketchConfig):
         # Shared shape parameters, not state: rebuilt from the plane's
@@ -125,48 +127,6 @@ class ScopeSketches:
         )
         self.provider_domains: Dict[str, HyperLogLog] = {}
         self.provider_day_domains: Dict[str, HyperLogLog] = {}
-
-    # -- updates ------------------------------------------------------------
-
-    def observe(
-        self,
-        domain: str,
-        day: int,
-        matches: Mapping[str, FrozenSet[object]],
-        third_party: Tuple[str, ...],
-    ) -> None:
-        """Fold one row's match facts in (commutative in row order)."""
-        self.rows_observed += 1
-        self.domains.add(domain)
-        if not matches:
-            for key in third_party:
-                self.third_party.update(key)
-                self.third_party_counts.update(key)
-            return
-        self.matched_rows += 1
-        for provider in sorted(matches):
-            day_key = provider + KEY_SEP + str(day)
-            self.provider_days.update(provider)
-            self.provider_topk.update(provider)
-            self.provider_day.update(day_key)
-            per_provider = self.provider_domains.get(provider)
-            if per_provider is None:
-                per_provider = self.provider_domains[provider] = (
-                    HyperLogLog(
-                        self.config.hll_precision,
-                        self.config.role_seed("hll:provider-domains"),
-                    )
-                )
-            per_provider.add(domain)
-            per_day = self.provider_day_domains.get(day_key)
-            if per_day is None:
-                per_day = self.provider_day_domains[day_key] = (
-                    HyperLogLog(
-                        self.config.day_hll_precision,
-                        self.config.role_seed("hll:provider-day"),
-                    )
-                )
-            per_day.add(domain)
 
     # -- queries ------------------------------------------------------------
 
@@ -438,25 +398,69 @@ class SketchPlane:
         row_matches: Sequence[Matches],
     ) -> None:
         """Fold one landed partition — *batch* and its rows' matches,
-        index-aligned — into *scope*'s sketches."""
+        index-aligned — into *scope*'s sketches.
+
+        HyperLogLog inserts and space-saving updates run row by row in
+        row order (space-saving is order-sensitive once it evicts). The
+        three count-min streams are additive, so each distinct key is
+        counted over the batch and folded in by one ``update(key,
+        count)`` — the same cells as one update per row.
+        """
         sketches = self.scopes[scope]
+        config = self.config
         names = batch.names
+        day_suffix = KEY_SEP + str(day)
+        provider_rows: Dict[str, int] = {}
+        third_rows: Dict[str, int] = {}
         # Third-party keys depend only on the NS/CNAME texts, so the
         # per-batch match key dedups their extraction exactly like it
         # dedups signature matching.
         third_by_key: Dict[MatchKey, Tuple[str, ...]] = {}
+        matched = 0
         for index, matches in enumerate(row_matches):
             domain = names.value(batch.domains[index])
-            if matches:
-                sketches.observe(domain, day, matches, ())
+            sketches.domains.add(domain)
+            if not matches:
+                id_key = batch.match_key(index)
+                third = third_by_key.get(id_key)
+                if third is None:
+                    third = third_by_key[id_key] = self.third_party_keys(
+                        batch.ns_texts(index), batch.cname_texts(index)
+                    )
+                for key in third:
+                    sketches.third_party.update(key)
+                    third_rows[key] = third_rows.get(key, 0) + 1
                 continue
-            id_key = batch.match_key(index)
-            third = third_by_key.get(id_key)
-            if third is None:
-                third = third_by_key[id_key] = self.third_party_keys(
-                    batch.ns_texts(index), batch.cname_texts(index)
-                )
-            sketches.observe(domain, day, matches, third)
+            matched += 1
+            for provider in sorted(matches):
+                provider_rows[provider] = provider_rows.get(provider, 0) + 1
+                sketches.provider_topk.update(provider)
+                per_provider = sketches.provider_domains.get(provider)
+                if per_provider is None:
+                    per_provider = sketches.provider_domains[provider] = (
+                        HyperLogLog(
+                            config.hll_precision,
+                            config.role_seed("hll:provider-domains"),
+                        )
+                    )
+                per_provider.add(domain)
+                day_key = provider + day_suffix
+                per_day = sketches.provider_day_domains.get(day_key)
+                if per_day is None:
+                    per_day = sketches.provider_day_domains[day_key] = (
+                        HyperLogLog(
+                            config.day_hll_precision,
+                            config.role_seed("hll:provider-day"),
+                        )
+                    )
+                per_day.add(domain)
+        sketches.rows_observed += len(row_matches)
+        sketches.matched_rows += matched
+        for provider, count in provider_rows.items():
+            sketches.provider_days.update(provider, count)
+            sketches.provider_day.update(provider + day_suffix, count)
+        for key, count in third_rows.items():
+            sketches.third_party_counts.update(key, count)
 
     def merge(self, other: "SketchPlane") -> None:
         if self.config != other.config:

@@ -35,9 +35,20 @@ Every malformed-input failure raises
 
 from __future__ import annotations
 
+import itertools
+import operator
 import struct
 import zlib
-from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.store.errors import StorageError
 
@@ -209,19 +220,31 @@ def _encode_string_block(out: bytearray, texts: Sequence[str]) -> None:
 
 
 def _decode_string_block(cursor: _Cursor, count: int) -> List[str]:
+    """The block's strings. An all-ASCII blob (byte offsets are then
+    character offsets) is decoded once and sliced as ``str``."""
     blob_length = cursor.u32()
     ends = cursor.array(4, count)
     blob = cursor.take(blob_length)
-    if count and ends[-1] != blob_length:
+    if not count:
+        return []
+    if ends[-1] != blob_length:
         raise StorageError("string blob length mismatch in column page")
-    texts: List[str] = []
-    start = 0
-    for end in ends:
-        if end < start or end > blob_length:
-            raise StorageError("string offsets not monotonic in column page")
-        texts.append(blob[start:end].decode("utf-8", "surrogatepass"))
-        start = end
-    return texts
+    starts = (0,) + ends[:-1]
+    if any(map(operator.gt, starts, ends)):
+        raise StorageError("string offsets not monotonic in column page")
+    if blob.isascii():
+        text = blob.decode("ascii")
+        return [text[start:end] for start, end in zip(starts, ends)]
+    return [
+        blob[start:end].decode("utf-8", "surrogatepass")
+        for start, end in zip(starts, ends)
+    ]
+
+
+def _runs(counts: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    """``(start, end)`` of consecutive runs *counts* long."""
+    ends = tuple(itertools.accumulate(counts))
+    return zip((0,) + ends[:-1], ends)
 
 
 def _encode_dict_section(out: bytearray, kind: int,
@@ -271,35 +294,21 @@ def _decode_dict_section(cursor: _Cursor, kind: int,
         sid_width = cursor.u8()
         counts = cursor.array(4, dict_count)
         flattened = cursor.array(sid_width, sum(counts))
-        entries: List[Entry] = []
-        position = 0
-        for count in counts:
-            ids = flattened[position:position + count]
-            position += count
-            try:
-                entries.append(tuple(texts[i] for i in ids))
-            except IndexError as exc:
-                raise StorageError(
-                    "string id out of range in column page"
-                ) from exc
-        return entries
+        if flattened and max(flattened) >= len(texts):
+            raise StorageError("string id out of range in column page")
+        cells = tuple(map(texts.__getitem__, flattened))
+        return [cells[start:end] for start, end in _runs(counts)]
     if kind == KIND_INT_LIST:
         counts = cursor.array(4, dict_count)
         stream_length = cursor.u32()
         stream = cursor.take(stream_length)
-        values = _read_varints(stream, sum(counts))
-        entries = []
-        position = 0
-        for count in counts:
-            cell: List[int] = []
-            previous = 0
-            for offset in range(count):
-                delta = _unzigzag(values[position + offset])
-                previous = delta if offset == 0 else previous + delta
-                cell.append(previous)
-            position += count
-            entries.append(tuple(cell))
-        return entries
+        # A cell is its first value followed by deltas, so a running sum
+        # over the cell's slice restores it.
+        values = list(map(_unzigzag, _read_varints(stream, sum(counts))))
+        return [
+            tuple(itertools.accumulate(values[start:end]))
+            for start, end in _runs(counts)
+        ]
     raise StorageError(f"unknown cell kind {kind}")
 
 
@@ -408,9 +417,8 @@ def decode_page(
             raise StorageError("trailing bytes after column page")
     except (struct.error, ValueError, OverflowError, MemoryError) as exc:
         raise StorageError(f"corrupt column page: {exc}") from exc
-    for index in indexes:
-        if index >= dict_count:
-            raise StorageError("dictionary index out of range in page")
+    if indexes and max(indexes) >= dict_count:
+        raise StorageError("dictionary index out of range in page")
     return entries, indexes
 
 

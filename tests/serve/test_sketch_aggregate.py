@@ -14,9 +14,11 @@ import json
 
 import pytest
 
+from repro.batch.batch import ObservationBatch
 from repro.serve.index import ServeIndex, SnapshotSwapper
 from repro.serve.protocol import Request
 from repro.serve.server import ServeDispatcher
+from repro.sketch import SketchConfig
 from repro.stream.engine import StreamEngine
 from repro.stream.feed import SegmentReplayFeed
 
@@ -177,7 +179,62 @@ def test_built_index_carries_frozen_sketch_views(served_stack):
     assert payload["source"] == "sketch"
     # The view is a copy: mutating the engine's plane later cannot
     # bleed into an already-published snapshot.
-    scope = engine.sketches.scope("gtld")
     before = payload["rows_observed"]
-    scope.observe("late-domain.example", 0, {}, ())
+    late = ObservationBatch()
+    late.append_fields(0, "late-domain.example", "com", (), ())
+    engine.sketches.fold_batch("gtld", 0, late, [{}])
+    assert engine.sketches.scope("gtld").rows_observed > before
     assert index.aggregate_sketch("gtld")["rows_observed"] == before
+
+
+class TestFutureDay:
+    """A day past the snapshot's last ingested day has no answer yet.
+    Every source rejects it with the exact path's error; the sketch path
+    used to answer it with zero adoption for every provider."""
+
+    INGESTED_THROUGH = 23
+    FUTURE = 100
+
+    @pytest.fixture(scope="class")
+    def partial(self, serve_world, replay_feed):
+        engine = StreamEngine(
+            serve_world.horizon,
+            windows=replay_feed.windows(),
+            sketches=SketchConfig(),
+        )
+        swapper = SnapshotSwapper(engine)
+        swapper.attach()
+        engine.ingest_feed(replay_feed.days(end=self.INGESTED_THROUGH + 1))
+        return ServeDispatcher(swapper.current_index)
+
+    def test_exact_sketch_and_auto_reject_the_same_future_day(
+        self, partial
+    ):
+        latest = call(partial, {"scope": "gtld"})["result"]
+        assert latest["day"] == self.INGESTED_THROUGH
+        expected = f"day {self.FUTURE} not ingested yet for scope 'gtld'"
+        for params in (
+            {"source": "exact"},
+            {"source": "sketch"},
+            {"source": "auto"},
+            {"source": "auto", "max_error": 0.001},
+            {"source": "sketch", "provider": "CloudFlare"},
+        ):
+            response = call(
+                partial, {"scope": "gtld", "day": self.FUTURE, **params}
+            )
+            assert not response["ok"], params
+            assert response["error"]["message"] == expected, params
+
+    def test_ingested_days_still_answer(self, partial):
+        for source in ("exact", "sketch"):
+            response = call(
+                partial,
+                {
+                    "scope": "gtld",
+                    "source": source,
+                    "day": self.INGESTED_THROUGH,
+                },
+            )
+            assert response["ok"], source
+            assert response["result"]["day"] == self.INGESTED_THROUGH

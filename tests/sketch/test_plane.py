@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from repro.batch.batch import ObservationBatch
 from repro.core.references import SignatureCatalog
 from repro.sketch import SketchConfig, SketchPlane
 from repro.sketch.cms import CountMinSketch, SketchMergeError
+from repro.sketch.hashing import hash64, row_indexes
 from repro.sketch.hll import HyperLogLog
 from repro.sketch.plane import KEY_SEP, ScopeSketches, provider_slds_of
 from repro.sketch.topk import SpaceSaving
@@ -23,25 +26,31 @@ def tiny_plane():
     )
 
 
-def observe_some(plane):
-    scope = plane.scope("gtld")
-    scope.observe(
-        "shop.example", 3, {"CloudFlare": frozenset()}, ()
-    )
-    scope.observe(
-        "blog.example", 3,
-        {"CloudFlare": frozenset(), "Akamai": frozenset()}, (),
-    )
-    scope.observe(
-        "bare.example", 3, {}, ("ns:hostco.net",)
-    )
-    return scope
+def fold_rows(plane, day, rows, scope="gtld"):
+    """Fold ``(domain, matches, ns_names)`` rows in as one partition."""
+    batch = ObservationBatch()
+    for domain, _, ns_names in rows:
+        batch.append_fields(day, domain, "com", ns_names, ())
+    plane.fold_batch(scope, day, batch, [matches for _, matches, _ in rows])
+    return plane.scope(scope)
+
+
+def fold_some(plane):
+    return fold_rows(plane, 3, [
+        ("shop.example", {"CloudFlare": frozenset()}, ()),
+        (
+            "blog.example",
+            {"CloudFlare": frozenset(), "Akamai": frozenset()},
+            (),
+        ),
+        ("bare.example", {}, ("ns1.hostco.net.",)),
+    ])
 
 
 class TestScopeSketches:
     def test_observe_routes_matched_and_third_party(self):
         plane = tiny_plane()
-        scope = observe_some(plane)
+        scope = fold_some(plane)
         assert scope.rows_observed == 3
         assert scope.matched_rows == 2
         assert scope.provider_names() == ["Akamai", "CloudFlare"]
@@ -52,9 +61,10 @@ class TestScopeSketches:
 
     def test_compound_keys_cannot_collide_across_days(self):
         plane = tiny_plane()
-        scope = plane.scope("gtld")
-        scope.observe("a.example", 1, {"CloudFlare": frozenset()}, ())
-        scope.observe("b.example", 11, {"CloudFlare": frozenset()}, ())
+        fold_rows(plane, 1, [("a.example", {"CloudFlare": frozenset()}, ())])
+        scope = fold_rows(
+            plane, 11, [("b.example", {"CloudFlare": frozenset()}, ())]
+        )
         assert KEY_SEP not in "CloudFlare"
         assert scope.active_days("CloudFlare") == [1, 11]
         assert scope.adoption_estimate("CloudFlare", 1) >= 1
@@ -64,13 +74,11 @@ class TestScopeSketches:
 
     def test_joins_series_counts_first_seen_once(self):
         plane = tiny_plane()
-        scope = plane.scope("gtld")
-        for day in (5, 6, 7):
-            scope.observe(
-                "stay.example", day, {"CloudFlare": frozenset()}, ()
-            )
-        scope.observe(
-            "late.example", 7, {"CloudFlare": frozenset()}, ()
+        stay = ("stay.example", {"CloudFlare": frozenset()}, ())
+        fold_rows(plane, 5, [stay])
+        fold_rows(plane, 6, [stay])
+        scope = fold_rows(
+            plane, 7, [stay, ("late.example", {"CloudFlare": frozenset()}, ())]
         )
         series = dict(scope.joins_series("CloudFlare"))
         assert series[5] == 1
@@ -80,18 +88,15 @@ class TestScopeSketches:
 
     def test_migration_anomalies_flag_spikes_only(self):
         plane = tiny_plane()
-        scope = plane.scope("gtld")
+        protected = {"CloudFlare": frozenset()}
         # Background: one new domain per day; then a 30-domain day.
         for day in range(10):
-            scope.observe(
-                f"bg-{day}.example", day,
-                {"CloudFlare": frozenset()}, (),
-            )
-        for index in range(30):
-            scope.observe(
-                f"wave-{index}.example", 10,
-                {"CloudFlare": frozenset()}, (),
-            )
+            fold_rows(plane, day, [(f"bg-{day}.example", protected, ())])
+        scope = fold_rows(
+            plane,
+            10,
+            [(f"wave-{index}.example", protected, ()) for index in range(30)],
+        )
         anomalies = scope.migration_anomalies(
             "CloudFlare", factor=4.0, floor=8
         )
@@ -104,7 +109,7 @@ class TestScopeSketches:
 
     def test_roundtrip_is_byte_identical(self):
         plane = tiny_plane()
-        observe_some(plane)
+        fold_some(plane)
         payload = plane.to_dict()
         clone = SketchPlane.from_dict(payload)
         assert clone.to_dict() == payload
@@ -131,7 +136,7 @@ class TestScopeSketches:
 
     def test_copy_without_day_domains_drops_only_day_streams(self):
         plane = tiny_plane()
-        scope = observe_some(plane)
+        scope = fold_some(plane)
         view = scope.copy(include_day_domains=False)
         assert view.rows_observed == scope.rows_observed
         assert view.provider_day_domains == {}
@@ -174,6 +179,38 @@ class TestConfig:
         assert config.role_seed("hll:domains") != other.role_seed(
             "hll:domains"
         )
+
+
+HASH_KEYS = ("", "CloudFlare", "CloudFlare" + KEY_SEP + "17", "δ.ελ")
+
+
+class TestHashing:
+    @pytest.mark.parametrize("seed", [0, 2016, 2**63 + 5, -3])
+    def test_hash64_is_the_one_shot_keyed_blake2b(self, seed):
+        mac_key = (seed % 2**64).to_bytes(8, "big")
+        for key in HASH_KEYS:
+            one_shot = hashlib.blake2b(
+                key.encode("utf-8"), digest_size=8, key=mac_key
+            )
+            assert hash64(key, seed) == int.from_bytes(
+                one_shot.digest(), "big"
+            )
+
+    @pytest.mark.parametrize("seed", [0, 2016, 2**63 + 5, -3])
+    def test_sketches_hash_as_hash64_does(self, seed):
+        """A sketch's once-keyed hasher lands each key where the
+        one-shot digest says it goes."""
+        for key in HASH_KEYS:
+            sketch = CountMinSketch(depth=3, width=97, seed=seed)
+            sketch.update(key, 5)
+            positions = row_indexes(hash64(key, seed), 3, 97)
+            for row, cell in zip(sketch.rows, positions):
+                assert row[cell] == 5 and sum(row) == 5
+            counter = HyperLogLog(precision=4, seed=seed)
+            counter.add(key)
+            value = hash64(key, seed)
+            tail = value & ((1 << 60) - 1)
+            assert counter.sparse == {value >> 60: 61 - tail.bit_length()}
 
 
 class TestCodecValidation:

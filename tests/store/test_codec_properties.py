@@ -11,6 +11,7 @@ Two invariants, over adversarial cell values and damaged bytes:
   nothing else.
 """
 
+import struct
 import zlib
 
 import pytest
@@ -176,3 +177,72 @@ class TestCorruptionNeverEscapesTyped:
         kind, _, page, _ = PAGES[0]
         with pytest.raises(StorageError):
             decode_page(kind, 7, page)
+
+
+def _page(row_count, dict_count, width, dict_section, index_section):
+    """Hand-framed page body: header, dictionary section, index stream."""
+    header = struct.pack("<IIB", row_count, dict_count, width)
+    return header + dict_section + index_section
+
+
+def _string_block(blob, ends):
+    return struct.pack(f"<I{len(ends)}I", len(blob), *ends) + blob
+
+
+class TestHandFramedPages:
+    """The decode paths that work on whole blocks at once — string
+    blocks sliced from one decoded blob, id and index ranges checked in
+    one pass — still refuse every malformed page with StorageError,
+    never IndexError or struct.error."""
+
+    def test_non_ascii_block_decodes_per_string(self):
+        page = _page(
+            2, 2, 1, _string_block("é.com".encode() + b"x", (6, 7)),
+            bytes([1, 0]),
+        )
+        assert decode_page(KIND_STR, codecs.CODEC_RAW, page) == (
+            ["é.com", "x"], [1, 0]
+        )
+
+    @pytest.mark.parametrize(
+        "blob, ends",
+        [
+            (b"\xff\xfe", (1, 2)),  # not UTF-8 at all
+            ("é".encode(), (1, 2)),  # an offset splits a code point
+        ],
+    )
+    def test_invalid_non_ascii_block(self, blob, ends):
+        page = _page(1, 2, 1, _string_block(blob, ends), bytes([0]))
+        with pytest.raises(StorageError):
+            decode_page(KIND_STR, codecs.CODEC_RAW, page)
+
+    def test_offsets_out_of_order_with_a_correct_last_end(self):
+        page = _page(
+            1, 3, 1, _string_block(b"abcdef", (4, 2, 6)), bytes([0])
+        )
+        with pytest.raises(StorageError, match="not monotonic"):
+            decode_page(KIND_STR, codecs.CODEC_RAW, page)
+
+    def test_string_id_equal_to_the_string_count(self):
+        strings = struct.pack("<I", 2) + _string_block(b"xy", (1, 2))
+        # sid width 1, one entry of one string id: 2 == len(texts).
+        section = strings + bytes([1]) + struct.pack("<I", 1) + bytes([2])
+        page = _page(1, 1, 1, section, bytes([0]))
+        with pytest.raises(StorageError, match="string id out of range"):
+            decode_page(KIND_STR_LIST, codecs.CODEC_RAW, page)
+
+    @pytest.mark.parametrize(
+        "codec, index_section",
+        [
+            (codecs.CODEC_RAW, bytes([0, 2])),
+            (codecs.CODEC_DICT_RLE, struct.pack("<IBIBI", 2, 0, 1, 2, 1)),
+        ],
+    )
+    def test_dictionary_index_equal_to_the_dictionary_count(
+        self, codec, index_section
+    ):
+        page = _page(
+            2, 2, 1, _string_block(b"ab", (1, 2)), index_section
+        )
+        with pytest.raises(StorageError, match="index out of range"):
+            decode_page(KIND_STR, codec, page)
