@@ -2,12 +2,13 @@
 
 The streaming engine's guarantees (checkpoint byte-identity,
 stream-vs-batch equivalence, kill-and-resume) are enforced by tests but
-*created* by coding invariants: canonical iteration order in
-serializers, no wall-clock or global-RNG reads in pure modules, no
-float equality on statistics paths, no swallowed ingest errors, no
-mutable defaults, and checkpoint codecs that cover every field of
-state. This package checks those invariants statically, via
-``python -m repro analyze`` (see ``docs/ANALYSIS.md``).
+*created* by coding invariants: no wall-clock or global-RNG reads in
+pure modules, no float equality on statistics paths, no swallowed
+ingest errors, no mutable defaults, and checkpoint codecs that cover
+every field of state. This package checks the invariants a test cannot
+see, statically, via ``python -m repro analyze`` (see
+``docs/ANALYSIS.md``); iteration order and hashing are left to the
+conformance matrix, which checks their effect on the bytes.
 
 Two layers:
 
@@ -15,8 +16,7 @@ Two layers:
   checks;
 * **project rules** (:mod:`repro.analysis.interproc`) — cross-function
   checks over a project-wide call graph
-  (:mod:`repro.analysis.callgraph`) and dataflow/taint framework
-  (:mod:`repro.analysis.dataflow`).
+  (:mod:`repro.analysis.callgraph`).
 
 Both run in the one pass of
 :class:`~repro.analysis.project.ProjectAnalyzer`, with SARIF output

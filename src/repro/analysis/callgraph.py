@@ -1,9 +1,9 @@
 """Project-wide symbol table and call graph.
 
 The interprocedural rules (``repro/analysis/interproc.py``) need to
-answer questions no single-file AST pass can: *does this value reach a
-serializer three calls away?* *does this ``async def`` ever hit a
-blocking syscall?* This module supplies the substrate: a per-module
+answer questions no single-file AST pass can: *does this ``async def``
+ever hit a blocking syscall?* *does this argument carry a lock across a
+fork?* This module supplies the substrate: a per-module
 symbol table (functions, classes, imports, attribute and variable
 types) and a project call graph with best-effort static resolution.
 
@@ -17,8 +17,7 @@ Resolution is deliberately syntactic and conservative:
   parameter annotation, a local ``x: T`` / ``x = T(...)`` assignment,
   or a ``self.attr = T(...)`` attribution in the class ``__init__``;
 * everything else degrades to an *external* dotted symbol
-  (``json.dumps``) or an *unknown* method key (``.append``), which the
-  dataflow layer treats as opaque pass-through.
+  (``json.dumps``) or an *unknown* method key (``.append``).
 """
 
 from __future__ import annotations

@@ -1,18 +1,8 @@
-"""The interprocedural rule family (call-graph + dataflow powered).
+"""The interprocedural rule family (call-graph powered).
 
 These rules see the *project*, not a file: a symbol table and call
-graph (``repro/analysis/callgraph.py``) plus per-function flow
-summaries (``repro/analysis/dataflow.py``). Each encodes a failure
-mode that is invisible to any single-file pass:
-
-``canonicalization-taint``
-    Unsorted dict/set iteration whose value flows — through returns,
-    arguments, and container stores — into a serialization sink
-    (``json.dumps``, ``canonical_json``, the wire/checkpoint codecs,
-    discovered transitively). This replaces the *serialization-
-    adjacent* heuristic of ``unsorted-iteration`` with real
-    reachability: the unsorted list built three calls above the
-    encoder is caught at its source.
+graph (``repro/analysis/callgraph.py``). Each encodes a failure mode
+that is invisible to any single-file pass:
 
 ``async-blocking``
     A blocking call (``time.sleep``, socket ops, file I/O,
@@ -57,21 +47,14 @@ from repro.analysis.callgraph import (
     ClassSymbol,
     FunctionSymbol,
 )
-from repro.analysis.dataflow import FlowSummary, TaintEngine
 from repro.analysis.findings import Finding
 
 
 class ProjectModel:
     """Everything a project rule can see."""
 
-    def __init__(
-        self,
-        graph: CallGraph,
-        flows: Mapping[str, FlowSummary],
-        paths: Mapping[str, str],
-    ) -> None:
+    def __init__(self, graph: CallGraph, paths: Mapping[str, str]) -> None:
         self.graph = graph
-        self.flows = dict(flows)
         #: module key → real filesystem path (for findings)
         self.paths = dict(paths)
 
@@ -103,32 +86,6 @@ class ProjectRule:
             rule=self.id,
             message=message,
         )
-
-
-class CanonicalizationTaintRule(ProjectRule):
-    id = "canonicalization-taint"
-    summary = (
-        "unsorted dict/set iteration whose value reaches a "
-        "serialization sink (interprocedural)"
-    )
-
-    def check_project(self, project: ProjectModel) -> List[Finding]:
-        engine = TaintEngine(project.graph, project.flows)
-        findings: List[Finding] = []
-        for taint in engine.run():
-            findings.append(
-                self._finding(
-                    project,
-                    taint.module,
-                    taint.line,
-                    taint.column,
-                    f"iteration order of {taint.text} flows into "
-                    f"serialization sink {taint.sink}; wrap the "
-                    f"iteration in sorted(...) or canonicalize before "
-                    f"serializing",
-                )
-            )
-        return findings
 
 
 #: Dotted external calls that block the event loop.
@@ -586,7 +543,6 @@ class ExceptionFlowRule(ProjectRule):
 def project_rules() -> Tuple[ProjectRule, ...]:
     """All interprocedural rules, in reporting order."""
     return (
-        CanonicalizationTaintRule(),
         AsyncBlockingRule(),
         SnapshotMutationRule(),
         ForkUnsafeCaptureRule(),

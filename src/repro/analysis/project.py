@@ -3,22 +3,18 @@
 This is the front door of the analyzer. One run is::
 
     collect files  →  per-module records
-                   →  call graph + flows  →  project rules  →  findings
+                   →  call graph  →  project rules  →  findings
 
 whole, in this process, every time: a verdict is a function of the
 tree and the rule set only, so nothing is kept between runs.
 
 A **module record** is everything the engine needs from one file —
-symbol table, flow summaries, local-rule findings, suppression lines;
+symbol table, local-rule findings, suppression lines;
 the ASTs themselves never outlive the builder.
 
 **Profiles** tune rules per directory: production sources take every
 rule; benchmarks may read the wall clock (timing *is* their job);
-tests may build and mutate snapshot indexes in setup code. Rule
-scoping stays canonical across profiles where it matters —
-canonicalization taint is enforced everywhere, because a benchmark or
-test that serializes unsorted mappings can still mask a real ordering
-bug.
+tests may build and mutate snapshot indexes in setup code.
 
 The analyzer's own fixture corpus (``tests/analysis/fixtures``) is
 excluded: those files are *deliberately* dirty.
@@ -46,7 +42,6 @@ from repro.analysis.callgraph import (
     build_module_symbols,
     dotted_of,
 )
-from repro.analysis.dataflow import FlowSummary, build_module_flows
 from repro.analysis.findings import (
     Finding,
     is_suppressed,
@@ -117,7 +112,6 @@ class ModuleRecord:
     path: str
     profile: str
     symbols: Optional[ModuleSymbols] = None
-    flows: Dict[str, FlowSummary] = field(default_factory=dict)
     #: suppression-filtered local findings, *unfiltered by --rule*
     local_findings: List[Finding] = field(default_factory=list)
     suppressions: Dict[int, Optional[FrozenSet[str]]] = field(
@@ -144,7 +138,6 @@ def build_record(
         )
         return record
     record.symbols = build_module_symbols(tree, module, path)
-    record.flows = build_module_flows(tree, record.symbols)
     record.suppressions = suppressed_rules(source)
     excluded = PROFILE_LOCAL_EXCLUDES.get(profile, frozenset())
     for rule in default_rules():
@@ -248,12 +241,8 @@ class ProjectAnalyzer:
             for record in records
             if record.symbols is not None
         }
-        graph = CallGraph(tables)
-        flows: Dict[str, FlowSummary] = {}
-        for record in records:
-            flows.update(record.flows)
         paths = {record.module: record.path for record in records}
-        model = ProjectModel(graph, flows, paths)
+        model = ProjectModel(CallGraph(tables), paths)
         by_path = {record.path: record for record in records}
 
         local_ids: Set[str] = set()

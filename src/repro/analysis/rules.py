@@ -2,16 +2,10 @@
 
 Each rule encodes one repo-specific invariant the streaming engine's
 checkpoint byte-identity (and the study's reproducibility generally)
-depends on:
-
-``unsorted-iteration``
-    Serialization-adjacent code must iterate mappings in canonical
-    order. Flags direct ``for``/comprehension iteration over
-    ``.items()``/``.keys()``/``.values()`` of instance state or
-    parameters — i.e. data that crosses the function boundary — inside
-    codec classes (classes defining both ``to_dict`` and ``from_dict``)
-    or functions with serialization-shaped names, unless wrapped in
-    ``sorted(...)``.
+depends on. Iteration order, salted hashing and float accumulation are
+not judged here: the conformance matrix
+(``tests/integration/test_conformance.py``) checks their effect on the
+bytes directly, see ``docs/ANALYSIS.md``.
 
 ``wall-clock``
     ``repro.core`` and ``repro.stream`` must be pure functions of their
@@ -79,23 +73,6 @@ from repro.analysis.findings import Finding
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: Function names treated as serialization/aggregation entry points.
-SERIALIZATION_NAMES: FrozenSet[str] = frozenset(
-    {
-        "to_dict", "from_dict", "to_json", "from_json", "to_text",
-        "from_text", "to_line", "from_line", "save", "load", "dumps",
-        "dump_state", "serialize", "deserialize", "result", "intervals",
-        "snapshot",
-    }
-)
-SERIALIZATION_PREFIXES: Tuple[str, ...] = (
-    "encode", "decode", "dump_", "save_", "load_", "serialize_",
-    "checkpoint",
-)
-SERIALIZATION_SUFFIXES: Tuple[str, ...] = (
-    "_to_dict", "_from_dict", "_to_json", "_from_json", "_intervals",
-)
-
 #: Modules that must stay free of wall-clock and global-RNG reads.
 DETERMINISTIC_PACKAGES: Tuple[str, ...] = (
     "repro/core/",
@@ -103,14 +80,6 @@ DETERMINISTIC_PACKAGES: Tuple[str, ...] = (
     "repro/serve/",
     "repro/store/",
     "repro/sketch/",
-)
-
-#: Sketch paths where mutation methods must stay integer-exact.
-SKETCH_PACKAGES: Tuple[str, ...] = ("repro/sketch/",)
-
-#: Mutation-path method names covered by the float-accumulation rule.
-SKETCH_MUTATORS: FrozenSet[str] = frozenset(
-    {"update", "add", "observe", "merge", "offer"}
 )
 
 #: Statistics paths where float == / != comparisons are banned.
@@ -145,61 +114,6 @@ _MUTABLE_FACTORIES: FrozenSet[str] = frozenset(
 )
 
 
-def is_serialization_name(name: str) -> bool:
-    """True when *name* looks like a serialization/aggregation function."""
-    return (
-        name in SERIALIZATION_NAMES
-        or name.startswith(SERIALIZATION_PREFIXES)
-        or name.endswith(SERIALIZATION_SUFFIXES)
-    )
-
-
-def _chain_base(node: ast.expr) -> Optional[str]:
-    """The base name of an attribute/subscript chain, if it has one.
-
-    ``self._cursors[source].zone_sizes`` → ``"self"``;
-    chains rooted in calls or literals (fresh values) return ``None``.
-    """
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def _parameter_names(node: _FunctionNode) -> Set[str]:
-    arguments = node.args
-    names = {
-        arg.arg
-        for arg in (
-            list(arguments.posonlyargs)
-            + list(arguments.args)
-            + list(arguments.kwonlyargs)
-        )
-    }
-    if arguments.vararg is not None:
-        names.add(arguments.vararg.arg)
-    if arguments.kwarg is not None:
-        names.add(arguments.kwarg.arg)
-    return names
-
-
-def _codec_classes(tree: ast.Module) -> Set[ast.ClassDef]:
-    """Classes that define both ``to_dict`` and ``from_dict``."""
-    codecs: Set[ast.ClassDef] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        methods = {
-            stmt.name
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if {"to_dict", "from_dict"} <= methods:
-            codecs.add(node)
-    return codecs
-
-
 class Rule:
     """One invariant check over a parsed module."""
 
@@ -223,125 +137,6 @@ class Rule:
             rule=self.id,
             message=message,
         )
-
-
-class _ScopedVisitor(ast.NodeVisitor):
-    """A visitor that tracks the enclosing class and function."""
-
-    def __init__(self) -> None:
-        self.class_stack: List[ast.ClassDef] = []
-        self.function_stack: List[_FunctionNode] = []
-
-    @property
-    def current_class(self) -> Optional[ast.ClassDef]:
-        return self.class_stack[-1] if self.class_stack else None
-
-    @property
-    def current_function(self) -> Optional[_FunctionNode]:
-        return self.function_stack[-1] if self.function_stack else None
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.class_stack.append(node)
-        self.generic_visit(node)
-        self.class_stack.pop()
-
-    def _visit_function(self, node: _FunctionNode) -> None:
-        self.function_stack.append(node)
-        self.generic_visit(node)
-        self.function_stack.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
-
-
-class UnsortedIterationRule(Rule):
-    id = "unsorted-iteration"
-    summary = (
-        "unsorted dict/set iteration in checkpoint/serialization/"
-        "aggregation functions"
-    )
-
-    def check(
-        self, tree: ast.Module, module: str, path: str
-    ) -> List[Finding]:
-        rule = self
-        codecs = _codec_classes(tree)
-        findings: List[Finding] = []
-
-        class Visitor(_ScopedVisitor):
-            def _in_scope(self) -> bool:
-                function = self.current_function
-                if function is None:
-                    return False
-                if is_serialization_name(function.name):
-                    return True
-                enclosing = self.current_class
-                return enclosing is not None and enclosing in codecs
-
-            def _check_iterable(self, iterable: ast.expr) -> None:
-                if not self._in_scope():
-                    return
-                if not isinstance(iterable, ast.Call):
-                    return
-                function = iterable.func
-                if not isinstance(function, ast.Attribute):
-                    return
-                if function.attr not in ("items", "keys", "values"):
-                    return
-                if iterable.args or iterable.keywords:
-                    return
-                base = _chain_base(function.value)
-                if base is None:
-                    return
-                context = self.current_function
-                assert context is not None
-                if base not in ("self", "cls") and (
-                    base not in _parameter_names(context)
-                ):
-                    return
-                receiver = ast.unparse(function.value)
-                findings.append(
-                    rule._finding(
-                        path,
-                        iterable,
-                        f"iteration over {receiver}.{function.attr}() in "
-                        f"serialization-adjacent function "
-                        f"{context.name!r} is not wrapped in sorted(); "
-                        f"mapping order would leak into serialized output",
-                    )
-                )
-
-            def visit_For(self, node: ast.For) -> None:
-                self._check_iterable(node.iter)
-                self.generic_visit(node)
-
-            def _visit_comprehension(
-                self,
-                node: Union[
-                    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp
-                ],
-            ) -> None:
-                for generator in node.generators:
-                    self._check_iterable(generator.iter)
-                self.generic_visit(node)
-
-            def visit_ListComp(self, node: ast.ListComp) -> None:
-                self._visit_comprehension(node)
-
-            def visit_SetComp(self, node: ast.SetComp) -> None:
-                self._visit_comprehension(node)
-
-            def visit_DictComp(self, node: ast.DictComp) -> None:
-                self._visit_comprehension(node)
-
-            def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-                self._visit_comprehension(node)
-
-        Visitor().visit(tree)
-        return findings
 
 
 class WallClockRule(Rule):
@@ -434,109 +229,6 @@ class WallClockRule(Rule):
                     f"nondeterminism into a deterministic module",
                 )
             )
-
-
-class UnseededHashRule(Rule):
-    id = "unseeded-hash"
-    summary = (
-        "builtin hash() in deterministic packages; its per-process "
-        "string salt changes between runs"
-    )
-
-    def applies_to(self, module: str) -> bool:
-        return module.startswith(DETERMINISTIC_PACKAGES)
-
-    def check(
-        self, tree: ast.Module, module: str, path: str
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "hash"
-            ):
-                findings.append(
-                    self._finding(
-                        path,
-                        node,
-                        "builtin hash() is salted per process "
-                        "(PYTHONHASHSEED); use a keyed digest such as "
-                        "repro.sketch.hashing.hash64 instead",
-                    )
-                )
-        return findings
-
-
-class FloatAccumulationRule(Rule):
-    id = "float-accumulation"
-    summary = (
-        "float arithmetic on a sketch mutation path; summaries must "
-        "accumulate in exact integers and convert only in estimators"
-    )
-
-    def applies_to(self, module: str) -> bool:
-        return module.startswith(SKETCH_PACKAGES)
-
-    def check(
-        self, tree: ast.Module, module: str, path: str
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name in SKETCH_MUTATORS
-            ):
-                self._check_mutator(node, path, findings)
-        return findings
-
-    def _check_mutator(
-        self, function: _FunctionNode, path: str, findings: List[Finding]
-    ) -> None:
-        for node in ast.walk(function):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node is not function:
-                    continue
-            if (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, float)
-            ):
-                findings.append(
-                    self._finding(
-                        path,
-                        node,
-                        f"float literal {node.value!r} inside mutator "
-                        f"{function.name}(); accumulation order would "
-                        f"leak into the state — keep mutation integral",
-                    )
-                )
-            elif isinstance(node, ast.BinOp) and isinstance(
-                node.op, ast.Div
-            ):
-                findings.append(
-                    self._finding(
-                        path,
-                        node,
-                        f"true division inside mutator {function.name}() "
-                        f"produces floats; use // or move the ratio into "
-                        f"an estimator method",
-                    )
-                )
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "float"
-            ):
-                findings.append(
-                    self._finding(
-                        path,
-                        node,
-                        f"float() conversion inside mutator "
-                        f"{function.name}(); state written here must "
-                        f"stay exact — convert in estimators only",
-                    )
-                )
-        return None
 
 
 class FloatEqualityRule(Rule):
@@ -1124,10 +816,7 @@ class SegmentDecodeRule(Rule):
 def default_rules() -> Tuple[Rule, ...]:
     """All shipped rules, in reporting order."""
     return (
-        UnsortedIterationRule(),
         WallClockRule(),
-        UnseededHashRule(),
-        FloatAccumulationRule(),
         FloatEqualityRule(),
         SwallowedExceptionRule(),
         MutableDefaultRule(),

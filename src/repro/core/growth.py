@@ -150,5 +150,5 @@ class GrowthAnalysis:
         # mapping, so insertion order is deterministic by construction.
         return {
             label: self.analyze(label, values)
-            for label, values in series.items()  # repro: ignore[canonicalization-taint]
+            for label, values in series.items()
         }

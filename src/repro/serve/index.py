@@ -262,9 +262,22 @@ class ServeIndex:
             day = scope_index.day
             if day is None:
                 return 0
+        else:
+            self._check_ingested(scope, scope_index, day)
+        return scope_index.adoption(provider, day)
+
+    def _check_ingested(
+        self, scope: str, scope_index: ScopeIndex, day: int
+    ) -> None:
+        """Reject a day outside the horizon or past the last ingested
+        day: nothing is known there yet, so any count would read as
+        zero adoption, a wrong number."""
         if not 0 <= day < self.horizon:
             raise ServeError(f"day {day} outside horizon {self.horizon}")
-        return scope_index.adoption(provider, day)
+        if scope_index.day is None or day > scope_index.day:
+            raise ServeError(
+                f"day {day} not ingested yet for scope {scope!r}"
+            )
 
     def aggregate(
         self, scope: str = "gtld", day: Optional[int] = None
@@ -279,14 +292,7 @@ class ServeIndex:
             }
             any_use = 0
         else:
-            if not 0 <= day < self.horizon:
-                raise ServeError(
-                    f"day {day} outside horizon {self.horizon}"
-                )
-            if scope_index.day is None or day > scope_index.day:
-                raise ServeError(
-                    f"day {day} not ingested yet for scope {scope!r}"
-                )
+            self._check_ingested(scope, scope_index, day)
             providers = {
                 provider: scope_index.adoption(provider, day)
                 for provider in scope_index.provider_names
@@ -339,14 +345,8 @@ class ServeIndex:
             )
         if day is None:
             day = scope_index.day
-        elif not 0 <= day < self.horizon:
-            raise ServeError(f"day {day} outside horizon {self.horizon}")
-        elif scope_index.day is None or day > scope_index.day:
-            # The plane holds nothing past the last ingested day: a
-            # future day would read as zero adoption, a wrong number.
-            raise ServeError(
-                f"day {day} not ingested yet for scope {scope!r}"
-            )
+        else:
+            self._check_ingested(scope, scope_index, day)
         providers = {
             provider: (
                 sketches.adoption_estimate(provider, day)

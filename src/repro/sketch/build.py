@@ -11,8 +11,9 @@ the shard planes in shard-index order. Because every sketch merge is an
 exact cell-wise sum / register max (and the space-saving summaries stay
 in their exact regime, see ``docs/SKETCHES.md``), the merged plane is
 **byte-identical** to the serial fold and to the live engine plane fed
-the same partitions — the property ``tests/sketch/test_identity.py``
-pins for three seeds.
+the same partitions — cells of the conformance matrix
+(``tests/integration/test_conformance.py``) pin all three against one
+digest per seed.
 """
 
 from __future__ import annotations

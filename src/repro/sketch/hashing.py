@@ -4,8 +4,8 @@ One keyed BLAKE2b digest per key (``digest_size=8`` → 64 bits), with
 the sketch seed as the MAC key: the same ``(key, seed)`` pair hashes
 identically in every process, on every platform, in every run — unlike
 the builtin ``hash()``, whose per-process string salt is exactly the
-nondeterminism the identity suite exists to rule out (and which the
-analyzer's ``unseeded-hash`` rule bans from this package).
+nondeterminism the conformance matrix's ``PYTHONHASHSEED`` cells rule
+out.
 
 A sketch keys its hasher once (:func:`keyed_hasher`) and hashes each key
 through a ``.copy()`` of it (:func:`digest64`): the copy carries the

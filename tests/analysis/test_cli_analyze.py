@@ -16,18 +16,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def _write_tree(root: Path) -> None:
     """A tree whose one finding crosses a module boundary."""
-    package = root / "tree" / "repro" / "demo"
+    package = root / "tree" / "repro" / "serve"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "producer.py").write_text(
-        "def rows(d):\n"
-        "    return [k for k in d.keys()]\n"
+        "import time\n"
+        "def wait():\n"
+        "    time.sleep(1)\n"
     )
     (package / "consumer.py").write_text(
-        "import json\n"
-        "from repro.demo.producer import rows\n"
-        "def dump(d):\n"
-        "    return json.dumps(rows(d))\n"
+        "from repro.serve.producer import wait\n"
+        "async def handle():\n"
+        "    wait()\n"
     )
 
 
@@ -82,7 +82,7 @@ def test_analyze_list_rules(capsys):
     assert main(["analyze", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in (
-        "unsorted-iteration", "wall-clock", "float-equality",
+        "unordered-futures", "wall-clock", "float-equality",
         "swallowed-exception", "mutable-default", "schema-drift",
     ):
         assert rule_id in out
@@ -126,7 +126,7 @@ def test_planted_cache_directory_is_not_read(
     monkeypatch.chdir(tmp_path)
     assert main(["analyze", "tree"]) == 1
     out = capsys.readouterr().out
-    assert "canonicalization-taint" in out
+    assert "async-blocking" in out
     assert "1 finding in 3 files" in out
     assert (planted / "0.pkl").read_bytes() == b"not a pickle"
 
@@ -138,7 +138,7 @@ def test_analyze_leaves_the_working_directory_as_it_was(
     monkeypatch.chdir(tmp_path)
     before = sorted(os.listdir(tmp_path))
     assert main(["analyze", "tree"]) == 1
-    assert "producer.py:2:" in capsys.readouterr().out
+    assert "consumer.py:3:" in capsys.readouterr().out
     assert sorted(os.listdir(tmp_path)) == before
 
 

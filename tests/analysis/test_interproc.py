@@ -2,9 +2,9 @@
 
 Mirrors ``test_rules.py``: fixtures carry ``# expect: <rule-id>``
 markers on the exact lines that must produce findings. Interprocedural
-fixtures are *groups* — several files analyzed together under scoped
-module paths, so taint and call chains cross module boundaries the way
-they do in the real tree.
+fixtures are *groups* — files analyzed together under scoped module
+paths, so call chains cross module boundaries the way they do in the
+real tree.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ _MARKER_RE = re.compile(
 
 #: group name → {module path analyzed under: fixture file}.
 GROUPS: Dict[str, Dict[str, str]] = {
-    "canonicalization-taint": {
-        "repro/measurement/fixture_producer.py": "taint_producer.py",
-        "repro/reporting/fixture_sink.py": "taint_sink.py",
-    },
     "async-blocking": {
         "repro/serve/fixture_handlers.py": "async_blocking.py",
     },
@@ -172,7 +168,7 @@ def test_inline_suppression_silences_project_rules():
 
 
 def test_rule_filter_restricts_project_rules():
-    group = GROUPS["canonicalization-taint"]
+    group = GROUPS["exception-flow"]
     result = ProjectAnalyzer().analyze_sources(
         _sources(group), rule_filter={"async-blocking"}
     )

@@ -25,10 +25,7 @@ _MARKER_RE = re.compile(
 
 #: fixture file → logical module path it is analyzed under.
 CASES = [
-    ("unsorted_iteration.py", "repro/stream/fixture_unsorted.py"),
     ("wall_clock.py", "repro/core/fixture_wall_clock.py"),
-    ("unseeded_hash.py", "repro/stream/fixture_unseeded_hash.py"),
-    ("float_accumulation.py", "repro/sketch/fixture_float_accum.py"),
     ("float_equality.py", "repro/core/stats.py"),
     ("swallowed_exception.py", "repro/stream/fixture_swallowed.py"),
     ("mutable_default.py", "repro/reporting/fixture_mutable.py"),

@@ -16,15 +16,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def _result() -> AnalysisResult:
     result = AnalysisResult(
         files_checked=2,
-        rules_run=("wall-clock", "canonicalization-taint"),
+        rules_run=("wall-clock", "async-blocking"),
     )
     result.findings = [
         Finding(
             path="src/repro/demo.py",
             line=3,
             column=5,
-            rule="canonicalization-taint",
-            message="iteration order leaks",
+            rule="async-blocking",
+            message="async def reaches blocking time.sleep()",
         ),
         Finding(
             path="src/repro/other.py",
@@ -46,13 +46,13 @@ def test_sarif_shape():
     assert driver["name"] == "repro-analyze"
     declared = {rule["id"] for rule in driver["rules"]}
     # Rules that ran are declared even without findings.
-    assert {"wall-clock", "canonicalization-taint", "parse-error"} <= (
+    assert {"wall-clock", "async-blocking", "parse-error"} <= (
         declared
     )
     results = run["results"]
     assert len(results) == 2
     first = results[0]
-    assert first["ruleId"] == "canonicalization-taint"
+    assert first["ruleId"] == "async-blocking"
     assert first["level"] == "warning"
     location = first["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"] == "src/repro/demo.py"
@@ -60,7 +60,7 @@ def test_sarif_shape():
     # ruleIndex points back into the declared rules array.
     assert (
         driver["rules"][first["ruleIndex"]]["id"]
-        == "canonicalization-taint"
+        == "async-blocking"
     )
     # Parse errors are errors, not warnings.
     assert results[1]["level"] == "error"
@@ -79,7 +79,7 @@ def test_sarif_rule_descriptions_included():
     )
     rules = document["runs"][0]["tool"]["driver"]["rules"]
     by_id = {rule["id"]: rule for rule in rules}
-    assert "shortDescription" in by_id["canonicalization-taint"]
+    assert "shortDescription" in by_id["async-blocking"]
 
 
 def test_cli_sarif_output_file(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """The linter's own acceptance bar: the repo's src/ tree is clean.
 
 This is the rule-zero property of any in-repo linter — if the tree it
-ships in doesn't pass, nobody trusts its findings. It also pins the
-serialization-order fixes this subsystem motivated: reintroducing an
-unsorted ``.items()`` walk into a checkpoint codec fails this test
-before it flakes a byte-identity test.
+ships in doesn't pass, nobody trusts its findings. Serialization order,
+salted hashing and float accumulation are not among its rules: the
+conformance matrix (``tests/integration/test_conformance.py``) fails on
+their effect on the bytes, under two hash seeds, which is the stronger
+guard (``docs/ANALYSIS.md``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def test_all_rules_ran():
     result = ProjectAnalyzer(rules=()).analyze_paths(
         [str(SRC / "repro" / "analysis")]
     )
-    assert len(result.rules_run) == 12
+    assert len(result.rules_run) == 9
 
 
 def test_tree_is_interprocedurally_clean_with_shipped_baseline():

@@ -73,6 +73,11 @@ class TestPrecedence:
 
 
 class TestSpecs:
+    def test_local_spec_defaults_shards_per_worker(self):
+        backend = resolve_backend("local", workers=3)
+        assert backend.workers == 3
+        assert backend.shard_count == 12
+
     def test_cluster_spec_sets_node_count(self):
         resolved = resolve_backend("cluster:3")
         assert isinstance(resolved, ClusterBackend)

@@ -226,6 +226,36 @@ class TestFutureDay:
             assert not response["ok"], params
             assert response["error"]["message"] == expected, params
 
+    def test_provider_view_rejects_the_same_future_day(self, partial):
+        """``provider=`` on the exact path used to answer 0 adoption."""
+        expected = f"day {self.FUTURE} not ingested yet for scope 'gtld'"
+        for params in (
+            {},
+            {"source": "exact"},
+            {"source": "auto", "max_error": 0.001},
+        ):
+            response = call(
+                partial,
+                {
+                    "scope": "gtld",
+                    "day": self.FUTURE,
+                    "provider": "CloudFlare",
+                    **params,
+                },
+            )
+            assert not response["ok"], params
+            assert response["error"]["message"] == expected, params
+        ingested = call(
+            partial,
+            {
+                "scope": "gtld",
+                "day": self.INGESTED_THROUGH,
+                "provider": "CloudFlare",
+            },
+        )
+        assert ingested["ok"]
+        assert ingested["result"]["day"] == self.INGESTED_THROUGH
+
     def test_ingested_days_still_answer(self, partial):
         for source in ("exact", "sketch"):
             response = call(
