@@ -1,6 +1,6 @@
 """repro.batch — columnar vs per-row data plane, measured.
 
-Two measurements over the same landed :class:`ColumnStore` history
+Two measurements over the same landed :class:`SegmentStore` history
 (one gTLD source, a 60-day window):
 
 * the detect phase — boxing every row into ``DomainObservation`` +
@@ -29,7 +29,7 @@ from repro.batch.batch import BatchBuilder, ObservationBatch
 from repro.core.detection import SegmentDetector
 from repro.core.pipeline import AdoptionStudy
 from repro.measurement.snapshot import ObservationSegment
-from repro.measurement.storage import ColumnStore
+from repro.store import SegmentStore
 from repro.stream.feed import SegmentReplayFeed
 from repro.world.scenario import ScenarioConfig, build_paper_world
 
@@ -44,18 +44,23 @@ DAYS = 60
 
 
 @pytest.fixture(scope="module")
-def batch_bench():
+def batch_bench(tmp_path_factory):
     """(study, landed store) for the columnar-plane workload."""
     world = build_paper_world(
         ScenarioConfig(scale=BATCH_BENCH_SCALE, seed=BATCH_BENCH_SEED)
     )
     study = AdoptionStudy(world)
     segments = study.collect_segments()
-    store = ColumnStore()
+    store = SegmentStore(
+        str(tmp_path_factory.mktemp("batches")), create=True
+    )
     feed = SegmentReplayFeed(world, segments, sources=(SOURCE,))
-    for part in feed.days(end=DAYS):
-        store.append(part.source, part.day, list(part.observations))
-    return study, store
+    store.append_partitions(
+        (part.source, part.day, part.observations)
+        for part in feed.days(end=DAYS)
+    )
+    yield study, store
+    store.close()
 
 
 def _detect_rows(study, store):

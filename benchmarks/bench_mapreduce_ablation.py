@@ -9,7 +9,7 @@ import pytest
 from repro.core.references import SignatureCatalog
 from repro.mapreduce.engine import run_job
 from repro.mapreduce.jobs import daily_detection_job
-from repro.measurement.scheduler import ClusterManager
+from repro.measurement.scheduler import PartitionFeed
 
 CATALOG = SignatureCatalog.paper_table2()
 DAY = 100
@@ -17,10 +17,10 @@ DAY = 100
 
 @pytest.fixture(scope="module")
 def day_rows(bench_world):
-    manager = ClusterManager(bench_world, enrich=True)
+    feed = PartitionFeed(bench_world)
     rows = []
     for source in ("com", "net", "org"):
-        rows.extend(manager.measure_day(source, DAY))
+        rows.extend(feed.partition(source, DAY).observations)
     return rows
 
 

@@ -7,8 +7,8 @@ window, ``REPRO_BENCH_SCALE10`` world — default 4000 → ~34k domains,
 
 * whole-history detect from disk — :class:`SegmentStore` mmap open plus
   :meth:`AdoptionStudy.detect_from_store`, timed, and its result must
-  be identical to the same detect over the in-memory store the history
-  was landed from. (The former "≥3× over the v1 zlib-JSON layout" gate
+  be identical to folding the partitions the history was landed from
+  straight into a detector. (The former "≥3× over the v1 zlib-JSON layout" gate
   went with the v1 writer; its last measurement, 3.57× at 1.74 M rows,
   is the recorded baseline in ``docs/PERFORMANCE.md``.)
 * sublinear read memory — fresh child processes open a 60-day and a
@@ -24,8 +24,8 @@ import os
 import subprocess
 import sys
 
+from repro.core.detection import SegmentDetector
 from repro.core.pipeline import AdoptionStudy
-from repro.measurement.storage import ColumnStore
 from repro.store import SegmentStore
 from repro.stream.feed import SegmentReplayFeed
 from repro.world.scenario import ScenarioConfig, build_paper_world
@@ -43,29 +43,30 @@ PROBE_DAY = 5
 
 @pytest.fixture(scope="module")
 def scale_bench(tmp_path_factory):
-    """(study, landed store, store dir, short store dir) at 10× scale."""
+    """(study, landed rows, expected detection, store dir, short store
+    dir) at 10× scale. Both stores hold one segment per partition."""
     world = build_paper_world(
         ScenarioConfig(scale=SCALE10, seed=SCALE10_SEED)
     )
     study = AdoptionStudy(world)
     segments = study.collect_segments()
 
-    landed = ColumnStore()
-    feed = SegmentReplayFeed(world, segments, sources=(SOURCE,))
-    for part in feed.days(end=DAYS):
-        landed.append(part.source, part.day, list(part.observations))
-
     root = tmp_path_factory.mktemp("scale10")
     full_dir = str(root / "full")
     short_dir = str(root / "short")
-    landed.save(full_dir)
-    with SegmentStore(short_dir, create=True) as short_store:
-        for source, day in landed.partitions():
-            if day < SHORT_DAYS:
-                short_store.append_batch(
-                    source, day, landed.batch(source, day)
-                )
-    return study, landed, full_dir, short_dir
+    detector = SegmentDetector(study.catalog, world.horizon)
+    rows = 0
+    feed = SegmentReplayFeed(world, segments, sources=(SOURCE,))
+    with SegmentStore(full_dir, create=True) as full, SegmentStore(
+        short_dir, create=True
+    ) as short:
+        for part in feed.days(end=DAYS):
+            full.append_batch(part.source, part.day, part.batch)
+            if part.day < SHORT_DAYS:
+                short.append_batch(part.source, part.day, part.batch)
+            detector.process_batch(part.batch)
+            rows += len(part)
+    return study, rows, detector.result(), full_dir, short_dir
 
 
 def _detect_from_disk(study, directory):
@@ -74,17 +75,14 @@ def _detect_from_disk(study, directory):
 
 
 def test_detect_from_store_at_10x(benchmark, scale_bench):
-    study, landed, full_dir, _ = scale_bench
+    study, rows, expected, full_dir, _ = scale_bench
     disk_result = benchmark.pedantic(
         lambda: _detect_from_disk(study, full_dir), rounds=2, iterations=1
     )
-    # Identity: disk bytes and the columns they were written from must
+    # Identity: disk bytes and the batches they were written from must
     # detect the same.
-    assert disk_result == study.detect_from_store(landed, (SOURCE,))
-    benchmark.extra_info["rows"] = sum(
-        landed.row_count(source, day)
-        for source, day in landed.partitions()
-    )
+    assert disk_result == expected
+    benchmark.extra_info["rows"] = rows
 
 
 _RSS_PROBE = """
@@ -123,7 +121,7 @@ def test_single_day_read_rss_sublinear_in_history(benchmark, scale_bench):
     """A pruned single-day read must not pay for the rest of history."""
     if not os.path.exists("/proc/self/statm"):
         pytest.skip("requires /proc for resident-set measurement")
-    _, _, full_dir, short_dir = scale_bench
+    _, _, _, full_dir, short_dir = scale_bench
 
     short_rows, short_rss = _probe_rss(short_dir, PROBE_DAY)
     long_rows, long_rss = benchmark.pedantic(

@@ -26,8 +26,8 @@ import sys
 import time
 
 from repro.core.pipeline import AdoptionStudy
-from repro.measurement.storage import ColumnStore
 from repro.sketch.build import sketch_from_store
+from repro.store import SegmentStore
 from repro.stream.feed import SegmentReplayFeed
 from repro.world.scenario import ScenarioConfig, build_paper_world
 
@@ -51,28 +51,29 @@ def sketch_bench(tmp_path_factory):
     study = AdoptionStudy(world)
     segments = study.collect_segments()
 
-    landed = ColumnStore()
-    feed = SegmentReplayFeed(world, segments, sources=(SOURCE,))
-    for part in feed.days(end=DAYS):
-        landed.append(part.source, part.day, list(part.observations))
-
-    plane = sketch_from_store(landed)
-    short = ColumnStore()
-    for source, day in landed.partitions():
-        if day < SHORT_DAYS:
-            short.append(
-                source, day, list(landed.rows(source, day))
-            )
-    short_plane = sketch_from_store(short)
-
     root = tmp_path_factory.mktemp("sketch10")
+    feed = SegmentReplayFeed(world, segments, sources=(SOURCE,))
+    parts = [
+        (part.source, part.day, part.observations)
+        for part in feed.days(end=DAYS)
+    ]
+    landed = SegmentStore(str(root / "long"), create=True)
+    landed.append_partitions(parts)
+    plane = sketch_from_store(landed)
+    with SegmentStore(str(root / "short"), create=True) as short:
+        short.append_partitions(
+            part for part in parts if part[1] < SHORT_DAYS
+        )
+        short_plane = sketch_from_store(short)
+
     long_path = str(root / "plane-long.json")
     short_path = str(root / "plane-short.json")
     with open(long_path, "w", encoding="utf-8") as handle:
         json.dump(plane.to_dict(), handle)
     with open(short_path, "w", encoding="utf-8") as handle:
         json.dump(short_plane.to_dict(), handle)
-    return study, landed, plane, long_path, short_path
+    yield study, landed, plane, long_path, short_path
+    landed.close()
 
 
 def _aggregate_battery(plane):

@@ -13,7 +13,7 @@ import sys
 from repro import ScenarioConfig, build_paper_world
 from repro.core.fingerprint import FingerprintBootstrap
 from repro.core.references import SignatureCatalog
-from repro.measurement.scheduler import ClusterManager
+from repro.measurement.scheduler import PartitionFeed
 
 
 def main() -> None:
@@ -22,10 +22,10 @@ def main() -> None:
 
     world = build_paper_world(ScenarioConfig(scale=scale))
     print(f"Measuring .com/.net/.org on day 30 (scale 1:{scale}) ...")
-    manager = ClusterManager(world, enrich=True)
+    feed = PartitionFeed(world)
     observations = []
     for source in ("com", "net", "org"):
-        observations.extend(manager.measure_day(source, 30))
+        observations.extend(feed.partition(source, 30).observations)
     print(f"  {len(observations):,} enriched observations\n")
 
     bootstrap = FingerprintBootstrap(observations, world.as_registry)

@@ -7,7 +7,7 @@ Commands::
     zonefile     print a day's zone listing for a TLD (or the Alexa list)
     pfx2as       dump or query a day's Routeviews-style pfx2as snapshot
     fingerprint  run the §3.3 bootstrap for one provider
-    measure      run one day's measurement and store it columnar on disk
+    measure      run one day's measurement and land it in a segment store
     stream       tail the world day-by-day with the incremental engine
     serve        run the live adoption query service (docs/SERVING.md)
     analyze      run the determinism & invariant linter over source trees
@@ -165,13 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     measure = commands.add_parser(
         "measure",
-        help="run a day's measurement and store it columnar on disk",
+        help="run a day's measurement and land it in a segment store",
     )
     _add_world_options(measure)
     measure.add_argument("source", help="com/net/org/nl or 'alexa'")
     measure.add_argument("--day", type=int, default=0)
     measure.add_argument("--output", required=True,
-                         help="directory for the columnar partition files")
+                         help="segment store directory (created if "
+                              "missing; earlier partitions are kept)")
 
     stream = commands.add_parser(
         "stream",
@@ -583,22 +584,32 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    from repro.measurement.scheduler import ClusterManager
+    from repro.measurement.scheduler import PartitionFeed
+    from repro.store import SegmentStore, StorageError
 
-    world = _build_world(args)
-    manager = ClusterManager(world)
     try:
-        rows = manager.measure_day(args.source, args.day)
-    except ValueError as error:
+        with SegmentStore(args.output, create=True) as store:
+            if (args.source, args.day) in store.partitions():
+                # A second fragment would count the day twice.
+                print(
+                    f"error: {args.output} already holds "
+                    f"{args.source}/{args.day}",
+                    file=sys.stderr,
+                )
+                return 1
+            partition = PartitionFeed(_build_world(args)).partition(
+                args.source, args.day
+            )
+            store.append_batch(args.source, args.day, partition.batch)
+            stats = store.partition_stats(args.source, args.day)
+    except (ValueError, StorageError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    written = manager.store.save(args.output)
-    stats = manager.store.partition_stats(args.source, args.day)
     print(
-        f"measured {len(rows)} domains "
+        f"measured {len(partition)} domains "
         f"({stats.data_points} data points, "
         f"{stats.encoded_bytes} encoded bytes); "
-        f"wrote {len(written)} files to {args.output}"
+        f"landed {args.source}/{args.day} in {args.output}"
     )
     return 0
 

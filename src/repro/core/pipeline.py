@@ -31,7 +31,6 @@ from typing import (
 if TYPE_CHECKING:  # avoid a circular import at runtime
     from repro.parallel.backend import BackendSpec
 
-from repro.batch.batch import BatchBuilder
 from repro.core.attribution import AnomalyAttributor, Attribution
 from repro.core.classification import DomainUsage, UsageClassifier
 from repro.core.detection import DetectionResult, SegmentDetector
@@ -46,13 +45,13 @@ from repro.faults.plan import FaultInjector, FaultLog, FaultPlan
 from repro.faults.report import SCOPE_EXPORT_KEYS
 from repro.measurement.enrich import AsnEnricher
 from repro.measurement.prober import FastProber
-from repro.measurement.scheduler import GTLD_SOURCES as GTLDS, ClusterManager
+from repro.measurement.scheduler import GTLD_SOURCES as GTLDS, PartitionFeed
 from repro.measurement.snapshot import (
     MEASUREMENTS_PER_DOMAIN_DAY,
     ObservationSegment,
 )
-from repro.measurement.storage import ColumnStore
-from repro.store.protocols import ObservationStore
+from repro.store.segment import encode_partition, layout_segment
+from repro.store.store import SegmentStore, batch_pages
 from repro.world.timeline import CCTLD_START_DAY
 from repro.world.world import World
 
@@ -278,55 +277,31 @@ class AdoptionStudy:
 
     def detect_from_store(
         self,
-        store: ObservationStore,
+        store: SegmentStore,
         sources: Sequence[str],
         backend: Optional["BackendSpec"] = None,
     ) -> DetectionResult:
-        """Columnar detection over landed partitions.
+        """Columnar detection over the landed partitions of *sources*.
 
-        Reads the ``(source, day)`` partitions of *sources* one at a
-        time and folds each through :meth:`SegmentDetector.process_batch`
-        — at most one partition's batch is alive at once; the pools are
-        shared across partitions, so each domain/NS/address string
-        interns once for the whole history. The accumulator takes a
-        domain's days in any order and any grouping, so the result is
-        value-identical to one pass over the concatenated history, to
-        streaming the same partitions through a
-        :class:`repro.stream.engine.StreamEngine`, and to the per-domain
-        segment detector over the equivalent segments.
-
-        With *backend* (a :class:`repro.parallel.backend.Backend`
-        instance or spec) the pass runs sharded instead: the store —
-        which must be a :class:`repro.store.store.SegmentStore` — hands
-        each worker a manifest slice (all partitions, one domain hash
-        shard) and per-shard results merge exactly, byte-identical to
-        the serial pass.
+        The pass is :func:`repro.parallel.detect.detect_from_slices`:
+        the store hands each shard a manifest slice (all partitions,
+        one domain hash shard) that folds through
+        :meth:`SegmentDetector.process_batch` one partition at a time,
+        and per-shard results merge exactly. Without a *backend* (a
+        :class:`repro.parallel.backend.Backend` instance or spec) it is
+        one slice, in process. The accumulator takes a domain's days in
+        any order and any grouping, so the result is value-identical
+        for every backend and shard count, to streaming the same
+        partitions through a :class:`repro.stream.engine.StreamEngine`,
+        and to the per-domain segment detector over the equivalent
+        segments.
         """
-        if backend is not None:
-            if not hasattr(store, "manifest_slices"):
-                raise TypeError(
-                    "backend-sharded detection needs a SegmentStore "
-                    "(manifest slices); this store cannot be sliced"
-                )
-            # Imported lazily: repro.parallel imports from this module.
-            from repro.parallel.detect import detect_from_slices
+        # Imported lazily: repro.parallel imports from this module.
+        from repro.parallel.detect import detect_from_slices
 
-            return detect_from_slices(
-                store,  # type: ignore[arg-type]
-                sources,
-                self.catalog,
-                self.world.horizon,
-                backend=backend,
-            )
-        detector = SegmentDetector(self.catalog, self.world.horizon)
-        builder = BatchBuilder()
-        wanted = set(sources)
-        for source, day in store.partitions():
-            if source in wanted:
-                detector.process_batch(
-                    store.batch(source, day, builder=builder)
-                )
-        return detector.result()
+        return detect_from_slices(
+            store, sources, self.catalog, self.world.horizon, backend=backend
+        )
 
     # -- the full study -----------------------------------------------------------
 
@@ -490,17 +465,16 @@ class AdoptionStudy:
         """Table 1: per-source SLD counts, data points, and storage.
 
         Data-point totals come from the zone-size series (four measurements
-        per domain-day); byte sizes are measured on sampled days through
-        the real columnar store and extrapolated — the honest equivalent of
-        reporting cluster storage you cannot rerun in full. The sampled
+        per domain-day); byte sizes are measured on sampled days as the
+        segment a store lands for each and extrapolated — the honest
+        equivalent of reporting cluster storage you cannot rerun in
+        full. The sampled
         rounds share the study's enricher (address timelines a run has
         already filled) but probe through a prober of their own, outside
         any fault plan.
         """
         world = self.world
-        manager = ClusterManager(
-            world, store=ColumnStore(), enrich=self.enricher
-        )
+        feed = PartitionFeed(world, enrich=self.enricher)
         rows: List[DatasetRow] = []
         for source in list(GTLDS) + ["nl", "alexa"]:
             if source == "alexa":
@@ -520,10 +494,13 @@ class AdoptionStudy:
             sampled_bytes = 0
             sampled_points = 0
             for day in sample_days:
-                manager.measure_day(source, day)
-                stats = manager.store.partition_stats(source, day)
-                sampled_bytes += stats.encoded_bytes
-                sampled_points += stats.data_points
+                batch = feed.partition(source, day).batch
+                # The partition's bytes as one standalone segment: what
+                # a SegmentStore lands for it.
+                sampled_bytes += len(layout_segment(
+                    [encode_partition(source, day, batch_pages(batch))]
+                ))
+                sampled_points += len(batch) * MEASUREMENTS_PER_DOMAIN_DAY
             bytes_per_point = (
                 sampled_bytes / sampled_points if sampled_points else 0.0
             )
@@ -552,10 +529,10 @@ class AdoptionStudy:
         whose parked domains all sit in a DPS's address space, and
         accepting a managed-DNS SLD whose customers mostly don't divert).
         """
-        manager = ClusterManager(self.world, enrich=self.enricher)
+        feed = PartitionFeed(self.world, enrich=self.enricher)
         observations = []
         for source in GTLDS:
-            observations.extend(manager.measure_day(source, day))
+            observations.extend(feed.partition(source, day).observations)
         pfx2as = self.world.pfx2as_at(day)
 
         def ns_host_lookup(hostname: str):

@@ -2,13 +2,13 @@
 
 Stage I  — :mod:`repro.measurement.zonefeed`: daily zone listings per TLD.
 Stage II — :mod:`repro.measurement.scheduler` + :mod:`repro.measurement.prober`:
-           a cluster manager shards the name list over measurement workers,
+           a partition feed shards the name list over measurement workers,
            each of which queries A/AAAA/NS for the apex and ``www`` label of
            every domain and stores full answer sections including CNAME
            expansions.
-Stage III — :mod:`repro.measurement.storage`: results land in a columnar
-           store; :mod:`repro.measurement.enrich` supplements every address
-           with origin ASNs from the day's pfx2as snapshot.
+Stage III — :mod:`repro.measurement.enrich` supplements every address
+           with origin ASNs from the day's pfx2as snapshot, and the results
+           land in the columnar :class:`repro.store.SegmentStore`.
 
 Two probers implement the same observation contract: a fast prober that
 reads world state directly (used for 550-day sweeps) and a wire prober that
@@ -23,8 +23,7 @@ from repro.measurement.snapshot import (
 )
 from repro.measurement.zonefeed import ZoneFeed, ZoneListing
 from repro.measurement.prober import FastProber, WireProber
-from repro.measurement.scheduler import ClusterManager, MeasurementRun
-from repro.measurement.storage import ColumnStore, PartitionStats
+from repro.measurement.scheduler import PartitionFeed
 from repro.measurement.enrich import AsnEnricher
 from repro.measurement.quality import (
     CoverageReport,
@@ -35,16 +34,13 @@ from repro.measurement.quality import (
 
 __all__ = [
     "AsnEnricher",
-    "ClusterManager",
-    "ColumnStore",
     "CoverageReport",
     "DomainObservation",
     "FastProber",
     "IncidentDetector",
     "MEASUREMENTS_PER_DOMAIN_DAY",
-    "MeasurementRun",
     "ObservationSegment",
-    "PartitionStats",
+    "PartitionFeed",
     "WireProber",
     "ZoneFeed",
     "ZoneListing",

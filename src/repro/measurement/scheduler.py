@@ -1,10 +1,11 @@
-"""Stage II scheduling: the per-TLD cluster manager and its worker cloud.
+"""Stage II scheduling: the per-TLD measurement rounds and their workers.
 
 The real platform splits each TLD's name list over a cloud of measurement
-workers (Figure 1). :class:`ClusterManager` reproduces the structure:
+workers (Figure 1). :class:`PartitionFeed` reproduces the structure:
 deterministic sharding, per-shard workers, per-day collection — so the data
-flow (listing → shards → observations → enrichment → storage) matches the
-paper's, even though the workers here run in one process.
+flow (listing → shards → observations → enrichment → partition) matches the
+paper's, even though the workers here run in one process. Landing a
+partition is the caller's step (``SegmentStore.append_batch``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from repro.batch.batch import BatchBuilder, BatchRows, ObservationBatch
 from repro.measurement.enrich import AsnEnricher
 from repro.measurement.prober import FastProber
 from repro.measurement.snapshot import DomainObservation
-from repro.measurement.storage import ColumnStore
 from repro.measurement.zonefeed import ZoneFeed
 from repro.world.timeline import CCTLD_START_DAY
 from repro.world.world import World
@@ -47,66 +47,6 @@ def shard(names: Sequence[str], shard_count: int) -> List[List[str]]:
         shards.append(list(names[cursor : cursor + extent]))
         cursor += extent
     return shards
-
-
-@dataclass
-class MeasurementRun:
-    """Bookkeeping for one day × source measurement round."""
-
-    source: str
-    day: int
-    shards: int
-    observations: int
-
-
-class ClusterManager:
-    """Drives daily measurement rounds for one or more sources.
-
-    The rounds themselves are :meth:`PartitionFeed.partition` — one
-    listing → shard → probe → build → enrich → land loop for the whole
-    tree; the manager adds the store it always lands in and the
-    per-round bookkeeping. *enrich* is passed through to the feed.
-    """
-
-    def __init__(
-        self,
-        world: World,
-        store: Optional[ColumnStore] = None,
-        shard_count: int = 8,
-        enrich: Union[bool, AsnEnricher] = True,
-    ):
-        self.store = store if store is not None else ColumnStore()
-        self._partitions = PartitionFeed(
-            world, enrich=enrich, store=self.store, shard_count=shard_count
-        )
-        self._shard_count = shard_count
-        self.runs: List[MeasurementRun] = []
-
-    def measure_day(
-        self, source: str, day: int
-    ) -> Sequence[DomainObservation]:
-        """Measure every name of *source* on *day* and store the rows.
-
-        Returns the partition's lazy row view: rows are boxed only if
-        the caller reads them.
-        """
-        partition = self._partitions.partition(source, day)
-        self.runs.append(
-            MeasurementRun(
-                source=source,
-                day=day,
-                shards=self._shard_count,
-                observations=len(partition),
-            )
-        )
-        return partition.observations
-
-    def measure_range(
-        self, source: str, start: int, days: int
-    ) -> Iterator[Sequence[DomainObservation]]:
-        """Daily rounds over ``[start, start+days)`` for *source*."""
-        for day in range(start, start + days):
-            yield self.measure_day(source, day)
 
 
 @dataclass
@@ -225,9 +165,8 @@ class LandingOrder:
 class PartitionFeed(LandingOrder):
     """Per-``(source, day)`` partitions, measured in landing order.
 
-    It does not retain what it measured (the engine owns the state);
-    pass *store* to additionally land every partition in a
-    :class:`ColumnStore` — which is all :class:`ClusterManager` does.
+    It neither retains nor lands what it measured (the engine owns the
+    state, a :class:`~repro.store.store.SegmentStore` the history).
     *enrich* is ``True`` (a new :class:`AsnEnricher`), ``False`` (rows
     land without ASNs), or an existing enricher whose address timelines
     the feed then shares.
@@ -238,7 +177,6 @@ class PartitionFeed(LandingOrder):
         world: World,
         sources: Optional[Sequence[str]] = None,
         enrich: Union[bool, AsnEnricher] = True,
-        store: Optional[ColumnStore] = None,
         shard_count: int = 8,
     ):
         super().__init__(world, sources)
@@ -247,7 +185,6 @@ class PartitionFeed(LandingOrder):
         self._enricher: Optional[AsnEnricher] = (
             AsnEnricher(world) if enrich is True else (enrich or None)
         )
-        self._store = store
         self._shard_count = shard_count
         #: One pool pair for every batch this feed lands — domains
         #: repeat daily, so interning compounds across rounds.
@@ -265,8 +202,6 @@ class PartitionFeed(LandingOrder):
         batch = self._builder.build(probed)
         if self._enricher is not None:
             batch = self._enricher.enrich_batch(batch)
-        if self._store is not None:
-            self._store.append_batch(source, day, batch)
         return DayPartition.from_batch(
             source=source,
             day=day,

@@ -1,11 +1,12 @@
-"""Sharded detection over a landed segment store.
+"""Whole-history detection over a landed segment store.
 
-The serial :meth:`AdoptionStudy.detect_from_store` folds the store one
-partition at a time through one detector. This module is its
-distributed form: the store hands each worker a
-:class:`~repro.store.slices.ManifestSlice` — the full partition list
-plus a domain hash shard — and the worker reads the history partition
-by partition from disk, keeping only its shard's rows.
+:meth:`AdoptionStudy.detect_from_store` is this pass. The store hands
+each worker a :class:`~repro.store.slices.ManifestSlice` — the full
+partition list plus a domain hash shard — and the worker folds the
+history partition by partition from disk, keeping only its shard's
+rows. Without a backend the pass is one slice on
+:class:`~repro.parallel.backend.SerialBackend`: every row kept, one
+partition's batch alive at a time.
 
 Sharding is by *domain*, not by partition. The accumulator
 (:class:`repro.core.detection.ScopeState`) would take a domain's days in
@@ -13,8 +14,12 @@ any order and grouping, but the per-shard results have to *merge*:
 :meth:`DetectionResult.merge` is an integer sum plus a disjoint union of
 ``(domain, provider)`` interval keys, so a domain's days must be
 stitched into maximal intervals inside one worker. Merging in
-shard-index order makes the result byte-identical to the serial pass —
-for any backend, any shard count, and any cluster join/leave schedule.
+shard-index order makes the result byte-identical for any backend, any
+shard count, and any cluster join/leave schedule.
+
+Each worker reads through a store of its own, so it hands back the
+partitions a lenient (``on_error="skip"``) read dropped; the parent
+records them in the caller's store in shard order.
 """
 
 from __future__ import annotations
@@ -23,9 +28,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.detection import DetectionResult, SegmentDetector
 from repro.core.references import SignatureCatalog
-from repro.parallel.backend import BackendSpec, resolve_backend
+from repro.parallel.backend import BackendSpec, SerialBackend, resolve_backend
 from repro.store.slices import ManifestSlice
 from repro.store.store import SegmentStore
+
+#: ``(source, day, reason)`` for partitions a lenient read dropped.
+Skipped = List[Tuple[str, int, str]]
 
 #: Per-worker-process detector inputs (set by the pool initializer).
 _WORKER_DETECT: Optional[Tuple[SignatureCatalog, int]] = None
@@ -36,17 +44,23 @@ def _init_detect_worker(catalog: SignatureCatalog, horizon: int) -> None:
     _WORKER_DETECT = (catalog, horizon)
 
 
+def detect_slice(
+    manifest_slice: ManifestSlice, catalog: SignatureCatalog, horizon: int
+) -> Tuple[DetectionResult, Skipped]:
+    """Fold one slice's rows, in the slice's partition order, into a
+    fresh detector; returns its result and the slice's skips."""
+    detector = SegmentDetector(catalog, horizon)
+    with manifest_slice.open() as store:
+        for batch in manifest_slice.batches(store):
+            detector.process_batch(batch)
+        return detector.result(), store.skipped_partitions
+
+
 def _detect_shard(
     shard_index: int, manifest_slice: ManifestSlice
-) -> DetectionResult:
-    """Fold one domain shard's rows from its slice."""
+) -> Tuple[DetectionResult, Skipped]:
     assert _WORKER_DETECT is not None, "worker initializer did not run"
-    catalog, horizon = _WORKER_DETECT
-    detector = SegmentDetector(catalog, horizon)
-    batch = manifest_slice.load_batch()
-    if len(batch):
-        detector.process_batch(batch)
-    return detector.result()
+    return detect_slice(manifest_slice, *_WORKER_DETECT)
 
 
 def detect_from_slices(
@@ -56,18 +70,22 @@ def detect_from_slices(
     horizon: int,
     backend: Optional[BackendSpec] = None,
 ) -> DetectionResult:
-    """Distributed :meth:`AdoptionStudy.detect_from_store`.
+    """Whole-history detection of *sources* on *backend* (default: one
+    slice, in process).
 
-    Byte-identical to the serial pass; no worker (and no merge step)
-    ever materialises more than one partition plus its own domain
-    shard's rows.
+    No worker (and no merge step) ever materialises more than one
+    partition plus its own domain shard's results.
     """
-    executor = resolve_backend(backend)
+    executor = resolve_backend(
+        backend if backend is not None else SerialBackend(shard_count=1)
+    )
     slices = store.manifest_slices(executor.shard_count, sources=sources)
-    parts: List[DetectionResult] = executor.map_shards(
+    parts = executor.map_shards(
         _detect_shard,
         slices,
         initializer=_init_detect_worker,
         initargs=(catalog, horizon),
     )
-    return DetectionResult.merge(parts)
+    for _, skipped in parts:
+        store.record_skipped(skipped)
+    return DetectionResult.merge([result for result, _ in parts])

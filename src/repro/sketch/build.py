@@ -1,4 +1,4 @@
-"""Rebuild the sketch plane from a landed store, serial or sharded.
+"""Rebuild the sketch plane from a landed store, in process or sharded.
 
 The plane a :class:`~repro.stream.engine.StreamEngine` maintains
 incrementally is a pure commutative fold over ``(domain, day, matches)``
@@ -10,8 +10,8 @@ and split across workers: each shard folds a contiguous run of
 the shard planes in shard-index order. Because every sketch merge is an
 exact cell-wise sum / register max (and the space-saving summaries stay
 in their exact regime, see ``docs/SKETCHES.md``), the merged plane is
-**byte-identical** to the serial fold and to the live engine plane fed
-the same partitions — cells of the conformance matrix
+**byte-identical** to the in-process fold and to the live engine plane
+fed the same partitions — cells of the conformance matrix
 (``tests/integration/test_conformance.py``) pin all three against one
 digest per seed.
 """
@@ -30,13 +30,14 @@ from repro.sketch.plane import (
     SketchPlane,
     provider_slds_of,
 )
-from repro.store.protocols import ObservationStore
+from repro.store.slices import ManifestSlice
+from repro.store.store import SegmentStore
 
 PartitionKey = Tuple[str, int]
 
 
 def _fold_partitions(
-    store: ObservationStore,
+    store: SegmentStore,
     catalog: SignatureCatalog,
     config: SketchConfig,
     partitions: Sequence[PartitionKey],
@@ -61,29 +62,32 @@ def _fold_partitions(
 
 
 #: Per-worker-process builder inputs (set by the pool initializer).
-_WORKER_BUILD: Optional[
-    Tuple[ObservationStore, SignatureCatalog, SketchConfig]
-] = None
+_WORKER_BUILD: Optional[Tuple[SignatureCatalog, SketchConfig]] = None
 
 
 def _init_build_worker(
-    store: ObservationStore, catalog: SignatureCatalog, config: SketchConfig
+    catalog: SignatureCatalog, config: SketchConfig
 ) -> None:
     global _WORKER_BUILD
-    _WORKER_BUILD = (store, catalog, config)
+    _WORKER_BUILD = (catalog, config)
 
 
 def _build_shard(
-    shard_index: int, partitions: Sequence[PartitionKey]
-) -> Dict[str, object]:
-    """Fold one contiguous partition run; returns the plane payload."""
+    shard_index: int, partition_run: ManifestSlice
+) -> Tuple[Dict[str, object], List[Tuple[str, int, str]]]:
+    """Fold one contiguous partition run through a store of the
+    worker's own; returns the plane payload and the run's skips."""
     assert _WORKER_BUILD is not None, "worker initializer did not run"
-    store, catalog, config = _WORKER_BUILD
-    return _fold_partitions(store, catalog, config, partitions).to_dict()
+    catalog, config = _WORKER_BUILD
+    with partition_run.open() as store:
+        plane = _fold_partitions(
+            store, catalog, config, partition_run.partitions
+        )
+        return plane.to_dict(), store.skipped_partitions
 
 
 def store_partitions(
-    store: ObservationStore, sources: Optional[Sequence[str]] = None
+    store: SegmentStore, sources: Optional[Sequence[str]] = None
 ) -> List[PartitionKey]:
     """The store's ``(source, day)`` keys, canonically ordered."""
     wanted = None if sources is None else set(sources)
@@ -95,47 +99,42 @@ def store_partitions(
 
 
 def sketch_from_store(
-    store: ObservationStore,
-    config: Optional[SketchConfig] = None,
-    sources: Optional[Sequence[str]] = None,
-    catalog: Optional[SignatureCatalog] = None,
-) -> SketchPlane:
-    """The serial rebuild: fold every partition in canonical order."""
-    return _fold_partitions(
-        store,
-        catalog or SignatureCatalog.paper_table2(),
-        config or SketchConfig(),
-        store_partitions(store, sources),
-    )
-
-
-def sketch_from_store_sharded(
-    store: ObservationStore,
+    store: SegmentStore,
     config: Optional[SketchConfig] = None,
     sources: Optional[Sequence[str]] = None,
     catalog: Optional[SignatureCatalog] = None,
     backend: Optional[BackendSpec] = None,
 ) -> SketchPlane:
-    """The sharded rebuild; byte-identical to :func:`sketch_from_store`.
+    """Fold every partition of *sources* into a plane, in canonical
+    order.
 
-    Contiguous partition runs ship to workers of the resolved
-    execution backend (*backend* > ``REPRO_BACKEND`` > local pool);
+    Without a *backend* the fold runs here, through *store*. With one
+    (a :class:`~repro.parallel.backend.Backend` instance or spec),
+    contiguous partition runs ship to its workers as manifest slices;
     shard planes merge in shard-index order through the exact merge
-    hooks.
+    hooks, byte-identical to the in-process fold, and partitions a
+    lenient read dropped are recorded in *store*, in shard order.
     """
     catalog = catalog or SignatureCatalog.paper_table2()
     config = config or SketchConfig()
+    partitions = store_partitions(store, sources)
+    if backend is None:
+        return _fold_partitions(store, catalog, config, partitions)
     executor = resolve_backend(backend)
-    chunks = chunk_records(
-        store_partitions(store, sources), executor.shard_count
-    )
-    payloads = executor.map_shards(
+    runs = [
+        ManifestSlice(
+            store.directory, tuple(chunk), (0, 1), on_error=store.on_error
+        )
+        for chunk in chunk_records(partitions, executor.shard_count)
+    ]
+    shards = executor.map_shards(
         _build_shard,
-        [list(chunk) for chunk in chunks],
+        runs,
         initializer=_init_build_worker,
-        initargs=(store, catalog, config),
+        initargs=(catalog, config),
     )
     merged = _fold_partitions(store, catalog, config, ())
-    for payload in payloads:
+    for payload, skipped in shards:
         merged.merge(SketchPlane.from_dict(payload))
+        store.record_skipped(skipped)
     return merged

@@ -15,10 +15,12 @@ rows, loaded from disk and accounted:
   generation, day range, and source set, enabling partition pruning by
   day window and source before any segment byte is touched.
 * :mod:`repro.store.store` — the column shredders and row boxer, and
-  :class:`SegmentStore`, the on-disk store with tiered compaction of
-  day segments into multi-day runs
-  (:class:`repro.measurement.storage.ColumnStore` is its in-memory
-  face).
+  :class:`SegmentStore`, the one observation store: every landed
+  partition, replay feed, whole-history pass and Table 1 size goes
+  through it, with tiered compaction of day segments into multi-day
+  runs.
+* :mod:`repro.store.slices` — picklable read plans a sharded pass hands
+  its workers.
 * :mod:`repro.store.migrate` — the legacy v1 zlib-JSON layout's only
   reader, converting it into a new segment store directory.
 
@@ -27,7 +29,6 @@ See ``docs/STORAGE.md`` for the byte-level format specification.
 
 from repro.store.errors import StorageError
 from repro.store.manifest import SegmentMeta, StoreManifest, manifest_format
-from repro.store.protocols import ObservationStore
 from repro.store.segment import (
     SEGMENT_SUFFIX,
     SegmentReader,
@@ -40,7 +41,6 @@ from repro.store.store import SegmentStore
 
 __all__ = [
     "ManifestSlice",
-    "ObservationStore",
     "PartitionStats",
     "SEGMENT_SUFFIX",
     "SegmentMeta",

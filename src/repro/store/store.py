@@ -201,15 +201,14 @@ def land_segment(
 class SegmentStore:
     """A directory of binary column segments behind a manifest.
 
-    Exposes the same reading surface as
-    :class:`repro.measurement.storage.ColumnStore` — ``partitions()``,
-    ``rows()``, ``row_count()``, ``batch()``, ``batches()``,
-    ``partition_stats()``, ``total_stats()``, ``skipped_partitions`` —
-    so feeds and the study pipeline accept either store.
+    The repo's one observation store: ``repro measure`` lands into it,
+    replay feeds, whole-history detection and the sketch rebuild read
+    it, and sharded passes slice it (:meth:`manifest_slices`).
 
     ``on_error="skip"`` makes reads lenient: a damaged segment costs
     its own partitions (recorded in :attr:`skipped_partitions`), never
-    the run.
+    the run. A sharded pass's workers read through stores of their own
+    and hand their skips back (:meth:`record_skipped`).
     """
 
     def __init__(
@@ -592,6 +591,18 @@ class SegmentStore:
         return relative
 
     # -- distribution -------------------------------------------------------
+
+    def record_skipped(
+        self, skipped: Iterable[Tuple[str, int, str]]
+    ) -> None:
+        """Enter partitions a worker's reads of this store dropped into
+        :attr:`skipped_partitions`, each ``(source, day)`` once — as
+        this store's own reads would have recorded them."""
+        seen = {(source, day) for source, day, _ in self.skipped_partitions}
+        for source, day, reason in skipped:
+            if (source, day) not in seen:
+                seen.add((source, day))
+                self.skipped_partitions.append((source, day, reason))
 
     def manifest_slices(
         self,

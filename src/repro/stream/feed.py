@@ -5,8 +5,8 @@ The live path measures partitions through
 the *same* :class:`~repro.measurement.scheduler.DayPartition` stream from
 data that already exists:
 
-* :class:`StoreReplayFeed` — from an observation store (the landed
-  columnar partitions of earlier measurement runs);
+* :class:`StoreReplayFeed` — from a :class:`~repro.store.store.SegmentStore`
+  (the landed columnar partitions of earlier measurement runs);
 * :class:`SegmentReplayFeed` — from per-domain enriched
   :class:`ObservationSegment` histories (the batch pipeline's working
   set), expanded back into daily rows.
@@ -47,7 +47,7 @@ from repro.measurement.scheduler import (
     LandingOrder,
 )
 from repro.measurement.snapshot import ObservationSegment
-from repro.store.protocols import ObservationStore
+from repro.store.store import SegmentStore
 from repro.world.world import World
 
 
@@ -56,13 +56,8 @@ class FeedError(Exception):
 
 
 class StoreReplayFeed:
-    """Replays the partitions landed in an observation store.
-
-    Accepts anything satisfying
-    :class:`~repro.store.protocols.ObservationStore` — the in-memory
-    :class:`~repro.measurement.storage.ColumnStore` or the on-disk
-    :class:`~repro.store.store.SegmentStore` (whose manifest pruning
-    and mmap reads keep replay memory flat in history length).
+    """Replays the partitions landed in a segment store, whose manifest
+    pruning and mmap reads keep replay memory flat in history length.
 
     Partitions are produced columnar: the store's columns intern
     straight into one shared :class:`~repro.batch.batch.BatchBuilder`
@@ -71,7 +66,7 @@ class StoreReplayFeed:
 
     def __init__(
         self,
-        store: ObservationStore,
+        store: SegmentStore,
         zone_sizes: Optional[Mapping[Tuple[str, int], int]] = None,
     ):
         self._store = store

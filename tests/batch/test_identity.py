@@ -6,7 +6,7 @@ The columnar plane is only allowed to change *how* data moves, never
 through :func:`tests.conformance.check_cell`, so the work runs once
 however many ids ask for it:
 
-* whole-history ``detect_from_store`` over the landed ``ColumnStore``;
+* whole-history ``detect_from_store`` over the landed ``SegmentStore``;
 * a streamed engine fed the columnar partitions replayed from it,
   straight through and across a kill/checkpoint/resume cycle;
 * the canonical JSON export (the bytes ``repro study --output`` writes)

@@ -1,10 +1,12 @@
 """The store's batch path is value-identical to its row path."""
 
+import os
+
 import pytest
 
 from repro.batch.batch import BatchBuilder, ObservationBatch
-from repro.measurement.storage import ColumnStore
 from repro.measurement.snapshot import DomainObservation
+from repro.store import SegmentStore
 
 
 def observation(index, day=0):
@@ -26,16 +28,23 @@ def rows():
     return [observation(i, day=2) for i in range(15)]
 
 
+def segment_bytes(store):
+    """The bytes of the store's one segment file."""
+    (meta,) = store.manifest.segments
+    with open(os.path.join(store.directory, meta.file), "rb") as handle:
+        return handle.read()
+
+
 @pytest.fixture()
-def row_store(rows):
-    store = ColumnStore()
+def row_store(rows, tmp_path):
+    store = SegmentStore(str(tmp_path / "rows"), create=True)
     store.append("com", 2, rows)
     return store
 
 
 @pytest.fixture()
-def batch_store(rows):
-    store = ColumnStore()
+def batch_store(rows, tmp_path):
+    store = SegmentStore(str(tmp_path / "batch"), create=True)
     store.append_batch("com", 2, ObservationBatch.from_rows(rows))
     return store
 
@@ -51,9 +60,7 @@ class TestAppendBatch:
     ):
         """Table 1's ``estimated_bytes`` must not depend on which append
         path landed a partition."""
-        assert batch_store.segment_bytes(
-            "com", 2
-        ) == row_store.segment_bytes("com", 2)
+        assert segment_bytes(batch_store) == segment_bytes(row_store)
 
     def test_stats_identical(self, row_store, batch_store):
         assert batch_store.partition_stats(
@@ -66,11 +73,11 @@ class TestBatchReads:
         batch = row_store.batch("com", 2)
         assert batch.rows() == rows
 
-    def test_batches_covers_every_partition_in_order(self, rows):
-        store = ColumnStore()
-        store.append("com", 1, rows[:5])
-        store.append("net", 1, rows[5:9])
-        store.append("com", 2, rows[9:])
+    def test_batches_covers_every_partition_in_order(self, rows, tmp_path):
+        store = SegmentStore(str(tmp_path), create=True)
+        store.append_partitions([
+            ("com", 1, rows[:5]), ("net", 1, rows[5:9]), ("com", 2, rows[9:])
+        ])
         seen = [
             (source, day, batch.rows())
             for source, day, batch in store.batches()
@@ -81,10 +88,10 @@ class TestBatchReads:
             for source, day in store.partitions()
         ]
 
-    def test_shared_builder_interns_across_partitions(self, rows):
-        store = ColumnStore()
-        store.append("com", 1, rows)
-        store.append("com", 2, rows)  # same domains next day
+    def test_shared_builder_interns_across_partitions(self, rows, tmp_path):
+        store = SegmentStore(str(tmp_path), create=True)
+        # The same domains on the next day.
+        store.append_partitions([("com", 1, rows), ("com", 2, rows)])
         builder = BatchBuilder()
         first = store.batch("com", 1, builder=builder)
         second = store.batch("com", 2, builder=builder)
@@ -93,8 +100,6 @@ class TestBatchReads:
         assert first.domains == second.domains
 
     def test_batch_survives_save_load(self, rows, tmp_path):
-        store = ColumnStore()
-        store.append("com", 2, rows)
-        store.save(str(tmp_path))
-        loaded = ColumnStore.load(str(tmp_path))
-        assert loaded.batch("com", 2).rows() == rows
+        SegmentStore(str(tmp_path), create=True).append("com", 2, rows)
+        with SegmentStore(str(tmp_path)) as loaded:
+            assert loaded.batch("com", 2).rows() == rows

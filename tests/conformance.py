@@ -1,12 +1,12 @@
 """The conformance matrix's baseline and the digests it is pinned by.
 
-One seed's **baseline** is the serial, in-memory, in-order, in-process
-reading of the paper world:
+One seed's **baseline** is the serial, in-order, in-process reading of
+the paper world:
 
 * ``AdoptionStudy.run()`` gives the canonical export and the gTLD
   detection;
-* the study's daily partitions, landed in a :class:`ColumnStore` and
-  replayed in landing order through a sketch-enabled
+* the study's daily partitions, landed in a fresh :class:`SegmentStore`
+  and replayed in landing order through a sketch-enabled
   :class:`StreamEngine`, give the engine state (scopes, cursors and
   plane) and the sketch plane;
 * the three MapReduce jobs over ten days of gTLD partitions give their
@@ -29,10 +29,12 @@ hash-seed cells run exactly this in a child process::
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import sys
-from dataclasses import asdict
+import tempfile
+from dataclasses import asdict, replace
 from typing import (
     Callable,
     Dict,
@@ -54,17 +56,16 @@ from repro.mapreduce.jobs import (
     reference_count_job,
 )
 from repro.measurement.scheduler import GTLD_SOURCES
-from repro.measurement.storage import ColumnStore
 from repro.parallel.backend import (
     BackendSpec,
     LocalPoolBackend,
     SerialBackend,
 )
+from repro.parallel.detect import detect_slice
 from repro.reporting.export import study_to_dict
 from repro.sketch import SketchConfig, SketchPlane
-from repro.sketch.build import sketch_from_store, sketch_from_store_sharded
+from repro.sketch.build import sketch_from_store
 from repro.store import SegmentStore
-from repro.store.protocols import ObservationStore
 from repro.stream.checkpoint import (
     load_checkpoint,
     save_checkpoint,
@@ -104,18 +105,24 @@ class Baseline(NamedTuple):
     study: AdoptionStudy
     results: StudyResults
     windows: Dict[str, Tuple[int, int]]
-    #: Every partition the study measured, in memory.
-    store: ColumnStore
+    #: Every partition the study measured, as landed.
+    store: SegmentStore
 
 
-def build_baseline(seed: int) -> Baseline:
+def build_baseline(seed: int, directory: str) -> Baseline:
+    """The baseline of *seed*, its partitions landed in a fresh store at
+    *directory*."""
     world = build_paper_world(ScenarioConfig(scale=SCALE, seed=seed))
     study = AdoptionStudy(world)
     results = study.run()
     feed = SegmentReplayFeed(world, results.segments)
-    store = ColumnStore()
-    for part in feed.days():
-        store.append_batch(part.source, part.day, part.batch)
+    store = SegmentStore(directory, create=True)
+    for _, chunk in itertools.groupby(
+        feed.days(), key=lambda part: part.day // DAYS_PER_COMMIT
+    ):
+        store.append_partitions(
+            (part.source, part.day, part.observations) for part in chunk
+        )
     return Baseline(world, study, results, feed.windows(), store)
 
 
@@ -157,7 +164,7 @@ def detection_digest(result: DetectionResult) -> str:
 
 def replay(
     base: Baseline,
-    store: ObservationStore,
+    store: SegmentStore,
     keys: Optional[Iterable[Tuple[str, int]]] = None,
     end: Optional[int] = None,
 ) -> StreamEngine:
@@ -182,7 +189,7 @@ def engine_digests(engine: StreamEngine) -> Digests:
     ]
 
 
-def mapreduce_records(store: ObservationStore) -> ObservationBatch:
+def mapreduce_records(store: SegmentStore) -> ObservationBatch:
     return ObservationBatch.concat(
         [
             store.batch(source, day)
@@ -214,14 +221,17 @@ def mapreduce_digests(
 
 
 def baseline_digests(seed: int) -> Dict[str, str]:
-    """Every pinned digest of *seed*, computed the baseline way."""
-    base = build_baseline(seed)
-    digests = dict(engine_digests(replay(base, base.store)))
+    """Every pinned digest of *seed*, computed the baseline way (its
+    store in a temporary directory)."""
+    with tempfile.TemporaryDirectory() as directory:
+        base = build_baseline(seed, directory)
+        with base.store:
+            digests = dict(engine_digests(replay(base, base.store)))
+            digests.update(mapreduce_digests(mapreduce_records(base.store)))
     digests["export"] = export_digest(base.results)
     assert digests["detection"] == detection_digest(
         base.results.detection_gtld
     )
-    digests.update(mapreduce_digests(mapreduce_records(base.store)))
     return digests
 
 
@@ -237,9 +247,7 @@ class Conformance(NamedTuple):
 
     seed: int
     base: Baseline
-    #: The baseline's partitions on disk, as landed.
-    fresh: SegmentStore
-    #: The same segments after one compaction pass.
+    #: The baseline's segments after one compaction pass.
     compacted: SegmentStore
     #: Scratch space for cells that write files.
     directory: str
@@ -257,7 +265,7 @@ def _run(c: Conformance) -> Digests:
 
 def _detect(
     c: Conformance,
-    store: ObservationStore,
+    store: SegmentStore,
     backend: Optional[BackendSpec] = None,
 ) -> Tuple[str, str]:
     detected = c.base.study.detect_from_store(
@@ -299,23 +307,15 @@ def _on_pool(c: Conformance) -> Digests:
     ]
 
 
-class _ReadBackwards:
-    """A store that lists its partitions last first."""
-
-    def __init__(self, store):
-        self._store = store
-
-    def partitions(self):
-        return self._store.partitions()[::-1]
-
-    def batch(self, source, day, builder=None):
-        return self._store.batch(source, day, builder=builder)
-
-
 def _reversed(c: Conformance) -> Digests:
     keys = list(StoreReplayFeed(c.base.store).keys())[::-1]
+    (whole,) = c.base.store.manifest_slices(1, sources=GTLD_SOURCES)
+    backwards = replace(whole, partitions=whole.partitions[::-1])
+    detected, _ = detect_slice(
+        backwards, c.base.study.catalog, c.base.world.horizon
+    )
     return engine_digests(replay(c.base, c.base.store, keys=keys)) + [
-        _detect(c, _ReadBackwards(c.base.store))
+        ("detection", detection_digest(detected))
     ]
 
 
@@ -326,7 +326,7 @@ CELLS: Dict[str, Callable[[Conformance], Digests]] = {
     "path-run": _run,
     "path-detect-from-store": lambda c: [_detect(c, c.base.store)],
     "path-slices": lambda c: [
-        _detect(c, c.fresh, backend=SerialBackend(shard_count=2))
+        _detect(c, c.base.store, backend=SerialBackend(shard_count=2))
     ],
     "path-engine-replay": lambda c: engine_digests(
         replay(c.base, c.base.store)
@@ -334,15 +334,12 @@ CELLS: Dict[str, Callable[[Conformance], Digests]] = {
     "path-kill-resume": _kill_resume,
     "path-sketch-serial": lambda c: _sketch(sketch_from_store(c.base.store)),
     "path-sketch-sharded": lambda c: _sketch(
-        sketch_from_store_sharded(c.base.store, backend=_pool_w2())
+        sketch_from_store(c.base.store, backend=_pool_w2())
     ),
     "path-mapreduce": lambda c: mapreduce_digests(
         mapreduce_records(c.base.store)
     ),
     "backend-pool-w2": _on_pool,
-    "store-fresh": lambda c: engine_digests(replay(c.base, c.fresh)) + [
-        _detect(c, c.fresh)
-    ],
     "store-compacted": lambda c: [_detect(c, c.compacted)],
     "order-reversed": _reversed,
 }

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import shutil
@@ -14,14 +13,8 @@ from repro.core.pipeline import AdoptionStudy
 from repro.faults.inject import corrupt_blob
 from repro.measurement.snapshot import DomainObservation
 from repro.store import SegmentStore
-from repro.stream.feed import StoreReplayFeed
 from repro.world.scenario import ScenarioConfig, build_paper_world
-from tests.conformance import (
-    DAYS_PER_COMMIT,
-    SEEDS,
-    Conformance,
-    build_baseline,
-)
+from tests.conformance import SEEDS, Conformance, build_baseline
 
 #: Tiny scale for unit-ish tests that need a full world.
 TEST_SCALE = 40000
@@ -53,35 +46,24 @@ def conformance_seed(request):
 
 
 @pytest.fixture(scope="session")
-def conformance_base(conformance_seed):
-    return build_baseline(conformance_seed)
+def conformance_base(conformance_seed, tmp_path_factory):
+    directory = tmp_path_factory.mktemp(f"baseline-{conformance_seed}")
+    base = build_baseline(conformance_seed, str(directory / "fresh"))
+    yield base
+    base.store.close()
 
 
 @pytest.fixture(scope="session")
 def conformance(conformance_seed, conformance_base, tmp_path_factory):
-    """The baseline of one matrix seed and its three stores."""
-    memory = conformance_base.store
+    """The baseline of one matrix seed and its compacted store."""
     directory = tmp_path_factory.mktemp(f"conformance-{conformance_seed}")
-    fresh_dir = str(directory / "fresh")
     compacted_dir = str(directory / "compacted")
-    with SegmentStore(fresh_dir, create=True) as store:
-        keys = StoreReplayFeed(memory).keys()
-        for _, chunk in itertools.groupby(
-            keys, key=lambda key: key[1] // DAYS_PER_COMMIT
-        ):
-            store.append_partitions(
-                (source, day, list(memory.rows(source, day)))
-                for source, day in chunk
-            )
-    shutil.copytree(fresh_dir, compacted_dir)
-    fresh = SegmentStore(fresh_dir)
+    shutil.copytree(conformance_base.store.directory, compacted_dir)
     compacted = SegmentStore(compacted_dir)
     assert compacted.compact(fanout=8)
     yield Conformance(
-        conformance_seed, conformance_base, fresh, compacted,
-        str(directory), {},
+        conformance_seed, conformance_base, compacted, str(directory), {}
     )
-    fresh.close()
     compacted.close()
 
 

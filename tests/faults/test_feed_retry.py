@@ -9,7 +9,7 @@ from repro.faults.plan import FaultLog, FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.measurement.scheduler import DayPartition
 from repro.measurement.snapshot import DomainObservation
-from repro.measurement.storage import ColumnStore
+from repro.store import SegmentStore
 from repro.stream.checkpoint import state_digest
 from repro.stream.engine import RECONCILED, StreamEngine
 from repro.stream.feed import FeedError, ResilientFeed, StoreReplayFeed
@@ -171,11 +171,14 @@ class TestResilientStoreReplay:
     landed keys, not windows."""
 
     @pytest.fixture
-    def store(self):
-        landed = ColumnStore()
-        for day in range(HORIZON):
-            landed.append("com", day, make_partition(day).observations)
-        return landed
+    def store(self, tmp_path):
+        landed = SegmentStore(str(tmp_path), create=True)
+        landed.append_partitions(
+            ("com", day, make_partition(day).observations)
+            for day in range(HORIZON)
+        )
+        yield landed
+        landed.close()
 
     def test_transient_store_read_recovers(self, store):
         feed = ResilientFeed(

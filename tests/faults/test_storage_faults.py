@@ -10,8 +10,7 @@ from repro.batch.batch import BatchBuilder
 from repro.faults.inject import corrupt_blob, corrupt_store_files
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.measurement.snapshot import DomainObservation
-from repro.measurement.storage import ColumnStore, StorageError
-from repro.store import SegmentStore
+from repro.store import SegmentStore, StorageError
 from repro.store.migrate import migrate_store
 
 
@@ -26,24 +25,37 @@ def observation(domain, day, tld="com"):
     )
 
 
-def populated_store():
-    store = ColumnStore()
-    for day in range(3):
-        store.append(
-            "com", day, [observation(f"a{i}.com", day) for i in range(4)]
+def landed_rows():
+    """(source, day) → rows, in sorted partition order."""
+    return {
+        (source, day): (
+            [observation(f"a{i}.com", day) for i in range(4)]
+            if source == "com"
+            else [observation(f"b{i}.nl", day, tld="nl") for i in range(2)]
         )
-        store.append(
-            "nl",
-            day,
-            [observation(f"b{i}.nl", day, tld="nl") for i in range(2)],
-        )
-    return store
+        for source in ("com", "nl")
+        for day in range(3)
+    }
+
+
+def populated_store(directory):
+    """:func:`landed_rows` in *directory*, one segment per partition,
+    appended in sorted partition order."""
+    with SegmentStore(str(directory), create=True) as store:
+        for (source, day), rows in landed_rows().items():
+            store.append(source, day, rows)
 
 
 def rows_of(store):
     return {
         key: list(store.rows(*key)) for key in store.partitions()
     }
+
+
+def load(directory, on_error="raise"):
+    """Every row of the store at *directory*, read eagerly."""
+    with SegmentStore(str(directory), on_error=on_error) as store:
+        return rows_of(store), store.skipped_partitions
 
 
 class TestCorruptBlob:
@@ -86,8 +98,7 @@ class TestCorruptStoreFiles:
         )
 
     def test_missing_removes_segment_file(self, tmp_path):
-        store = populated_store()
-        store.save(str(tmp_path))
+        populated_store(tmp_path)
         affected = corrupt_store_files(
             str(tmp_path), self.plan("missing", keys=("com/1",)).injector()
         )
@@ -98,8 +109,7 @@ class TestCorruptStoreFiles:
         assert not os.path.exists(affected[0])
 
     def test_bitflip_touches_one_segment_file(self, tmp_path):
-        store = populated_store()
-        store.save(str(tmp_path))
+        populated_store(tmp_path)
         affected = corrupt_store_files(
             str(tmp_path), self.plan("bitflip", keys=("nl/0",)).injector()
         )
@@ -123,32 +133,31 @@ class TestHardenedLoad:
 
     @pytest.mark.parametrize("kind", ["truncate", "bitflip", "missing"])
     def test_damage_raises_typed_error(self, tmp_path, kind):
-        populated_store().save(str(tmp_path))
+        populated_store(tmp_path)
         self.damage(tmp_path, kind, keys=("com/1",))
         with pytest.raises(StorageError):
-            ColumnStore.load(str(tmp_path))
+            load(tmp_path)
 
     @pytest.mark.parametrize("kind", ["truncate", "bitflip", "missing"])
     def test_lenient_load_drops_only_damaged_partition(
         self, tmp_path, kind
     ):
-        store = populated_store()
-        store.save(str(tmp_path))
+        populated_store(tmp_path)
         self.damage(tmp_path, kind, keys=("com/1",))
-        loaded = ColumnStore.load(str(tmp_path), on_error="skip")
+        rows, skipped = load(tmp_path, on_error="skip")
         assert [
-            (source, day)
-            for source, day, _reason in loaded.skipped_partitions
+            (source, day) for source, day, _reason in skipped
         ] == [("com", 1)]
-        expected = rows_of(store)
-        expected.pop(("com", 1))
-        assert rows_of(loaded) == expected
+        # The manifest still lists the partition; none of its rows read.
+        expected = landed_rows()
+        expected[("com", 1)] = []
+        assert rows == expected
 
     def test_checksum_mismatch_is_named(self, tmp_path):
-        populated_store().save(str(tmp_path))
+        populated_store(tmp_path)
         self.damage(tmp_path, "bitflip", keys=("com/0",))
         with pytest.raises(StorageError, match="checksum mismatch"):
-            ColumnStore.load(str(tmp_path))
+            load(tmp_path)
 
     @pytest.mark.parametrize("kind", ["truncate", "bitflip", "missing"])
     def test_legacy_lenient_load_drops_only_damaged_partition(
@@ -185,20 +194,20 @@ class TestHardenedLoad:
             assert rows_of(migrated) == v1_store.rows
 
     def test_clean_roundtrip_is_exact(self, tmp_path):
-        store = populated_store()
-        store.save(str(tmp_path))
-        loaded = ColumnStore.load(str(tmp_path))
-        assert loaded.skipped_partitions == []
-        assert rows_of(loaded) == rows_of(store)
+        populated_store(tmp_path)
+        rows, skipped = load(tmp_path)
+        assert skipped == []
+        assert rows == landed_rows()
 
     def test_invalid_on_error_rejected(self, tmp_path):
-        populated_store().save(str(tmp_path))
+        populated_store(tmp_path)
         with pytest.raises(ValueError, match="on_error"):
-            ColumnStore.load(str(tmp_path), on_error="ignore")
+            load(tmp_path, on_error="ignore")
 
 
-#: sha256 of every file ``populated_store().save()`` wrote at the last
-#: commit that had its own encoder in ``measurement/storage.py``.
+#: sha256 of every file :func:`populated_store` writes, taken when an
+#: in-memory store still saved these partitions with an encoder of its
+#: own.
 SAVED_SHA256 = {
     "manifest.json":
         "a536ad09279e1c85ee51e8f10fcca84deefb11361858b62db89889467121c0ce",
@@ -229,9 +238,14 @@ def file_digests(root, paths):
 
 
 def test_saved_bytes_are_pinned(tmp_path):
-    """``ColumnStore.save`` writes the same file names and bytes it did
-    before its bodies became calls into ``repro.store``."""
-    written = populated_store().save(str(tmp_path))
+    """Appending the partitions one by one writes the same file names
+    and bytes a whole-store save of them once did."""
+    populated_store(tmp_path)
+    written = [
+        os.path.join(root, name)
+        for root, _dirs, files in os.walk(tmp_path)
+        for name in files
+    ]
     assert file_digests(tmp_path, written) == SAVED_SHA256
 
 

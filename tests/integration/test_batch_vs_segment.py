@@ -13,7 +13,7 @@ from repro.mapreduce.engine import run_job
 from repro.mapreduce.jobs import daily_detection_job, reference_count_job
 from repro.measurement.enrich import AsnEnricher
 from repro.measurement.prober import FastProber
-from repro.measurement.scheduler import ClusterManager
+from repro.measurement.scheduler import PartitionFeed
 
 CATALOG = SignatureCatalog.paper_table2()
 SAMPLE_DAYS = (0, 5, 100, 266, 410, 549)
@@ -34,11 +34,11 @@ def segment_detection(tiny_world):
 
 @pytest.fixture(scope="module")
 def batch_counts(tiny_world):
-    manager = ClusterManager(tiny_world, enrich=True)
+    feed = PartitionFeed(tiny_world)
     observations = []
     for day in SAMPLE_DAYS:
         for source in ("com", "net", "org"):
-            observations.extend(manager.measure_day(source, day))
+            observations.extend(feed.partition(source, day).observations)
     totals = dict(run_job(daily_detection_job(CATALOG), observations))
     refs = dict(run_job(reference_count_job(CATALOG), observations))
     return totals, refs
@@ -68,10 +68,10 @@ def test_reference_breakdowns_agree(segment_detection, batch_counts):
 
 def test_combined_any_use_agrees(tiny_world, segment_detection):
     """Cross-check the any-provider daily count against direct matching."""
-    manager = ClusterManager(tiny_world, enrich=True)
+    feed = PartitionFeed(tiny_world)
     for day in (0, 410):
         rows = []
         for source in ("com", "net", "org"):
-            rows.extend(manager.measure_day(source, day))
+            rows.extend(feed.partition(source, day).observations)
         direct = sum(1 for row in rows if CATALOG.match(row))
         assert segment_detection.any_use_combined[day] == direct

@@ -1,20 +1,22 @@
 """The conformance matrix: every way to the paper's numbers, one set of bytes.
 
 Each seed's baseline (``tests/conformance.py``) is the serial,
-in-memory, in-order, in-process reading of one paper world, pinned by
-digest in ``tests/fixtures/golden/conformance.json``. The cells form a
+in-order, in-process reading of one paper world, its partitions landed
+in a fresh segment store, pinned by digest in
+``tests/fixtures/golden/conformance.json``. The cells form a
 star around it: each changes exactly one axis and must reproduce every
 digest it produces.
 
-* **path** — ``run()``, ``detect_from_store``, manifest slices (which
-  only a segment store has), engine replay, kill/resume, the serial and
-  pool-sharded sketch rebuilds and the three MapReduce jobs;
+* **path** — ``run()``, ``detect_from_store`` (one manifest slice),
+  two slices, engine replay, kill/resume, the in-process and
+  pool-sharded sketch rebuilds and the three MapReduce jobs, all over
+  the fresh store;
 * **backend** — the study on a two-worker pool; the sweep over every
   shipped backend, the simulated cluster with and without mid-run churn
   included, is ``tests/parallel/test_backend_identity.py`` on worlds of
   its own;
-* **store generation** — engine replay and ``detect_from_store`` over
-  the fresh segment store, ``detect_from_store`` over the compacted one;
+* **store generation** — ``detect_from_store`` over the compacted
+  store;
 * **arrival order** — the landed partitions fed and read last first;
 * **hash seed** — the whole baseline recomputed in a child process
   under ``PYTHONHASHSEED`` 0 and 1.

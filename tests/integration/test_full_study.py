@@ -39,14 +39,13 @@ class TestTable2Derivation:
         self, fingerprints, study_world
     ):
         """Detection with the derived Table 2 ≈ detection with ground truth."""
-        from repro.measurement.scheduler import ClusterManager
+        from repro.measurement.scheduler import PartitionFeed
 
         derived = SignatureCatalog(
             result.to_signature() for result in fingerprints.values()
         )
         truth = SignatureCatalog.paper_table2()
-        manager = ClusterManager(study_world, enrich=True)
-        rows = manager.measure_day("com", 30)
+        rows = PartitionFeed(study_world).partition("com", 30).observations
         derived_hits = {
             row.domain for row in rows if derived.match(row)
         }

@@ -6,11 +6,13 @@ it. These tests land the same few days of ``tiny_world`` once and walk
 every way in — whole-history ``process_batch``, an engine fed from the
 store, from the segment-native replay feed, from row-built partitions
 (the shape fault shims hand over) and from partitions a checkpoint
-decoded, the serial and sharded sketch rebuilds — asserting one
+decoded, the in-process and sharded sketch rebuilds — asserting one
 ``DetectionResult`` and one digest. Detection folds through one
 accumulator that takes a domain's days in any order, so a store landed
 or read backwards detects the same.
 """
+
+import dataclasses
 
 import pytest
 
@@ -25,10 +27,10 @@ from repro.measurement.scheduler import (
     DayPartition,
 )
 from repro.measurement.snapshot import DomainObservation
-from repro.measurement.storage import ColumnStore
 from repro.parallel.backend import resolve_backend
+from repro.parallel.detect import detect_slice
 from repro.sketch import SketchConfig
-from repro.sketch.build import sketch_from_store, sketch_from_store_sharded
+from repro.sketch.build import sketch_from_store
 from repro.store.store import SegmentStore
 from repro.stream.checkpoint import (
     load_checkpoint,
@@ -49,13 +51,18 @@ def segments(tiny_world):
 
 
 @pytest.fixture(scope="module")
-def landed(tiny_world, segments):
+def landed(tiny_world, segments, tmp_path_factory):
     """The days' partitions, landed from the segment-native feed."""
-    store = ColumnStore()
+    store = SegmentStore(
+        str(tmp_path_factory.mktemp("landed")), create=True
+    )
     feed = SegmentReplayFeed(tiny_world, segments)
-    for part in feed.days(start=DAYS.start, end=DAYS.stop):
-        store.append_batch(part.source, part.day, part.batch)
-    return store
+    store.append_partitions(
+        (part.source, part.day, part.observations)
+        for part in feed.days(start=DAYS.start, end=DAYS.stop)
+    )
+    yield store
+    store.close()
 
 
 def _row_built(part):
@@ -158,8 +165,8 @@ class TestEveryDoor:
         "rebuild",
         [
             sketch_from_store,
-            lambda store: sketch_from_store_sharded(store, backend="serial"),
-            lambda store: sketch_from_store_sharded(
+            lambda store: sketch_from_store(store, backend="serial"),
+            lambda store: sketch_from_store(
                 store, backend=resolve_backend(workers=2, shard_count=4)
             ),
         ],
@@ -174,19 +181,6 @@ class TestEveryDoor:
         )
 
 
-class _ReadBackwards:
-    """A store that lists its partitions last day first."""
-
-    def __init__(self, store):
-        self._store = store
-
-    def partitions(self):
-        return self._store.partitions()[::-1]
-
-    def batch(self, source, day, builder=None):
-        return self._store.batch(source, day, builder=builder)
-
-
 class TestPartitionAtATime:
     def test_store_landed_or_read_backwards_detects_the_same(
         self, tiny_world, landed, tmp_path
@@ -196,13 +190,19 @@ class TestPartitionAtATime:
         assert expected.domains_seen > 0 and expected.intervals
         directory = str(tmp_path / "reversed")
         with SegmentStore(directory, create=True) as store:
-            for source, day in reversed(landed.partitions()):
-                store.append_batch(source, day, landed.batch(source, day))
-            assert study.detect_from_store(store, GTLD_SOURCES) == expected
-            assert (
-                study.detect_from_store(_ReadBackwards(store), GTLD_SOURCES)
-                == expected
+            store.append_partitions(
+                (source, day, list(landed.rows(source, day)))
+                for source, day in reversed(landed.partitions())
             )
+            assert study.detect_from_store(store, GTLD_SOURCES) == expected
+            (whole,) = store.manifest_slices(1, sources=GTLD_SOURCES)
+            backwards = dataclasses.replace(
+                whole, partitions=whole.partitions[::-1]
+            )
+            detected, skipped = detect_slice(
+                backwards, study.catalog, tiny_world.horizon
+            )
+            assert detected == expected and skipped == []
 
 
 class TestSegmentNativeFeed:

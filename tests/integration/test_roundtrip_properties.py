@@ -1,6 +1,7 @@
 """Property-based round-trip guarantees on the serialisation formats."""
 
 import ipaddress
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +10,8 @@ from repro.dnscore.rrtypes import RRType
 from repro.dnscore.zone import Zone, parse_zone_text
 from repro.dnscore.records import SOAData
 from repro.measurement.snapshot import DomainObservation
-from repro.measurement.storage import ColumnStore
 from repro.routing.pfx2as import Pfx2As, Pfx2AsEntry
+from repro.store import SegmentStore
 
 from tests.store.cells import stored_cells
 
@@ -125,10 +126,11 @@ def test_column_store_roundtrip(observations):
         )
         for o in observations
     ]
-    store = ColumnStore()
-    store.append("com", day, normalised)
-    assert list(store.rows("com", day)) == normalised
-    # The encoded form decodes to the same columns.
-    decoded = stored_cells(store, "com", day)
+    with tempfile.TemporaryDirectory() as directory:
+        with SegmentStore(directory, create=True) as store:
+            store.append("com", day, normalised)
+            assert list(store.rows("com", day)) == normalised
+            # The encoded form decodes to the same columns.
+            decoded = stored_cells(store, "com", day)
     assert decoded["domain"] == [o.domain for o in normalised]
     assert decoded["asns"] == [sorted(o.asns) for o in normalised]

@@ -1,14 +1,13 @@
-"""Tests for the cluster manager, sharding and partition feed (stage II)."""
+"""Tests for sharding and the partition feed (stage II)."""
+
+import os
 
 import pytest
 
-from repro.measurement.scheduler import (
-    ALL_SOURCES,
-    ClusterManager,
-    PartitionFeed,
-    shard,
-)
-from repro.measurement.storage import ColumnStore
+from repro.measurement.scheduler import ALL_SOURCES, PartitionFeed, shard
+from repro.store import SegmentStore
+from repro.store.segment import encode_partition, layout_segment
+from repro.store.store import batch_pages
 from repro.world.timeline import CCTLD_START_DAY
 
 
@@ -54,41 +53,6 @@ class TestShard:
             shard([1], 0)
 
 
-class TestClusterManager:
-    def test_measure_day_stores_rows(self, tiny_world):
-        manager = ClusterManager(tiny_world, shard_count=4)
-        rows = manager.measure_day("org", 0)
-        assert rows
-        assert manager.store.row_count("org", 0) == len(rows)
-        run = manager.runs[-1]
-        assert run.source == "org"
-        assert run.shards == 4
-        assert run.observations == len(rows)
-
-    def test_rows_are_enriched(self, tiny_world):
-        manager = ClusterManager(tiny_world, shard_count=2)
-        rows = manager.measure_day("org", 0)
-        assert any(row.asns for row in rows)
-
-    def test_enrichment_can_be_disabled(self, tiny_world):
-        manager = ClusterManager(tiny_world, enrich=False)
-        rows = manager.measure_day("org", 0)
-        assert all(row.asns == frozenset() for row in rows)
-
-    def test_measure_range(self, tiny_world):
-        manager = ClusterManager(tiny_world)
-        days = list(manager.measure_range("org", 0, 3))
-        assert len(days) == 3
-        assert [(r.source, r.day) for r in manager.runs] == [
-            ("org", 0), ("org", 1), ("org", 2),
-        ]
-
-    def test_alexa_source(self, tiny_world):
-        manager = ClusterManager(tiny_world)
-        rows = manager.measure_day("alexa", 400)
-        assert {row.domain for row in rows} <= set(tiny_world.alexa_names)
-
-
 class TestPartitionFeed:
     def test_rejects_unknown_source(self, tiny_world):
         with pytest.raises(ValueError):
@@ -115,36 +79,54 @@ class TestPartitionFeed:
         assert any(row.asns for row in part.observations)
 
     def test_partition_matches_cluster_manager(self, tiny_world):
+        """Two feeds over one world measure the same rows: a partition
+        is a function of the world, the source and the day."""
         feed = PartitionFeed(tiny_world, sources=("org",))
-        manager = ClusterManager(tiny_world)
+        other = PartitionFeed(tiny_world, shard_count=3)
         assert (
             feed.partition("org", 0).observations
-            == manager.measure_day("org", 0)
+            == other.partition("org", 0).observations
         )
+
+    def test_enrichment_can_be_disabled(self, tiny_world):
+        feed = PartitionFeed(tiny_world, enrich=False)
+        rows = feed.partition("org", 0).observations
+        assert rows
+        assert all(row.asns == frozenset() for row in rows)
+
+    def test_alexa_source(self, tiny_world):
+        rows = PartitionFeed(tiny_world).partition("alexa", 400).observations
+        assert rows
+        assert {row.domain for row in rows} <= set(tiny_world.alexa_names)
 
     @pytest.mark.parametrize("source", ALL_SOURCES)
     def test_measure_day_is_the_partition_landing_loop(
-        self, tiny_world, source
+        self, tiny_world, source, tmp_path
     ):
+        """A landed partition is exactly the standalone segment Table 1
+        sizes it by, and reads back as the measured rows."""
         day = CCTLD_START_DAY + 1
-        manager = ClusterManager(tiny_world)
-        measured = manager.measure_day(source, day)
-        landed = ColumnStore()
-        PartitionFeed(tiny_world, store=landed).partition(source, day)
-        assert manager.store.partition_columns(
-            source, day
-        ) == landed.partition_columns(source, day)
-        assert manager.store.segment_bytes(
-            source, day
-        ) == landed.segment_bytes(source, day)
-        assert measured == list(manager.store.rows(source, day))
-        assert len(measured) > 0
+        part = PartitionFeed(tiny_world).partition(source, day)
+        with SegmentStore(str(tmp_path), create=True) as store:
+            store.append_batch(source, day, part.batch)
+            (meta,) = store.manifest.segments
+            with open(os.path.join(str(tmp_path), meta.file), "rb") as f:
+                landed = f.read()
+            assert landed == layout_segment(
+                [encode_partition(source, day, batch_pages(part.batch))]
+            )
+            assert store.partition_stats(source, day).encoded_bytes == len(
+                landed
+            )
+            assert list(store.rows(source, day)) == list(part.observations)
+        assert len(part) > 0
 
-    def test_partition_lands_in_store(self, tiny_world):
-        store = ColumnStore()
-        feed = PartitionFeed(tiny_world, sources=("org",), store=store)
+    def test_partition_lands_in_store(self, tiny_world, tmp_path):
+        feed = PartitionFeed(tiny_world, sources=("org",))
         part = feed.partition("org", 2)
-        assert store.row_count("org", 2) == len(part.observations)
+        with SegmentStore(str(tmp_path), create=True) as store:
+            store.append_batch("org", 2, part.batch)
+            assert store.row_count("org", 2) == len(part.observations)
 
     def test_days_are_day_major_within_windows(self, tiny_world):
         feed = PartitionFeed(tiny_world, sources=("com", "nl"))

@@ -1,15 +1,16 @@
 """Tests for the columnar store and its size accounting."""
 
+import os
+
 import pytest
 
 from repro.measurement.snapshot import (
     DomainObservation,
     MEASUREMENTS_PER_DOMAIN_DAY,
 )
-from repro.measurement.storage import ColumnStore, StorageError
-from repro.store import SegmentStore, StoreManifest, build_segment
+from repro.store import SegmentStore, StorageError, StoreManifest, build_segment
 
-from tests.store.cells import segment_roundtrip, stored_cells
+from tests.store.cells import row_columns, segment_roundtrip, stored_cells
 
 
 def observation(index, day=0):
@@ -40,110 +41,109 @@ class TestColumnCodec:
         assert len(repeated) < len(varied) / 50
 
 
+def fresh(tmp_path):
+    return SegmentStore(str(tmp_path), create=True)
+
+
 class TestStore:
-    def test_append_and_read_back(self):
-        store = ColumnStore()
+    def test_append_and_read_back(self, tmp_path):
+        store = fresh(tmp_path)
         rows = [observation(i) for i in range(10)]
         store.append("com", 0, rows)
         got = list(store.rows("com", 0))
         assert got == rows
 
-    def test_missing_partition_is_empty(self):
-        assert list(ColumnStore().rows("com", 9)) == []
-        assert ColumnStore().row_count("com", 9) == 0
+    def test_missing_partition_is_empty(self, tmp_path):
+        assert list(fresh(tmp_path).rows("com", 9)) == []
+        assert fresh(tmp_path).row_count("com", 9) == 0
 
-    def test_partitions_sorted(self):
-        store = ColumnStore()
+    def test_partitions_sorted(self, tmp_path):
+        store = fresh(tmp_path)
         store.append("net", 1, [observation(0, day=1)])
         store.append("com", 0, [observation(1)])
         assert store.partitions() == [("com", 0), ("net", 1)]
 
-    def test_append_accumulates(self):
-        store = ColumnStore()
+    def test_append_accumulates(self, tmp_path):
+        store = fresh(tmp_path)
         store.append("com", 0, [observation(0)])
         store.append("com", 0, [observation(1)])
         assert store.row_count("com", 0) == 2
 
-    def test_encoded_partition_roundtrip(self):
-        store = ColumnStore()
-        store.append("com", 0, [observation(i) for i in range(20)])
+    def test_encoded_partition_roundtrip(self, tmp_path):
+        store = fresh(tmp_path)
+        rows = [observation(i) for i in range(20)]
+        store.append("com", 0, rows)
         decoded = stored_cells(store, "com", 0)
         assert decoded["domain"] == [f"d{i}.com" for i in range(20)]
-        assert decoded == store.partition_columns("com", 0)
+        assert decoded == row_columns(rows)
 
-    def test_partition_stats(self):
-        store = ColumnStore()
+    def test_partition_stats(self, tmp_path):
+        store = fresh(tmp_path)
         store.append("com", 0, [observation(i) for i in range(5)])
         stats = store.partition_stats("com", 0)
         assert stats.rows == 5
         assert stats.data_points == 5 * MEASUREMENTS_PER_DOMAIN_DAY
         assert stats.encoded_bytes > 0
 
-    def test_total_stats_filters_by_source(self):
-        store = ColumnStore()
-        store.append("com", 0, [observation(i) for i in range(5)])
-        store.append("net", 0, [observation(i) for i in range(3)])
+    def test_total_stats_filters_by_source(self, tmp_path):
+        store = fresh(tmp_path)
+        store.append_partitions([
+            ("com", 0, [observation(i) for i in range(5)]),
+            ("net", 0, [observation(i) for i in range(3)]),
+        ])
         assert store.total_stats("com").rows == 5
         assert store.total_stats().rows == 8
 
     def test_save_and_load_roundtrip(self, tmp_path):
-        store = ColumnStore()
-        store.append("com", 0, [observation(i) for i in range(8)])
-        store.append("net", 3, [observation(i, day=3) for i in range(4)])
-        written = store.save(str(tmp_path))
-        assert any(path.endswith("manifest.json") for path in written)
-        loaded = ColumnStore.load(str(tmp_path))
-        assert loaded.partitions() == store.partitions()
-        assert list(loaded.rows("com", 0)) == list(store.rows("com", 0))
-        assert list(loaded.rows("net", 3)) == list(store.rows("net", 3))
+        store = fresh(tmp_path)
+        store.append_partitions([
+            ("com", 0, [observation(i) for i in range(8)]),
+            ("net", 3, [observation(i, day=3) for i in range(4)]),
+        ])
+        assert os.path.exists(tmp_path / "manifest.json")
+        with SegmentStore(str(tmp_path)) as loaded:
+            assert loaded.partitions() == store.partitions()
+            assert list(loaded.rows("com", 0)) == list(store.rows("com", 0))
+            assert list(loaded.rows("net", 3)) == list(store.rows("net", 3))
 
     def test_saved_layout(self, tmp_path):
-        import os
-
-        store = ColumnStore()
+        store = fresh(tmp_path)
         store.append("com", 7, [observation(0, day=7)])
-        store.save(str(tmp_path))
         assert os.path.exists(tmp_path / "segments" / "g0-000000.rseg")
 
     def test_legacy_store_is_rejected_naming_migrate(self, v1_store):
         v1 = v1_store.directory
-        for opener in (ColumnStore.load, SegmentStore, StoreManifest.load):
+        for opener in (SegmentStore, StoreManifest.load):
             with pytest.raises(StorageError) as caught:
                 opener(v1)
             message = str(caught.value)
             assert f"`repro store migrate {v1} NEW_DIR`" in message
-            assert "ColumnStore.load" not in message
 
     def test_stats_report_exact_segment_file_size(self, tmp_path):
-        import os
-
-        store = ColumnStore()
+        store = fresh(tmp_path)
         store.append("com", 0, [observation(i) for i in range(16)])
         store.append("net", 2, [observation(i, day=2) for i in range(7)])
-        written = store.save(str(tmp_path))
         sizes = {
-            path: os.path.getsize(path)
-            for path in written
-            if path.endswith(".rseg")
+            meta.partitions[0][:2]: os.path.getsize(
+                os.path.join(str(tmp_path), meta.file)
+            )
+            for meta in store.manifest.segments
         }
-        keyed = dict(zip(store.partitions(), sorted(sizes)))
-        for (source, day), path in keyed.items():
+        for (source, day), size in sizes.items():
             stats = store.partition_stats(source, day)
-            assert stats.encoded_bytes == sizes[path]
+            assert stats.encoded_bytes == size
         assert store.total_stats().encoded_bytes == sum(sizes.values())
 
     def test_loaded_stats_match(self, tmp_path):
-        store = ColumnStore()
+        store = fresh(tmp_path)
         store.append("com", 0, [observation(i) for i in range(6)])
-        store.save(str(tmp_path))
-        loaded = ColumnStore.load(str(tmp_path))
-        assert (
-            loaded.partition_stats("com", 0).data_points
-            == store.partition_stats("com", 0).data_points
-        )
+        with SegmentStore(str(tmp_path)) as loaded:
+            assert loaded.partition_stats("com", 0) == store.partition_stats(
+                "com", 0
+            )
 
-    def test_encoding_cache_invalidated_on_append(self):
-        store = ColumnStore()
+    def test_encoding_cache_invalidated_on_append(self, tmp_path):
+        store = fresh(tmp_path)
         store.append("com", 0, [observation(0)])
         first = store.partition_stats("com", 0).encoded_bytes
         store.append("com", 0, [observation(1)])

@@ -7,7 +7,7 @@ encode → persist → load → decode unchanged.
 """
 
 from repro.measurement.snapshot import DomainObservation
-from repro.measurement.storage import ColumnStore
+from repro.store import SegmentStore
 
 from tests.store.cells import segment_roundtrip, stored_cells
 
@@ -99,14 +99,14 @@ class TestCodecRoundtrip:
 
 
 class TestStoreRoundtrip:
-    def test_in_memory_rows_keep_every_field(self):
-        store = ColumnStore()
+    def test_in_memory_rows_keep_every_field(self, tmp_path):
+        store = SegmentStore(str(tmp_path), create=True)
         rows = [full_observation(i) for i in range(10)]
         store.append("com", 0, rows)
         assert list(store.rows("com", 0)) == rows
 
-    def test_empty_cname_rows_keep_every_field(self):
-        store = ColumnStore()
+    def test_empty_cname_rows_keep_every_field(self, tmp_path):
+        store = SegmentStore(str(tmp_path), create=True)
         rows = [bare_observation(i) for i in range(10)]
         store.append("org", 0, rows)
         got = list(store.rows("org", 0))
@@ -115,22 +115,20 @@ class TestStoreRoundtrip:
         assert all(row.apex_addrs6 == () for row in got)
 
     def test_persisted_partitions_keep_every_field(self, tmp_path):
-        store = ColumnStore()
         full = [full_observation(i) for i in range(12)]
         bare = [bare_observation(i, day=3) for i in range(7)]
-        store.append("com", 0, full)
-        store.append("org", 3, bare)
-        store.save(str(tmp_path))
-        loaded = ColumnStore.load(str(tmp_path))
-        assert list(loaded.rows("com", 0)) == full
-        assert list(loaded.rows("org", 3)) == bare
+        SegmentStore(str(tmp_path), create=True).append_partitions(
+            [("com", 0, full), ("org", 3, bare)]
+        )
+        with SegmentStore(str(tmp_path)) as loaded:
+            assert list(loaded.rows("com", 0)) == full
+            assert list(loaded.rows("org", 3)) == bare
 
     def test_persisted_decode_matches_original_columns(self, tmp_path):
-        store = ColumnStore()
         rows = [full_observation(i) for i in range(6)]
-        store.append("com", 0, rows)
-        store.save(str(tmp_path))
-        decoded = stored_cells(ColumnStore.load(str(tmp_path)), "com", 0)
+        SegmentStore(str(tmp_path), create=True).append("com", 0, rows)
+        with SegmentStore(str(tmp_path)) as loaded:
+            decoded = stored_cells(loaded, "com", 0)
         assert decoded["apex_addrs6"] == [
             list(row.apex_addrs6) for row in rows
         ]
@@ -141,9 +139,7 @@ class TestStoreRoundtrip:
 
     def test_mixed_partition_roundtrips(self, tmp_path):
         """Rows with and without optional fields share one partition."""
-        store = ColumnStore()
         rows = [full_observation(0, day=5), bare_observation(1, day=5)]
-        store.append("com", 5, rows)
-        store.save(str(tmp_path))
-        loaded = ColumnStore.load(str(tmp_path))
-        assert list(loaded.rows("com", 5)) == rows
+        SegmentStore(str(tmp_path), create=True).append("com", 5, rows)
+        with SegmentStore(str(tmp_path)) as loaded:
+            assert list(loaded.rows("com", 5)) == rows

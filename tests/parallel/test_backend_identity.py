@@ -12,8 +12,8 @@ size with and without a scripted mid-run leave/join — must produce:
 * equal whole-history detection through store manifest slices,
 
 all pinned against the serial baselines. The slice tests also prove
-detection runs partition-by-partition from disk: no slice worker ever
-materialises the whole-history batch.
+detection runs partition-by-partition from disk: a slice yields one
+partition's kept rows at a time, never the whole-history batch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.core.pipeline import AdoptionStudy
 from repro.parallel.backend import LocalPoolBackend, SerialBackend
 from repro.parallel.cluster import ClusterBackend, ClusterSchedule
 from repro.reporting.export import study_to_dict
-from repro.sketch.build import sketch_from_store, sketch_from_store_sharded
+from repro.sketch.build import sketch_from_store
 from repro.store import SegmentStore
 from repro.stream.checkpoint import state_digest
 from repro.stream.engine import StreamEngine
@@ -102,7 +102,7 @@ def test_backend_matrix_byte_identity(baseline, variant):
     )
     assert _canonical(run) == truth["export"]
     assert _stream_digest(world, run.segments) == truth["stream"]
-    sharded = sketch_from_store_sharded(
+    sharded = sketch_from_store(
         store, sources=SOURCES, backend=VARIANTS[variant]()
     )
     assert sharded.state_digest() == truth["sketch"]
@@ -135,15 +135,21 @@ class TestManifestSlices:
         assert [s.domain_shard for s in slices] == [(0, 2), (1, 2)]
         partitions = slices[0].partitions
         assert partitions == tuple(sorted(partitions))
+        partition_rows = [
+            len(store.batch(source, day)) for source, day in partitions
+        ]
         sizes = []
         for manifest_slice in slices:
             assert manifest_slice.partitions == partitions
-            sizes.append(len(manifest_slice.load_batch()))
-        total = sum(
-            len(store.batch(source, day)) for source, day in partitions
-        )
-        # Disjoint hash shards that sum to the full history; no single
-        # slice ever materialises the whole-history batch.
+            with manifest_slice.open() as sliced:
+                kept = [
+                    len(batch) for batch in manifest_slice.batches(sliced)
+                ]
+            # One partition's kept rows at a time.
+            assert max(kept) <= max(partition_rows)
+            sizes.append(sum(kept))
+        total = sum(partition_rows)
+        # Disjoint hash shards that sum to the full history.
         assert sum(sizes) == total
         assert all(0 < size < total for size in sizes)
 

@@ -22,7 +22,7 @@ from repro.mapreduce.jobs import (
     ns_sld_frequency_job,
     reference_count_job,
 )
-from repro.measurement.scheduler import ClusterManager
+from repro.measurement.scheduler import PartitionFeed
 from repro.parallel.backend import LocalPoolBackend
 
 CATALOG = SignatureCatalog.paper_table2()
@@ -36,10 +36,10 @@ JOBS = {
 
 @pytest.fixture(scope="module")
 def records(tiny_world):
-    manager = ClusterManager(tiny_world, enrich=True)
+    feed = PartitionFeed(tiny_world)
     rows = []
     for source in ("com", "net", "org"):
-        rows.extend(manager.measure_day(source, 30))
+        rows.extend(feed.partition(source, 30).observations)
     return rows
 
 

@@ -23,8 +23,7 @@ from repro.dnscore.rrtypes import RRType  # noqa: E402
 from repro.dnscore.wire import decode_message, encode_message  # noqa: E402
 from repro.measurement.scheduler import DayPartition  # noqa: E402
 from repro.measurement.snapshot import DomainObservation  # noqa: E402
-from repro.measurement.storage import ColumnStore  # noqa: E402
-from repro.store import build_segment  # noqa: E402
+from repro.store import SegmentStore, build_segment  # noqa: E402
 from repro.stream.checkpoint import (  # noqa: E402
     load_checkpoint,
     save_checkpoint,
@@ -32,7 +31,11 @@ from repro.stream.checkpoint import (  # noqa: E402
 )
 from repro.stream.engine import StreamEngine  # noqa: E402
 
-from tests.store.cells import segment_roundtrip, stored_cells  # noqa: E402
+from tests.store.cells import (  # noqa: E402
+    row_columns,
+    segment_roundtrip,
+    stored_cells,
+)
 
 RELAXED = settings(
     max_examples=25,
@@ -103,7 +106,7 @@ class TestWireRoundtrip:
         assert encode_message(message) == encode_message(message)
 
 
-# -- measurement.storage -------------------------------------------------------
+# -- store.SegmentStore --------------------------------------------------------
 
 
 @st.composite
@@ -127,51 +130,63 @@ def observations(draw, day):
     )
 
 
-@st.composite
-def stores(draw):
-    store = ColumnStore()
-    for day in range(draw(st.integers(min_value=1, max_value=3))):
-        store.append(
-            "com",
-            day,
-            draw(st.lists(observations(day), max_size=4)),
+#: (source, day, rows) partitions of one ``com`` history.
+histories = st.integers(min_value=1, max_value=3).flatmap(
+    lambda days: st.tuples(
+        *(
+            st.lists(observations(day), max_size=4).map(
+                lambda rows, day=day: ("com", day, rows)
+            )
+            for day in range(days)
         )
+    )
+)
+
+
+def landed(directory, history):
+    """*history* bulk-loaded into a fresh store at *directory*."""
+    store = SegmentStore(directory, create=True)
+    store.append_partitions(history)
     return store
 
 
 class TestStorageRoundtrip:
     @RELAXED
-    @given(store=stores())
-    def test_save_load_reproduces_rows(self, store):
+    @given(history=histories)
+    def test_save_load_reproduces_rows(self, history):
         with tempfile.TemporaryDirectory() as directory:
-            store.save(directory)
-            loaded = ColumnStore.load(directory)
-        assert loaded.partitions() == store.partitions()
-        for source, day in store.partitions():
-            assert list(loaded.rows(source, day)) == list(
-                store.rows(source, day)
-            )
+            landed(directory, history).close()
+            with SegmentStore(directory) as loaded:
+                assert loaded.partitions() == [
+                    (source, day) for source, day, _ in history
+                ]
+                for source, day, rows in history:
+                    assert list(loaded.rows(source, day)) == rows
 
     @RELAXED
-    @given(store=stores())
-    def test_encode_decode_partition_is_identity(self, store):
-        for source, day in store.partitions():
-            decoded = stored_cells(store, source, day)
-            assert decoded == store.partition_columns(source, day)
+    @given(history=histories)
+    def test_encode_decode_partition_is_identity(self, history):
+        with tempfile.TemporaryDirectory() as directory:
+            with landed(directory, history) as store:
+                for source, day, rows in history:
+                    decoded = stored_cells(store, source, day)
+                    assert decoded == row_columns(rows)
 
     @RELAXED
-    @given(store=stores())
-    def test_batches_equal_rows(self, store):
+    @given(history=histories)
+    def test_batches_equal_rows(self, history):
         """The columnar read path re-materialises exactly the rows the
         row path yields, partition for partition, in order."""
-        streamed = [
-            (source, day, batch.rows())
-            for source, day, batch in store.batches()
-        ]
-        assert streamed == [
-            (source, day, list(store.rows(source, day)))
-            for source, day in store.partitions()
-        ]
+        with tempfile.TemporaryDirectory() as directory:
+            with landed(directory, history) as store:
+                streamed = [
+                    (source, day, batch.rows())
+                    for source, day, batch in store.batches()
+                ]
+                assert streamed == [
+                    (source, day, list(store.rows(source, day)))
+                    for source, day in store.partitions()
+                ]
 
 
 #: The cell shapes a stored column can hold, each paired with a column

@@ -4,7 +4,9 @@ A segment is the only encoding a partition can take, so "does the
 store's encoding round-trip X" is always this path.
 """
 
+from repro.batch.batch import ObservationBatch
 from repro.store import SegmentReader, build_segment
+from repro.store.store import batch_columns
 
 
 def segment_roundtrip(column, values):
@@ -16,8 +18,11 @@ def segment_roundtrip(column, values):
 
 
 def stored_cells(store, source, day):
-    """Every column of one ``ColumnStore`` partition, read back from the
-    bytes ``save()`` would write for it."""
-    reader = SegmentReader.from_bytes(store.segment_bytes(source, day))
-    (ref,) = reader.partitions
-    return {name: reader.column_cells(ref, name) for name in ref.columns}
+    """Every column of one landed partition, decoded from the segment
+    bytes the store wrote for it."""
+    return store.columns(source, day)
+
+
+def row_columns(rows):
+    """The column lists *rows* shred into, no store involved."""
+    return batch_columns(ObservationBatch.from_rows(rows))

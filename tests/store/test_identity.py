@@ -1,7 +1,7 @@
 """Segment-store identity: mmap reads change nothing downstream.
 
-The on-disk :class:`SegmentStore` is a storage engine swap — same
-columns, same batches, same detection. Each id here is a cell of the
+The matrix's baseline store is the fresh on-disk :class:`SegmentStore`,
+so every path cell already reads it. Each id here is a cell of the
 conformance matrix (``tests/integration/test_conformance.py``) on the
 same seed, checked through :func:`tests.conformance.check_cell`: the
 streamed engine and whole-history ``detect_from_store`` over the fresh
@@ -15,10 +15,9 @@ from tests.conformance import check_cell
 class TestSegmentStoreIdentity:
     def test_detect_from_store_matches_column_store(self, conformance):
         check_cell(conformance, "path-detect-from-store")
-        check_cell(conformance, "store-fresh")
 
     def test_streamed_engine_state_digest_identical(self, conformance):
-        check_cell(conformance, "store-fresh")
+        check_cell(conformance, "path-engine-replay")
 
     def test_workers2_export_byte_identical(self, conformance):
         check_cell(conformance, "backend-pool-w2")

@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.measurement.snapshot import DomainObservation
-from repro.measurement.storage import ColumnStore
 from repro.store import SegmentStore, StorageError
 from repro.store.migrate import directory_bytes, migrate_store
 
@@ -24,17 +23,16 @@ def observation(domain, day, tld="com"):
     )
 
 
-def populated_store(days=4):
-    store = ColumnStore()
-    for day in range(days):
-        store.append(
-            "com", day, [observation(f"a{i}.com", day) for i in range(5)]
+def populated_store(directory, days=4):
+    store = SegmentStore(directory, create=True)
+    store.append_partitions(
+        (source, day, rows)
+        for day in range(days)
+        for source, rows in (
+            ("com", [observation(f"a{i}.com", day) for i in range(5)]),
+            ("nl", [observation(f"b{i}.nl", day, tld="nl") for i in range(2)]),
         )
-        store.append(
-            "nl",
-            day,
-            [observation(f"b{i}.nl", day, tld="nl") for i in range(2)],
-        )
+    )
     return store
 
 
@@ -95,9 +93,8 @@ class TestMigrate:
             migrate_store(v1_store.directory, str(tmp_path / "v2"))
 
     def test_v2_source_rewrites_harmlessly(self, tmp_path):
-        store = populated_store()
         v2a, v2b = tmp_path / "a", tmp_path / "b"
-        store.save(str(v2a))
+        store = populated_store(str(v2a))
         report = migrate_store(str(v2a), str(v2b))
         assert report.partitions == 8
         with SegmentStore(str(v2b)) as rewritten:

@@ -4,9 +4,12 @@ import os
 
 import pytest
 
-from repro.batch.batch import BatchBuilder
+from repro.batch.batch import BatchBuilder, ObservationBatch
+from repro.core.references import SignatureCatalog
 from repro.measurement.snapshot import DomainObservation
-from repro.measurement.storage import ColumnStore
+from repro.parallel.backend import LocalPoolBackend, SerialBackend
+from repro.parallel.detect import detect_from_slices
+from repro.sketch.build import sketch_from_store
 from repro.store import SegmentStore, StorageError
 from repro.stream.feed import StoreReplayFeed
 
@@ -67,10 +70,8 @@ class TestAppendAndRead:
         rows = day_rows(0, count=8)
         boxed = SegmentStore(str(tmp_path / "a"), create=True)
         boxed.append("com", 0, rows)
-        column = ColumnStore()
-        column.append("com", 0, rows)
         batched = SegmentStore(str(tmp_path / "b"), create=True)
-        batched.append_batch("com", 0, column.batch("com", 0))
+        batched.append_batch("com", 0, boxed.batch("com", 0))
         assert list(batched.rows("com", 0)) == list(boxed.rows("com", 0))
         boxed.close()
         batched.close()
@@ -114,10 +115,8 @@ class TestBatch:
         rows = day_rows(0, count=10)
         segment_store = SegmentStore(str(tmp_path), create=True)
         segment_store.append("com", 0, rows)
-        column_store = ColumnStore()
-        column_store.append("com", 0, rows)
         ours = segment_store.batch("com", 0)
-        theirs = column_store.batch("com", 0)
+        theirs = ObservationBatch.from_rows(rows)
         assert len(ours) == len(theirs)
         assert [ours.row(i) for i in range(len(ours))] == [
             theirs.row(i) for i in range(len(theirs))
@@ -196,26 +195,61 @@ class TestCompaction:
         store.close()
 
 
+def damaged(tmp_path):
+    """Three landed days, one bit flipped in the first segment
+    (``com`` day 0)."""
+    populated(tmp_path, days=3).close()
+    target = sorted(
+        str(p) for p in (tmp_path / "segments").iterdir()
+    )[0]
+    blob = bytearray(open(target, "rb").read())
+    blob[len(blob) // 2] ^= 1
+    with open(target, "wb") as handle:
+        handle.write(bytes(blob))
+    return str(tmp_path)
+
+
+def skipped_keys(store):
+    return [(source, day) for source, day, _ in store.skipped_partitions]
+
+
 class TestLenientReads:
     def test_damaged_segment_skips_its_partitions(self, tmp_path):
-        store = populated(tmp_path, days=3)
-        store.close()
-        target = sorted(
-            str(p) for p in (tmp_path / "segments").iterdir()
-        )[0]
-        blob = bytearray(open(target, "rb").read())
-        blob[len(blob) // 2] ^= 1
-        with open(target, "wb") as handle:
-            handle.write(bytes(blob))
-        with SegmentStore(str(tmp_path), on_error="skip") as lenient:
+        directory = damaged(tmp_path)
+        with SegmentStore(directory, on_error="skip") as lenient:
             for source, day in lenient.partitions():
                 lenient.batch(source, day)
-            skipped = {
-                (source, day)
-                for source, day, _ in lenient.skipped_partitions
-            }
-            assert skipped == {("com", 0)}
-        with SegmentStore(str(tmp_path)) as strict:
+            assert skipped_keys(lenient) == [("com", 0)]
+        with SegmentStore(directory) as strict:
             with pytest.raises(StorageError):
                 for source, day in strict.partitions():
                     strict.batch(source, day)
+
+    def test_sharded_detection_records_the_skip_once(self, tmp_path):
+        """Each slice reads through a store of its own; the skips they
+        hand back land in the caller's store, once per partition."""
+        directory = damaged(tmp_path)
+        catalog = SignatureCatalog.paper_table2()
+
+        def detect(backend):
+            with SegmentStore(directory, on_error="skip") as lenient:
+                result = detect_from_slices(
+                    lenient, ("com", "nl"), catalog, 30, backend=backend
+                )
+                return result, skipped_keys(lenient)
+
+        one_slice = detect(None)
+        assert one_slice[1] == [("com", 0)]
+        assert detect(SerialBackend(shard_count=2)) == one_slice
+
+    def test_sharded_sketch_rebuild_records_the_skip_once(self, tmp_path):
+        directory = damaged(tmp_path)
+
+        def rebuild(backend):
+            with SegmentStore(directory, on_error="skip") as lenient:
+                plane = sketch_from_store(lenient, backend=backend)
+                return plane.state_digest(), skipped_keys(lenient)
+
+        in_process = rebuild(None)
+        assert in_process[1] == [("com", 0)]
+        assert rebuild(LocalPoolBackend(workers=2)) == in_process

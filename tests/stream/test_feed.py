@@ -3,7 +3,7 @@
 import pytest
 
 from repro.measurement.scheduler import PartitionFeed
-from repro.measurement.storage import ColumnStore
+from repro.store import SegmentStore
 from repro.stream.feed import SegmentReplayFeed, StoreReplayFeed
 from repro.stream.engine import StreamEngine
 from repro.stream.checkpoint import state_digest
@@ -11,16 +11,18 @@ from repro.world.timeline import CCTLD_START_DAY
 
 
 @pytest.fixture(scope="module")
-def landed_store(tiny_world):
-    """A few (source, day) partitions measured into a column store."""
-    store = ColumnStore()
-    feed = PartitionFeed(
-        tiny_world, sources=("com", "org"), store=store
+def landed_store(tiny_world, tmp_path_factory):
+    """A few (source, day) partitions measured into a segment store."""
+    store = SegmentStore(
+        str(tmp_path_factory.mktemp("landed")), create=True
     )
-    for day in range(3):
-        for source in ("com", "org"):
-            feed.partition(source, day)
-    return store
+    feed = PartitionFeed(tiny_world, sources=("com", "org"))
+    store.append_partitions(
+        (part.source, part.day, part.observations)
+        for part in feed.days(end=3)
+    )
+    yield store
+    store.close()
 
 
 class TestStoreReplayFeed:

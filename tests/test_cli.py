@@ -195,7 +195,7 @@ class TestStudy:
 
 class TestMeasure:
     def test_measure_writes_partition(self, capsys, tmp_path):
-        from repro.measurement.storage import ColumnStore
+        from repro.store import SegmentStore
 
         code = main(
             ["measure", "org", "--day", "0", "--output", str(tmp_path)]
@@ -204,8 +204,38 @@ class TestMeasure:
         out = capsys.readouterr().out
         assert code == 0
         assert "measured" in out
-        loaded = ColumnStore.load(str(tmp_path))
-        assert loaded.row_count("org", 0) > 0
+        with SegmentStore(str(tmp_path)) as loaded:
+            assert loaded.row_count("org", 0) > 0
+
+    def test_measure_keeps_earlier_partitions(self, capsys, tmp_path):
+        from repro.store import SegmentStore
+
+        for source, day in (("com", "0"), ("nl", "500")):
+            code = main(
+                ["measure", source, "--day", day, "--output", str(tmp_path)]
+                + SCALE
+            )
+            assert code == 0
+        with SegmentStore(str(tmp_path)) as landed:
+            assert landed.partitions() == [("com", 0), ("nl", 500)]
+            assert landed.row_count("com", 0) > 0
+
+    def test_measure_refuses_a_landed_partition(self, capsys, tmp_path):
+        argv = ["measure", "org", "--day", "0", "--output", str(tmp_path)]
+        assert main(argv + SCALE) == 0
+
+        def snapshot():
+            return {
+                path: path.read_bytes()
+                for path in sorted(tmp_path.rglob("*"))
+                if path.is_file()
+            }
+
+        before = snapshot()
+        capsys.readouterr()
+        assert main(argv + SCALE) == 1
+        assert "already holds org/0" in capsys.readouterr().err
+        assert snapshot() == before
 
     def test_measure_bad_day(self, capsys, tmp_path):
         code = main(
