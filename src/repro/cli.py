@@ -1086,6 +1086,11 @@ def _cmd_store(args: argparse.Namespace) -> int:
             generations = sorted(
                 {meta.generation for meta in store.manifest.segments}
             )
+            for source in sorted({source for source, _ in keys}):
+                rows = store.total_stats(source).rows
+                runs = store.stored_rows(source)
+                print(f"{source}: {rows} rows in {runs} runs "
+                      f"(x{rows / max(runs, 1):.2f})")
         print(
             f"total: {total.rows} rows, {total.data_points} data points, "
             f"{total.encoded_bytes} bytes "

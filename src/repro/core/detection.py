@@ -612,7 +612,14 @@ class SegmentDetector:
             )
 
     def process_batch(self, batch: ObservationBatch) -> None:
-        """Ingest a batch of daily observations, one fact per row.
+        """Ingest a batch of daily observations, one fact per row."""
+        self.process_runs(batch, [day + 1 for day in batch.days])
+
+    def process_runs(
+        self, batch: ObservationBatch, ends: Sequence[int]
+    ) -> None:
+        """Ingest a batch of runs, one fact per row: row *i* holds on
+        ``[batch.days[i], ends[i])``.
 
         Signature matching is the shared
         :class:`~repro.core.references.BatchMatcher` — one catalog match
@@ -621,13 +628,14 @@ class SegmentDetector:
         """
         names = batch.names
         observe = self._state.observe
-        for domain, tld, day, matches in zip(
+        for domain, tld, day, end, matches in zip(
             names.values(batch.domains),
             names.values(batch.tlds),
             batch.days,
+            ends,
             self._matcher.match_rows(batch),
         ):
-            observe(domain, tld, day, matches)
+            observe(domain, tld, day, matches, end)
 
     def result(self) -> DetectionResult:
         return self._state.result()

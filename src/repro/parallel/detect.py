@@ -3,10 +3,11 @@
 :meth:`AdoptionStudy.detect_from_store` is this pass. The store hands
 each worker a :class:`~repro.store.slices.ManifestSlice` — the full
 partition list plus a domain hash shard — and the worker folds the
-history partition by partition from disk, keeping only its shard's
-rows. Without a backend the pass is one slice on
+history fragment by fragment from disk, keeping only its shard's
+rows; a compacted run reaches the accumulator as one ``[start, end)``
+fact. Without a backend the pass is one slice on
 :class:`~repro.parallel.backend.SerialBackend`: every row kept, one
-partition's batch alive at a time.
+fragment's batch alive at a time.
 
 Sharding is by *domain*, not by partition. The accumulator
 (:class:`repro.core.detection.ScopeState`) would take a domain's days in
@@ -51,8 +52,8 @@ def detect_slice(
     fresh detector; returns its result and the slice's skips."""
     detector = SegmentDetector(catalog, horizon)
     with manifest_slice.open() as store:
-        for batch in manifest_slice.batches(store):
-            detector.process_batch(batch)
+        for batch, ends in manifest_slice.batches(store):
+            detector.process_runs(batch, ends)
         return detector.result(), store.skipped_partitions
 
 

@@ -7,8 +7,11 @@ the same two calls the engine makes per partition
 (:meth:`BatchMatcher.match_rows`, :meth:`SketchPlane.fold_batch`) —
 and split across workers: each shard folds a contiguous run of
 ``(source, day)`` partitions into its own plane, and the parent merges
-the shard planes in shard-index order. Because every sketch merge is an
-exact cell-wise sum / register max (and the space-saving summaries stay
+the shard planes in shard-index order. Reading day by day through one
+builder decodes a run fragment once per fold and expands its runs per
+day (:meth:`SegmentStore.batch`), so the order-sensitive top-K sees the
+daily rows. Because every sketch merge is an exact cell-wise sum /
+register max (and the space-saving summaries stay
 in their exact regime, see ``docs/SKETCHES.md``), the merged plane is
 **byte-identical** to the in-process fold and to the live engine plane
 fed the same partitions — cells of the conformance matrix

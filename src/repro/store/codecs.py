@@ -7,7 +7,7 @@ columns repeat massively — mass hosters share NS sets across millions
 of domains, domains repeat them across days — so the dictionary is tiny
 relative to the row count and the index stream run-length encodes well.
 
-Three cell kinds cover every observation column:
+Four cell kinds cover every column:
 
 ========  ==============================  =======================
 kind      cell value                      columns
@@ -15,6 +15,7 @@ kind      cell value                      columns
 STR       ``str``                         domain, tld
 STR_LIST  list of ``str``                 ns/cname/address columns
 INT_LIST  list of ``int``                 asns
+INT       ``int`` (unsigned)              start, end
 ========  ==============================  =======================
 
 and two index codecs, chosen adaptively per page by encoded size:
@@ -55,6 +56,7 @@ from repro.store.errors import StorageError
 KIND_STR = 0
 KIND_STR_LIST = 1
 KIND_INT_LIST = 2
+KIND_INT = 3
 
 CODEC_RAW = 0
 CODEC_DICT_RLE = 1
@@ -73,6 +75,8 @@ COLUMN_KINDS: Dict[str, int] = {
     "www_addrs6": KIND_STR_LIST,
     "asns": KIND_INT_LIST,
 }
+#: A run fragment's ``[start, end)`` day columns (docs/STORAGE.md).
+SPAN_KINDS: Dict[str, int] = {"start": KIND_INT, "end": KIND_INT}
 COLUMN_ORDER: Tuple[str, ...] = (
     "domain",
     "tld",
@@ -202,7 +206,8 @@ def first_seen(keys: Iterable[Any]) -> Tuple[List[Any], List[int]]:
 def cell_page(kind: int, cells: Iterable[Any]) -> Page:
     """Plain cell values as a ``(dictionary entries, row indexes)``
     page — the inverse of :func:`materialise`."""
-    return first_seen(cells if kind == KIND_STR else map(tuple, cells))
+    scalar = kind in (KIND_STR, KIND_INT)
+    return first_seen(cells if scalar else map(tuple, cells))
 
 
 def _encode_string_block(out: bytearray, texts: Sequence[str]) -> None:
@@ -281,6 +286,13 @@ def _encode_dict_section(out: bytearray, kind: int,
         out.extend(_U32.pack(len(stream)))
         out.extend(stream)
         return
+    if kind == KIND_INT:
+        stream = bytearray()
+        for value in entries:
+            _write_varint(stream, int(value))  # type: ignore[arg-type]
+        out.extend(_U32.pack(len(stream)))
+        out.extend(stream)
+        return
     raise StorageError(f"unknown cell kind {kind}")
 
 
@@ -309,6 +321,8 @@ def _decode_dict_section(cursor: _Cursor, kind: int,
             tuple(itertools.accumulate(values[start:end]))
             for start, end in _runs(counts)
         ]
+    if kind == KIND_INT:
+        return list(_read_varints(cursor.take(cursor.u32()), dict_count))
     raise StorageError(f"unknown cell kind {kind}")
 
 
@@ -425,9 +439,10 @@ def decode_page(
 def materialise(
     kind: int, entries: Sequence[Entry], indexes: Sequence[int]
 ) -> List[Any]:
-    """A decoded page as plain cell values: ``str`` cells for STR,
-    ``list`` cells (shared between rows of one entry) otherwise."""
-    if kind == KIND_STR:
+    """A decoded page as plain cell values: ``str`` / ``int`` cells for
+    STR / INT, ``list`` cells (shared between rows of one entry)
+    otherwise."""
+    if kind in (KIND_STR, KIND_INT):
         return [entries[i] for i in indexes]
     materialised = [list(entry) for entry in entries]
     return [materialised[i] for i in indexes]

@@ -127,6 +127,27 @@ class StoreManifest:
     """The live segment set of one store directory."""
 
     segments: List[SegmentMeta] = field(default_factory=list)
+    #: ``(source, day)`` → [rows, segments listing it in manifest
+    #: order]: built on first use, dropped by :meth:`save` (the swap).
+    _index: Optional[Dict[Tuple[str, int], List[Any]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _by_partition(self) -> Dict[Tuple[str, int], List[Any]]:
+        if self._index is None:
+            self._index = {}
+            for meta in self.segments:
+                for source, day, rows in meta.partitions:
+                    entry = self._index.setdefault((source, day), [0, []])
+                    entry[0] += rows
+                    if not entry[1] or entry[1][-1] is not meta:
+                        entry[1].append(meta)
+        return self._index
+
+    def holding(self, source: str, day: int) -> List[SegmentMeta]:
+        """The segments listing ``(source, day)``, in manifest order."""
+        entry = self._by_partition().get((source, day))
+        return entry[1] if entry else []
 
     def select(
         self,
@@ -149,24 +170,16 @@ class StoreManifest:
         end: Optional[int] = None,
     ) -> List[Tuple[str, int]]:
         """Distinct ``(source, day)`` pairs in the window, sorted."""
-        wanted = set(sources) if sources is not None else None
-        found = {
-            (source, day)
-            for meta in self.select(sources=sources, start=start, end=end)
-            for source, day, _ in meta.partitions
-            if (wanted is None or source in wanted)
+        return sorted(
+            (source, day) for source, day in self._by_partition()
+            if (sources is None or source in sources)
             and (start is None or day >= start)
             and (end is None or day <= end)
-        }
-        return sorted(found)
+        )
 
     def row_count(self, source: str, day: int) -> int:
-        return sum(
-            rows
-            for meta in self.select(sources=(source,), start=day, end=day)
-            for entry_source, entry_day, rows in meta.partitions
-            if entry_source == source and entry_day == day
-        )
+        entry = self._by_partition().get((source, day))
+        return entry[0] if entry else 0
 
     def next_sequence(self) -> int:
         """The next free segment file sequence number."""
@@ -207,6 +220,7 @@ class StoreManifest:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temporary, path)
+        self._index = None
         return path
 
     @classmethod

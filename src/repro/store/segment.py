@@ -1,15 +1,15 @@
 """The versioned binary segment format and its mmap reader.
 
-One segment file holds one or more ``(source, day)`` partitions, each
-stored as per-column dictionary pages (:mod:`repro.store.codecs`):
+One segment file holds one or more *fragments*, each stored as
+per-column dictionary pages (:mod:`repro.store.codecs`):
 
 .. code-block:: text
 
     header     <4sHHII>   magic "RSG2", version, flags,
                           partition count, directory length
-    directory  per partition:
+    directory  per fragment:
                  <H> source length, source bytes (utf-8),
-                 <I> day, <I> rows, <H> column count,
+                 <I> day, [<I> end: version 3], <I> rows, <H> columns,
                  per column:
                    <H> name length, name bytes (utf-8),
                    <B> cell kind, <B> codec id,
@@ -17,6 +17,10 @@ stored as per-column dictionary pages (:mod:`repro.store.codecs`):
     pages      the column pages, back to back
     footer     <IQ4s>     directory CRC-32, total file length,
                           magic "2GSR"
+
+A fragment covers the days ``[day, end)``; version 2 (every daily
+append) has no ``end``: ``end = day + 1``. Compaction writes version 3
+for *run fragments* (``docs/STORAGE.md``, "Run fragments").
 
 All integers are little-endian. Page offsets are absolute file
 offsets, so a reader can map the file and slice any column's bytes
@@ -45,12 +49,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.store import codecs
-from repro.store.codecs import COLUMN_KINDS, Entry, Page, _Cursor
+from repro.store.codecs import COLUMN_KINDS, SPAN_KINDS, Entry, Page, _Cursor
 from repro.store.errors import StorageError
 
 MAGIC = b"RSG2"
 FOOTER_MAGIC = b"2GSR"
 VERSION = 2
+#: The version of a segment holding at least one run fragment.
+RUN_VERSION = 3
 #: The on-disk extension of v2 segment files.
 SEGMENT_SUFFIX = ".rseg"
 
@@ -65,9 +71,9 @@ PartitionColumns = Mapping[str, Sequence[Any]]
 #: One encoded column page: ``(cell kind, codec id, page bytes)``.
 EncodedPage = Tuple[int, int, bytes]
 
-#: One partition between *encode* and *layout*: ``(source, day, rows,
-#: encoded page per column)``.
-EncodedPartition = Tuple[str, int, int, Mapping[str, EncodedPage]]
+#: One fragment between *encode* and *layout*: ``(source, day, end,
+#: rows, encoded page per column)``.
+EncodedPartition = Tuple[str, int, int, int, Mapping[str, EncodedPage]]
 
 
 @dataclass(frozen=True)
@@ -84,10 +90,11 @@ class ColumnRef:
 
 @dataclass
 class PartitionRef:
-    """Directory entry for one ``(source, day)`` partition."""
+    """Directory entry for one fragment: rows of ``[day, end)``."""
 
     source: str
     day: int
+    end: int
     rows: int
     columns: Dict[str, ColumnRef] = field(default_factory=dict)
 
@@ -98,7 +105,7 @@ class PartitionRef:
 
 
 def _column_kind(name: str) -> int:
-    kind = COLUMN_KINDS.get(name)
+    kind = COLUMN_KINDS.get(name, SPAN_KINDS.get(name))
     if kind is None:
         raise StorageError(f"unknown column {name!r}")
     return kind
@@ -121,7 +128,7 @@ def encode_partition(
             )
         kind = _column_kind(name)
         encoded[name] = (kind, *codecs.encode_page(kind, entries, indexes))
-    return source, day, rows, encoded
+    return source, day, day + 1, rows, encoded
 
 
 def encode_columns(
@@ -136,21 +143,26 @@ def encode_columns(
 
 def layout_segment(partitions: Sequence[EncodedPartition]) -> bytes:
     """The *layout* half of writing: encoded pages (in the given
-    partition order) into segment bytes — directory, absolute offsets,
-    page CRCs, footer.
+    fragment order) into segment bytes — directory, absolute offsets,
+    page CRCs, footer; version 2 unless a fragment spans days.
 
     Column pages are laid out partition-major in sorted column-name
     order; the output is a deterministic function of the input, so two
     stores holding the same partitions produce byte-identical segments.
     """
+    version = VERSION
+    if any(end != day + 1 for _, day, end, _, _ in partitions):
+        version = RUN_VERSION
     directory = bytearray()
     pages: List[bytes] = []
     slots: List[int] = []
-    for source, day, rows, columns in partitions:
+    for source, day, end, rows, columns in partitions:
         source_bytes = source.encode("utf-8")
         directory.extend(_U16.pack(len(source_bytes)))
         directory.extend(source_bytes)
         directory.extend(_U32.pack(day))
+        if version == RUN_VERSION:
+            directory.extend(_U32.pack(end))
         directory.extend(_U32.pack(rows))
         directory.extend(_U16.pack(len(columns)))
         for name in sorted(columns):
@@ -171,7 +183,7 @@ def layout_segment(partitions: Sequence[EncodedPartition]) -> bytes:
         struct.pack_into("<Q", directory, slot, offset)
         offset += len(page)
     header = _HEADER.pack(
-        MAGIC, VERSION, 0, len(partitions), len(directory)
+        MAGIC, version, 0, len(partitions), len(directory)
     )
     footer = _FOOTER.pack(
         zlib.crc32(directory), offset + _FOOTER.size, FOOTER_MAGIC
@@ -223,7 +235,7 @@ def _parse_directory(
         raise StorageError(f"truncated segment header in {label}") from exc
     if magic != MAGIC:
         raise StorageError(f"bad segment magic in {label}")
-    if version != VERSION:
+    if version not in (VERSION, RUN_VERSION):
         raise StorageError(
             f"unsupported segment version {version} in {label}"
         )
@@ -255,9 +267,14 @@ def _parse_directory(
                 int(_U16.unpack(cursor.take(2))[0])
             ).decode("utf-8")
             day = cursor.u32()
+            end = cursor.u32() if version == RUN_VERSION else day + 1
+            if end <= day:
+                raise StorageError(f"empty fragment span in {label}")
             rows = cursor.u32()
             column_count = int(_U16.unpack(cursor.take(2))[0])
-            partition = PartitionRef(source=source, day=day, rows=rows)
+            partition = PartitionRef(
+                source=source, day=day, end=end, rows=rows
+            )
             for _ in range(column_count):
                 name = cursor.take(
                     int(_U16.unpack(cursor.take(2))[0])
@@ -374,6 +391,10 @@ class SegmentReader:
                 f"missing column {name!r} for {partition.source}/"
                 f"{partition.day} in {self.path}"
             )
+        if ref.kind != _column_kind(name):
+            raise StorageError(
+                f"column {name!r} has cell kind {ref.kind} in {self.path}"
+            )
         entries, indexes = codecs.decode_page(
             ref.kind, ref.codec & ~codecs.FLAG_ZLIB, self._page(ref)
         )
@@ -389,14 +410,10 @@ class SegmentReader:
     ) -> EncodedPage:
         """One column's page exactly as stored, for compaction to move
         instead of re-encode — handed out only after everything a read
-        verifies (:meth:`column_page`: CRC, inflate, structural decode,
-        index range, row count) and a check of its recorded kind."""
+        verifies (:meth:`column_page`: kind, CRC, inflate, structural
+        decode, index range, row count)."""
         self.column_page(partition, name)
         ref = partition.columns[name]
-        if ref.kind != _column_kind(name):
-            raise StorageError(
-                f"column {name!r} has cell kind {ref.kind} in {self.path}"
-            )
         with self._view(ref) as view:
             return ref.kind, ref.codec, bytes(view)
 

@@ -5,7 +5,7 @@ worker: the store directory, the ``(source, day)`` partitions to read,
 and the domain hash shard to keep. It carries no open file handles or
 mmap views — only strings and integers — so it crosses any process
 boundary as a tiny pickle; the worker re-opens the store from the
-manifest on its side and reads partition by partition from disk
+manifest on its side and reads fragment by fragment from disk
 (:meth:`ManifestSlice.batches`).
 
 Every slice of a detection plan (see
@@ -50,17 +50,20 @@ class ManifestSlice:
 
         return SegmentStore(self.directory, on_error=self.on_error)
 
-    def batches(self, store: "SegmentStore") -> Iterator[ObservationBatch]:
-        """The slice's rows, one partition at a time, read from *store*
-        (this slice's :meth:`open`).
+    def batches(
+        self, store: "SegmentStore"
+    ) -> Iterator[Tuple[ObservationBatch, List[int]]]:
+        """The slice's rows as runs, one stored fragment at a time, read
+        from *store* (this slice's :meth:`open`): ``(batch, ends)``,
+        row *i* holding on ``[batch.days[i], ends[i])``.
 
-        Each partition is read from disk and filtered to the slice's
-        domain shard before the next is touched, so peak row memory is
-        one partition — a partition whose every row is kept is yielded
-        as read, with no copy. Pools are shared across partitions
-        (translate-once interning), as in every other whole-history
-        read, so the rows the slice keeps are byte for byte the rows an
-        unsharded read yields.
+        Each fragment is decoded once (:meth:`SegmentStore.spans`) and
+        filtered to the slice's domain shard before the next is
+        touched, so peak row memory is one fragment; one whose every
+        row is kept is yielded as read, with no copy. Pools are shared
+        across fragments (translate-once interning), so the runs the
+        slice keeps state exactly the daily rows an unsharded read
+        yields.
         """
         # Imported here: the canonical shard function lives above this
         # layer, in repro.parallel, which must stay importable without
@@ -72,8 +75,7 @@ class ManifestSlice:
         #: across partitions because the pools are shared).
         keep_by_id: Dict[int, bool] = {}
         index, count = self.domain_shard
-        for source, day in self.partitions:
-            batch = store.batch(source, day, builder=builder)
+        for batch, ends in store.spans(self.partitions, builder):
             names = batch.names
             kept: List[int] = []
             for row, domain_id in enumerate(batch.domains):
@@ -83,5 +85,7 @@ class ManifestSlice:
                     keep_by_id[domain_id] = keep
                 if keep:
                     kept.append(row)
-            if kept:
-                yield batch if len(kept) == len(batch) else batch.take(kept)
+            if len(kept) == len(batch):
+                yield batch, ends
+            elif kept:
+                yield batch.take(kept), [ends[row] for row in kept]

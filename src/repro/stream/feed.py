@@ -62,6 +62,8 @@ class StoreReplayFeed:
     Partitions are produced columnar: the store's columns intern
     straight into one shared :class:`~repro.batch.batch.BatchBuilder`
     pool pair and the partition's ``observations`` are lazy row views.
+    A run fragment is decoded once per replay and its runs expanded day
+    by day (:meth:`SegmentStore.batch`), as segments are below.
     """
 
     def __init__(

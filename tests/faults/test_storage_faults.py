@@ -249,14 +249,32 @@ def test_saved_bytes_are_pinned(tmp_path):
     assert file_digests(tmp_path, written) == SAVED_SHA256
 
 
-#: sha256 of every file of :func:`compacted_store`, taken at the last
-#: commit whose compaction decoded and re-encoded every page it merged.
+#: sha256 of every file of :func:`compacted_store`, taken when
+#: compaction began storing runs: com [0, 5) and [6, 8) and nl [0, 8)
+#: as run fragments, com day 5 joined from its two fragments.
 COMPACTED_SHA256 = {
     "manifest.json":
-        "8ca393829a569e17a7aba11e85c8969e70dee4bb0fc3ccf3c4248e3c53b1f1e0",
+        "3bae6081e8b4f64175e3dc3d4c4766f77fbb9ca7e5b52fa9016574c54a80f2bf",
     "segments/g1-000017.rseg":
-        "e39f57da92cf6e9cf0effbaa802e38ad2fd511faf46846f12d329e964a880b78",
+        "cd0632bd3ac8305e6569649e5b7e62135788a8744586a3b08631719d8ac1ab1a",
 }
+
+
+def compacted_landings():
+    """``(source, day, rows)`` in the order :func:`compacted_store`
+    lands them."""
+    landings = []
+    for day in range(8):
+        landings.append(
+            ("com", day, [observation(f"a{i}.com", day) for i in range(4)])
+        )
+        landings.append(("nl", day, [
+            observation(f"b{i}.nl", day, tld="nl") for i in range(2)
+        ]))
+    landings.append(
+        ("com", 5, [observation(f"late{i}.com", 5) for i in range(3)])
+    )
+    return landings
 
 
 def compacted_store(directory):
@@ -265,16 +283,8 @@ def compacted_store(directory):
     partition compaction has to join), then ``compact(fanout=4)``."""
     builder = BatchBuilder()
     with SegmentStore(directory, create=True) as store:
-        for day in range(8):
-            store.append_batch("com", day, builder.build(
-                [observation(f"a{i}.com", day) for i in range(4)]
-            ))
-            store.append_batch("nl", day, builder.build(
-                [observation(f"b{i}.nl", day, tld="nl") for i in range(2)]
-            ))
-        store.append_batch("com", 5, builder.build(
-            [observation(f"late{i}.com", 5) for i in range(3)]
-        ))
+        for source, day, rows in compacted_landings():
+            store.append_batch(source, day, builder.build(rows))
         store.compact(fanout=4)
 
 
@@ -288,3 +298,18 @@ def test_compacted_bytes_are_pinned(tmp_path):
         for name in files
     ]
     assert file_digests(tmp_path, written) == COMPACTED_SHA256
+
+
+def test_compacted_store_reads_its_landed_rows(tmp_path):
+    """Whatever bytes compaction writes, every day of the compacted
+    store reads back as landed, row for row and in order."""
+    compacted_store(str(tmp_path))
+    landed = {}
+    for source, day, rows in compacted_landings():
+        landed.setdefault((source, day), []).extend(rows)
+    with SegmentStore(str(tmp_path)) as store:
+        assert store.partitions() == sorted(landed)
+        for key, rows in landed.items():
+            assert list(store.rows(*key)) == rows
+            assert store.batch(*key).rows() == rows
+            assert store.row_count(*key) == len(rows)

@@ -143,7 +143,7 @@ class TestManifestSlices:
             assert manifest_slice.partitions == partitions
             with manifest_slice.open() as sliced:
                 kept = [
-                    len(batch) for batch in manifest_slice.batches(sliced)
+                    len(batch) for batch, _ in manifest_slice.batches(sliced)
                 ]
             # One partition's kept rows at a time.
             assert max(kept) <= max(partition_rows)

@@ -11,15 +11,20 @@ Two invariants, over adversarial cell values and damaged bytes:
   nothing else.
 """
 
+import glob
+import os
 import struct
+import tempfile
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.store import codecs
+from repro.batch.batch import BatchBuilder
+from repro.store import SegmentReader, codecs
 from repro.store.codecs import (
+    KIND_INT,
     KIND_INT_LIST,
     KIND_STR,
     KIND_STR_LIST,
@@ -28,6 +33,8 @@ from repro.store.codecs import (
     encode_column,
 )
 from repro.store.errors import StorageError
+from repro.store.store import decode_fragment
+from tests.store.test_run_fragments import runs_store
 
 texts = st.text(
     alphabet=st.characters(
@@ -68,6 +75,12 @@ class TestRoundtrip:
     def test_int_list_columns(self, cells):
         codec, page = encode_column(KIND_INT_LIST, cells)
         assert decode_column(KIND_INT_LIST, codec, page) == cells
+
+    @given(cells=st.lists(st.integers(min_value=0, max_value=2**32 - 1),
+                          max_size=60))
+    def test_int_columns(self, cells):
+        codec, page = encode_column(KIND_INT, cells)
+        assert decode_column(KIND_INT, codec, page) == cells
 
     def test_empty_cname_partition(self):
         cells = [[] for _ in range(1000)]
@@ -114,6 +127,7 @@ def sample_pages():
         (KIND_STR, ["a.com", "b.com", "a.com", "δ.ελ"] * 7),
         (KIND_STR_LIST, [["x", "y"], [], ["x"]] * 9),
         (KIND_INT_LIST, [[64500, 64501], [], [1, 2, 3]] * 9),
+        (KIND_INT, [366, 367, 366, 372, 1 << 31] * 5),
     ):
         codec, page = encode_column(kind, cells)
         pages.append((kind, codec, page, cells))
@@ -121,6 +135,26 @@ def sample_pages():
 
 
 PAGES = sample_pages()
+
+
+def run_segment():
+    """The bytes of a compacted segment holding run fragments (com and
+    nl) beside one-day fragments (rank-ordered alexa)."""
+    with tempfile.TemporaryDirectory() as directory:
+        runs_store(directory)
+        (path,) = glob.glob(os.path.join(directory, "segments", "*"))
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+RUN_SEGMENT = run_segment()
+
+
+def read_every_fragment(blob):
+    """Open *blob* and decode every fragment it holds, runs included."""
+    reader = SegmentReader.from_bytes(blob)
+    for ref in reader.partitions:
+        decode_fragment(reader, ref, BatchBuilder())
 
 
 class TestCorruptionNeverEscapesTyped:
@@ -160,12 +194,41 @@ class TestCorruptionNeverEscapesTyped:
     @given(blob=st.binary(max_size=200))
     @settings(max_examples=300, deadline=None)
     def test_random_bytes(self, blob):
-        for kind in (KIND_STR, KIND_STR_LIST, KIND_INT_LIST):
+        for kind in (KIND_STR, KIND_STR_LIST, KIND_INT_LIST, KIND_INT):
             for codec in (0, 1, 2, 0x80, 0x81):
                 try:
                     decode_page(kind, codec, blob)
                 except StorageError:
                     pass
+
+    @given(cut=st.integers(min_value=0, max_value=len(RUN_SEGMENT)))
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_run_segment(self, cut):
+        try:
+            read_every_fragment(RUN_SEGMENT[:cut])
+        except StorageError:
+            pass
+
+    @given(
+        position=st.integers(min_value=0, max_value=len(RUN_SEGMENT) - 1),
+        bit=st.integers(min_value=0, max_value=7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitflipped_run_segment(self, position, bit):
+        blob = bytearray(RUN_SEGMENT)
+        blob[position] ^= 1 << bit
+        try:
+            read_every_fragment(bytes(blob))
+        except StorageError:
+            pass
+
+    @given(blob=st.binary(max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_random_bytes_behind_a_run_header(self, blob):
+        try:
+            read_every_fragment(RUN_SEGMENT[:16] + blob)
+        except StorageError:
+            pass
 
     def test_wrong_kind_is_typed(self):
         _, codec, page, _ = PAGES[0]

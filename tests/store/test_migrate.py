@@ -70,6 +70,29 @@ class TestMigrate:
         with SegmentStore(str(v2)) as migrated:
             assert rows_of(migrated) == v1_store.rows
 
+    def test_compact_writes_run_fragments_that_round_trip(self, tmp_path):
+        """A sorted history migrated with ``compact_fanout`` lands as run
+        fragments and reads back day for day; the v1 fixture's days are
+        not in domain order, so they stay one-day fragments."""
+        populated_store(str(tmp_path / "old")).close()
+        new = str(tmp_path / "new")
+        migrate_store(str(tmp_path / "old"), new, compact_fanout=2)
+        with SegmentStore(str(tmp_path / "old")) as old, \
+                SegmentStore(new) as migrated:
+            assert rows_of(migrated) == rows_of(old)
+            assert [migrated.stored_rows(s) for s in ("com", "nl")] == [5, 2]
+
+    def test_v1_fixture_compacts_to_one_day_fragments(
+        self, v1_store, tmp_path
+    ):
+        v2 = str(tmp_path / "v2")
+        migrate_store(v1_store.directory, v2, compact_fanout=2)
+        with SegmentStore(v2) as migrated:
+            assert rows_of(migrated) == v1_store.rows
+            assert sum(
+                migrated.stored_rows(source) for source in ("com", "nl")
+            ) == 17
+
     def test_skip_damaged_v1_partition(self, v1_store, tmp_path):
         v1, v2 = v1_store.directory, tmp_path / "v2"
         v1_store.damage("com", 4, "ns_names", "bitflip")

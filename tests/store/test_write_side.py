@@ -3,9 +3,9 @@ only after it verifies, and published through synced renames.
 
 * compaction over damaged input fails typed, names the file and leaves
   the store exactly as it was;
-* a compacted segment is byte-for-byte what decoding every input and
-  re-encoding the cells would have written (the merge this repository
-  ran before pages were moved, kept here as the reference);
+* a compacted segment is byte-for-byte what a naive day-by-day model
+  of the merge — decode every input, coalesce unchanged days into
+  runs, re-encode the cells — writes;
 * pool ids never leak into bytes: a batch cut from a big shared pool
   lands the same bytes as its rows;
 * the manifest — the commit point — is synced before it is renamed.
@@ -22,7 +22,7 @@ from repro.batch.batch import BatchBuilder
 from repro.measurement.snapshot import DomainObservation
 from repro.store import SegmentReader, SegmentStore, StorageError, build_segment
 from repro.store.codecs import COLUMN_ORDER, FLAG_ZLIB, KIND_STR, encode_column
-from repro.store.segment import layout_segment
+from repro.store.segment import encode_columns, layout_segment
 from repro.store.store import batch_columns
 
 
@@ -121,7 +121,7 @@ def replace_page(path, column, kind, codec, page):
             for name, stored in ref.columns.items()
         }
         pages[column] = (kind, codec, page)
-        partitions.append((ref.source, ref.day, ref.rows, pages))
+        partitions.append((ref.source, ref.day, ref.end, ref.rows, pages))
     write_bytes(path, layout_segment(partitions))
 
 
@@ -282,11 +282,38 @@ appends = st.lists(
 )
 
 
+def model_fragment(source, day, rows):
+    """A landed partition in the model: ``(source, start, end, runs)``,
+    a run being ``(cells in COLUMN_ORDER, start, end)``."""
+    columns = row_cells(rows)
+    cells = list(zip(*(columns[name] for name in COLUMN_ORDER)))
+    return source, day, day + 1, [(row, day, day + 1) for row in cells]
+
+
+def model_bytes(fragments):
+    """Segment bytes of model fragments, each encoded from its cells."""
+    encoded = []
+    for source, start, end, runs in fragments:
+        columns = {
+            name: [run[0][index] for run in runs]
+            for index, name in enumerate(COLUMN_ORDER)
+        }
+        if end > start + 1:
+            columns["start"] = [run[1] for run in runs]
+            columns["end"] = [run[2] for run in runs]
+        _, _, _, rows, pages = encode_columns(source, start, columns)
+        encoded.append((source, start, end, rows, pages))
+    return layout_segment(encoded)
+
+
 def reference_compact(segments, fanout):
-    """The decode → join → re-encode merge over a model of the store:
-    *segments* is ``[(generation, [(source, day, columns), ...]), ...]``
-    in manifest order. Same tiering policy as ``compact``; every merged
-    partition is rebuilt from cells."""
+    """The decode → coalesce → re-encode merge over a model of the
+    store, day by day: *segments* is ``[(generation, [fragment, ...]),
+    ...]`` in manifest order (:func:`model_fragment`). Same tiering
+    policy as ``compact``; every merged fragment is rebuilt from cells.
+    A day joins a run stretch when one fragment covers it and that
+    fragment spans days or lists the day's domains strictly increasing;
+    other days are joined in manifest order."""
     while True:
         tiers = {}
         for segment in segments:
@@ -297,24 +324,56 @@ def reference_compact(segments, fanout):
         )
         if group is None:
             return segments
-        gathered = {}
-        for _, partitions in group:
-            for source, day, columns in partitions:
-                merged = gathered.setdefault(
-                    (source, day), {name: [] for name in COLUMN_ORDER}
+        fragments = [fragment for _, held in group for fragment in held]
+        merged = []
+        for source in sorted({fragment[0] for fragment in fragments}):
+            own = [f for f in fragments if f[0] == source]
+
+            def cover(day):
+                return [f for f in own if f[1] <= day < f[2]]
+
+            def rows_on(fragment, day):
+                return [row for row, s, e in fragment[3] if s <= day < e]
+
+            def coalescable(day):
+                held = cover(day)
+                if len(held) != 1:
+                    return False
+                domains = [row[0] for row in rows_on(held[0], day)]
+                return held[0][2] - held[0][1] > 1 or all(
+                    a < b for a, b in zip(domains, domains[1:])
                 )
-                for name in COLUMN_ORDER:
-                    merged[name].extend(columns[name])
-        run = [
-            (source, day, gathered[(source, day)])
-            for source, day in sorted(
-                gathered, key=lambda key: (key[1], key[0])
-            )
-        ]
+
+            days = sorted({d for f in own for d in range(f[1], f[2])})
+            stretches = []
+            for day in days:
+                if not coalescable(day):
+                    merged.append((source, day, day + 1, [
+                        (row, day, day + 1)
+                        for f in cover(day) for row in rows_on(f, day)
+                    ]))
+                elif stretches and stretches[-1][-1] == day - 1:
+                    stretches[-1].append(day)
+                else:
+                    stretches.append([day])
+            for stretch in stretches:
+                runs = {}
+                for day in stretch:
+                    for row in rows_on(cover(day)[0], day):
+                        held = runs.setdefault(row[0], [])
+                        if held and held[-1][2] == day and held[-1][0] == row:
+                            held[-1][2] = day + 1
+                        else:
+                            held.append([row, day, day + 1])
+                merged.append((source, stretch[0], stretch[-1] + 1, [
+                    tuple(run) for domain in sorted(runs)
+                    for run in runs[domain]
+                ]))
+        merged.sort(key=lambda fragment: (fragment[1], fragment[0]))
         generation = group[0][0]
         segments = [
             segment for segment in segments if segment[0] != generation
-        ] + [(generation + 1, run)]
+        ] + [(generation + 1, merged)]
 
 
 class TestMoveEqualsReencode:
@@ -328,7 +387,7 @@ class TestMoveEqualsReencode:
         with SegmentStore(directory, create=True) as store:
             for step, (source, day, rows) in enumerate(appends):
                 store.append(source, day, rows)
-                model.append((0, [(source, day, row_cells(rows))]))
+                model.append((0, [model_fragment(source, day, rows)]))
                 if step % 5 == 4:
                     # Compacting as history grows is what builds a
                     # second tier out of earlier runs.
@@ -343,8 +402,8 @@ class TestMoveEqualsReencode:
                 for meta in store.manifest.segments
             ]
         assert stored == [
-            (generation, build_segment(partitions))
-            for generation, partitions in model
+            (generation, model_bytes(fragments))
+            for generation, fragments in model
         ]
 
     def test_two_tiers_and_a_joined_day(self, tmp_path):
@@ -363,14 +422,14 @@ class TestMoveEqualsReencode:
                     landings.append(("nl", 9, []))
                 for source, day_, rows in landings:
                     store.append(source, day_, rows)
-                    model.append((0, [(source, day_, row_cells(rows))]))
+                    model.append((0, [model_fragment(source, day_, rows)]))
                 if day % 4 == 3:
                     store.compact(fanout=4)
                     model = reference_compact(model, 4)
             assert [m.generation for m in store.manifest.segments] == [2]
             (meta,) = store.manifest.segments
             assert read_bytes(os.path.join(directory, meta.file)) == (
-                build_segment(model[0][1])
+                model_bytes(model[0][1])
             )
             assert list(store.rows("com", 5)) == day_rows(5) + day_rows(
                 5, count=3

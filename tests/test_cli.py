@@ -344,6 +344,7 @@ class TestStore:
         assert code == 0
         assert "SOURCE" in out and "com" in out
         assert "generations" in out
+        assert "com: 10 rows in 10 runs (x1.00)" in out
 
     def test_migrate_into_existing_store_fails(
         self, capsys, v1_store, tmp_path
