@@ -10,10 +10,9 @@ through lazy :class:`repro.measurement.snapshot.DomainObservation` views
 """
 
 from repro.batch.batch import BatchBuilder, BatchRows, ObservationBatch
-from repro.batch.columns import AddressPool, StringPool
+from repro.batch.columns import StringPool
 
 __all__ = [
-    "AddressPool",
     "BatchBuilder",
     "BatchRows",
     "ObservationBatch",

@@ -1,8 +1,8 @@
 """The columnar :class:`ObservationBatch` and its row-view adapters.
 
 One batch holds many domain-day observations as parallel columns:
-integer ids into shared :class:`~repro.batch.columns.StringPool` /
-:class:`~repro.batch.columns.AddressPool` pools instead of per-row boxed
+integer ids into shared :class:`~repro.batch.columns.StringPool` pools
+(one for names, one for address texts) instead of per-row boxed
 dataclasses. ``batch.row(i)`` materialises the classic
 :class:`~repro.measurement.snapshot.DomainObservation` on demand — the
 sanctioned lazy row view — so every existing row-shaped call site keeps
@@ -24,7 +24,7 @@ from typing import (
     overload,
 )
 
-from repro.batch.columns import AddressPool, StringPool
+from repro.batch.columns import StringPool
 from repro.measurement.snapshot import DomainObservation
 
 #: A tuple of pool ids (or of sorted ASNs): one multi-valued cell.
@@ -67,11 +67,11 @@ class ObservationBatch:
     def __init__(
         self,
         names: Optional[StringPool] = None,
-        addresses: Optional[AddressPool] = None,
+        addresses: Optional[StringPool] = None,
     ) -> None:
         self.names = names if names is not None else StringPool()
         self.addresses = (
-            addresses if addresses is not None else AddressPool()
+            addresses if addresses is not None else StringPool()
         )
         self.days: List[int] = []
         self.domains: List[int] = []
@@ -91,7 +91,7 @@ class ObservationBatch:
         cls,
         rows: Iterable[DomainObservation],
         names: Optional[StringPool] = None,
-        addresses: Optional[AddressPool] = None,
+        addresses: Optional[StringPool] = None,
     ) -> "ObservationBatch":
         batch = cls(names=names, addresses=addresses)
         for row in rows:
@@ -186,11 +186,11 @@ class ObservationBatch:
             domain=names.value(self.domains[index]),
             tld=names.value(self.tlds[index]),
             ns_names=names.values(self.ns_names[index]),
-            apex_addrs=addresses.texts(self.apex_addrs[index]),
+            apex_addrs=addresses.values(self.apex_addrs[index]),
             www_cnames=names.values(self.www_cnames[index]),
-            www_addrs=addresses.texts(self.www_addrs[index]),
-            apex_addrs6=addresses.texts(self.apex_addrs6[index]),
-            www_addrs6=addresses.texts(self.www_addrs6[index]),
+            www_addrs=addresses.values(self.www_addrs[index]),
+            apex_addrs6=addresses.values(self.apex_addrs6[index]),
+            www_addrs6=addresses.values(self.www_addrs6[index]),
             asns=frozenset(self.asns[index]),
         )
 
@@ -348,7 +348,7 @@ class ObservationBatch:
         carries only the strings its own rows reference.
         """
         names = StringPool()
-        addresses = AddressPool()
+        addresses = StringPool()
         old_names = self.names
         old_addresses = self.addresses
         name_map: Dict[int, int] = {}
@@ -364,7 +364,7 @@ class ObservationBatch:
         def remap_address(old_id: int) -> int:
             new_id = address_map.get(old_id)
             if new_id is None:
-                new_id = addresses.intern(old_addresses.text(old_id))
+                new_id = addresses.intern(old_addresses.value(old_id))
                 address_map[old_id] = new_id
             return new_id
 
@@ -448,11 +448,11 @@ class BatchBuilder:
     def __init__(
         self,
         names: Optional[StringPool] = None,
-        addresses: Optional[AddressPool] = None,
+        addresses: Optional[StringPool] = None,
     ) -> None:
         self.names = names if names is not None else StringPool()
         self.addresses = (
-            addresses if addresses is not None else AddressPool()
+            addresses if addresses is not None else StringPool()
         )
 
     def new_batch(self) -> ObservationBatch:

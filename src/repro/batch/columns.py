@@ -17,7 +17,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class StringPool:
-    """Dense first-seen-order interning of strings."""
+    """Dense first-seen-order interning of strings.
+
+    Values are kept verbatim and never parsed — an address text must
+    come back byte-exact (``"2001:0db8::0001"``, not a normalised
+    respelling); enrichment parses each distinct text once, when it
+    resolves that address's timeline.
+    """
 
     __slots__ = ("_ids", "_values", "_tuple_memo")
 
@@ -67,52 +73,3 @@ class StringPool:
     def lookup(self, value: str) -> Optional[int]:
         """The id of *value* if already interned, else ``None``."""
         return self._ids.get(value)
-
-
-class AddressPool:
-    """Interned IP address texts.
-
-    Address *texts* are kept verbatim (round-trips must be byte-exact —
-    ``"192.0.2.1"`` must come back as ``"192.0.2.1"``, not a normalised
-    respelling) and never parsed here: enrichment parses each distinct
-    text once, when it resolves that address's timeline.
-    """
-
-    __slots__ = ("_ids", "_texts", "_tuple_memo")
-
-    def __init__(self) -> None:
-        self._ids: Dict[str, int] = {}
-        self._texts: List[str] = []
-        self._tuple_memo: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
-
-    def __len__(self) -> int:
-        return len(self._texts)
-
-    def intern(self, text: str) -> int:
-        found = self._ids.get(text)
-        if found is not None:
-            return found
-        index = len(self._texts)
-        self._ids[text] = index
-        self._texts.append(text)
-        return index
-
-    def intern_all(self, texts: Iterable[str]) -> Tuple[int, ...]:
-        return tuple(self.intern(text) for text in texts)
-
-    def intern_tuple(self, texts: Iterable[str]) -> Tuple[int, ...]:
-        """:meth:`intern_all`, memoized on the whole text tuple (address
-        sets repeat across days just like NS sets do)."""
-        key = tuple(texts)
-        found = self._tuple_memo.get(key)
-        if found is None:
-            found = tuple(self.intern(text) for text in key)
-            self._tuple_memo[key] = found
-        return found
-
-    def text(self, index: int) -> str:
-        return self._texts[index]
-
-    def texts(self, indexes: Iterable[int]) -> Tuple[str, ...]:
-        table = self._texts
-        return tuple(table[index] for index in indexes)

@@ -126,7 +126,7 @@ class AsnEnricher:
                 combined: Set[int] = set()
                 for address_id in address_ids:
                     combined |= _origins_at(
-                        self.address_timeline(pool.text(address_id)), day
+                        self.address_timeline(pool.value(address_id)), day
                     )
                 merged = tuple(sorted(combined))
                 union_memo[key] = merged

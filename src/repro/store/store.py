@@ -97,11 +97,11 @@ def batch_pages(batch: ObservationBatch) -> Dict[str, Page]:
         "domain": page(batch.domains, names.value),
         "tld": page(batch.tlds, names.value),
         "ns_names": page(batch.ns_names, names.values),
-        "apex_addrs": page(batch.apex_addrs, addresses.texts),
+        "apex_addrs": page(batch.apex_addrs, addresses.values),
         "www_cnames": page(batch.www_cnames, names.values),
-        "www_addrs": page(batch.www_addrs, addresses.texts),
-        "apex_addrs6": page(batch.apex_addrs6, addresses.texts),
-        "www_addrs6": page(batch.www_addrs6, addresses.texts),
+        "www_addrs": page(batch.www_addrs, addresses.values),
+        "apex_addrs6": page(batch.apex_addrs6, addresses.values),
+        "www_addrs6": page(batch.www_addrs6, addresses.values),
         "asns": codecs.cell_page(COLUMN_KINDS["asns"], batch.asns),
     }
 

@@ -105,12 +105,12 @@ class TestColumnarAccessors:
             www_addrs6=("2001:db8::1",),
         )
         batch = ObservationBatch.from_rows([row])
-        texts = batch.addresses.texts(batch.row_address_ids(0))
+        texts = batch.addresses.values(batch.row_address_ids(0))
         assert texts == row.all_addresses()
 
     def test_unique_address_ids_first_seen_order(self):
         batch = ObservationBatch.from_rows(ROWS)
-        texts = batch.addresses.texts(batch.unique_address_ids())
+        texts = batch.addresses.values(batch.unique_address_ids())
         expected = list(
             dict.fromkeys(
                 addr for row in ROWS for addr in row.all_addresses()

@@ -130,6 +130,6 @@ class TestBatchRoundTrip:
         batch = ObservationBatch.from_rows(rows)
         for index, row in enumerate(rows):
             assert (
-                batch.addresses.texts(batch.row_address_ids(index))
+                batch.addresses.values(batch.row_address_ids(index))
                 == row.all_addresses()
             )
