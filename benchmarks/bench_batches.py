@@ -3,9 +3,10 @@
 Two measurements over the same landed :class:`SegmentStore` history
 (one gTLD source, a 60-day window):
 
-* the detect phase — boxing every row into ``DomainObservation`` +
-  per-domain ``process_domain`` against columnar
-  ``SegmentDetector.process_batch`` over one concatenated batch. The
+* the detect phase — boxing every row into ``DomainObservation``,
+  matching it through the catalog and stating it to ``ScopeState``
+  against columnar ``SegmentDetector.process_batch`` over one
+  concatenated batch. The
   ≥2× bar is asserted unconditionally: both sides are serial, so core
   count cannot excuse a miss;
 * peak working-set RSS — forked children materialise the boxed row
@@ -26,9 +27,8 @@ import resource
 import time
 
 from repro.batch.batch import BatchBuilder, ObservationBatch
-from repro.core.detection import SegmentDetector
+from repro.core.detection import ScopeState, SegmentDetector
 from repro.core.pipeline import AdoptionStudy
-from repro.measurement.snapshot import ObservationSegment
 from repro.store import SegmentStore
 from repro.stream.feed import SegmentReplayFeed
 from repro.world.scenario import ScenarioConfig, build_paper_world
@@ -64,20 +64,16 @@ def batch_bench(tmp_path_factory):
 
 
 def _detect_rows(study, store):
-    """The pre-columnar detect phase: box every row, group by domain,
-    run the per-domain segment detector."""
-    detector = SegmentDetector(study.catalog, study.world.horizon)
-    by_domain = {}
+    """The pre-columnar detect phase: box every row, match it through
+    the catalog and state it to the accumulator as one day."""
+    state = ScopeState(study.world.horizon)
+    match = study.catalog.match
     for source, day in store.partitions():
         for row in store.rows(source, day):
-            by_domain.setdefault(row.domain, []).append(row)
-    for domain, rows in by_domain.items():
-        detector.process_domain(
-            domain,
-            rows[0].tld,
-            [ObservationSegment(r.day, r.day + 1, r) for r in rows],
-        )
-    return detector.result()
+            state.observe(
+                row.domain, row.tld, row.day, match(row), row.day + 1
+            )
+    return state.result()
 
 
 def _detect_batch(study, store):

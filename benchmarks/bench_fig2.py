@@ -4,15 +4,14 @@ Benchmarks the streaming detection pass over all gTLD domains' enriched
 segments and prints the daily series with its anomalous peaks.
 """
 
-from repro.core.detection import SegmentDetector
-from repro.core.references import SignatureCatalog
+from repro.core.pipeline import AdoptionStudy
 from repro.reporting.figures import render_figure2
 
 
 def test_fig2_daily_dps_use(
     benchmark, bench_world, bench_segments, bench_results
 ):
-    catalog = SignatureCatalog.paper_table2()
+    study = AdoptionStudy(bench_world)
     gtld_names = [
         name
         for name, timeline in bench_world.domains.items()
@@ -20,12 +19,7 @@ def test_fig2_daily_dps_use(
     ]
 
     def detect():
-        detector = SegmentDetector(catalog, bench_world.horizon)
-        for name in gtld_names:
-            detector.process_domain(
-                name, bench_world.domains[name].tld, bench_segments[name]
-            )
-        return detector.result()
+        return study.detect(bench_segments, gtld_names)
 
     result = benchmark.pedantic(detect, rounds=3, iterations=1)
     benchmark.extra_info["gtld_domains"] = len(gtld_names)

@@ -9,22 +9,12 @@ world and records the ratio in ``extra_info`` of the benchmark JSON.
 
 import time
 
-from repro.core.detection import SegmentDetector
+from repro.core.pipeline import AdoptionStudy
 from repro.core.references import SignatureCatalog
 from repro.stream.engine import GTLD_SOURCES, StreamEngine
 from repro.stream.feed import SegmentReplayFeed
 
 GTLDS = set(GTLD_SOURCES)
-
-
-def _full_gtld_recompute(world, segments, catalog, horizon):
-    detector = SegmentDetector(catalog, horizon)
-    for name, domain_segments in segments.items():
-        timeline = world.domains.get(name)
-        if timeline is None or timeline.tld not in GTLDS:
-            continue
-        detector.process_domain(name, timeline.tld, domain_segments)
-    return detector.result()
 
 
 def test_single_day_increment_vs_full_recompute(
@@ -58,10 +48,14 @@ def test_single_day_increment_vs_full_recompute(
         increment, setup=setup, rounds=5, iterations=1
     )
 
+    study = AdoptionStudy(bench_world, catalog)
+    gtld_names = [
+        name
+        for name, timeline in bench_world.domains.items()
+        if name in bench_segments and timeline.tld in GTLDS
+    ]
     start = time.perf_counter()
-    batch = _full_gtld_recompute(
-        bench_world, bench_segments, catalog, horizon
-    )
+    batch = study.detect(bench_segments, gtld_names)
     full_seconds = time.perf_counter() - start
 
     # Same numbers, amortised cost.

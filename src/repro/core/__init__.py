@@ -28,7 +28,6 @@ from repro.core.detection import (
     ProviderSeries,
     SegmentDetector,
     UseInterval,
-    detect_observation,
 )
 from repro.core.classification import UsageClass, UsageClassifier
 from repro.core.diversion import (
@@ -75,7 +74,6 @@ __all__ = [
     "UsageClassifier",
     "UseInterval",
     "analyze_exposure",
-    "detect_observation",
     "median_smooth",
     "render_exposure",
 ]

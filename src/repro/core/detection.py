@@ -1,8 +1,9 @@
 """Per-domain, per-day DPS use detection and its aggregation (§3.3, §4.1).
 
 One accumulator, :class:`ScopeState`, turns per-domain match facts into
-everything below; :class:`SegmentDetector` (batch: run-length segments
-or daily rows) and :class:`repro.stream.engine.StreamEngine` (one landed
+everything below; :class:`SegmentDetector` (a batch of ``[start, end)``
+runs — a study's segments, a compacted store fragment — or of daily
+rows) and :class:`repro.stream.engine.StreamEngine` (one landed
 partition at a time) only match and feed it. It produces:
 
 * daily use counts per provider, per reference type, per TLD, and combined
@@ -36,7 +37,6 @@ from typing import (
 
 from repro.batch.batch import ObservationBatch
 from repro.core.references import BatchMatcher, RefType, SignatureCatalog
-from repro.measurement.snapshot import DomainObservation, ObservationSegment
 
 REF_COMBOS: Tuple[FrozenSet[RefType], ...] = tuple(
     frozenset(combo)
@@ -56,13 +56,6 @@ def combo_label(refs: FrozenSet[RefType]) -> str:
     """A stable label like ``AS+CNAME`` for a reference combination."""
     order = (RefType.AS, RefType.CNAME, RefType.NS)
     return "+".join(ref.value for ref in order if ref in refs) or "none"
-
-
-def detect_observation(
-    observation: DomainObservation, catalog: SignatureCatalog
-) -> Dict[str, FrozenSet[RefType]]:
-    """References of a single daily observation (thin wrapper)."""
-    return catalog.match(observation)
 
 
 def _sum_series(
@@ -590,26 +583,12 @@ class ScopeState:
 
 
 class SegmentDetector:
-    """The batch feeder of :class:`ScopeState`: catalog matching in
-    front of one accumulator, for run-length segments or daily rows."""
+    """The batch feeder of :class:`ScopeState`: signature matching in
+    front of one accumulator, for a batch of runs or of daily rows."""
 
     def __init__(self, catalog: SignatureCatalog, horizon: int):
-        self._catalog = catalog
         self._matcher = BatchMatcher(catalog)
         self._state = ScopeState(horizon)
-
-    def process_domain(
-        self, domain: str, tld: str, segments: Iterable[ObservationSegment]
-    ) -> None:
-        """Ingest (enriched) observation segments of one domain."""
-        for segment in segments:
-            self._state.observe(
-                domain,
-                tld,
-                segment.start,
-                self._catalog.match(segment.observation),
-                segment.end,
-            )
 
     def process_batch(self, batch: ObservationBatch) -> None:
         """Ingest a batch of daily observations, one fact per row."""

@@ -21,16 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     List,
     Mapping,
     Optional,
     Sequence,
+    Tuple,
 )
 
 if TYPE_CHECKING:  # avoid a circular import at runtime
     from repro.parallel.backend import BackendSpec
 
+from repro.batch.batch import ObservationBatch
 from repro.core.attribution import AnomalyAttributor, Attribution
 from repro.core.classification import DomainUsage, UsageClassifier
 from repro.core.detection import DetectionResult, SegmentDetector
@@ -196,15 +199,8 @@ class AdoptionStudy:
         segments: Mapping[str, List[ObservationSegment]],
         names: Sequence[str],
     ) -> DetectionResult:
-        """Run the segment detector over *names*."""
-        detector = SegmentDetector(self.catalog, self.world.horizon)
-        for name in names:
-            domain_segments = segments.get(name)
-            if domain_segments:
-                detector.process_domain(
-                    name, self.world.domains[name].tld, domain_segments
-                )
-        return detector.result()
+        """Detection over *names*' segments, one run per segment."""
+        return self._detect_runs(segments, names)
 
     def detect_alexa(
         self,
@@ -219,25 +215,43 @@ class AdoptionStudy:
         """
         if names is None:
             names = self.world.alexa_names
-        detector = SegmentDetector(self.catalog, self.world.horizon)
+        return self._detect_runs(
+            segments, names, self.world.alexa_membership
+        )
+
+    def _detect_runs(
+        self,
+        segments: Mapping[str, List[ObservationSegment]],
+        names: Sequence[str],
+        windows: Optional[Callable[[str], Sequence[Tuple[int, int]]]] = None,
+    ) -> DetectionResult:
+        """Fold *names*' segments as one run batch through
+        :meth:`SegmentDetector.process_runs` — the ``(batch, ends)``
+        shape a compacted store fragment decodes to.
+
+        Each segment's observation is interned once and appended as the
+        run ``[start, end)``; with *windows*, once per window of the
+        name it overlaps, clipped to that window. Domain and TLD are
+        the row's own.
+        """
+        batch = ObservationBatch()
+        ends: List[int] = []
         for name in names:
-            domain_segments = segments.get(name)
-            windows = self.world.alexa_membership(name)
-            if not domain_segments or not windows:
-                continue
-            clipped: List[ObservationSegment] = []
-            for segment in domain_segments:
-                for window_start, window_end in windows:
+            spans = windows(name) if windows is not None else None
+            for segment in segments.get(name, ()):
+                ids = batch.intern_row(segment.observation)
+                if spans is None:
+                    batch.append_ids(segment.start, *ids)
+                    ends.append(segment.end)
+                    continue
+                for window_start, window_end in spans:
                     lo = max(segment.start, window_start)
                     hi = min(segment.end, window_end)
                     if lo < hi:
-                        clipped.append(
-                            ObservationSegment(lo, hi, segment.observation)
-                        )
-            if clipped:
-                detector.process_domain(
-                    name, self.world.domains[name].tld, clipped
-                )
+                        batch.append_ids(lo, *ids)
+                        ends.append(hi)
+        detector = SegmentDetector(self.catalog, self.world.horizon)
+        detector.process_runs(batch, ends)
         return detector.result()
 
     def measure(
@@ -285,16 +299,17 @@ class AdoptionStudy:
 
         The pass is :func:`repro.parallel.detect.detect_from_slices`:
         the store hands each shard a manifest slice (all partitions,
-        one domain hash shard) that folds through
-        :meth:`SegmentDetector.process_batch` one partition at a time,
-        and per-shard results merge exactly. Without a *backend* (a
+        one domain hash shard) whose partitions decode one at a time to
+        a ``(batch, ends)`` run batch — one row per day for a daily
+        partition, one per run for a compacted fragment — folded
+        through :meth:`SegmentDetector.process_runs`; per-shard results
+        merge exactly. Without a *backend* (a
         :class:`repro.parallel.backend.Backend` instance or spec) it is
         one slice, in process. The accumulator takes a domain's days in
         any order and any grouping, so the result is value-identical
         for every backend and shard count, to streaming the same
         partitions through a :class:`repro.stream.engine.StreamEngine`,
-        and to the per-domain segment detector over the equivalent
-        segments.
+        and to :meth:`detect` over the equivalent segments.
         """
         # Imported lazily: repro.parallel imports from this module.
         from repro.parallel.detect import detect_from_slices

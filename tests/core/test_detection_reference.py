@@ -3,7 +3,7 @@
 A micro-world is a handful of domains, each with disjoint ``[start,
 end)`` spans of constant DNS state — gap days between them, spans that
 start past or straddle the horizon, spans matching no provider. The same
-facts are fed as run-length segments, as one batch of daily rows, and
+facts are fed as one batch of runs, as one batch of daily rows, and
 day by day out of order; every ``result()`` must equal
 :class:`~tests.core.reference_detection.ReferenceDetection` fed the
 expanded rows. ``derandomize=True`` as in ``tests/sketch``: the examples
@@ -127,10 +127,18 @@ def _reference(rows):
 
 @DETERMINISTIC
 @given(micro_worlds())
-def test_segments_through_process_domain(world):
+def test_segments_through_one_run_batch(world):
+    segments = [
+        segment for _, domain_segments in world.values()
+        for segment in domain_segments
+    ]
     detector = SegmentDetector(CATALOG, HORIZON)
-    for domain, (tld, segments) in world.items():
-        detector.process_domain(domain, tld, segments)
+    detector.process_runs(
+        ObservationBatch.from_rows(
+            segment.at(segment.start) for segment in segments
+        ),
+        [segment.end for segment in segments],
+    )
     assert detector.result() == _reference(_daily_rows(world))
 
 

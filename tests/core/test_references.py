@@ -92,6 +92,7 @@ class TestCatalog:
             )
         )
         assert set(matches) == {"CloudFlare", "Incapsula"}
+        assert matches["CloudFlare"] == frozenset({RefType.AS, RefType.NS})
 
     def test_shared_asn_matches_all_owners(self):
         a = ProviderSignature("A", frozenset({7}), frozenset(), frozenset())

@@ -7,12 +7,10 @@ day both must count exactly the same (domain, provider) references.
 
 import pytest
 
-from repro.core.detection import SegmentDetector
+from repro.core.pipeline import AdoptionStudy
 from repro.core.references import SignatureCatalog
 from repro.mapreduce.engine import run_job
 from repro.mapreduce.jobs import daily_detection_job, reference_count_job
-from repro.measurement.enrich import AsnEnricher
-from repro.measurement.prober import FastProber
 from repro.measurement.scheduler import PartitionFeed
 
 CATALOG = SignatureCatalog.paper_table2()
@@ -21,15 +19,13 @@ SAMPLE_DAYS = (0, 5, 100, 266, 410, 549)
 
 @pytest.fixture(scope="module")
 def segment_detection(tiny_world):
-    prober = FastProber(tiny_world)
-    enricher = AsnEnricher(tiny_world)
-    detector = SegmentDetector(CATALOG, tiny_world.horizon)
-    for name, timeline in tiny_world.domains.items():
-        if timeline.tld not in ("com", "net", "org"):
-            continue
-        segments = enricher.enrich_segments(prober.observe_segments(name))
-        detector.process_domain(name, timeline.tld, segments)
-    return detector.result()
+    study = AdoptionStudy(tiny_world, CATALOG)
+    names = [
+        name
+        for name, timeline in tiny_world.domains.items()
+        if timeline.tld in ("com", "net", "org")
+    ]
+    return study.detect(study.collect_segments(names), names)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ path.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.batch.batch import ObservationBatch
 from repro.core.detection import SegmentDetector, UseInterval
 from repro.core.references import SignatureCatalog
 from repro.measurement.snapshot import DomainObservation, ObservationSegment
@@ -64,6 +65,18 @@ def histories(draw):
     return segments
 
 
+def detect(segments):
+    """*segments* through the detector as one batch of runs."""
+    detector = SegmentDetector(CATALOG, HORIZON)
+    detector.process_runs(
+        ObservationBatch.from_rows(
+            segment.at(segment.start) for segment in segments
+        ),
+        [segment.end for segment in segments],
+    )
+    return detector.result()
+
+
 def brute_force(segments):
     """Per-day matching → daily counts and intervals, the slow way."""
     daily = {}
@@ -99,9 +112,7 @@ def brute_force(segments):
 @given(histories())
 @settings(max_examples=120, deadline=None)
 def test_detector_matches_brute_force(segments):
-    detector = SegmentDetector(CATALOG, HORIZON)
-    detector.process_domain("d.com", "com", segments)
-    result = detector.result()
+    result = detect(segments)
 
     expected_intervals, expected_series = brute_force(segments)
 
@@ -125,9 +136,7 @@ def test_detector_matches_brute_force(segments):
 @given(histories())
 @settings(max_examples=60, deadline=None)
 def test_detector_ref_breakdown_matches_brute_force(segments):
-    detector = SegmentDetector(CATALOG, HORIZON)
-    detector.process_domain("d.com", "com", segments)
-    result = detector.result()
+    result = detect(segments)
 
     for (domain, provider), _ in result.intervals.items():
         series = result.providers[provider]
