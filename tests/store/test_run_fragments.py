@@ -3,12 +3,18 @@
 Hypothesis generates small landing histories — domains appearing and
 disappearing, a reference changing mid-history, days a source did not
 land, a late second fragment, a duplicate domain, a rank-ordered source
-and empty partitions. Each history is landed day by day twice: once
-left as it landed, once compacted (between days and at the end) at a
-fanout of 2 to 8. Every ``(source, day)`` of the compacted store must
-read back as the daily store's, row for row and in the same order, and
-every whole-history pass — detection, the sketch rebuild and the engine
-replay — must give the same answer, serially and over three shards.
+and empty partitions. Each history is landed three times. The reference
+store lands it in descending day order (landing order kept within a
+day), so no day of it can repeat an earlier landed day of its source.
+The daily store lands it forward through ``append``, fresh pools on
+every call, and is left as it landed. The compacted store lands it
+forward through ``append_batch`` from one shared builder, is closed and
+reopened at a drawn landing index, and is compacted (between days and
+at the end) at a fanout of 2 to 8. Every ``(source, day)`` of the daily
+and compacted stores must read back as the reference store's, row for
+row and in the same order, and every whole-history pass — detection,
+the sketch rebuild and the engine replay — must give the same answer,
+serially and over three shards.
 """
 
 import os
@@ -18,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.batch.batch import BatchBuilder
 from repro.core.references import SignatureCatalog
 from repro.measurement.scheduler import SCOPE_OF_SOURCE
 from repro.measurement.snapshot import DomainObservation
@@ -59,7 +66,7 @@ def observation(name, tld, day, profile):
 
 @st.composite
 def histories(draw):
-    """``(landings, fanout, compact_every)``: landings are
+    """``(landings, fanout, compact_every, reopen_at)``: landings are
     ``(source, day, rows)`` in landing order."""
     names = [f"d{index}" for index in range(draw(st.integers(1, 5)))]
     days = draw(st.integers(2, HORIZON))
@@ -124,20 +131,41 @@ def histories(draw):
         landings.insert(at, (source, day, rows))
     fanout = draw(st.integers(2, 8))
     compact_every = draw(st.sampled_from((None, 2, 3, 5)))
-    return landings, fanout, compact_every
+    reopen_at = draw(st.integers(1, max(1, len(landings))))
+    return landings, fanout, compact_every, reopen_at
 
 
-def land(directory, landings, fanout=None, compact_every=None):
+def land(directory, landings):
+    """*landings* through ``append``: fresh pools on every call."""
     store = SegmentStore(directory, create=True)
-    landed_days = set()
     for source, day, rows in landings:
         store.append(source, day, rows)
+    return store
+
+
+def land_compacted(directory, landings, fanout, compact_every, reopen_at):
+    """*landings* through ``append_batch`` from one shared builder, the
+    store closed and reopened before landing ``landings[reopen_at]``,
+    compacted every *compact_every* landed days and at the end."""
+    builder = BatchBuilder()
+    store = SegmentStore(directory, create=True)
+    landed_days = set()
+    for index, (source, day, rows) in enumerate(landings):
+        if index == reopen_at:
+            store.close()
+            store = SegmentStore(directory)
+        store.append_batch(source, day, builder.build(rows))
         landed_days.add(day)
         if compact_every and len(landed_days) % compact_every == 0:
             store.compact(fanout=fanout)
-    if fanout is not None:
-        store.compact(fanout=fanout)
+    store.compact(fanout=fanout)
     return store
+
+
+def descending(landings):
+    """*landings* in descending day order, landing order kept within a
+    day."""
+    return sorted(landings, key=lambda landing: -landing[1])
 
 
 def day_exact(store):
@@ -184,16 +212,22 @@ def whole_history(store):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_compacted_store_reads_like_the_daily_store(history):
-    landings, fanout, compact_every = history
+    landings, fanout, compact_every, reopen_at = history
     assume(landings)
-    with tempfile.TemporaryDirectory() as daily_dir, \
+    with tempfile.TemporaryDirectory() as reference_dir, \
+            tempfile.TemporaryDirectory() as daily_dir, \
             tempfile.TemporaryDirectory() as compact_dir:
-        with land(daily_dir, landings) as daily, land(
-            compact_dir, landings, fanout, compact_every
+        with land(reference_dir, descending(landings)) as reference, land(
+            daily_dir, landings
+        ) as daily, land_compacted(
+            compact_dir, landings, fanout, compact_every, reopen_at
         ) as compacted:
-            assert compacted.partitions() == daily.partitions()
-            assert day_exact(compacted) == day_exact(daily)
-            assert whole_history(compacted) == whole_history(daily)
+            expected_days = day_exact(reference)
+            expected_history = whole_history(reference)
+            for store in (daily, compacted):
+                assert store.partitions() == reference.partitions()
+                assert day_exact(store) == expected_days
+                assert whole_history(store) == expected_history
 
 
 def runs_store(directory):
