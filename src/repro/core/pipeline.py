@@ -481,7 +481,9 @@ class AdoptionStudy:
 
         Data-point totals come from the zone-size series (four measurements
         per domain-day); byte sizes are measured on sampled days as the
-        segment a store lands for each and extrapolated — the honest
+        day's full one-day segment — the paper's daily snapshot, not
+        the delta a store may land for a day that repeats its source's
+        base — and extrapolated; the honest
         equivalent of reporting cluster storage you cannot rerun in
         full. The sampled
         rounds share the study's enricher (address timelines a run has
@@ -510,8 +512,8 @@ class AdoptionStudy:
             sampled_points = 0
             for day in sample_days:
                 batch = feed.partition(source, day).batch
-                # The partition's bytes as one standalone segment: what
-                # a SegmentStore lands for it.
+                # The partition's bytes as one standalone full segment,
+                # the daily snapshot (a store may land a delta instead).
                 sampled_bytes += len(layout_segment(
                     [encode_partition(source, day, batch_pages(batch))]
                 ))
