@@ -1,6 +1,6 @@
 """Property suite for the column page codecs.
 
-Two invariants, over adversarial cell values and damaged bytes:
+Three invariants, over adversarial cell values and damaged bytes:
 
 * every encodable column round-trips exactly (including IPv6-only
   partitions, empty CNAME lists, multi-origin ASN sets, non-ASCII
@@ -8,7 +8,9 @@ Two invariants, over adversarial cell values and damaged bytes:
 * no damaged page ever escapes as ``struct.error`` / ``zlib.error`` /
   any other untyped exception — the reader raises
   :class:`~repro.store.errors.StorageError` or returns a decoded page,
-  nothing else.
+  nothing else;
+* the encode kernels write the bytes of their plain per-item loops,
+  kept here as references.
 """
 
 import glob
@@ -119,6 +121,87 @@ class TestRoundtrip:
         varied = [f"value-{i}" for i in range(5000)]
         _, varied_page = encode_column(KIND_STR, varied)
         assert len(page) < len(varied_page) / 50
+
+
+def reference_encode_indexes(out, indexes, width):
+    """The per-row index-stream loop the store wrote with before its
+    kernels went through ``map``/``groupby``."""
+    runs = []
+    for index in indexes:
+        if runs and runs[-1][0] == index:
+            runs[-1] = (index, runs[-1][1] + 1)
+        else:
+            runs.append((index, 1))
+    rle_size = 4 + len(runs) * (width + 4)
+    raw_size = len(indexes) * width
+    if rle_size < raw_size:
+        out.extend(struct.pack("<I", len(runs)))
+        for index, run in runs:
+            codecs._pack_array(out, width, (index,))
+            out.extend(struct.pack("<I", run))
+        return codecs.CODEC_DICT_RLE
+    codecs._pack_array(out, width, indexes)
+    return codecs.CODEC_RAW
+
+
+def reference_first_seen(keys):
+    positions = {}
+    indexes = [positions.setdefault(key, len(positions)) for key in keys]
+    return list(positions), indexes
+
+
+def reference_string_block(out, texts):
+    blobs = [text.encode("utf-8", "surrogatepass") for text in texts]
+    ends = []
+    total = 0
+    for blob in blobs:
+        total += len(blob)
+        ends.append(total)
+    out.extend(struct.pack("<I", total))
+    out.extend(struct.pack(f"<{len(ends)}I", *ends))
+    for blob in blobs:
+        out.extend(blob)
+
+
+#: Index streams with long runs and short ones, over 1-, 2- and 4-byte
+#: dictionaries.
+index_streams = st.tuples(
+    st.sampled_from((1, 2, 4)),
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(1, 12)), max_size=40
+    ),
+).map(lambda drawn: (drawn[0], [
+    index * {1: 50, 2: 3000, 4: 70000}[drawn[0]]
+    for index, run in drawn[1] for _ in range(run)
+]))
+
+
+class TestKernelsMatchTheirLoops:
+    @given(stream=index_streams)
+    def test_index_stream(self, stream):
+        width, indexes = stream
+        fast, slow = bytearray(), bytearray()
+        for kind in (list, tuple):
+            assert codecs._encode_indexes(
+                fast, kind(indexes), width
+            ) == reference_encode_indexes(slow, indexes, width)
+            assert fast == slow
+
+    @given(keys=st.lists(st.one_of(
+        texts, st.tuples(texts, texts), st.integers(0, 9)
+    ), max_size=60))
+    def test_first_seen(self, keys):
+        expected = reference_first_seen(keys)
+        assert codecs.first_seen(keys) == expected
+        assert codecs.first_seen(iter(keys)) == expected
+        assert codecs.first_seen(tuple(keys)) == expected
+
+    @given(cells=str_cells)
+    def test_string_block(self, cells):
+        fast, slow = bytearray(), bytearray()
+        codecs._encode_string_block(fast, cells)
+        reference_string_block(slow, cells)
+        assert fast == slow
 
 
 def sample_pages():
