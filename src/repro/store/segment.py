@@ -9,7 +9,8 @@ per-column dictionary pages (:mod:`repro.store.codecs`):
                           partition count, directory length
     directory  per fragment:
                  <H> source length, source bytes (utf-8),
-                 <I> day, [<I> end: version 3], <I> rows, <H> columns,
+                 <I> day, [<I> end: versions 3 and 4], <I> rows,
+                 <H> columns,
                  per column:
                    <H> name length, name bytes (utf-8),
                    <B> cell kind, <B> codec id,
@@ -18,9 +19,13 @@ per-column dictionary pages (:mod:`repro.store.codecs`):
     footer     <IQ4s>     directory CRC-32, total file length,
                           magic "2GSR"
 
-A fragment covers the days ``[day, end)``; version 2 (every daily
+A fragment covers the days ``[day, end)``; version 2 (a full daily
 append) has no ``end``: ``end = day + 1``. Compaction writes version 3
-for *run fragments* (``docs/STORAGE.md``, "Run fragments").
+for *run fragments* (``docs/STORAGE.md``, "Run fragments"). An append
+writes version 4 for a *delta fragment* ("Delta fragments"): a one-day
+fragment whose stored ``end`` is the day of its base, below its own
+day — the delta marker — and which holds an ``ended`` column beside
+the nine.
 
 All integers are little-endian. Page offsets are absolute file
 offsets, so a reader can map the file and slice any column's bytes
@@ -50,6 +55,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.store import codecs
 from repro.store.codecs import COLUMN_KINDS, SPAN_KINDS, Entry, Page, _Cursor
+from repro.store.codecs import ENDED
 from repro.store.errors import StorageError
 
 MAGIC = b"RSG2"
@@ -57,6 +63,8 @@ FOOTER_MAGIC = b"2GSR"
 VERSION = 2
 #: The version of a segment holding at least one run fragment.
 RUN_VERSION = 3
+#: The version of a segment holding at least one delta fragment.
+DELTA_VERSION = 4
 #: The on-disk extension of v2 segment files.
 SEGMENT_SUFFIX = ".rseg"
 
@@ -72,7 +80,7 @@ PartitionColumns = Mapping[str, Sequence[Any]]
 EncodedPage = Tuple[int, int, bytes]
 
 #: One fragment between *encode* and *layout*: ``(source, day, end,
-#: rows, encoded page per column)``.
+#: rows, encoded page per column)``; a delta's ``end`` is its base day.
 EncodedPartition = Tuple[str, int, int, int, Mapping[str, EncodedPage]]
 
 
@@ -90,13 +98,15 @@ class ColumnRef:
 
 @dataclass
 class PartitionRef:
-    """Directory entry for one fragment: rows of ``[day, end)``."""
+    """Directory entry for one fragment: rows of ``[day, end)``; a
+    delta's rows differ from the fragment of its *base* day."""
 
     source: str
     day: int
     end: int
     rows: int
     columns: Dict[str, ColumnRef] = field(default_factory=dict)
+    base: Optional[int] = None
 
     @property
     def page_bytes(self) -> int:
@@ -105,6 +115,8 @@ class PartitionRef:
 
 
 def _column_kind(name: str) -> int:
+    if name == ENDED:
+        return codecs.KIND_STR
     kind = COLUMN_KINDS.get(name, SPAN_KINDS.get(name))
     if kind is None:
         raise StorageError(f"unknown column {name!r}")
@@ -117,11 +129,13 @@ def encode_partition(
     """The *encode* half of writing: one partition's columns, each as a
     ``(dictionary entries, row indexes)`` page, into encoded pages."""
     names = sorted(pages)
-    rows = len(pages[names[0]][1]) if names else 0
+    rows = next(
+        (len(pages[name][1]) for name in names if name != ENDED), 0
+    )
     encoded: Dict[str, EncodedPage] = {}
     for name in names:
         entries, indexes = pages[name]
-        if len(indexes) != rows:
+        if name != ENDED and len(indexes) != rows:
             raise StorageError(
                 f"ragged partition {source}/{day}: column {name!r} "
                 f"has {len(indexes)} rows, expected {rows}"
@@ -144,14 +158,17 @@ def encode_columns(
 def layout_segment(partitions: Sequence[EncodedPartition]) -> bytes:
     """The *layout* half of writing: encoded pages (in the given
     fragment order) into segment bytes — directory, absolute offsets,
-    page CRCs, footer; version 2 unless a fragment spans days.
+    page CRCs, footer; version 2 unless a fragment spans days (3) or
+    is a delta (4).
 
     Column pages are laid out partition-major in sorted column-name
     order; the output is a deterministic function of the input, so two
     stores holding the same partitions produce byte-identical segments.
     """
     version = VERSION
-    if any(end != day + 1 for _, day, end, _, _ in partitions):
+    if any(end <= day for _, day, end, _, _ in partitions):
+        version = DELTA_VERSION
+    elif any(end != day + 1 for _, day, end, _, _ in partitions):
         version = RUN_VERSION
     directory = bytearray()
     pages: List[bytes] = []
@@ -161,7 +178,7 @@ def layout_segment(partitions: Sequence[EncodedPartition]) -> bytes:
         directory.extend(_U16.pack(len(source_bytes)))
         directory.extend(source_bytes)
         directory.extend(_U32.pack(day))
-        if version == RUN_VERSION:
+        if version != VERSION:
             directory.extend(_U32.pack(end))
         directory.extend(_U32.pack(rows))
         directory.extend(_U16.pack(len(columns)))
@@ -235,7 +252,7 @@ def _parse_directory(
         raise StorageError(f"truncated segment header in {label}") from exc
     if magic != MAGIC:
         raise StorageError(f"bad segment magic in {label}")
-    if version not in (VERSION, RUN_VERSION):
+    if version not in (VERSION, RUN_VERSION, DELTA_VERSION):
         raise StorageError(
             f"unsupported segment version {version} in {label}"
         )
@@ -267,13 +284,16 @@ def _parse_directory(
                 int(_U16.unpack(cursor.take(2))[0])
             ).decode("utf-8")
             day = cursor.u32()
-            end = cursor.u32() if version == RUN_VERSION else day + 1
+            end = cursor.u32() if version != VERSION else day + 1
+            base = None
+            if version == DELTA_VERSION and end <= day:
+                base, end = end, day + 1
             if end <= day:
                 raise StorageError(f"empty fragment span in {label}")
             rows = cursor.u32()
             column_count = int(_U16.unpack(cursor.take(2))[0])
             partition = PartitionRef(
-                source=source, day=day, end=end, rows=rows
+                source=source, day=day, end=end, rows=rows, base=base
             )
             for _ in range(column_count):
                 name = cursor.take(
@@ -398,7 +418,7 @@ class SegmentReader:
         entries, indexes = codecs.decode_page(
             ref.kind, ref.codec & ~codecs.FLAG_ZLIB, self._page(ref)
         )
-        if len(indexes) != partition.rows:
+        if name != ENDED and len(indexes) != partition.rows:
             raise StorageError(
                 f"row count mismatch for column {name!r} in {self.path}: "
                 f"{len(indexes)} != {partition.rows}"

@@ -10,7 +10,8 @@ from repro.batch.batch import BatchBuilder
 from repro.faults.inject import corrupt_blob, corrupt_store_files
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.measurement.snapshot import DomainObservation
-from repro.store import SegmentStore, StorageError
+from repro.store import SegmentReader, SegmentStore, StorageError
+from repro.store.manifest import StoreManifest
 from repro.store.migrate import migrate_store
 
 
@@ -153,6 +154,26 @@ class TestHardenedLoad:
         expected[("com", 1)] = []
         assert rows == expected
 
+    @pytest.mark.parametrize("kind", ["truncate", "bitflip", "missing"])
+    def test_damaged_base_costs_every_day_read_through_it(
+        self, tmp_path, kind
+    ):
+        """``com`` day 0 is the base of the deltas of days 1 and 2: a
+        lenient read loses all three, each recorded once, and ``nl``
+        reads intact; a strict read raises."""
+        populated_store(tmp_path)
+        self.damage(tmp_path, kind, keys=("com/0",))
+        rows, skipped = load(tmp_path, on_error="skip")
+        assert [(source, day) for source, day, _ in skipped] == [
+            ("com", 0), ("com", 1), ("com", 2)
+        ]
+        expected = landed_rows()
+        for day in range(3):
+            expected[("com", day)] = []
+        assert rows == expected
+        with pytest.raises(StorageError):
+            load(tmp_path)
+
     def test_checksum_mismatch_is_named(self, tmp_path):
         populated_store(tmp_path)
         self.damage(tmp_path, "bitflip", keys=("com/0",))
@@ -207,22 +228,27 @@ class TestHardenedLoad:
 
 #: sha256 of every file :func:`populated_store` writes, taken when an
 #: in-memory store still saved these partitions with an encoder of its
-#: own.
+#: own — except ``com`` and ``nl`` days 1–2 and ``manifest.json``,
+#: re-pinned when appends began landing a day that repeats its
+#: source's base as a delta fragment: those four days repeat day 0, so
+#: they land as deltas (``.rseg`` version 4, no changed row, no ended
+#: domain), and the manifest records their smaller sizes. Full days
+#: keep their bytes.
 SAVED_SHA256 = {
     "manifest.json":
-        "a536ad09279e1c85ee51e8f10fcca84deefb11361858b62db89889467121c0ce",
+        "63ac4a8cd9a6c44d891e4689df1d20caaad8464620d0afd1c8a141ff1b539b3e",
     "segments/g0-000000.rseg":
         "d147e9c8cd7b09e2a0465de8e995e8c3db969c258c6c71f69bee41a10508f224",
     "segments/g0-000001.rseg":
-        "47de5d30b8cfdc9bf6e48f8cb21d49f2a50e6d7deb213d10f9308470b2b241f2",
+        "a1da9531e52398a7f9d85624e54ff95cd07abfda0e5adb231589142e064bf79b",
     "segments/g0-000002.rseg":
-        "fa220a679aef3d0b85db102381bece1b273e57a5b7f529c12947a38bcdbdb514",
+        "c7505fcf96762b5f91c3757c81b187fb1887f8321673ec598da116cfb80bee2b",
     "segments/g0-000003.rseg":
         "a5033ef03129e10210df66fad4d9beae1e0e68e56a2983c64590272378f1a614",
     "segments/g0-000004.rseg":
-        "73a93dd0625b6a5202d5f19c7cc766dbe78821f6e87e14b13740ccbeeb63c8ac",
+        "7f14f3a4e079c589fc5e46a4b84dd5c2dbc286073f1c69d776fc5598e4c04e0f",
     "segments/g0-000005.rseg":
-        "44aaa2a3f1fc8ce07d29e14c1353aacd5463ac16c8d2b24e4719fcf60c78d351",
+        "7b72415e23af6c73766553d0d09d8d15a362c461c3692f276ccd69f88f43e0a5",
 }
 
 
@@ -313,3 +339,48 @@ def test_compacted_store_reads_its_landed_rows(tmp_path):
             assert list(store.rows(*key)) == rows
             assert store.batch(*key).rows() == rows
             assert store.row_count(*key) == len(rows)
+
+
+class TestCrashBeforeTheDeltaIsRecorded:
+    """A crash between a delta's segment publish and its manifest
+    record strands an unreferenced file; the manifest is the commit
+    point."""
+
+    def day_rows(self):
+        # a0.com ends, a4.com starts: a delta with one row, one ended.
+        return [observation(f"a{i}.com", 3) for i in range(1, 5)]
+
+    def test_reopened_store_reads_as_before_then_lands_the_delta(
+        self, tmp_path, monkeypatch
+    ):
+        populated_store(tmp_path)
+        before, _ = load(tmp_path)
+        manifest = os.path.join(str(tmp_path), "manifest.json")
+        with open(manifest, "rb") as handle:
+            manifest_before = handle.read()
+
+        def crash(self, directory):
+            raise OSError("crashed before the manifest swap")
+
+        with SegmentStore(str(tmp_path)) as store:
+            monkeypatch.setattr(StoreManifest, "save", crash)
+            with pytest.raises(OSError, match="crashed"):
+                store.append("com", 3, self.day_rows())
+            monkeypatch.undo()
+        stranded = os.path.join(str(tmp_path), "segments", "g0-000006.rseg")
+        with SegmentReader(stranded) as reader:
+            assert [ref.base for ref in reader.partitions] == [0]
+        with open(manifest, "rb") as handle:
+            assert handle.read() == manifest_before
+        # Garbage in the stranded file would fail any read of it.
+        with open(stranded, "wb") as handle:
+            handle.write(b"not a segment")
+        assert load(tmp_path) == (before, [])
+        with SegmentStore(str(tmp_path)) as store:
+            store.append("com", 3, self.day_rows())
+        with SegmentReader(stranded) as reader:
+            (ref,) = reader.partitions
+            assert (ref.base, ref.rows) == (0, 1)
+        rows, skipped = load(tmp_path)
+        assert skipped == []
+        assert rows == {**before, ("com", 3): self.day_rows()}
