@@ -67,8 +67,7 @@ class StringPool:
         return self._values[index]
 
     def values(self, indexes: Iterable[int]) -> Tuple[str, ...]:
-        table = self._values
-        return tuple(table[index] for index in indexes)
+        return tuple(map(self._values.__getitem__, indexes))
 
     def lookup(self, value: str) -> Optional[int]:
         """The id of *value* if already interned, else ``None``."""
