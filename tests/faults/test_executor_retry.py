@@ -2,16 +2,23 @@
 
 The tasks live at module level so the fork-based pool can run them; the
 crash helpers consult :func:`faults_suppressed` so the parent's
-re-execution of a lost shard succeeds where the worker died.
+re-execution of a lost shard succeeds where the worker died. The last
+class loses a worker mid-pass over a landed store, the node loss a real
+multi-host deployment would see.
 """
 
 import os
+from functools import partial
 
 import pytest
 
+from repro.core.pipeline import AdoptionStudy
 from repro.faults.errors import WorkerCrash
 from repro.faults.runtime import faults_suppressed
+from repro.measurement.scheduler import PartitionFeed
 from repro.parallel.backend import LocalPoolBackend, SerialBackend
+from repro.sketch.build import sketch_from_store
+from repro.store import SegmentStore
 
 
 def double(index, shard):
@@ -102,3 +109,64 @@ class TestWorkerCrashPickling:
             crash.key,
         )
         assert clone.shard_retryable
+
+
+def die_on_one(task, index, shard):
+    """Run *task*, except that the child running shard 1 dies outright."""
+    if index == 1 and not faults_suppressed():
+        os._exit(1)
+    return task(index, shard)
+
+
+class DyingPool(LocalPoolBackend):
+    """A two-worker pool whose every task is wrapped in :func:`die_on_one`."""
+
+    def __init__(self):
+        super().__init__(workers=2, shard_count=4)
+
+    def map_shards(self, task, shards, initializer=None, initargs=()):
+        return super().map_shards(
+            partial(die_on_one, task), shards, initializer, initargs
+        )
+
+
+STORE_SOURCES = ("com", "org")
+
+
+@pytest.fixture(scope="module")
+def landed_store(tiny_world, tmp_path_factory):
+    """Four days of two sources measured into a segment store."""
+    store = SegmentStore(
+        str(tmp_path_factory.mktemp("dying-pool")), create=True
+    )
+    feed = PartitionFeed(tiny_world, sources=STORE_SOURCES)
+    store.append_partitions(
+        (part.source, part.day, part.observations)
+        for part in feed.days(end=4)
+    )
+    yield store
+    store.close()
+
+
+class TestStoreBackedWorkerDeath:
+    def test_detect_from_slices_survives_a_dead_worker(
+        self, tiny_world, landed_store
+    ):
+        study = AdoptionStudy(tiny_world)
+        expected = study.detect_from_store(landed_store, STORE_SOURCES)
+        assert any(expected.any_use_combined)
+        pool = DyingPool()
+        detected = study.detect_from_store(
+            landed_store, STORE_SOURCES, backend=pool
+        )
+        assert detected == expected
+        assert pool.shards_retried >= 1
+
+    def test_sketch_from_store_survives_a_dead_worker(self, landed_store):
+        expected = sketch_from_store(landed_store, sources=STORE_SOURCES)
+        pool = DyingPool()
+        sharded = sketch_from_store(
+            landed_store, sources=STORE_SOURCES, backend=pool
+        )
+        assert sharded.state_digest() == expected.state_digest()
+        assert pool.shards_retried >= 1
