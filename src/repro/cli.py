@@ -111,12 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     study.add_argument(
-        "--backend", default=None, metavar="NAME[:N]",
+        "--backend", default=None, metavar="NAME",
         help=(
             "execution backend for the sharded measurement phase "
-            "(serial, local, or cluster:N for N simulated nodes; "
-            "default: $REPRO_BACKEND, else local, when --workers or "
-            "--shard-count is set)"
+            "(serial or local; default: $REPRO_BACKEND, else local, "
+            "when --workers or --shard-count is set)"
         ),
     )
     study.add_argument(

@@ -324,8 +324,8 @@ class AdoptionStudy:
         """Run the full methodology.
 
         With a *backend* (a :class:`repro.parallel.backend.Backend`
-        instance or a ``"name[:nodes]"`` spec; worker and shard counts
-        are set on the backend) the measurement + detection phase is
+        instance or the name ``serial`` or ``local``; worker and shard
+        counts are set on the backend) the measurement + detection phase is
         hash-sharded over it; the merged result — and hence the
         returned :class:`StudyResults` — is byte-identical to the
         in-process run ``backend=None`` gives, for any backend, worker

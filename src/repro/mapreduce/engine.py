@@ -16,9 +16,9 @@ backend's ``shard_count`` chunks run on its workers. Because chunks are
 contiguous and merged in order, every per-key value list arrives at the
 reducer in exactly the order a sequential pass would have produced — so
 for a fixed chunk count the outputs and counters are independent of the
-worker count and of which backend (pool, serial, simulated cluster) runs
-the chunks, and for associative combiners the outputs match the
-backend-less engine byte for byte.
+worker count and of which backend (pool or serial) runs the chunks,
+and for associative combiners the outputs match the backend-less engine
+byte for byte.
 
 The job description travels through the backend's initializer, which
 the ``fork`` start method inherits without pickling — so jobs built from
@@ -159,7 +159,7 @@ class MapReduceEngine:
     """Runs jobs over in-process record iterables.
 
     *backend* (a :class:`~repro.parallel.backend.Backend` instance or a
-    ``"name[:nodes]"`` spec) fans the map+combine phase out over that
+    backend name) fans the map+combine phase out over that
     backend's ``shard_count`` chunks; without one the whole input is one
     chunk mapped in this process.
     """

@@ -3,19 +3,16 @@
 Every sharded pass in the repo — the study measurement phase, the
 MapReduce engine, the sketch rebuild, and whole-history detection from
 a landed store — fans shards out through one :class:`Backend` protocol
-instead of constructing a pool concretely. Three implementations ship:
+instead of constructing a pool concretely. Two implementations ship:
 
 * :class:`SerialBackend` — the in-process loop, an explicit backend
   rather than an implicit ``workers=1`` special case;
 * :class:`LocalPoolBackend` — the fork process pool; at one worker (or
   a single shard) it runs the same in-process loop, and on spawn-only
   platforms (no ``fork`` start method) it degrades to that loop with a
-  warning instead of shipping unpicklable initargs;
-* :class:`~repro.parallel.cluster.ClusterBackend` — a simulated
-  elastic multi-node cluster with deterministic placement, work
-  stealing, and speculative re-execution.
+  warning instead of shipping unpicklable initargs.
 
-All three share the determinism contract: results are collected in
+Both share the determinism contract: results are collected in
 **shard-index order** — never completion order (``repro analyze``
 enforces this with the ``unordered-futures`` rule) — and a shard whose
 worker dies (a broken pool, or an exception marked ``shard_retryable``
@@ -32,14 +29,14 @@ inherit it without pickling, so closures (e.g. the mappers in
 :mod:`repro.mapreduce.jobs`) work and the world is shipped once, not
 once per shard.
 
-Selection goes through a registry: an explicit argument (a backend
-instance or a ``"name[:nodes]"`` spec) beats the ``REPRO_BACKEND``
-environment variable, which beats the default (``local``). The CLI's
-``--backend`` flag and every ``backend=`` parameter accept the same
-specs. Worker count resolution: explicit argument > the
-``REPRO_WORKERS`` environment variable > ``os.cpu_count()``. Worker and
-shard counts are spelled only here — on :func:`resolve_backend` and the
-backend constructors — never on the passes that take a ``backend=``.
+Selection: an explicit argument (a backend instance, or the name
+``serial`` or ``local``) beats the ``REPRO_BACKEND`` environment
+variable, which beats the default (``local``). The CLI's ``--backend``
+flag and every ``backend=`` parameter accept the same names. Worker
+count resolution: explicit argument > the ``REPRO_WORKERS`` environment
+variable > ``os.cpu_count()``. Worker and shard counts are spelled
+only here — on :func:`resolve_backend` and the backend constructors —
+never on the passes that take a ``backend=``.
 See ``docs/PERFORMANCE.md`` § Execution backends.
 """
 
@@ -53,7 +50,6 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Any,
     Callable,
-    Dict,
     List,
     Optional,
     Protocol,
@@ -75,21 +71,21 @@ REPRO_WORKERS_ENV = "REPRO_WORKERS"
 #: workers busy, few enough that per-shard overhead stays negligible.
 SHARDS_PER_WORKER = 4
 
-#: Environment variable that selects the default backend spec.
+#: Environment variable that selects the default backend name.
 REPRO_BACKEND_ENV = "REPRO_BACKEND"
 
-#: The registry entry used when neither argument nor env chooses one.
+#: The backend used when neither argument nor env chooses one.
 DEFAULT_BACKEND = "local"
 
 
 class BackendError(ValueError):
-    """An unknown backend name or a malformed backend spec."""
+    """An unknown backend name, or a number the backend cannot honour."""
 
 
 class Backend(Protocol):
     """What a sharded pass requires of its execution substrate."""
 
-    #: Parallelism the backend models (processes, simulated nodes, ...).
+    #: Worker processes the backend runs shards on.
     workers: int
     #: Default shard count consumers split their work into.
     shard_count: int
@@ -110,8 +106,8 @@ class Backend(Protocol):
         ...
 
 
-#: What ``backend=`` parameters accept: an instance, a ``"name[:N]"``
-#: spec, or None (env var, then the default).
+#: What ``backend=`` parameters accept: an instance, a backend name, or
+#: None (env var, then the default).
 BackendSpec = Union[str, Backend]
 
 
@@ -320,31 +316,6 @@ class LocalPoolBackend:
         return collected
 
 
-#: A registry factory: ``(workers, shard_count, nodes) -> Backend``.
-BackendFactory = Callable[
-    [Optional[int], Optional[int], Optional[int]], Backend
-]
-
-_REGISTRY: Dict[str, BackendFactory] = {}
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register (or replace) a backend factory under *name*."""
-    _REGISTRY[name] = factory
-
-
-def backend_names() -> List[str]:
-    """Every registered backend name, sorted."""
-    _ensure_registered()
-    return sorted(_REGISTRY)
-
-
-def _ensure_registered() -> None:
-    # The cluster backend lives in its own module so that importing
-    # this one stays light; pull it in before any registry lookup.
-    import repro.parallel.cluster  # noqa: F401
-
-
 def resolve_backend(
     spec: Optional[BackendSpec] = None,
     workers: Optional[int] = None,
@@ -352,10 +323,11 @@ def resolve_backend(
 ) -> Backend:
     """The backend for a sharded pass.
 
-    Precedence: an explicit *spec* (instance or ``"name[:nodes]"``
-    string) > the ``REPRO_BACKEND`` environment variable > the default
-    (``local``). *workers*/*shard_count* parameterize the factory; an
-    instance already carries its own, so passing either beside one
+    Precedence: an explicit *spec* (an instance, or the name ``serial``
+    or ``local``) > the ``REPRO_BACKEND`` environment variable > the
+    default (``local``). *workers*/*shard_count* parameterize the named
+    backend's constructor; an instance already carries its own, and
+    ``serial`` runs one worker, so passing a number either cannot honour
     raises :class:`BackendError` rather than silently dropping it.
     """
     if spec is not None and not isinstance(spec, str):
@@ -367,54 +339,16 @@ def resolve_backend(
         return spec
     if spec is None:
         spec = os.environ.get(REPRO_BACKEND_ENV) or DEFAULT_BACKEND
-    name, _, argument = spec.partition(":")
-    name = name.strip()
-    _ensure_registered()
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        known = ", ".join(backend_names())
+    name = spec.strip()
+    if name == "local":
+        return LocalPoolBackend(workers=workers, shard_count=shard_count)
+    if name != "serial":
         raise BackendError(
-            f"unknown backend {name!r} (choose from: {known}; "
-            f"'cluster:N' runs N simulated nodes)"
+            f"unknown backend {name!r} (choose from: local, serial)"
         )
-    nodes: Optional[int] = None
-    if argument:
-        try:
-            nodes = int(argument)
-        except ValueError:
-            raise BackendError(
-                f"backend spec {spec!r}: {argument!r} is not an integer "
-                f"node count"
-            ) from None
-        if nodes < 1:
-            raise BackendError(
-                f"backend spec {spec!r}: node count must be >= 1"
-            )
-    return factory(workers, shard_count, nodes)
-
-
-def _make_serial(
-    workers: Optional[int],
-    shard_count: Optional[int],
-    nodes: Optional[int],
-) -> Backend:
-    if nodes is not None:
-        raise BackendError("the serial backend takes no ':N' argument")
+    if workers is not None and workers != 1:
+        raise BackendError(
+            f"the serial backend runs one worker, not {workers}; "
+            f"use the local backend for more"
+        )
     return SerialBackend(shard_count=shard_count)
-
-
-def _make_local(
-    workers: Optional[int],
-    shard_count: Optional[int],
-    nodes: Optional[int],
-) -> Backend:
-    if nodes is not None:
-        raise BackendError(
-            "the local backend takes no ':N' argument; set workers "
-            "(--workers / REPRO_WORKERS) instead"
-        )
-    return LocalPoolBackend(workers=workers, shard_count=shard_count)
-
-
-register_backend("serial", _make_serial)
-register_backend("local", _make_local)

@@ -15,8 +15,8 @@ any order and grouping, but the per-shard results have to *merge*:
 :meth:`DetectionResult.merge` is an integer sum plus a disjoint union of
 ``(domain, provider)`` interval keys, so a domain's days must be
 stitched into maximal intervals inside one worker. Merging in
-shard-index order makes the result byte-identical for any backend, any
-shard count, and any cluster join/leave schedule.
+shard-index order makes the result byte-identical for any backend and
+any shard count, and a worker lost mid-pass only re-runs its slice.
 
 Each worker reads through a store of its own, so it hands back the
 partitions a lenient (``on_error="skip"``) read dropped; the parent

@@ -18,7 +18,6 @@ from repro.parallel.backend import (
     SerialBackend,
     resolve_backend,
 )
-from repro.parallel.cluster import ClusterBackend, ClusterSchedule
 from repro.reporting.export import study_to_dict
 from repro.world.scenario import ScenarioConfig, build_paper_world
 
@@ -120,20 +119,13 @@ class TestChaosInvariant:
         [
             lambda: SerialBackend(shard_count=4),
             lambda: LocalPoolBackend(workers=2, shard_count=4),
-            lambda: ClusterBackend(
-                nodes=2,
-                shard_count=4,
-                schedule=ClusterSchedule.scripted(
-                    (2, "leave", 0), (5, "join", 9)
-                ),
-            ),
         ],
-        ids=["serial-backend", "pool-w2", "cluster-2-churn"],
+        ids=["serial-backend", "pool-w2"],
     )
     def test_each_backend_upholds_the_invariant(
         self, chaos_world, clean_payload, backend
     ):
-        """One fixed-seed scenario per backend: a faulted cluster run
+        """One fixed-seed scenario per backend: a faulted pool run
         with mid-run worker loss stays byte-identical to the clean
         serial run on every non-quarantined scope."""
         results = AdoptionStudy(

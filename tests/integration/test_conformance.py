@@ -11,10 +11,9 @@ digest it produces.
   two slices, engine replay, kill/resume, the in-process and
   pool-sharded sketch rebuilds and the three MapReduce jobs, all over
   the fresh store;
-* **backend** — the study on a two-worker pool; the sweep over every
-  shipped backend, the simulated cluster with and without mid-run churn
-  included, is ``tests/parallel/test_backend_identity.py`` on worlds of
-  its own;
+* **backend** — the study on a two-worker pool; the sweep over both
+  shipped backends (serial, and the pool at one and two workers) is
+  ``tests/parallel/test_backend_identity.py`` on worlds of its own;
 * **store generation** — ``detect_from_store`` over the compacted
   store;
 * **arrival order** — the landed partitions fed and read last first;

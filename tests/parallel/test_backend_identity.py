@@ -1,8 +1,7 @@
 """The backend byte-identity matrix (acceptance for the backend layer).
 
-Three fixed worlds × every shipped backend — serial, local pool at one
-and two workers, simulated cluster at two and four nodes, each cluster
-size with and without a scripted mid-run leave/join — must produce:
+Three fixed worlds × every shipped backend — serial, and the local pool
+at one and two workers — must produce:
 
 * byte-identical canonical study exports through ``AdoptionStudy.run``,
 * byte-identical stream-engine state digests when the run's segments
@@ -13,7 +12,9 @@ size with and without a scripted mid-run leave/join — must produce:
 
 all pinned against the serial baselines. The slice tests also prove
 detection runs partition-by-partition from disk: a slice yields one
-partition's kept rows at a time, never the whole-history batch.
+partition's kept rows at a time, never the whole-history batch. A
+worker lost mid-pass over a landed store is
+``tests/faults/test_executor_retry.py``'s ``TestStoreBackedWorkerDeath``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import pytest
 
 from repro.core.pipeline import AdoptionStudy
 from repro.parallel.backend import LocalPoolBackend, SerialBackend
-from repro.parallel.cluster import ClusterBackend, ClusterSchedule
 from repro.reporting.export import study_to_dict
 from repro.sketch.build import sketch_from_store
 from repro.store import SegmentStore
@@ -36,18 +36,10 @@ SCALE = 400000
 SEEDS = (5, 17, 31)
 SOURCES = ("com", "net", "org")
 
-#: One node leaves mid-run and a fresh one joins later — the churn
-#: every cluster variant must shrug off byte-for-byte.
-CHURN = ClusterSchedule.scripted((2, "leave", 0), (5, "join", 9))
-
 VARIANTS = {
     "serial": lambda: SerialBackend(),
     "pool-w1": lambda: LocalPoolBackend(workers=1),
     "pool-w2": lambda: LocalPoolBackend(workers=2),
-    "cluster-2": lambda: ClusterBackend(nodes=2),
-    "cluster-4": lambda: ClusterBackend(nodes=4),
-    "cluster-2-churn": lambda: ClusterBackend(nodes=2, schedule=CHURN),
-    "cluster-4-churn": lambda: ClusterBackend(nodes=4, schedule=CHURN),
 }
 
 
@@ -109,13 +101,9 @@ def test_backend_matrix_byte_identity(baseline, variant):
 
 
 #: Slice detection re-decodes the partition list once per slice, so
-#: these variants pin shard_count explicitly to keep the pass cheap.
+#: the variant pins shard_count explicitly to keep the pass cheap.
 DETECT_VARIANTS = {
     "serial": lambda: SerialBackend(shard_count=2),
-    "cluster-2-churn": lambda: ClusterBackend(
-        nodes=2, shard_count=2, schedule=CHURN
-    ),
-    "cluster-4": lambda: ClusterBackend(nodes=4, shard_count=4),
 }
 
 

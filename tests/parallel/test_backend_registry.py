@@ -1,4 +1,4 @@
-"""Backend registry: resolution precedence, specs, and fallbacks."""
+"""Backend resolution: precedence, the two names, and fallbacks."""
 
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ from repro.parallel.backend import (
     BackendError,
     LocalPoolBackend,
     SerialBackend,
-    backend_names,
     resolve_backend,
 )
-from repro.parallel.cluster import ClusterBackend
 
 
 def _double(shard_index, payload):
@@ -22,29 +20,20 @@ def _double(shard_index, payload):
 
 class TestRegistry:
     def test_shipped_backends_are_registered(self):
-        assert backend_names() == ["cluster", "local", "serial"]
-
-    def test_register_backend_round_trips(self, monkeypatch):
-        monkeypatch.setitem(
-            backend_module._REGISTRY,
-            "custom",
-            lambda workers, shard_count, nodes: SerialBackend(
-                shard_count=shard_count
-            ),
+        assert isinstance(resolve_backend("serial"), SerialBackend)
+        assert isinstance(
+            resolve_backend("local", workers=1), LocalPoolBackend
         )
-        resolved = resolve_backend("custom", shard_count=3)
-        assert isinstance(resolved, SerialBackend)
-        assert resolved.shard_count == 3
 
 
 class TestPrecedence:
     def test_explicit_spec_beats_env(self, monkeypatch):
-        monkeypatch.setenv(REPRO_BACKEND_ENV, "cluster:4")
+        monkeypatch.setenv(REPRO_BACKEND_ENV, "local")
         assert isinstance(resolve_backend("serial"), SerialBackend)
 
     def test_explicit_instance_passes_through(self, monkeypatch):
         monkeypatch.setenv(REPRO_BACKEND_ENV, "serial")
-        instance = ClusterBackend(nodes=3)
+        instance = LocalPoolBackend(workers=3)
         assert resolve_backend(instance) is instance
 
     @pytest.mark.parametrize(
@@ -78,28 +67,24 @@ class TestSpecs:
         assert backend.workers == 3
         assert backend.shard_count == 12
 
-    def test_cluster_spec_sets_node_count(self):
-        resolved = resolve_backend("cluster:3")
-        assert isinstance(resolved, ClusterBackend)
-        assert resolved.nodes == 3
-        assert resolved.workers == 3
-
     def test_unknown_backend_raises_with_choices(self):
-        with pytest.raises(BackendError, match="cluster, local, serial"):
+        with pytest.raises(BackendError, match="local, serial"):
             resolve_backend("bogus")
-
-    def test_non_integer_node_count_raises(self):
-        with pytest.raises(BackendError, match="not an integer"):
-            resolve_backend("cluster:many")
-
-    def test_nonpositive_node_count_raises(self):
-        with pytest.raises(BackendError, match=">= 1"):
-            resolve_backend("cluster:0")
 
     @pytest.mark.parametrize("spec", ["serial:2", "local:2"])
     def test_nodes_argument_rejected_off_cluster(self, spec):
         with pytest.raises(BackendError):
             resolve_backend(spec)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_serial_refuses_more_than_one_worker(self, workers):
+        with pytest.raises(BackendError, match="one worker"):
+            resolve_backend("serial", workers=workers)
+
+    def test_serial_takes_one_worker_and_a_shard_count(self):
+        resolved = resolve_backend("serial", workers=1, shard_count=3)
+        assert isinstance(resolved, SerialBackend)
+        assert (resolved.workers, resolved.shard_count) == (1, 3)
 
 
 class TestSpawnFallback:

@@ -111,7 +111,7 @@ def test_outputs_independent_of_shard_count(
     assert outputs == serial_runs[job_name][0]
 
 
-@pytest.mark.parametrize("spec", ["serial", "cluster:2"])
+@pytest.mark.parametrize("spec", ["serial", "local"])
 @pytest.mark.parametrize("job_name", sorted(JOBS))
 def test_outputs_identical_through_execution_backends(
     records, serial_runs, job_name, spec

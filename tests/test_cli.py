@@ -120,15 +120,6 @@ class TestStudy:
         assert (tmp_path / "fig4.txt").exists()
         assert (tmp_path / "series.json").exists()
 
-    def test_cluster_backend_runs_study(self, capsys):
-        code = main(
-            ["study", "--artifact", "fig5", "--backend", "cluster:2"]
-            + SCALE
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "DPS adoption grew" in out
-
     @pytest.mark.parametrize(
         "flags,env,expected",
         [
@@ -140,9 +131,9 @@ class TestStudy:
             ),
             (["--workers", "1"], {}, ("LocalPoolBackend", 1, 4)),
             (
-                ["--backend", "cluster:2", "--shard-count", "5"],
+                ["--backend", "local", "--workers", "2", "--shard-count", "5"],
                 {"REPRO_BACKEND": "serial"},
-                ("ClusterBackend", 2, 5),
+                ("LocalPoolBackend", 2, 5),
             ),
             # The environment alone never shards a study.
             ([], {"REPRO_BACKEND": "serial", "REPRO_WORKERS": "2"}, None),
@@ -184,13 +175,15 @@ class TestStudy:
         captured = capsys.readouterr()
         assert code == 2
         assert "unknown backend 'bogus'" in captured.err
-        assert "cluster" in captured.err
+        assert "local, serial" in captured.err
 
-    def test_malformed_backend_nodes_exits_2(self, capsys):
-        code = main(["study", "--backend", "cluster:lots"] + SCALE)
+    def test_serial_backend_with_workers_exits_2(self, capsys):
+        code = main(
+            ["study", "--backend", "serial", "--workers", "4"] + SCALE
+        )
         captured = capsys.readouterr()
         assert code == 2
-        assert "not an integer" in captured.err
+        assert "one worker" in captured.err
 
 
 class TestMeasure:
