@@ -340,7 +340,9 @@ CELLS: Dict[str, Callable[[Conformance], Digests]] = {
         mapreduce_records(c.base.store)
     ),
     "backend-pool-w2": _on_pool,
-    "store-compacted": lambda c: [_detect(c, c.compacted)],
+    "store-compacted": lambda c: [_detect(c, c.compacted)] + _sketch(
+        sketch_from_store(c.compacted)
+    ),
     "order-reversed": _reversed,
 }
 
