@@ -3,16 +3,16 @@
 The plane a :class:`~repro.stream.engine.StreamEngine` maintains
 incrementally is a pure commutative fold over ``(domain, day, matches)``
 facts, so the same state can be rebuilt from history after the fact by
-the same two calls the engine makes per partition
-(:meth:`BatchMatcher.match_rows`, :meth:`SketchPlane.fold_batch`) —
-and split across workers: each shard folds a contiguous run of
-``(source, day)`` partitions into its own plane, and the parent merges
-the shard planes in shard-index order. Reading day by day through one
-builder decodes a run fragment once per fold and expands its runs per
-day (:meth:`SegmentStore.batch`), so the order-sensitive top-K sees the
-daily rows. Because every sketch merge is an exact cell-wise sum /
-register max (and the space-saving summaries stay
-in their exact regime, see ``docs/SKETCHES.md``), the merged plane is
+the same two calls the engine makes (:meth:`BatchMatcher.match_rows`,
+:meth:`SketchPlane.fold_runs`) — and split across workers: each shard
+folds a contiguous run of ``(source, day)`` partitions into its own
+plane, and the parent merges the shard planes in shard-index order.
+A source's days are read as runs through one builder
+(:meth:`SegmentStore.source_runs`): each fragment decoded once, each run
+matched and hashed once, and the order-sensitive top-K still fed the
+daily rows' order. Because every sketch merge is an exact cell-wise sum
+/ register max (and the space-saving summaries stay in their exact
+regime, see ``docs/SKETCHES.md``), the merged plane is
 **byte-identical** to the in-process fold and to the live engine plane
 fed the same partitions — cells of the conformance matrix
 (``tests/integration/test_conformance.py``) pin all three against one
@@ -21,6 +21,8 @@ digest per seed.
 
 from __future__ import annotations
 
+import itertools
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.batch.batch import BatchBuilder
@@ -45,10 +47,11 @@ def _fold_partitions(
     config: SketchConfig,
     partitions: Sequence[PartitionKey],
 ) -> SketchPlane:
-    """A fresh plane with *partitions* folded in, in the given order —
-    matcher and fold are the ones ``StreamEngine._apply`` uses. Every
-    partition is read through one builder, so a string repeated across
-    days is interned once per rebuild, not once per partition."""
+    """A fresh plane with *partitions* folded in — matcher and fold are
+    the ones ``StreamEngine._apply`` uses — each run of consecutive
+    same-source keys as that source's stored runs. Every partition is
+    read through one builder, so a string repeated across days is
+    interned once per rebuild, not once per partition."""
     plane = SketchPlane(
         config,
         scope_names=dict.fromkeys(SCOPE_OF_SOURCE.values()),
@@ -56,11 +59,13 @@ def _fold_partitions(
     )
     matcher = BatchMatcher(catalog)
     builder = BatchBuilder()
-    for source, day in partitions:
-        batch = store.batch(source, day, builder=builder)
-        plane.fold_batch(
-            SCOPE_OF_SOURCE[source], day, batch, matcher.match_rows(batch)
-        )
+    for source, keys in itertools.groupby(partitions, key=itemgetter(0)):
+        days = [day for _, day in keys]
+        for batch, ends in store.source_runs(source, days, builder):
+            plane.fold_runs(
+                SCOPE_OF_SOURCE[source], batch, ends,
+                matcher.match_rows(batch),
+            )
     return plane
 
 

@@ -23,7 +23,7 @@ Registers are small integers end to end; floats exist only inside
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.sketch.cms import SketchMergeError
 from repro.sketch.hashing import digest64, keyed_hasher
@@ -67,15 +67,19 @@ class HyperLogLog:
 
     # -- updates ------------------------------------------------------------
 
-    def add(self, key: str) -> None:
+    def slot(self, key: str) -> Tuple[int, int]:
+        """*key*'s ``(register, rank)``: one digest, the same for every
+        counter of this precision and seed."""
         value = digest64(self._hasher, key)
         tail_bits = 64 - self.precision
-        index = value >> tail_bits
         tail = value & ((1 << tail_bits) - 1)
-        rank = tail_bits - tail.bit_length() + 1
-        self._raise_register(index, rank)
+        return value >> tail_bits, tail_bits - tail.bit_length() + 1
 
-    def _raise_register(self, index: int, rank: int) -> None:
+    def add(self, key: str) -> None:
+        self.raise_register(*self.slot(key))
+
+    def raise_register(self, index: int, rank: int) -> None:
+        """Fold in one :meth:`slot`: the register keeps the max rank."""
         if self.dense is not None:
             if self.dense[index] < rank:
                 self.dense[index] = rank
@@ -132,11 +136,11 @@ class HyperLogLog:
         if other.dense is not None:
             for index, rank in enumerate(other.dense):
                 if rank:
-                    self._raise_register(index, rank)
+                    self.raise_register(index, rank)
             return
         assert other.sparse is not None
         for index in sorted(other.sparse):
-            self._raise_register(index, other.sparse[index])
+            self.raise_register(index, other.sparse[index])
 
     # -- serialization ------------------------------------------------------
 
@@ -181,4 +185,9 @@ class HyperLogLog:
             }
             if len(counter.sparse) > counter.sparse_limit:
                 raise ValueError("HLL sparse payload over limit")
+        ranks = range(64 - counter.precision + 2)
+        held = counter.sparse or dict(enumerate(counter.dense or ()))
+        for index, rank in held.items():
+            if not (0 <= index < counter.registers and rank in ranks):
+                raise ValueError(f"HLL register {index}:{rank} cannot exist")
         return counter

@@ -1,8 +1,8 @@
 """The streaming sketch plane: per-scope summaries the engine maintains.
 
-One :class:`ScopeSketches` per detection scope, updated one partition
-at a time by :meth:`SketchPlane.fold_batch` — engine ingest and store
-rebuild alike:
+One :class:`ScopeSketches` per detection scope, updated by one fold
+over runs, :meth:`SketchPlane.fold_runs` — engine ingest (a partition
+as one-day runs) and store rebuild (a source's stored runs) alike:
 
 * ``provider_days`` / ``provider_topk`` — domain-days per provider
   (count-min + space-saving), the top-K-by-adoption stream;
@@ -19,16 +19,18 @@ rebuild alike:
   excluded), mirroring the attribution layer's vocabulary.
 
 Every update is a commutative, idempotent-under-max or additive fold of
-one ``(domain, day, matches)`` fact, so the serialized plane is a pure
-function of the fact set: in-order, late-arrival, kill/resumed, and
-shard-merged runs all land on byte-identical state (the space-saving
-instances stay in their exact regime while the key universe fits
-capacity — see ``docs/SKETCHES.md`` for the precise claim).
+one ``(domain, day, matches)`` fact — a run states one per day it
+covers — so the serialized plane is a pure function of the fact set:
+in-order, late-arrival, kill/resumed, and shard-merged runs all land on
+byte-identical state (the space-saving instances stay in their exact
+regime while the key universe fits capacity — see ``docs/SKETCHES.md``
+for the precise claim).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import (
@@ -96,7 +98,7 @@ class SketchConfig:
 
 
 class ScopeSketches:
-    """One scope's sketch set; :meth:`SketchPlane.fold_batch` is the
+    """One scope's sketch set; :meth:`SketchPlane.fold_runs` is the
     only code that mutates it (``merge`` aside)."""
 
     def __init__(self, config: SketchConfig):
@@ -390,35 +392,47 @@ class SketchPlane:
         self._third_party_cache[cache_key] = result
         return result
 
-    def fold_batch(
+    def fold_runs(
         self,
         scope: str,
-        day: int,
         batch: ObservationBatch,
+        ends: Sequence[int],
         row_matches: Sequence[Matches],
     ) -> None:
-        """Fold one landed partition — *batch* and its rows' matches,
-        index-aligned — into *scope*'s sketches.
+        """Fold runs into *scope*'s sketches: row *i* of *batch*, with
+        its matches ``row_matches[i]``, holds on every day of
+        ``[batch.days[i], ends[i])`` — the engine's partition as one-day
+        runs, or a store rebuild's stored runs.
 
-        HyperLogLog inserts and space-saving updates run row by row in
-        row order (space-saving is order-sensitive once it evicts). The
-        three count-min streams are additive, so each distinct key is
-        counted over the batch and folded in by one ``update(key,
-        count)`` — the same cells as one update per row.
+        A run is hashed once per HyperLogLog role, its slot raised on
+        every counter of that role it reaches. Count-min is additive, so
+        each key's days are summed and added by one update. Space-saving
+        takes the daily rows' updates in their order (days ascending,
+        each day's rows in batch order) unless its keys and the call's
+        fit its capacity: nothing can evict then, and one update per key
+        lands on the same state.
         """
         sketches = self.scopes[scope]
         config = self.config
-        names = batch.names
-        day_suffix = KEY_SEP + str(day)
+        first = min(batch.days, default=0)
+        blank_provider = HyperLogLog(
+            config.hll_precision, config.role_seed("hll:provider-domains")
+        )
+        blank_day = HyperLogLog(
+            config.day_hll_precision, config.role_seed("hll:provider-day")
+        )
         provider_rows: Dict[str, int] = {}
+        day_rows: Dict[str, int] = {}
         third_rows: Dict[str, int] = {}
         # Third-party keys depend only on the NS/CNAME texts, so the
         # per-batch match key dedups their extraction exactly like it
         # dedups signature matching.
         third_by_key: Dict[MatchKey, Tuple[str, ...]] = {}
         matched = 0
-        for index, matches in enumerate(row_matches):
-            domain = names.value(batch.domains[index])
+        for index, (start, end, matches) in enumerate(
+            zip(batch.days, ends, row_matches)
+        ):
+            domain = batch.domain_text(index)
             sketches.domains.add(domain)
             if not matches:
                 id_key = batch.match_key(index)
@@ -428,45 +442,66 @@ class SketchPlane:
                         batch.ns_texts(index), batch.cname_texts(index)
                     )
                 for key in third:
-                    sketches.third_party.update(key)
-                    third_rows[key] = third_rows.get(key, 0) + 1
+                    third_rows[key] = third_rows.get(key, 0) + end - start
                 continue
-            matched += 1
+            matched += end - start
+            provider_slot = blank_provider.slot(domain)
+            day_slot = blank_day.slot(domain)
             for provider in sorted(matches):
-                provider_rows[provider] = provider_rows.get(provider, 0) + 1
-                sketches.provider_topk.update(provider)
-                per_provider = sketches.provider_domains.get(provider)
-                if per_provider is None:
-                    per_provider = sketches.provider_domains[provider] = (
-                        HyperLogLog(
-                            config.hll_precision,
-                            config.role_seed("hll:provider-domains"),
-                        )
+                provider_rows[provider] = (
+                    provider_rows.get(provider, 0) + end - start
+                )
+                counters = sketches.provider_domains
+                counter = counters.get(provider) or counters.setdefault(
+                    provider, blank_provider.copy()
+                )
+                counter.raise_register(*provider_slot)
+                for day in range(start, end):
+                    day_key = provider + KEY_SEP + str(day)
+                    day_rows[day_key] = day_rows.get(day_key, 0) + 1
+                    counters = sketches.provider_day_domains
+                    counter = counters.get(day_key) or counters.setdefault(
+                        day_key, blank_day.copy()
                     )
-                per_provider.add(domain)
-                day_key = provider + day_suffix
-                per_day = sketches.provider_day_domains.get(day_key)
-                if per_day is None:
-                    per_day = sketches.provider_day_domains[day_key] = (
-                        HyperLogLog(
-                            config.day_hll_precision,
-                            config.role_seed("hll:provider-day"),
-                        )
-                    )
-                per_day.add(domain)
-        sketches.rows_observed += len(row_matches)
+                    counter.raise_register(*day_slot)
+        sketches.rows_observed += sum(ends) - sum(batch.days)
         sketches.matched_rows += matched
         for provider, count in provider_rows.items():
             sketches.provider_days.update(provider, count)
-            sketches.provider_day.update(provider + day_suffix, count)
+        for day_key, count in day_rows.items():
+            sketches.provider_day.update(day_key, count)
         for key, count in third_rows.items():
             sketches.third_party_counts.update(key, count)
+        for summary, counts, unmatched in (
+            (sketches.provider_topk, provider_rows, False),
+            (sketches.third_party, third_rows, True),
+        ):
+            if len(summary.counters.keys() | counts.keys()) <= (
+                summary.capacity
+            ):
+                for key, count in counts.items():
+                    summary.update(key, count)
+                continue
+            days: List[List[str]] = [[] for _ in range(first, max(ends))]
+            for index, (start, end, matches) in enumerate(
+                zip(batch.days, ends, row_matches)
+            ):
+                if bool(matches) != unmatched:
+                    keys = sorted(matches) if matches else third_by_key[
+                        batch.match_key(index)
+                    ]
+                    for day in range(start - first, end - first):
+                        days[day].extend(keys)
+            for key in itertools.chain.from_iterable(days):
+                summary.update(key)
 
     def merge(self, other: "SketchPlane") -> None:
         if self.config != other.config:
             raise SketchMergeError("sketch planes differ in config")
         if set(self.scopes) != set(other.scopes):
             raise SketchMergeError("sketch planes differ in scopes")
+        if self.provider_slds != other.provider_slds:
+            raise SketchMergeError("sketch planes differ in provider SLDs")
         for name in sorted(self.scopes):
             self.scopes[name].merge(other.scopes[name])
 

@@ -464,6 +464,16 @@ def _coalesce(
     return out
 
 
+def _joined(held: List[Tuple[Tuple[int, int], Runs]]) -> Runs:
+    """*held* runs, placed by position, as one batch."""
+    held.sort(key=operator.itemgetter(0))
+    if len(held) == 1:
+        return held[0][1]
+    return ObservationBatch.concat([batch for _, (batch, _) in held]), [
+        end for _, (_, ends) in held for end in ends
+    ]
+
+
 def _row_key(batch: ObservationBatch, row: int) -> Tuple[Any, ...]:
     return tuple(getattr(batch, name)[row] for name in ROW_COLUMNS)
 
@@ -906,6 +916,15 @@ class SegmentStore:
         days' rows as one-day runs — the same facts the daily rows
         state, for consumers of ``[start, end)`` spans
         (:meth:`~repro.core.detection.ScopeState.observe`)."""
+        return (runs for _, _, runs in self._spans(partitions, builder))
+
+    def _spans(
+        self,
+        partitions: Sequence[Tuple[str, int]],
+        builder: Optional[BatchBuilder],
+    ) -> Iterator[Tuple[int, Fragment, Runs]]:
+        """:meth:`spans`, each with the day it was met on and the
+        fragment it read."""
         builder = builder if builder is not None else BatchBuilder()
         wanted = set(partitions)
         done: Set[int] = set()
@@ -924,7 +943,36 @@ class SegmentStore:
                     runs = None if part is None else (
                         part, [day + 1] * len(part))
                 if runs is not None:
-                    yield runs
+                    yield day, fragment, runs
+
+    def source_runs(
+        self,
+        source: str,
+        days: Iterable[int],
+        builder: Optional[BatchBuilder] = None,
+    ) -> Iterator[Runs]:
+        """*source*'s rows on *days* as runs, each fragment read once
+        (:meth:`spans`): one batch per group of fragments whose days
+        overlap, groups in day order. A batch holds its fragments in
+        manifest order, so its rows on a day are ``batch(source, day)``'s
+        in that order, whatever days the fragments cover."""
+        rank = {
+            os.path.join(self.directory, meta.file): n
+            for n, meta in enumerate(self._manifest.segments)
+        }
+        held: List[Tuple[Tuple[int, int], Runs]] = []
+        end = 0
+        for day, (reader, ref, _), runs in self._spans(
+            [(source, day) for day in sorted(days)], builder
+        ):
+            if held and day >= end:
+                yield _joined(held)
+                held = []
+            position = rank[reader.path], reader.partitions.index(ref)
+            held.append((position, runs))
+            end = max(end, max(runs[1], default=end))
+        if held:
+            yield _joined(held)
 
     # -- statistics ---------------------------------------------------------
 

@@ -304,7 +304,8 @@ class StreamEngine:
         for domain, tld, matches in zip(domains, tlds, row_matches):
             scope.observe(domain, tld, day, matches)
         if self._sketches is not None:
-            self._sketches.fold_batch(scope_name, day, batch, row_matches)
+            ends = [day + 1] * len(batch)
+            self._sketches.fold_runs(scope_name, batch, ends, row_matches)
         self.partitions_applied += 1
 
     def _apply_or_quarantine(self, partition: DayPartition) -> bool:

@@ -11,6 +11,7 @@ from repro.faults.inject import corrupt_blob
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.measurement.scheduler import DayPartition
 from repro.measurement.snapshot import DomainObservation
+from repro.sketch import SketchConfig
 from repro.stream.checkpoint import (
     PREVIOUS_SUFFIX,
     CheckpointError,
@@ -102,6 +103,30 @@ class TestLoadDamage:
 
         rewrite(path, tamper)
         with pytest.raises(CheckpointError, match="digest mismatch"):
+            load_checkpoint(str(path))
+
+    def test_impossible_hll_register_is_a_checkpoint_error(self, tmp_path):
+        """A re-signed plane payload whose domain counter holds a
+        register past its precision's range is damage, not state."""
+        engine = StreamEngine(
+            HORIZON, sources=("com",), sketches=SketchConfig()
+        )
+        engine.ingest(partition(0))
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(engine, path)
+
+        def tamper(document):
+            scopes = document["engine"]["sketches"]["scopes"]
+            scopes["gtld"]["domains"]["sparse"] = [[1 << 12, 3]]
+            payload = json.dumps(
+                document["engine"], sort_keys=True, separators=(",", ":")
+            )
+            document["digest"] = hashlib.sha256(
+                payload.encode("utf-8")
+            ).hexdigest()
+
+        rewrite(path, tamper)
+        with pytest.raises(CheckpointError, match="engine payload invalid"):
             load_checkpoint(str(path))
 
     def test_unsupported_format(self, tmp_path):

@@ -1,8 +1,10 @@
 """One partition kernel, every door.
 
 A landed partition is matched by :class:`BatchMatcher` and folded by
-``StreamEngine._apply`` / ``SketchPlane.fold_batch`` whatever produced
-it. These tests land the same few days of ``tiny_world`` once and walk
+``StreamEngine._apply`` / ``SketchPlane.fold_runs`` whatever produced
+it: the engine folds it as one-day runs, the sketch rebuild folds each
+source's stored runs once. These tests land the same few days of
+``tiny_world`` once and walk
 every way in — whole-history ``process_batch``, an engine fed from the
 store, from the segment-native replay feed, from row-built partitions
 (the shape fault shims hand over) and from partitions a checkpoint

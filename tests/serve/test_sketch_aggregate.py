@@ -182,7 +182,7 @@ def test_built_index_carries_frozen_sketch_views(served_stack):
     before = payload["rows_observed"]
     late = ObservationBatch()
     late.append_fields(0, "late-domain.example", "com", (), ())
-    engine.sketches.fold_batch("gtld", 0, late, [{}])
+    engine.sketches.fold_runs("gtld", late, [1], [{}])
     assert engine.sketches.scope("gtld").rows_observed > before
     assert index.aggregate_sketch("gtld")["rows_observed"] == before
 

@@ -2,9 +2,10 @@
 
 ``observe`` is the per-row body ``ScopeSketches`` used to carry,
 verbatim but for ``self`` → ``sketches``: every stream, count-min
-included, takes one update per row, in row order. ``fold_batch`` walks a
-partition the way ``SketchPlane.fold_batch`` used to, so the production
-fold (count-min once per distinct key per batch) must land on the same
+included, takes one update per row, in row order. ``fold_batch`` walks
+one day's partition row by row, so the production
+``SketchPlane.fold_runs`` (a HyperLogLog slot per distinct domain and
+role, count-min once per distinct key per call) must land on the same
 serialized plane.
 """
 

@@ -1,13 +1,17 @@
-"""``SketchPlane.fold_batch`` against the row-by-row reference fold.
+"""``SketchPlane.fold_runs`` against the row-by-row reference fold.
 
-The production fold counts each count-min key over a batch and updates
-it once with that count; :mod:`tests.sketch.reference_fold` updates
-every stream once per row. Count-min is additive, so both must serialize
-to the same bytes — on batches that repeat a provider or a third-party
-key many times, and under a config whose space-saving capacities are
-small enough to evict (the order-sensitive regime, which stays row
-ordered on both sides). ``derandomize=True`` as in the rest of
-``tests/sketch``.
+The production fold takes runs — row *i* holds on the days ``[day,
+end)`` — hashes each distinct domain once per HyperLogLog role, and
+counts each count-min key over the call before one update with that
+count; :mod:`tests.sketch.reference_fold` updates every stream once per
+daily row. Count-min is additive and HyperLogLog a register max, so
+both must serialize to the same bytes — on one-day runs (the engine's
+partition) and on multi-day runs against their expanded days, on
+batches that repeat a provider or a third-party key many times, and
+under a config whose space-saving capacities are small enough to evict
+(the order-sensitive regime, which takes the daily rows' order on both
+sides: day by day, each day's rows in batch order). ``derandomize=True``
+as in the rest of ``tests/sketch``.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ def _fold_both(config, feed, shared_pools=True):
         for domain, ns_names, cnames, _ in partition:
             batch.append_fields(day, domain, "com", ns_names, (), cnames)
         row_matches = [matches for *_, matches in partition]
-        folded.fold_batch(scope, day, batch, row_matches)
+        folded.fold_runs(scope, batch, [day + 1] * len(batch), row_matches)
         reference_fold.fold_batch(reference, scope, day, batch, row_matches)
     return folded, reference
 
@@ -105,6 +109,47 @@ def test_fold_batch_serializes_like_the_row_by_row_fold(
     folded, reference = _fold_both(config, feed, shared_pools)
     assert _dump(folded) == _dump(reference)
     assert folded.state_digest() == reference.state_digest()
+
+
+runs = st.lists(
+    st.tuples(rows, st.integers(0, 5), st.integers(1, 4)), max_size=20
+)
+
+
+@DETERMINISTIC
+@given(
+    st.sampled_from((SketchConfig(), EVICTING)),
+    st.lists(
+        st.tuples(st.sampled_from(("gtld", "nl")), runs),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_fold_runs_serializes_like_the_expanded_days(config, feed):
+    """Runs of one to four days, folded once, against the reference
+    fold of each covered day's rows, days ascending."""
+    folded, reference = _plane(config), _plane(config)
+    shared = BatchBuilder()
+    for scope, batch_runs in feed:
+        batch = shared.new_batch()
+        for (domain, ns_names, cnames, _), start, _ in batch_runs:
+            batch.append_fields(start, domain, "com", ns_names, (), cnames)
+        ends = [start + length for _, start, length in batch_runs]
+        row_matches = [row[3] for row, _, _ in batch_runs]
+        folded.fold_runs(scope, batch, ends, row_matches)
+        for day in sorted({
+            day for start, end in zip(batch.days, ends)
+            for day in range(start, end)
+        }):
+            covering = [
+                index for index, end in enumerate(ends)
+                if batch.days[index] <= day < end
+            ]
+            reference_fold.fold_batch(
+                reference, scope, day, batch.take(covering),
+                [row_matches[index] for index in covering],
+            )
+    assert _dump(folded) == _dump(reference)
 
 
 def test_repeated_keys_and_evictions_in_one_batch():

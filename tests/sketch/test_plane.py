@@ -31,7 +31,10 @@ def fold_rows(plane, day, rows, scope="gtld"):
     batch = ObservationBatch()
     for domain, _, ns_names in rows:
         batch.append_fields(day, domain, "com", ns_names, ())
-    plane.fold_batch(scope, day, batch, [matches for _, matches, _ in rows])
+    plane.fold_runs(
+        scope, batch, [day + 1] * len(batch),
+        [matches for _, matches, _ in rows],
+    )
     return plane.scope(scope)
 
 
@@ -134,6 +137,18 @@ class TestScopeSketches:
         with pytest.raises(SketchMergeError):
             left.merge(right)
 
+    def test_plane_merge_requires_matching_provider_slds(self):
+        """The third-party streams exclude the provider SLDs, so two
+        planes built on different vocabularies cannot merge."""
+        left, right = (
+            SketchPlane(SketchConfig(), scope_names=("gtld",),
+                        provider_slds=(sld,))
+            for sld in ("x.net", "y.net")
+        )
+        with pytest.raises(SketchMergeError, match="provider SLDs"):
+            left.merge(right)
+        assert left.to_dict()["provider_slds"] == ["x.net"]
+
     def test_copy_without_day_domains_drops_only_day_streams(self):
         plane = tiny_plane()
         scope = fold_some(plane)
@@ -235,6 +250,35 @@ class TestCodecValidation:
         payload["dense"] = payload["dense"][:-1]
         with pytest.raises(ValueError):
             HyperLogLog.from_dict(payload)
+
+    @pytest.mark.parametrize("register", [
+        [16, 3], [99, 3], [-1, 3], [3, -3], [3, 62], [3, 200],
+    ])
+    def test_hll_sparse_rejects_impossible_registers(self, register):
+        """At precision 4 a register index lies in [0, 16) and a rank
+        in [0, 61]; ``estimate()`` used to fail or drift on the rest."""
+        payload = HyperLogLog(precision=4, seed=1).to_dict()
+        payload["sparse"] = [register]
+        with pytest.raises(ValueError, match="cannot exist"):
+            HyperLogLog.from_dict(payload)
+
+    @pytest.mark.parametrize("rank", [-3, 62, 200])
+    def test_hll_dense_rejects_impossible_ranks(self, rank):
+        counter = HyperLogLog(precision=4, seed=1)
+        for index in range(40):
+            counter.add(f"k{index}")
+        payload = counter.to_dict()
+        payload["dense"][5] = rank
+        with pytest.raises(ValueError, match="cannot exist"):
+            HyperLogLog.from_dict(payload)
+
+    def test_hll_accepts_every_reachable_register(self):
+        for register in ([0, 0], [15, 61], [7, 1]):
+            payload = HyperLogLog(precision=4, seed=1).to_dict()
+            payload["sparse"] = [register]
+            counter = HyperLogLog.from_dict(payload)
+            assert counter.to_dict() == payload
+            assert counter.estimate() >= 0
 
     def test_space_saving_roundtrip_keeps_evictions(self):
         summary = SpaceSaving(capacity=2)
