@@ -15,6 +15,14 @@ default 4000 → ~34k domains, ~1.7M observation rows):
   answer the same aggregate. Sketch widths are fixed up front, so the
   long-history plane's resident set must stay within 1.25× of the
   short one (an exact index grows with every domain-day it has seen).
+
+The fixture also lands the same history one day per segment and
+compacts it, so it reads back as multi-day run fragments, and rebuilds
+the plane from that store: the rebuild must land on the same
+``state_digest()`` as the one from the daily store, so the run fold is
+checked at 10× scale. (The long store holds its 60 days in one segment,
+which compaction leaves as it is.) Both rebuild times ride the first
+gate's ``extra_info``; the gates themselves read the uncompacted store.
 """
 
 from __future__ import annotations
@@ -44,7 +52,8 @@ SHORT_DAYS = 12
 
 @pytest.fixture(scope="module")
 def sketch_bench(tmp_path_factory):
-    """(study, landed store, plane, long/short plane JSON paths)."""
+    """(study, landed store, plane, long/short plane JSON paths,
+    rebuild seconds from the daily and the compacted store)."""
     world = build_paper_world(
         ScenarioConfig(scale=SCALE10, seed=SCALE10_SEED)
     )
@@ -59,7 +68,22 @@ def sketch_bench(tmp_path_factory):
     ]
     landed = SegmentStore(str(root / "long"), create=True)
     landed.append_partitions(parts)
+    started = time.perf_counter()
     plane = sketch_from_store(landed)
+    rebuild = {"rebuild_seconds": time.perf_counter() - started}
+    with SegmentStore(str(root / "compacted"), create=True) as compacted:
+        for part in parts:
+            compacted.append_partitions([part])
+        compacted.compact()
+        assert [
+            meta.generation for meta in compacted.manifest.segments
+        ] == [1], "the day-by-day landing did not compact to runs"
+        started = time.perf_counter()
+        runs_plane = sketch_from_store(compacted)
+        rebuild["compacted_rebuild_seconds"] = time.perf_counter() - started
+    assert runs_plane.state_digest() == plane.state_digest(), (
+        "the compacted store's rebuild differs from the daily store's"
+    )
     with SegmentStore(str(root / "short"), create=True) as short:
         short.append_partitions(
             part for part in parts if part[1] < SHORT_DAYS
@@ -72,7 +96,7 @@ def sketch_bench(tmp_path_factory):
         json.dump(plane.to_dict(), handle)
     with open(short_path, "w", encoding="utf-8") as handle:
         json.dump(short_plane.to_dict(), handle)
-    yield study, landed, plane, long_path, short_path
+    yield study, landed, plane, long_path, short_path, rebuild
     landed.close()
 
 
@@ -95,7 +119,7 @@ def _aggregate_battery(plane):
 
 
 def test_sketch_aggregates_vs_exact_pass_at_10x(benchmark, sketch_bench):
-    study, landed, plane, _, _ = sketch_bench
+    study, landed, plane, _, _, rebuild = sketch_bench
     total_rows = sum(
         landed.row_count(source, day)
         for source, day in landed.partitions()
@@ -121,6 +145,8 @@ def test_sketch_aggregates_vs_exact_pass_at_10x(benchmark, sketch_bench):
     benchmark.extra_info["exact_seconds"] = round(exact_seconds, 4)
     benchmark.extra_info["sketch_seconds"] = round(sketch_seconds, 6)
     benchmark.extra_info["speedup"] = round(speedup, 1)
+    for name, seconds in rebuild.items():
+        benchmark.extra_info[name] = round(seconds, 4)
     assert speedup >= 10.0, (
         f"sketch aggregates only {speedup:.1f}x over the exact pass"
     )
@@ -165,7 +191,7 @@ def test_aggregate_rss_constant_in_history(benchmark, sketch_bench):
     """5× more history must not grow the plane's resident set."""
     if not os.path.exists("/proc/self/statm"):
         pytest.skip("requires /proc for resident-set measurement")
-    _, _, _, long_path, short_path = sketch_bench
+    _, _, _, long_path, short_path, _ = sketch_bench
 
     short_rank, short_rss = _probe_rss(short_path)
     long_rank, long_rss = benchmark.pedantic(
