@@ -19,17 +19,11 @@ Two layers:
   (:mod:`repro.analysis.callgraph`).
 
 Both run in the one pass of
-:class:`~repro.analysis.project.ProjectAnalyzer`, with SARIF output
-(:mod:`repro.analysis.sarif`) and a ratcheting suppression baseline
-(:mod:`repro.analysis.baseline`).
+:class:`~repro.analysis.project.ProjectAnalyzer`. An inline
+``# repro: ignore[rule]`` comment is the only way to suppress a finding,
+and the exit code is the only gate.
 """
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.findings import (
     Finding,
     is_suppressed,
@@ -44,12 +38,9 @@ from repro.analysis.project import ProjectAnalyzer, all_rule_descriptions
 from repro.analysis.report import render_json, render_text
 from repro.analysis.rules import Rule, default_rules, rule_ids
 from repro.analysis.runner import PARSE_ERROR, AnalysisResult, logical_module
-from repro.analysis.sarif import render_sarif
 
 __all__ = [
     "AnalysisResult",
-    "Baseline",
-    "BaselineError",
     "Finding",
     "PARSE_ERROR",
     "ProjectAnalyzer",
@@ -58,14 +49,11 @@ __all__ = [
     "all_rule_descriptions",
     "default_rules",
     "is_suppressed",
-    "load_baseline",
     "logical_module",
     "project_rule_ids",
     "project_rules",
     "render_json",
-    "render_sarif",
     "render_text",
     "rule_ids",
     "suppressed_rules",
-    "write_baseline",
 ]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
+from importlib.util import decode_source
 from typing import (
     Dict,
     FrozenSet,
@@ -34,6 +35,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.analysis.callgraph import (
@@ -120,9 +122,13 @@ class ModuleRecord:
 
 
 def build_record(
-    source: str, path: str, module: str, profile: str
+    source: Union[str, bytes], path: str, module: str, profile: str
 ) -> ModuleRecord:
-    """Parse one file into its :class:`ModuleRecord`."""
+    """Parse one file into its :class:`ModuleRecord`.
+
+    Raw bytes decode as the interpreter would decode them; bytes it
+    cannot decode are a parse error like any other.
+    """
     record = ModuleRecord(module=module, path=path, profile=profile)
     try:
         tree = ast.parse(source, filename=path)
@@ -137,6 +143,8 @@ def build_record(
             )
         )
         return record
+    if isinstance(source, bytes):
+        source = decode_source(source)
     record.symbols = build_module_symbols(tree, module, path)
     record.suppressions = suppressed_rules(source)
     excluded = PROFILE_LOCAL_EXCLUDES.get(profile, frozenset())
@@ -176,7 +184,7 @@ class ProjectAnalyzer:
         """
         records = []
         for module, path in sorted(self._collect(paths).items()):
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "rb") as handle:
                 source = handle.read()
             records.append(
                 build_record(source, path, module, profile_for(module))

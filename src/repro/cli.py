@@ -69,6 +69,21 @@ def _add_world_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _day_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
+def _add_days_option(parser: argparse.ArgumentParser, verb: str) -> None:
+    # The feed's end day is exclusive: --days N covers days 0..N-1.
+    parser.add_argument(
+        "--days", type=_day_count, default=None, metavar="N",
+        help=f"{verb} days 0..N-1 (default: the full horizon)",
+    )
+
+
 def _build_world(args: argparse.Namespace):
     return build_paper_world(
         ScenarioConfig(scale=args.scale, seed=args.seed)
@@ -178,10 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tail the world day-by-day with the incremental ingest engine",
     )
     _add_world_options(stream)
-    stream.add_argument(
-        "--days", type=int, default=None,
-        help="stop after this calendar day (default: the full horizon)",
-    )
+    _add_days_option(stream, "tail")
     stream.add_argument(
         "--sources", default="com,net,org,nl,alexa",
         help="comma-separated sources to tail",
@@ -214,10 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ingest the world and serve adoption queries over TCP",
     )
     _add_world_options(serve)
-    serve.add_argument(
-        "--days", type=int, default=None,
-        help="ingest through this calendar day (default: full horizon)",
-    )
+    _add_days_option(serve, "ingest")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=0,
@@ -258,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--format", dest="output_format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text", help="report format (default text)",
     )
     analyze.add_argument(
@@ -268,28 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--list-rules", action="store_true",
         help="list available rules and exit",
-    )
-    analyze.add_argument(
-        "--output", metavar="FILE",
-        help="write the report to FILE instead of stdout",
-    )
-    analyze.add_argument(
-        "--baseline", metavar="FILE",
-        help=(
-            "suppression baseline to apply (default: "
-            "analysis-baseline.json when present)"
-        ),
-    )
-    analyze.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    analyze.add_argument(
-        "--write-baseline", metavar="FILE",
-        help=(
-            "write current findings to FILE as a baseline (entries "
-            "need justifications filled in) and exit clean"
-        ),
     )
 
     store = commands.add_parser(
@@ -345,10 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ingest the world and print per-scope sketch statistics",
     )
     _add_world_options(sketch_stats)
-    sketch_stats.add_argument(
-        "--days", type=int, default=None,
-        help="ingest through this calendar day (default: full horizon)",
-    )
+    _add_days_option(sketch_stats, "ingest")
     sketch_stats.add_argument(
         "--sources", default="com,net,org,nl,alexa",
         help="comma-separated sources to ingest",
@@ -359,10 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ingest the world and print a heavy-hitter ranking",
     )
     _add_world_options(sketch_topk)
-    sketch_topk.add_argument(
-        "--days", type=int, default=None,
-        help="ingest through this calendar day (default: full horizon)",
-    )
+    _add_days_option(sketch_topk, "ingest")
     sketch_topk.add_argument(
         "--sources", default="com,net,org,nl,alexa",
         help="comma-separated sources to ingest",
@@ -614,15 +595,8 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    import os
-
     from repro.measurement.scheduler import ALL_SOURCES, PartitionFeed
-    from repro.stream import (
-        QueryAPI,
-        StreamEngine,
-        load_checkpoint,
-        save_checkpoint,
-    )
+    from repro.stream import StreamEngine, load_checkpoint, save_checkpoint
 
     sources = tuple(s for s in args.sources.split(",") if s)
     unknown = set(sources) - set(ALL_SOURCES)
@@ -634,6 +608,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     feed = PartitionFeed(world, sources)
     if args.resume and args.checkpoint and os.path.exists(args.checkpoint):
         engine = load_checkpoint(args.checkpoint)
+        if not set(sources) <= set(engine.sources):
+            print(
+                f"error: --sources {','.join(sources)} names sources "
+                f"that checkpoint {args.checkpoint} lacks (it holds "
+                f"{','.join(engine.sources)})",
+                file=sys.stderr,
+            )
+            return 1
         resumed_from = [
             (source, engine.resume_day(source)) for source in sources
         ]
@@ -651,14 +633,13 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         start = min(window[0] for window in feed.windows().values())
 
     end = world.horizon if args.days is None else min(args.days, world.horizon)
-    api = QueryAPI(engine)
     last_day = None
     for partition in feed.days(start=start, end=end):
         if partition.day != last_day:
             if last_day is not None:
                 days_done = last_day + 1
                 if args.interval and days_done % args.interval == 0:
-                    _print_stream_snapshots(api, engine, args.json)
+                    _print_stream_snapshots(engine, args.json)
                 if (
                     args.checkpoint
                     and args.checkpoint_every
@@ -668,11 +649,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             last_day = partition.day
         engine.ingest(partition, on_duplicate="skip")
 
-    print(
-        f";; tailed through day {last_day} "
-        f"({engine.partitions_applied} partitions applied)"
-    )
-    _print_stream_snapshots(api, engine, args.json)
+    if last_day is None:
+        print(
+            f";; nothing tailed: the run starts at day {start} "
+            f"and stops before day {end}"
+        )
+    else:
+        print(
+            f";; tailed through day {last_day} "
+            f"({engine.partitions_applied} partitions applied)"
+        )
+    _print_stream_snapshots(engine, args.json)
     for scope in engine.scope_names:
         try:
             growth = engine.growth(scope)
@@ -690,21 +677,22 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_stream_snapshots(api, engine, as_json: bool = False) -> None:
+def _print_stream_snapshots(engine, as_json: bool = False) -> None:
     from repro.reporting.figures import render_stream_counters
+    from repro.serve.index import ServeIndex
     from repro.serve.protocol import canonical_json
 
+    index = ServeIndex.build(engine)
+    # Engine order, not the index's sorted one: the output is pinned.
     for scope in engine.scope_names:
-        snapshot = api.snapshot(scope)
+        snapshot = index.live_snapshot(scope)
         if snapshot.day is None:
             continue
         if as_json:
             print(canonical_json(snapshot.to_dict()))
             continue
         print(
-            render_stream_counters(
-                snapshot, engine.scope(scope).any_series()
-            )
+            render_stream_counters(snapshot, index.scope(scope).any_series)
         )
         print()
 
@@ -951,16 +939,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import render_json, render_text
-    from repro.analysis.baseline import (
-        BaselineError,
-        load_baseline,
-        write_baseline,
-    )
     from repro.analysis.project import (
         ProjectAnalyzer,
         all_rule_descriptions,
     )
-    from repro.analysis.sarif import render_sarif
 
     descriptions = all_rule_descriptions()
     if args.list_rules:
@@ -987,46 +969,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        write_baseline(result.findings, args.write_baseline)
-        print(
-            f"wrote {len(result.findings)} finding(s) to "
-            f"{args.write_baseline}; fill in the justifications"
-        )
-        return 0
-    stale = []
-    if not args.no_baseline:
-        baseline_path = args.baseline
-        if baseline_path is None and os.path.exists(
-            "analysis-baseline.json"
-        ):
-            baseline_path = "analysis-baseline.json"
-        if baseline_path is not None:
-            try:
-                baseline = load_baseline(baseline_path)
-            except (BaselineError, OSError) as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            match = baseline.apply(result.findings)
-            result.findings = match.new_findings
-            stale = match.stale_entries
     if args.output_format == "json":
-        report = render_json(result)
-    elif args.output_format == "sarif":
-        report = render_sarif(result, descriptions)
+        print(render_json(result))
     else:
-        report = render_text(result)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-    else:
-        print(report)
-    for entry in stale:
-        print(
-            f"warning: stale baseline entry: {entry.rule} at "
-            f"{entry.path} no longer matches any finding",
-            file=sys.stderr,
-        )
+        print(render_text(result))
     return 0 if result.clean else 1
 
 

@@ -344,10 +344,10 @@ def render_stream_counters(
 ) -> str:
     """Live adoption counters from streamed aggregates.
 
-    *snapshot* is a :class:`repro.stream.query.LiveSnapshot` (duck-typed:
+    *snapshot* is a :class:`repro.serve.index.LiveSnapshot` (duck-typed:
     ``scope``, ``day``, ``domains_seen``, ``any_use``, ``providers``).
-    Pass the scope's combined daily series so far to get a trend
-    sparkline alongside the table.
+    Pass the scope's combined daily series (``ScopeIndex.any_series``)
+    to get a trend sparkline alongside the table.
     """
     if snapshot.day is None:
         return f"[{snapshot.scope}] no complete day ingested yet"

@@ -1,13 +1,14 @@
 """repro.serve — the live, self-protecting adoption query service.
 
-The streaming engine answers queries in-process (:class:`QueryAPI`);
-this package promotes that read path to a concurrent network service
-over atomic snapshot indexes:
+The streaming engine answers queries in-process; this package
+promotes that read path to a concurrent network service over atomic
+snapshot indexes:
 
 * :class:`ServeIndex` / :class:`SnapshotSwapper` — immutable
   read-optimized indexes rebuilt after each completed ingest day and
   swapped atomically, so readers never block ingest and never observe
-  a torn day;
+  a torn day; :class:`LiveSnapshot` is one scope's counters read off
+  an index (what ``repro stream`` prints);
 * :mod:`~repro.serve.protocol` — the versioned, canonically-encoded
   newline-JSON wire protocol (lookup / history / aggregate / snapshot /
   health);
@@ -20,15 +21,16 @@ over atomic snapshot indexes:
   auto-block with healing;
 * :class:`ServeClient` — the asyncio client (plus sync helpers).
 
-Every served answer is byte-identical to the batch/:class:`QueryAPI`
-answer for the same day (``tests/serve/test_equivalence.py`` proves it
-at checkpoint days while ingest runs concurrently); see
-``docs/SERVING.md``.
+Every served answer is byte-identical to the batch answer and to the
+live engine's own reads for the same day
+(``tests/serve/test_equivalence.py`` proves it at checkpoint days while
+ingest runs concurrently); see ``docs/SERVING.md``.
 """
 
 from repro.serve.client import ServeClient, request_mix, request_once
 from repro.serve.guard import AdmissionGuard, Decision
 from repro.serve.index import (
+    LiveSnapshot,
     ScopeIndex,
     ServeError,
     ServeIndex,
@@ -58,6 +60,7 @@ from repro.serve.server import (
 __all__ = [
     "AdmissionGuard",
     "Decision",
+    "LiveSnapshot",
     "MAX_REQUEST_BYTES",
     "OPERATIONS",
     "PROTOCOL_VERSION",

@@ -18,17 +18,46 @@ and never take a lock that could block ingest.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.classification import UsageClassifier
 from repro.core.detection import UseInterval
 from repro.sketch.plane import ScopeSketches
 from repro.stream.engine import StreamEngine
-from repro.stream.query import LiveSnapshot
 
 
 class ServeError(ValueError):
     """A serve-index read that cannot be answered (unknown scope/...)."""
+
+
+@dataclass(frozen=True)
+class LiveSnapshot:
+    """One scope's counters as of its latest fully ingested day."""
+
+    scope: str
+    day: Optional[int]
+    domains_seen: int
+    any_use: int
+    providers: Dict[str, int]
+
+    def to_dict(self) -> Dict[str, object]:
+        """Canonical JSON-compatible form (shared with the serve protocol).
+
+        Keys are stable and provider counters are emitted sorted by name,
+        so two equal snapshots always encode to identical bytes under
+        :func:`repro.serve.protocol.canonical_json`.
+        """
+        return {
+            "scope": self.scope,
+            "day": self.day,
+            "domains_seen": self.domains_seen,
+            "any_use": self.any_use,
+            "providers": {
+                provider: self.providers[provider]
+                for provider in sorted(self.providers)
+            },
+        }
 
 
 def build_scope_index(
@@ -214,7 +243,7 @@ class ServeIndex:
     def history(
         self, domain: str
     ) -> Dict[str, Dict[str, List[UseInterval]]]:
-        """scope → provider → use intervals (the QueryAPI shape)."""
+        """scope → provider → use intervals, as ``engine.domain_history``."""
         history: Dict[str, Dict[str, List[UseInterval]]] = {}
         for scope_name in sorted(self._scopes):
             scope_index = self._scopes[scope_name]
@@ -383,13 +412,21 @@ class ServeIndex:
         }
 
     def live_snapshot(self, scope: str = "gtld") -> LiveSnapshot:
-        """The scope's counters as a :class:`LiveSnapshot`.
-
-        Identical to ``QueryAPI.snapshot`` against the engine this index
-        was built from: both go through :meth:`LiveSnapshot.of`.
-        """
+        """The scope's counters at its day (all zero before the first)."""
         scope_index = self.scope(scope)
-        return LiveSnapshot.of(scope, scope_index.day, scope_index)
+        day = scope_index.day
+        return LiveSnapshot(
+            scope=scope,
+            day=day,
+            domains_seen=scope_index.domains_seen,
+            any_use=0 if day is None else scope_index.any_adoption(day),
+            providers={
+                provider: (
+                    0 if day is None else scope_index.adoption(provider, day)
+                )
+                for provider in scope_index.provider_names
+            },
+        )
 
     def snapshot_payload(self) -> Dict[str, object]:
         """Protocol form of the whole-index snapshot/health summary."""

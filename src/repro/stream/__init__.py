@@ -14,8 +14,11 @@ one landed ``(source, day)`` partition at a time:
   live; :class:`StoreReplayFeed` / :class:`SegmentReplayFeed` replay
   existing data;
 * checkpoints — :func:`save_checkpoint` / :func:`load_checkpoint`
-  serialise the engine for kill-and-resume;
-* :class:`QueryAPI` — the read side (adoption / growth / domain history).
+  serialise the engine for kill-and-resume.
+
+The engine answers its own queries (``adoption``, ``growth``,
+``domain_history``); the frozen read surface built from it is
+:class:`repro.serve.index.ServeIndex`.
 
 After ingesting every day of a world, the engine's aggregates equal the
 batch study's exactly (``tests/stream/test_equivalence.py`` asserts it),
@@ -39,16 +42,12 @@ from repro.stream.engine import (
     StreamEngine,
 )
 from repro.stream.feed import SegmentReplayFeed, StoreReplayFeed
-from repro.stream.query import DomainHistory, LiveSnapshot, QueryAPI
 
 __all__ = [
     "APPLIED",
     "CHECKPOINT_FORMAT",
     "DUPLICATE",
-    "DomainHistory",
-    "LiveSnapshot",
     "QUARANTINED",
-    "QueryAPI",
     "RECONCILED",
     "SCOPE_OF_SOURCE",
     "ScopeState",

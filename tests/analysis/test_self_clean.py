@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import load_baseline
 from repro.analysis.project import ProjectAnalyzer
 
 REPO = Path(__file__).parents[2]
@@ -34,22 +33,22 @@ def test_all_rules_ran():
     assert len(result.rules_run) == 9
 
 
-def test_tree_is_interprocedurally_clean_with_shipped_baseline():
+def test_tree_is_interprocedurally_clean():
     """The acceptance bar for the interprocedural engine: src, benchmarks,
-    and tests all pass the full rule set, modulo only findings the
-    shipped baseline explicitly sanctions (each with a justification)."""
+    tests and examples all pass the full rule set. Inline
+    ``# repro: ignore[rule]`` comments are the only suppressions."""
     result = ProjectAnalyzer(root=str(REPO)).analyze_paths(
-        [str(SRC), str(REPO / "benchmarks"), str(REPO / "tests")]
+        [
+            str(SRC),
+            str(REPO / "benchmarks"),
+            str(REPO / "tests"),
+            str(REPO / "examples"),
+        ]
     )
     assert result.files_checked > 150
-    baseline = load_baseline(str(REPO / "analysis-baseline.json"))
-    match = baseline.apply(result.findings)
-    assert not match.new_findings, "\n" + "\n".join(
-        finding.format() for finding in match.new_findings
+    assert result.clean, "\n" + "\n".join(
+        finding.format() for finding in result.findings
     )
-    assert not match.stale_entries, [
-        entry.key() for entry in match.stale_entries
-    ]
 
 
 def test_project_rules_all_ran_over_src():

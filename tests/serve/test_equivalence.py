@@ -1,4 +1,4 @@
-"""Served answers are byte-identical to batch/QueryAPI answers.
+"""Served answers are byte-identical to batch answers and live engine reads.
 
 The proof the tentpole hangs on: a server answering over atomic
 snapshot indexes **while ingest runs concurrently** produces, at three
@@ -26,7 +26,6 @@ from repro.serve.index import ServeIndex, SnapshotSwapper
 from repro.serve.protocol import Request, encode_frame, ok_response
 from repro.serve.server import ServeDispatcher, ThreadedServer
 from repro.stream.engine import StreamEngine
-from repro.stream.query import QueryAPI
 
 
 def raw_request(host: str, port: int, request: Request) -> bytes:
@@ -222,12 +221,15 @@ def test_served_answers_byte_identical_under_concurrent_ingest(
                 final_day
             ]
 
-        # And the in-process QueryAPI over the live engine state agrees.
-        api = QueryAPI(engine)
-        assert api.snapshot("gtld").to_dict() == {
+        # And the live engine state's own reads agree.
+        state = engine.scope("gtld")
+        assert served == {
             "scope": "gtld",
-            "day": served["day"],
-            "domains_seen": served["domains_seen"],
-            "any_use": served["any_use"],
-            "providers": served["providers"],
+            "day": final_day,
+            "domains_seen": state.domains_seen,
+            "any_use": state.any_adoption(final_day),
+            "providers": {
+                provider: state.adoption(provider, final_day)
+                for provider in state.provider_names
+            },
         }

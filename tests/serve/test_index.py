@@ -7,10 +7,9 @@ import json
 import pytest
 
 from repro.core.classification import UsageClass
-from repro.serve.index import ServeError, SnapshotSwapper
+from repro.serve.index import LiveSnapshot, ServeError, SnapshotSwapper
 from repro.serve.protocol import canonical_json
 from repro.stream.engine import StreamEngine
-from repro.stream.query import QueryAPI
 
 
 class TestServeIndexReads:
@@ -105,17 +104,23 @@ class TestServeIndexReads:
 
 
 class TestQueryApiRouting:
-    """Served == live: frozen-index reads equal QueryAPI's engine reads."""
+    """Served == live: frozen-index reads equal the engine's own reads."""
 
     def test_snapshots_identical(self, served_stack):
         engine, swapper = served_stack
-        live = QueryAPI(engine)
         index = swapper.current_index()
         for name in index.scope_names:
-            assert index.live_snapshot(name) == live.snapshot(name)
-            assert (
-                index.live_snapshot(name).to_dict()
-                == live.snapshot(name).to_dict()
+            day = engine.latest_day(name)
+            state = engine.scope(name)
+            assert index.live_snapshot(name) == LiveSnapshot(
+                scope=name,
+                day=day,
+                domains_seen=state.domains_seen,
+                any_use=state.any_adoption(day),
+                providers={
+                    provider: state.adoption(provider, day)
+                    for provider in state.provider_names
+                },
             )
 
     def test_domain_history_identical(
@@ -123,40 +128,41 @@ class TestQueryApiRouting:
     ):
         engine, swapper = served_stack
         domain, _ = protected_domain
-        live = QueryAPI(engine)
         index = swapper.current_index()
-        assert index.history(domain) == live.domain_history(
-            domain
-        ).intervals
+        assert index.history(domain) == engine.domain_history(domain)
         assert index.history("never-seen.example") == (
-            live.domain_history("never-seen.example").intervals
+            engine.domain_history("never-seen.example")
         )
 
     def test_adoption_identical(self, served_stack):
         engine, swapper = served_stack
         index = swapper.current_index()
-        live = QueryAPI(engine)
+        state = engine.scope("gtld")
         day = index.scope("gtld").day
+        assert day == engine.latest_day("gtld")
         for provider in index.scope("gtld").provider_names:
-            assert index.adoption(provider) == live.adoption(provider)
+            assert index.adoption(provider) == state.adoption(provider, day)
             assert index.adoption(provider, day=day // 2) == (
-                live.adoption(provider, day=day // 2)
+                state.adoption(provider, day // 2)
             )
 
     def test_total_days_sums_scope_intervals(
         self, served_stack, protected_domain
     ):
-        engine, _ = served_stack
+        engine, swapper = served_stack
         domain, _ = protected_domain
-        history = QueryAPI(engine).domain_history(domain)
-        expected = sum(
-            interval.days
-            for by_provider in (history.intervals.get("gtld", {}),)
-            for runs in by_provider.values()
-            for interval in runs
-        )
-        assert history.total_days() == expected
-        assert history.total_days("unseen-scope") == 0
+
+        def total_days(history, scope):
+            return sum(
+                interval.days
+                for runs in history.get(scope, {}).values()
+                for interval in runs
+            )
+
+        served = swapper.current_index().history(domain)
+        live = engine.domain_history(domain)
+        assert total_days(served, "gtld") == total_days(live, "gtld") > 0
+        assert total_days(served, "unseen-scope") == 0
 
 
 class TestSnapshotSwapper:

@@ -11,6 +11,7 @@ from repro.core.detection import UseInterval
 from repro.core.references import RefType
 from repro.measurement.scheduler import DayPartition
 from repro.measurement.snapshot import DomainObservation
+from repro.serve.index import ServeIndex
 from repro.stream.checkpoint import state_digest
 from repro.stream.engine import (
     APPLIED,
@@ -19,7 +20,6 @@ from repro.stream.engine import (
     RECONCILED,
     StreamEngine,
 )
-from repro.stream.query import QueryAPI
 
 HORIZON = 10
 
@@ -219,35 +219,17 @@ class TestQueries:
             engine().growth("gtld")
 
 
-class TestQueryAPI:
+class TestLiveSnapshot:
     def test_snapshot_before_any_ingest(self):
-        api = QueryAPI(engine())
-        snapshot = api.snapshot("gtld")
+        snapshot = ServeIndex.build(engine()).live_snapshot("gtld")
         assert snapshot.day is None
         assert snapshot.any_use == 0
 
     def test_snapshot_reflects_latest_counters(self):
         stream = engine()
         stream.ingest_feed(day_partitions(range(3)))
-        snapshot = QueryAPI(stream).snapshot("gtld")
+        snapshot = ServeIndex.build(stream).live_snapshot("gtld")
         assert snapshot.day == 2
         assert snapshot.domains_seen == 2
         assert snapshot.any_use == 1
         assert snapshot.providers == {"StubDPS": 1}
-        assert snapshot.top_providers() == ["StubDPS"]
-
-    def test_domain_history_wrapper(self):
-        stream = engine()
-        stream.ingest_feed(day_partitions(range(3)))
-        history = QueryAPI(stream).domain_history("prot-a.com")
-        assert history.domain == "prot-a.com"
-        assert history.providers == ["StubDPS"]
-        assert history.total_days("gtld") == 3
-        assert history.total_days("nl") == 0
-
-    def test_adoption_passthrough(self):
-        stream = engine()
-        stream.ingest_feed(day_partitions(range(2)))
-        api = QueryAPI(stream)
-        assert api.adoption("StubDPS") == 1
-        assert api.adoption("StubDPS", day=0) == 1

@@ -10,6 +10,7 @@ byte-identical state.
 
 import pytest
 
+from repro.serve.index import ServeIndex
 from repro.stream.checkpoint import (
     dump_state,
     load_checkpoint,
@@ -17,7 +18,6 @@ from repro.stream.checkpoint import (
     state_digest,
 )
 from repro.stream.engine import StreamEngine
-from repro.stream.query import QueryAPI
 from repro.world.timeline import CCTLD_START_DAY
 
 #: Kill/resume split point: mid-study, with all three scopes active.
@@ -121,17 +121,18 @@ class TestLiveQueries:
     def test_adoption_queries_read_batch_values(
         self, streamed_engine, stream_results
     ):
-        api = QueryAPI(streamed_engine)
         batch = stream_results.detection_gtld
         latest = stream_results.horizon - 1
         for provider, series in batch.providers.items():
-            assert api.adoption(provider) == series.total[latest]
-            assert api.adoption(provider, day=100) == series.total[100]
+            assert streamed_engine.adoption(provider) == series.total[latest]
+            assert streamed_engine.adoption(provider, day=100) == (
+                series.total[100]
+            )
 
     def test_snapshot_totals_match_batch(
         self, streamed_engine, stream_results
     ):
-        snapshot = QueryAPI(streamed_engine).snapshot("gtld")
+        snapshot = ServeIndex.build(streamed_engine).live_snapshot("gtld")
         batch = stream_results.detection_gtld
         assert snapshot.day == stream_results.horizon - 1
         assert snapshot.domains_seen == batch.domains_seen

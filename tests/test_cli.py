@@ -19,6 +19,13 @@ class TestParser:
     def test_study_artifacts_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["study", "--artifact", "fig99"])
+        # --days counts days (0..N-1), so a negative count is a usage error.
+        for command in (
+            ["stream"], ["serve"], ["sketch", "stats"], ["sketch", "topk"]
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(command + ["--days", "-3"])
+            assert exit_info.value.code == 2
 
 
 class TestZonefile:
@@ -270,6 +277,76 @@ class TestStream:
     def test_unknown_source_fails(self, capsys):
         code = main(["stream", "--sources", "bogus", "--days", "2"] + SCALE)
         assert code == 1
+
+    def test_resume_with_a_source_the_checkpoint_lacks_fails(
+        self, capsys, tmp_path
+    ):
+        checkpoint = str(tmp_path / "stream.ckpt")
+        base = ["stream", "--checkpoint", checkpoint] + SCALE
+        assert main(base + ["--days", "3", "--sources", "com"]) == 0
+        capsys.readouterr()
+        code = main(
+            base + ["--days", "5", "--sources", "com,org", "--resume"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert "com,org" in line and "holds com)" in line
+
+    def test_a_run_that_applies_nothing_says_why(self, capsys, tmp_path):
+        code = main(["stream", "--days", "0", "--sources", "com"] + SCALE)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert (
+            ";; nothing tailed: the run starts at day 0 "
+            "and stops before day 0"
+        ) in out
+        assert "None" not in out
+        checkpoint = str(tmp_path / "stream.ckpt")
+        base = ["stream", "--sources", "com", "--checkpoint", checkpoint]
+        assert main(base + ["--days", "3"] + SCALE) == 0
+        capsys.readouterr()
+        code = main(base + ["--days", "2", "--resume"] + SCALE)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert ";; resumed from com@3" in out
+        assert "nothing tailed: the run starts at day 3" in out
+        assert "None" not in out
+
+    def test_json_lines_are_the_serve_index_snapshots(self, capsys):
+        import json
+
+        from repro.measurement.scheduler import PartitionFeed
+        from repro.serve.index import ServeIndex
+        from repro.stream import StreamEngine
+        from repro.world.scenario import ScenarioConfig, build_paper_world
+
+        # nl and alexa open on day 366, so three days cover both scopes.
+        code = main(
+            ["stream", "--days", "369", "--sources", "nl,alexa", "--json"]
+            + SCALE
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = [
+            json.loads(line)
+            for line in out.splitlines()
+            if line.startswith("{")
+        ]
+        world = build_paper_world(ScenarioConfig(scale=60000, seed=7))
+        feed = PartitionFeed(world, ("nl", "alexa"))
+        engine = StreamEngine(
+            world.horizon, sources=("nl", "alexa"), windows=feed.windows()
+        )
+        engine.ingest_feed(feed.days(end=369))
+        index = ServeIndex.build(engine)
+        assert lines == [
+            index.live_snapshot(scope).to_dict()
+            for scope in engine.scope_names
+        ]
+        assert [line["day"] for line in lines] == [368, 368]
 
     def test_json_tail_emits_canonical_snapshots(self, capsys):
         import json
