@@ -29,16 +29,6 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: Builtin exception names a project class may ultimately derive from.
-BUILTIN_EXCEPTIONS = frozenset(
-    {
-        "BaseException", "Exception", "ValueError", "TypeError",
-        "RuntimeError", "KeyError", "IndexError", "OSError", "IOError",
-        "ArithmeticError", "LookupError", "AttributeError",
-        "NotImplementedError", "StopIteration", "ConnectionError",
-    }
-)
-
 _OPTIONAL_RE = re.compile(r"^Optional\[(?P<inner>[A-Za-z_][A-Za-z0-9_.]*)\]$")
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
@@ -111,26 +101,6 @@ class CallSite:
 
 
 @dataclass(frozen=True)
-class RaiseSite:
-    """A ``raise Symbol(...)`` statement."""
-
-    symbol: str
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class HandlerSite:
-    """An ``except`` handler: caught types and what the body does."""
-
-    type_symbols: Tuple[str, ...]
-    has_raise: bool
-    call_symbols: Tuple[str, ...]
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
 class AttrWrite:
     """An assignment ``base.attr = ...`` inside a function body."""
 
@@ -155,8 +125,6 @@ class FunctionSymbol:
     param_types: Dict[str, str] = field(default_factory=dict)
     var_types: Dict[str, str] = field(default_factory=dict)
     calls: Tuple[CallSite, ...] = ()
-    raises: Tuple[RaiseSite, ...] = ()
-    handlers: Tuple[HandlerSite, ...] = ()
     attr_writes: Tuple[AttrWrite, ...] = ()
 
 
@@ -220,12 +188,10 @@ def _flatten_arg_symbols(call: ast.Call) -> Tuple[str, ...]:
 
 
 class _FunctionCollector(ast.NodeVisitor):
-    """Collects call/raise/handler/write facts inside one function."""
+    """Collects call and attribute-write facts inside one function."""
 
     def __init__(self) -> None:
         self.calls: List[CallSite] = []
-        self.raises: List[RaiseSite] = []
-        self.handlers: List[HandlerSite] = []
         self.attr_writes: List[AttrWrite] = []
         self.var_types: Dict[str, str] = {}
 
@@ -250,55 +216,6 @@ class _FunctionCollector(ast.NodeVisitor):
                     arg_symbols=_flatten_arg_symbols(node),
                 )
             )
-        self.generic_visit(node)
-
-    def visit_Raise(self, node: ast.Raise) -> None:
-        exc = node.exc
-        if isinstance(exc, ast.Call):
-            symbol = call_symbol(exc.func)
-        elif isinstance(exc, (ast.Name, ast.Attribute)):
-            symbol = call_symbol(exc)
-        else:
-            symbol = None
-        if symbol is not None:
-            self.raises.append(
-                RaiseSite(symbol, node.lineno, node.col_offset)
-            )
-        self.generic_visit(node)
-
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        types: List[str] = []
-        if isinstance(node.type, ast.Tuple):
-            elements: List[ast.expr] = list(node.type.elts)
-        elif node.type is not None:
-            elements = [node.type]
-        else:
-            elements = []
-        for element in elements:
-            symbol = call_symbol(element)
-            if symbol is not None:
-                types.append(symbol)
-        has_raise = any(
-            isinstance(inner, ast.Raise)
-            for statement in node.body
-            for inner in ast.walk(statement)
-        )
-        body_calls: List[str] = []
-        for statement in node.body:
-            for inner in ast.walk(statement):
-                if isinstance(inner, ast.Call):
-                    symbol = call_symbol(inner.func)
-                    if symbol is not None:
-                        body_calls.append(symbol)
-        self.handlers.append(
-            HandlerSite(
-                type_symbols=tuple(types),
-                has_raise=has_raise,
-                call_symbols=tuple(body_calls),
-                line=node.lineno,
-                column=node.col_offset,
-            )
-        )
         self.generic_visit(node)
 
     def _record_target(self, target: ast.expr, value: ast.expr) -> None:
@@ -375,8 +292,6 @@ def _collect_function(
         param_types=param_types,
         var_types=var_types,
         calls=tuple(collector.calls),
-        raises=tuple(collector.raises),
-        handlers=tuple(collector.handlers),
         attr_writes=tuple(collector.attr_writes),
     )
 
@@ -595,9 +510,6 @@ class CallGraph:
                     return init.qualname
         return None
 
-    def class_by_dotted(self, dotted: str) -> Optional[ClassSymbol]:
-        return self.classes.get(dotted)
-
     def lookup_method(
         self, cls: ClassSymbol, method: str
     ) -> Optional[FunctionSymbol]:
@@ -696,37 +608,3 @@ class CallGraph:
             if found is not None:
                 return Target("project", found.qualname)
         return Target("external", dotted)
-
-    # -- class classification ----------------------------------------------
-
-    def is_exception_class(self, cls: ClassSymbol) -> bool:
-        """True when *cls* derives (project-transitively) from Exception."""
-        seen: Set[str] = set()
-        queue: List[str] = list(cls.bases)
-        while queue:
-            base = queue.pop(0)
-            if base in seen:
-                continue
-            seen.add(base)
-            if base.rpartition(".")[2] in BUILTIN_EXCEPTIONS:
-                return True
-            parent = self.classes.get(base)
-            if parent is not None:
-                queue.extend(parent.bases)
-        return False
-
-    def derives_from(self, cls: ClassSymbol, ancestor_name: str) -> bool:
-        """True when *cls* has a project ancestor named *ancestor_name*."""
-        seen: Set[str] = set()
-        queue: List[str] = list(cls.bases)
-        while queue:
-            base = queue.pop(0)
-            if base in seen:
-                continue
-            seen.add(base)
-            if base.rpartition(".")[2] == ancestor_name:
-                return True
-            parent = self.classes.get(base)
-            if parent is not None:
-                queue.extend(parent.bases)
-        return False

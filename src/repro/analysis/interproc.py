@@ -27,14 +27,6 @@ that is invisible to any single-file pass:
     interleaves writes.
     Classes become fork-unsafe transitively (a class holding a
     fork-unsafe class is itself fork-unsafe).
-
-``exception-flow``
-    Typed errors raised on worker paths must survive the trip back
-    through the process pool: a custom multi-parameter ``__init__``
-    without a pool-safe ``__reduce__`` unpickles into a ``TypeError``
-    that *masks the real failure*. And typed faults caught on worker
-    paths must be accounted (FaultLog/quarantine/retry) before being
-    swallowed, or degraded runs stop being auditable.
 """
 
 from __future__ import annotations
@@ -420,133 +412,12 @@ class ForkUnsafeCaptureRule(ProjectRule):
         return findings
 
 
-#: Packages whose raises may cross a process pool.
-WORKER_PACKAGES: Tuple[str, ...] = (
-    "repro/parallel/",
-    "repro/mapreduce/",
-    "repro/faults/",
-    "repro/stream/",
-)
-
-#: Handler body calls that count as fault accounting.
-ACCOUNTING_MARKERS: Tuple[str, ...] = (
-    "record", "quarantine", "fault", "log", "absorb", "retry", "mark",
-    "skip", "warn",
-)
-
-
-class ExceptionFlowRule(ProjectRule):
-    id = "exception-flow"
-    summary = (
-        "worker-path typed error without pool-safe __reduce__, or a "
-        "typed fault swallowed before FaultLog accounting"
-    )
-
-    def _needs_reduce(
-        self, graph: CallGraph, cls: ClassSymbol
-    ) -> Optional[str]:
-        """Why *cls* needs ``__reduce__``, or None when it is safe."""
-        if not graph.is_exception_class(cls):
-            return None
-        init = graph.lookup_method(cls, "__init__")
-        if init is None or len(init.params) <= 1:
-            return None
-        if graph.lookup_method(cls, "__reduce__") is not None:
-            return None
-        return (
-            f"__init__ takes ({', '.join(init.params)}) but pickling "
-            f"replays the constructor with args alone"
-        )
-
-    def check_project(self, project: ProjectModel) -> List[Finding]:
-        graph = project.graph
-        findings: List[Finding] = []
-        for fqual in sorted(graph.functions):
-            function = graph.functions[fqual]
-            if not function.module.startswith(WORKER_PACKAGES):
-                continue
-            table = graph.modules.get(function.module)
-            if table is None:
-                continue
-            for raise_site in function.raises:
-                cls = self._resolve_class(graph, table, raise_site.symbol)
-                if cls is None:
-                    continue
-                reason = self._needs_reduce(graph, cls)
-                if reason is not None:
-                    findings.append(
-                        self._finding(
-                            project,
-                            function.module,
-                            raise_site.line,
-                            raise_site.column,
-                            f"{cls.name} raised on a worker path "
-                            f"without a pool-safe __reduce__: {reason}; "
-                            f"the unpickle TypeError would mask the "
-                            f"real failure",
-                        )
-                    )
-            for handler in function.handlers:
-                if handler.has_raise:
-                    continue
-                caught_fault = False
-                for symbol in handler.type_symbols:
-                    cls = self._resolve_class(graph, table, symbol)
-                    if cls is not None and (
-                        cls.name == "FaultError"
-                        or graph.derives_from(cls, "FaultError")
-                    ):
-                        caught_fault = True
-                        break
-                if not caught_fault:
-                    continue
-                accounted = any(
-                    marker in call.lower()
-                    for call in handler.call_symbols
-                    for marker in ACCOUNTING_MARKERS
-                )
-                if not accounted:
-                    findings.append(
-                        self._finding(
-                            project,
-                            function.module,
-                            handler.line,
-                            handler.column,
-                            "typed fault swallowed without FaultLog "
-                            "accounting; record, quarantine, or retry "
-                            "before continuing so degraded runs stay "
-                            "auditable",
-                        )
-                    )
-        return findings
-
-    def _resolve_class(
-        self,
-        graph: CallGraph,
-        table: "object",
-        symbol: str,
-    ) -> Optional[ClassSymbol]:
-        from repro.analysis.callgraph import ModuleSymbols, _resolve_raw
-
-        assert isinstance(table, ModuleSymbols)
-        if symbol.startswith(".") or symbol.startswith(("self.", "cls.")):
-            return None
-        dotted = _resolve_raw(
-            symbol,
-            table.imports,
-            table.dotted,
-            set(table.functions) | set(table.classes),
-        )
-        return graph.classes.get(dotted)
-
-
 def project_rules() -> Tuple[ProjectRule, ...]:
     """All interprocedural rules, in reporting order."""
     return (
         AsyncBlockingRule(),
         SnapshotMutationRule(),
         ForkUnsafeCaptureRule(),
-        ExceptionFlowRule(),
     )
 
 

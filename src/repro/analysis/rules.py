@@ -5,7 +5,9 @@ checkpoint byte-identity (and the study's reproducibility generally)
 depends on. Iteration order, salted hashing and float accumulation are
 not judged here: the conformance matrix
 (``tests/integration/test_conformance.py``) checks their effect on the
-bytes directly, see ``docs/ANALYSIS.md``.
+bytes directly. Nor are mutable defaults or per-row boxing on the
+columnar hot paths: tier-1 and the end-to-end benchmark caught every
+bug of those classes planted for them (``docs/ANALYSIS.md``).
 
 ``wall-clock``
     ``repro.core`` and ``repro.stream`` must be pure functions of their
@@ -23,10 +25,6 @@ bytes directly, see ``docs/ANALYSIS.md``.
     that swallow (never re-raise) on ingest paths, hide data-quality
     problems that should quarantine a partition instead.
 
-``mutable-default``
-    Mutable default arguments alias state across calls — classic
-    accumulated-state nondeterminism.
-
 ``schema-drift``
     Every field a codec class's ``__init__`` writes must be read by both
     its checkpoint encoder (``to_dict``) and decoder (``from_dict``);
@@ -42,15 +40,6 @@ bytes directly, see ``docs/ANALYSIS.md``.
     scheduling — the exact nondeterminism the subsystem exists to rule
     out. Iterate the submitted futures list and call ``.result()`` in
     shard-index order instead.
-
-``row-boxing-in-hot-path``
-    The measurement, streaming, and segment-store layers move data as
-    columnar :class:`repro.batch.batch.ObservationBatch` objects;
-    constructing a ``DomainObservation`` per row inside a loop there
-    reintroduces the per-row boxing the batch plane exists to
-    eliminate. Stay columnar (or use ``batch.row(i)`` lazily); the
-    sanctioned row-shaped compatibility sites carry a
-    ``repro: ignore[row-boxing-in-hot-path]`` suppression.
 
 ``decode-in-segment-hot-path``
     The v2 segment read path (:mod:`repro.store`) decodes whole column
@@ -109,9 +98,6 @@ _CLOCK_READS: FrozenSet[str] = frozenset(
 )
 _DATETIME_READS: FrozenSet[str] = frozenset({"now", "utcnow", "today"})
 _SEEDED_RNG_NAMES: FrozenSet[str] = frozenset({"Random", "SystemRandom"})
-_MUTABLE_FACTORIES: FrozenSet[str] = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "deque"}
-)
 
 
 class Rule:
@@ -332,61 +318,6 @@ class SwallowedExceptionRule(Rule):
         return findings
 
 
-class MutableDefaultRule(Rule):
-    id = "mutable-default"
-    summary = "mutable default argument"
-
-    @staticmethod
-    def _is_mutable(node: ast.expr) -> bool:
-        if isinstance(
-            node, (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.SetComp,
-                   ast.DictComp)
-        ):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in _MUTABLE_FACTORIES
-        )
-
-    def check(
-        self, tree: ast.Module, module: str, path: str
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            arguments = node.args
-            positional = list(arguments.posonlyargs) + list(arguments.args)
-            offset = len(positional) - len(arguments.defaults)
-            pairs = [
-                (positional[offset + index].arg, default)
-                for index, default in enumerate(arguments.defaults)
-            ]
-            pairs.extend(
-                (argument.arg, default)
-                for argument, default in zip(
-                    arguments.kwonlyargs, arguments.kw_defaults
-                )
-                if default is not None
-            )
-            name = getattr(node, "name", "<lambda>")
-            for argument_name, default in pairs:
-                if self._is_mutable(default):
-                    findings.append(
-                        self._finding(
-                            path,
-                            default,
-                            f"mutable default for {argument_name!r} in "
-                            f"{name!r} is shared across calls; default to "
-                            f"None (or a tuple/frozenset) instead",
-                        )
-                    )
-        return findings
-
-
 class SchemaDriftRule(Rule):
     id = "schema-drift"
     summary = (
@@ -581,86 +512,6 @@ class DirectPoolUseRule(Rule):
         )
 
 
-class RowBoxingRule(Rule):
-    id = "row-boxing-in-hot-path"
-    summary = (
-        "per-row DomainObservation construction inside a loop on a "
-        "batch-first hot path"
-    )
-
-    #: Packages whose data plane is columnar ObservationBatch.
-    HOT_PACKAGES: Tuple[str, ...] = (
-        "repro/measurement/",
-        "repro/stream/",
-        "repro/store/",
-    )
-
-    def applies_to(self, module: str) -> bool:
-        return module.startswith(self.HOT_PACKAGES)
-
-    def check(
-        self, tree: ast.Module, module: str, path: str
-    ) -> List[Finding]:
-        rule = self
-        findings: List[Finding] = []
-
-        class Visitor(ast.NodeVisitor):
-            """Tracks lexical loop depth (loops and comprehensions)."""
-
-            def __init__(self) -> None:
-                self.loop_depth = 0
-
-            def _visit_loop(self, node: ast.AST) -> None:
-                self.loop_depth += 1
-                self.generic_visit(node)
-                self.loop_depth -= 1
-
-            def visit_For(self, node: ast.For) -> None:
-                self._visit_loop(node)
-
-            def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-                self._visit_loop(node)
-
-            def visit_While(self, node: ast.While) -> None:
-                self._visit_loop(node)
-
-            def visit_ListComp(self, node: ast.ListComp) -> None:
-                self._visit_loop(node)
-
-            def visit_SetComp(self, node: ast.SetComp) -> None:
-                self._visit_loop(node)
-
-            def visit_DictComp(self, node: ast.DictComp) -> None:
-                self._visit_loop(node)
-
-            def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-                self._visit_loop(node)
-
-            def visit_Call(self, node: ast.Call) -> None:
-                function = node.func
-                name: Optional[str] = None
-                if isinstance(function, ast.Name):
-                    name = function.id
-                elif isinstance(function, ast.Attribute):
-                    name = function.attr
-                if name == "DomainObservation" and self.loop_depth > 0:
-                    findings.append(
-                        rule._finding(
-                            path,
-                            node,
-                            "DomainObservation built per row inside a "
-                            "loop; this layer's hot paths are columnar "
-                            "(ObservationBatch) — keep the data in "
-                            "columns or materialise lazily via "
-                            "batch.row(i)",
-                        )
-                    )
-                self.generic_visit(node)
-
-        Visitor().visit(tree)
-        return findings
-
-
 class SegmentDecodeRule(Rule):
     id = "decode-in-segment-hot-path"
     summary = (
@@ -819,11 +670,9 @@ def default_rules() -> Tuple[Rule, ...]:
         WallClockRule(),
         FloatEqualityRule(),
         SwallowedExceptionRule(),
-        MutableDefaultRule(),
         SchemaDriftRule(),
         UnorderedFuturesRule(),
         DirectPoolUseRule(),
-        RowBoxingRule(),
         SegmentDecodeRule(),
     )
 

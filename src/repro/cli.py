@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.exposure import analyze_exposure, render_exposure
 from repro.core.pipeline import AdoptionStudy
@@ -69,17 +69,25 @@ def _add_world_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _day_count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
-    return value
+def _count(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than *minimum*, so a bad
+    count or size is a usage error (exit 2) before any work starts."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}: {value}"
+            )
+        return value
+
+    return count
 
 
 def _add_days_option(parser: argparse.ArgumentParser, verb: str) -> None:
     # The feed's end day is exclusive: --days N covers days 0..N-1.
     parser.add_argument(
-        "--days", type=_day_count, default=None, metavar="N",
+        "--days", type=_count(0), default=None, metavar="N",
         help=f"{verb} days 0..N-1 (default: the full horizon)",
     )
 
@@ -112,14 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", help="also write artifacts + series.json to this dir",
     )
     study.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_count(1), default=None, metavar="N",
         help=(
             "run the measurement phase sharded over N worker processes "
             "(results are byte-identical to a serial run; default: serial)"
         ),
     )
     study.add_argument(
-        "--shard-count", type=int, default=None, metavar="M",
+        "--shard-count", type=_count(1), default=None, metavar="M",
         help=(
             "number of hash shards for the sharded measurement phase "
             "(default: 4 per worker)"
@@ -158,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_world_options(zonefile)
     zonefile.add_argument("tld", help="com/net/org/nl or 'alexa'")
     zonefile.add_argument("--day", type=int, default=0)
-    zonefile.add_argument("--limit", type=int, default=20)
+    zonefile.add_argument("--limit", type=_count(0), default=20)
 
     pfx2as = commands.add_parser(
         "pfx2as", help="dump or query a day's pfx2as snapshot"
@@ -168,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     pfx2as.add_argument(
         "--lookup", help="address to look up instead of dumping",
     )
-    pfx2as.add_argument("--limit", type=int, default=30)
+    pfx2as.add_argument("--limit", type=_count(0), default=30)
 
     fingerprint = commands.add_parser(
         "fingerprint", help="derive one provider's Table 2 row (§3.3)"
@@ -199,14 +207,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated sources to tail",
     )
     stream.add_argument(
-        "--interval", type=int, default=50,
-        help="print live counters every N days (default 50)",
+        "--interval", type=_count(0), default=50,
+        help="print live counters every N days (default 50; 0: only "
+             "at the end)",
     )
     stream.add_argument(
         "--checkpoint", help="checkpoint file to write (and resume from)",
     )
     stream.add_argument(
-        "--checkpoint-every", type=int, default=0,
+        "--checkpoint-every", type=_count(0), default=0,
         help="also checkpoint every N days (0: only at the end)",
     )
     stream.add_argument(
@@ -233,16 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (default 0: ephemeral)",
     )
     serve.add_argument(
-        "--strategy", choices=["sliding", "token", "none"],
+        "--strategy", choices=["sliding", "none"],
         default="sliding",
         help="per-client rate-limit strategy (default sliding)",
     )
     serve.add_argument(
-        "--limit", type=int, default=60,
+        "--limit", type=_count(1), default=60,
         help="requests admitted per client per window (default 60)",
     )
     serve.add_argument(
-        "--window", type=int, default=1000,
+        "--window", type=_count(1), default=1000,
         help=(
             "rate-limit window in ticks; live serving ticks are "
             "milliseconds, --self-test ticks are requests "
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip unreadable v1 partitions instead of failing (default raise)",
     )
     store_migrate.add_argument(
-        "--compact", type=int, default=None, metavar="FANOUT",
+        "--compact", type=_count(2), default=None, metavar="FANOUT",
         help="also compact the migrated store with this tier fanout",
     )
 
@@ -306,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_compact.add_argument("directory", help="v2 store directory")
     store_compact.add_argument(
-        "--fanout", type=int, default=8,
+        "--fanout", type=_count(2), default=8,
         help="segments per tier before merging into the next (default 8)",
     )
 
@@ -354,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which ranking to print (default providers)",
     )
     sketch_topk.add_argument(
-        "--k", type=int, default=10,
+        "--k", type=_count(1), default=10,
         help="number of entries to print (default 10)",
     )
     sketch_topk.add_argument(
@@ -597,6 +606,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.measurement.scheduler import ALL_SOURCES, PartitionFeed
     from repro.stream import StreamEngine, load_checkpoint, save_checkpoint
+    from repro.stream.checkpoint import CheckpointError
 
     sources = tuple(s for s in args.sources.split(",") if s)
     unknown = set(sources) - set(ALL_SOURCES)
@@ -607,7 +617,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     world = _build_world(args)
     feed = PartitionFeed(world, sources)
     if args.resume and args.checkpoint and os.path.exists(args.checkpoint):
-        engine = load_checkpoint(args.checkpoint)
+        try:
+            engine = load_checkpoint(args.checkpoint)
+        except CheckpointError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
         if not set(sources) <= set(engine.sources):
             print(
                 f"error: --sources {','.join(sources)} names sources "
@@ -797,24 +811,13 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
 
 
 def _build_serve_guard(args: argparse.Namespace):
-    from repro.serve import (
-        AdmissionGuard,
-        SlidingWindowLimiter,
-        TokenBucketLimiter,
-    )
+    from repro.serve import AdmissionGuard, SlidingWindowLimiter
 
     if args.strategy == "none":
         return None
-    if args.strategy == "token":
-        strategy = TokenBucketLimiter(
-            capacity=args.limit,
-            ticks_per_token=max(1, args.window // max(1, args.limit)),
-        )
-    else:
-        strategy = SlidingWindowLimiter(
-            limit=args.limit, window=args.window
-        )
-    return AdmissionGuard(strategy)
+    return AdmissionGuard(
+        SlidingWindowLimiter(limit=args.limit, window=args.window)
+    )
 
 
 def _serve_self_test(args: argparse.Namespace, swapper) -> int:

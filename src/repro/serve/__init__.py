@@ -15,8 +15,7 @@ snapshot indexes:
 * :class:`ServeDispatcher` / :class:`ServeServer` /
   :class:`ThreadedServer` — transport-independent dispatch and the
   asyncio loop with bounded framing and graceful drain;
-* :class:`SlidingWindowLimiter` / :class:`TokenBucketLimiter` /
-  :class:`AdmissionGuard` — per-client self-protection on injected
+* :class:`SlidingWindowLimiter` / :class:`AdmissionGuard` — per-client self-protection on injected
   logical ticks: rate limits, burst detection, adaptive throttling,
   auto-block with healing;
 * :class:`ServeClient` — the asyncio client (plus sync helpers).
@@ -46,11 +45,7 @@ from repro.serve.protocol import (
     decode_request,
     encode_frame,
 )
-from repro.serve.ratelimit import (
-    RateLimitStrategy,
-    SlidingWindowLimiter,
-    TokenBucketLimiter,
-)
+from repro.serve.ratelimit import SlidingWindowLimiter
 from repro.serve.server import (
     ServeDispatcher,
     ServeServer,
@@ -65,7 +60,6 @@ __all__ = [
     "OPERATIONS",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RateLimitStrategy",
     "Request",
     "ScopeIndex",
     "ServeClient",
@@ -76,7 +70,6 @@ __all__ = [
     "SlidingWindowLimiter",
     "SnapshotSwapper",
     "ThreadedServer",
-    "TokenBucketLimiter",
     "canonical_json",
     "decode_request",
     "encode_frame",

@@ -1,24 +1,24 @@
 """Burst detection, adaptive throttling and auto-block escalation.
 
-The strategies in :mod:`repro.serve.ratelimit` bound a *compliant*
+The limiter in :mod:`repro.serve.ratelimit` bounds a *compliant*
 client's request rate; this guard handles the rest of the threat model
 of a service that measures DDoS protection and is therefore itself a
 target:
 
 * **burst detection** — more than ``burst_limit`` arrivals (admitted or
   not) inside ``burst_window`` ticks flips the client into a throttled
-  state, independent of the base strategy;
+  state, independent of the limiter;
 * **adaptive throttling** — while throttled, only every
-  ``throttle_factor``-th request is even offered to the base strategy,
+  ``throttle_factor``-th request is even offered to the limiter,
   so a hammering client degrades gracefully instead of binarily;
-* **auto-block escalation** — accumulated violations (strategy denials
+* **auto-block escalation** — accumulated violations (limiter denials
   and burst trips) turn into a hard block whose duration doubles per
   repeat offence; a block expires on its own (release by tick), and a
   healed client — ``heal_after`` consecutive admissions without a
   violation — is indistinguishable from a brand-new one.
 
 Everything is keyed per client and runs on the same injected logical
-ticks as the strategies: no wall clock anywhere in the decision path.
+ticks as the limiter: no wall clock anywhere in the decision path.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional
 
-from repro.serve.ratelimit import RateLimitStrategy
+from repro.serve.ratelimit import SlidingWindowLimiter
 
 #: Decision reasons.
 OK = "ok"
@@ -59,11 +59,11 @@ class _ClientState:
 
 
 class AdmissionGuard:
-    """Per-client admission control over a pluggable base strategy."""
+    """Per-client admission control over a sliding-window limiter."""
 
     def __init__(
         self,
-        strategy: RateLimitStrategy,
+        strategy: SlidingWindowLimiter,
         burst_limit: int = 30,
         burst_window: int = 10,
         throttle_ticks: int = 50,

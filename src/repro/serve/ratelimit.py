@@ -1,20 +1,15 @@
-"""Per-client rate-limiting strategies on a logical-tick clock.
+"""Per-client rate limiting on a logical-tick clock.
 
-Both strategies are pure functions of their inputs: time is an integer
-tick injected by the caller (the server wires in its own tick source;
-tests drive arbitrary adversarial schedules), so admission decisions are
-replayable and the determinism analyzer's wall-clock rule holds for this
-package exactly as it does for the ingest engine.
+:class:`SlidingWindowLimiter` admits at most ``limit`` requests in any
+trailing ``window`` ticks, per client. It is exact (it keeps the
+admitted tick deque), so the bound holds for every window placement, not
+just aligned ones. It is a pure function of its inputs: time is an
+integer tick injected by the caller (the server wires in its own tick
+source; tests drive arbitrary adversarial schedules), so admission
+decisions are replayable and the determinism analyzer's wall-clock rule
+holds for this package exactly as it does for the ingest engine.
 
-* :class:`SlidingWindowLimiter` — at most ``limit`` admissions in any
-  trailing ``window`` ticks, per client. Exact (it keeps the admitted
-  tick deque), so the bound holds for every window placement, not just
-  aligned ones.
-* :class:`TokenBucketLimiter` — a bucket of ``capacity`` tokens earning
-  one token every ``ticks_per_token`` ticks, per client: bounded bursts
-  plus a sustained-rate ceiling.
-
-A strategy answers one question — "may this client's request pass at
+The limiter answers one question — "may this client's request pass at
 this tick?" — and never blocks; escalation (bursts, auto-block,
 healing) lives in :mod:`repro.serve.guard` on top.
 """
@@ -22,23 +17,7 @@ healing) lives in :mod:`repro.serve.guard` on top.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Protocol, Tuple
-
-
-class RateLimitStrategy(Protocol):
-    """The strategy interface the admission guard composes."""
-
-    def allow(self, client: str, tick: int) -> bool:
-        """Admit (and record) one request from *client* at *tick*."""
-        ...
-
-    def retry_after(self, client: str, tick: int) -> int:
-        """Ticks until a denied *client* could next be admitted."""
-        ...
-
-    def forget(self, client: str) -> None:
-        """Drop all state for *client* (quarantine release/healing)."""
-        ...
+from typing import Deque, Dict
 
 
 class SlidingWindowLimiter:
@@ -77,60 +56,3 @@ class SlidingWindowLimiter:
 
     def forget(self, client: str) -> None:
         self._admitted.pop(client, None)
-
-
-class TokenBucketLimiter:
-    """A *capacity*-token bucket refilling 1/*ticks_per_token*.
-
-    Integer arithmetic throughout: a client's balance after any request
-    schedule is a deterministic function of the schedule. An idle client
-    banks at most *capacity* tokens — bursts are bounded even after long
-    silence — and the sustained admission rate can never exceed one per
-    ``ticks_per_token`` ticks plus the initial burst.
-    """
-
-    def __init__(self, capacity: int, ticks_per_token: int):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        if ticks_per_token < 1:
-            raise ValueError("ticks_per_token must be positive")
-        self.capacity = capacity
-        self.ticks_per_token = ticks_per_token
-        #: client → (tokens, tick the balance was computed at).
-        self._buckets: Dict[str, Tuple[int, int]] = {}
-
-    def _balance(self, client: str, tick: int) -> Tuple[int, int]:
-        state = self._buckets.get(client)
-        if state is None:
-            # A new client starts with a full bucket.
-            return self.capacity, tick
-        tokens, last = state
-        if tick <= last:
-            return tokens, last
-        earned = (tick - last) // self.ticks_per_token
-        if earned:
-            tokens = min(self.capacity, tokens + earned)
-            last = (
-                tick
-                if tokens >= self.capacity
-                else last + earned * self.ticks_per_token
-            )
-        return tokens, last
-
-    def allow(self, client: str, tick: int) -> bool:
-        tokens, last = self._balance(client, tick)
-        if tokens < 1:
-            self._buckets[client] = (tokens, last)
-            return False
-        self._buckets[client] = (tokens - 1, last)
-        return True
-
-    def retry_after(self, client: str, tick: int) -> int:
-        tokens, last = self._balance(client, tick)
-        if tokens >= 1:
-            return 0
-        next_token = last + self.ticks_per_token
-        return max(0, next_token - tick)
-
-    def forget(self, client: str) -> None:
-        self._buckets.pop(client, None)

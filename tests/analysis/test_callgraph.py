@@ -110,30 +110,6 @@ def test_attr_type_from_init():
     assert cls.attr_types["_lock"] == "threading.Lock"
 
 
-def test_exception_classification_transitive():
-    graph = _graph(
-        {
-            "repro/demo/err.py": (
-                "class Base(RuntimeError):\n"
-                "    pass\n"
-                "class Child(Base):\n"
-                "    pass\n"
-                "class Plain:\n"
-                "    pass\n"
-            )
-        }
-    )
-    assert graph.is_exception_class(
-        graph.classes["repro.demo.err.Child"]
-    )
-    assert not graph.is_exception_class(
-        graph.classes["repro.demo.err.Plain"]
-    )
-    assert graph.derives_from(
-        graph.classes["repro.demo.err.Child"], "Base"
-    )
-
-
 def test_symbols_are_picklable():
     import pickle
 

@@ -39,12 +39,12 @@ def test_analyze_src_exits_clean(capsys):
 
 def test_analyze_bad_file_exits_nonzero(capsys):
     # Fixture paths fall outside any repro package, so only unscoped
-    # rules apply — mutable-default is one of them.
-    code = main(["analyze", str(FIXTURES / "mutable_default.py")])
+    # rules apply — the bare-except half of swallowed-exception is one.
+    code = main(["analyze", str(FIXTURES / "swallowed_exception.py")])
     assert code == 1
     out = capsys.readouterr().out
-    assert "mutable-default" in out
-    assert "mutable_default.py:6:" in out
+    assert "swallowed-exception" in out
+    assert "swallowed_exception.py:13:" in out
 
 
 def test_analyze_json_report(capsys):
@@ -64,11 +64,11 @@ def test_analyze_rule_filter(capsys):
     code = main(
         [
             "analyze",
-            "--rule", "swallowed-exception",
-            str(FIXTURES / "mutable_default.py"),
+            "--rule", "schema-drift",
+            str(FIXTURES / "swallowed_exception.py"),
         ]
     )
-    assert code == 0  # mutable-default findings filtered out
+    assert code == 0  # swallowed-exception findings filtered out
     assert "0 findings" in capsys.readouterr().out
 
 
@@ -83,7 +83,7 @@ def test_analyze_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in (
         "unordered-futures", "wall-clock", "float-equality",
-        "swallowed-exception", "mutable-default", "schema-drift",
+        "swallowed-exception", "schema-drift",
     ):
         assert rule_id in out
 
@@ -98,12 +98,13 @@ def test_verdict_ignores_what_an_earlier_run_left(
 ):
     tree = tmp_path / "tree"
     tree.mkdir()
-    (tree / "a.py").write_text("def f(x=[]):\n    return x\n")
+    (tree / "a.py").write_text("try:\n    pass\nexcept:\n    pass\n")
     (tree / "b.py").write_text("VALUE = 1\n")
     monkeypatch.chdir(tmp_path)
     # An earlier run by an analyzer that did not have the rule yet.
     older = [
-        rule for rule in default_rules() if rule.id != "mutable-default"
+        rule for rule in default_rules()
+        if rule.id != "swallowed-exception"
     ]
     with monkeypatch.context() as patch:
         patch.setattr(
@@ -113,7 +114,7 @@ def test_verdict_ignores_what_an_earlier_run_left(
     capsys.readouterr()
     (tree / "b.py").write_text("VALUE = 2\n")
     assert main(["analyze", "tree"]) == 1
-    assert "a.py:1:9: mutable-default" in capsys.readouterr().out
+    assert "a.py:3:1: swallowed-exception" in capsys.readouterr().out
 
 
 def test_planted_cache_directory_is_not_read(

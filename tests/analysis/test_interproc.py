@@ -35,9 +35,6 @@ GROUPS: Dict[str, Dict[str, str]] = {
     "fork-unsafe-capture": {
         "repro/parallel/fixture_fork.py": "fork_capture.py",
     },
-    "exception-flow": {
-        "repro/parallel/fixture_errors.py": "exception_flow.py",
-    },
 }
 
 
@@ -107,16 +104,6 @@ def test_async_blocking_scoped_to_serve():
     )
 
 
-def test_exception_flow_scoped_to_worker_packages():
-    source = (FIXTURES / "exception_flow.py").read_text()
-    result = ProjectAnalyzer().analyze_sources(
-        {"repro/reporting/fixture_errors.py": source}
-    )
-    assert not any(
-        f.rule == "exception-flow" for f in result.findings
-    )
-
-
 def test_snapshot_mutation_excluded_under_tests_profile():
     # Test setup legitimately builds and pokes snapshot indexes; the
     # same source under a tests/ module key raises nothing. The
@@ -168,7 +155,7 @@ def test_inline_suppression_silences_project_rules():
 
 
 def test_rule_filter_restricts_project_rules():
-    group = GROUPS["exception-flow"]
+    group = GROUPS["fork-unsafe-capture"]
     result = ProjectAnalyzer().analyze_sources(
         _sources(group), rule_filter={"async-blocking"}
     )

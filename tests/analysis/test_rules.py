@@ -28,11 +28,9 @@ CASES = [
     ("wall_clock.py", "repro/core/fixture_wall_clock.py"),
     ("float_equality.py", "repro/core/stats.py"),
     ("swallowed_exception.py", "repro/stream/fixture_swallowed.py"),
-    ("mutable_default.py", "repro/reporting/fixture_mutable.py"),
     ("schema_drift.py", "repro/core/fixture_schema.py"),
     ("unordered_futures.py", "repro/parallel/fixture_futures.py"),
     ("direct_pool_use.py", "repro/measurement/fixture_pool.py"),
-    ("row_boxing.py", "repro/measurement/fixture_row_boxing.py"),
     ("segment_decode.py", "repro/store/fixture_segment_decode.py"),
 ]
 
@@ -100,21 +98,6 @@ def test_unordered_futures_scoped_to_parallel_package():
     source = (FIXTURES / "unordered_futures.py").read_text()
     result = analyze_local(source, "repro/stream/fixture.py")
     assert not any(f.rule == "unordered-futures" for f in result.findings)
-
-
-def test_row_boxing_scoped_to_batch_first_packages():
-    source = (FIXTURES / "row_boxing.py").read_text()
-    # Outside the columnar hot paths (measurement, stream) the same
-    # code is fine — e.g. reporting builds rows for human output.
-    result = analyze_local(source, "repro/reporting/fixture.py")
-    assert not any(
-        f.rule == "row-boxing-in-hot-path" for f in result.findings
-    )
-    # Under repro/stream it fires just like under repro/measurement.
-    result = analyze_local(source, "repro/stream/fixture.py")
-    assert any(
-        f.rule == "row-boxing-in-hot-path" for f in result.findings
-    )
 
 
 def test_segment_decode_scoped_to_store_package():

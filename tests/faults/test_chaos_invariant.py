@@ -1,4 +1,4 @@
-"""The chaos acceptance invariant (and the CI ``chaos-smoke`` target).
+"""The chaos acceptance invariant (part of the tier-1 suite).
 
 Under any injected non-fatal fault schedule the study run must
 *complete* and be byte-identical to the clean run on every scope that
@@ -24,8 +24,7 @@ from repro.world.scenario import ScenarioConfig, build_paper_world
 CHAOS_SCALE = 120000
 CHAOS_WORLD_SEED = 2016
 
-#: The fixed plan seeds CI's chaos-smoke job runs (keep in sync with
-#: .github/workflows/ci.yml).
+#: The fixed plan seeds every tier-1 run checks.
 CHAOS_SEEDS = (11, 23, 37)
 
 

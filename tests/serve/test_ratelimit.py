@@ -1,4 +1,4 @@
-"""Rate-limit strategies and the admission guard, on explicit ticks."""
+"""The rate limiter and the admission guard, on explicit ticks."""
 
 from __future__ import annotations
 
@@ -13,10 +13,7 @@ from repro.serve.guard import (
     AdmissionGuard,
     Decision,
 )
-from repro.serve.ratelimit import (
-    SlidingWindowLimiter,
-    TokenBucketLimiter,
-)
+from repro.serve.ratelimit import SlidingWindowLimiter
 
 
 class TestSlidingWindow:
@@ -59,62 +56,8 @@ class TestSlidingWindow:
             SlidingWindowLimiter(limit=limit, window=window)
 
 
-class TestTokenBucket:
-    def test_initial_burst_is_capacity(self):
-        limiter = TokenBucketLimiter(capacity=3, ticks_per_token=10)
-        assert [limiter.allow("c", 0) for _ in range(4)] == [
-            True, True, True, False,
-        ]
-
-    def test_earns_one_token_per_interval(self):
-        limiter = TokenBucketLimiter(capacity=1, ticks_per_token=10)
-        assert limiter.allow("c", 0)
-        assert not limiter.allow("c", 9)
-        assert limiter.allow("c", 10)
-        assert not limiter.allow("c", 11)
-
-    def test_no_banking_beyond_capacity(self):
-        limiter = TokenBucketLimiter(capacity=2, ticks_per_token=1)
-        limiter.allow("c", 0)
-        # A long idle stretch still caps the burst at capacity.
-        admitted = sum(
-            1 for _ in range(10) if limiter.allow("c", 1000)
-        )
-        assert admitted == 2
-
-    def test_remainder_ticks_carry(self):
-        limiter = TokenBucketLimiter(capacity=2, ticks_per_token=10)
-        assert limiter.allow("c", 0)
-        assert limiter.allow("c", 0)
-        # Tick 15 earns the token minted at 10; the 5 leftover ticks
-        # carry, so the next token lands at 20, not 25.
-        assert limiter.allow("c", 15)
-        assert not limiter.allow("c", 19)
-        assert limiter.retry_after("c", 19) == 1
-        assert limiter.allow("c", 20)
-
-    def test_retry_after(self):
-        limiter = TokenBucketLimiter(capacity=1, ticks_per_token=10)
-        assert limiter.allow("c", 0)
-        assert not limiter.allow("c", 3)
-        assert limiter.retry_after("c", 3) == 7
-
-    def test_forget_restores_full_bucket(self):
-        limiter = TokenBucketLimiter(capacity=2, ticks_per_token=100)
-        limiter.allow("c", 0)
-        limiter.allow("c", 0)
-        assert not limiter.allow("c", 1)
-        limiter.forget("c")
-        assert limiter.allow("c", 1)
-
-    @pytest.mark.parametrize("capacity, tpt", [(0, 5), (5, 0)])
-    def test_rejects_bad_parameters(self, capacity, tpt):
-        with pytest.raises(ValueError):
-            TokenBucketLimiter(capacity=capacity, ticks_per_token=tpt)
-
-
 def wide_guard(**overrides):
-    """A guard whose base strategy never denies (isolates one feature)."""
+    """A guard whose limiter never denies (isolates one feature)."""
     defaults = dict(
         strategy=SlidingWindowLimiter(limit=10_000, window=1),
         burst_limit=5,

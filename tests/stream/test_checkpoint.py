@@ -13,7 +13,12 @@ from repro.stream.checkpoint import (
     save_checkpoint,
     state_digest,
 )
-from repro.stream.engine import StreamEngine
+from repro.stream.engine import (
+    DROPPED,
+    QUARANTINED,
+    RECONCILED,
+    StreamEngine,
+)
 
 from tests.stream.test_engine import (
     DOMAINS,
@@ -82,6 +87,39 @@ class TestSaveLoad:
         resumed.ingest(partition("com", 1, DOMAINS))
         assert resumed.next_day("com") == 3
         assert resumed.adoption("StubDPS", day=2) == 1
+
+    def test_resume_keeps_every_ingest_counter(self, tmp_path):
+        """Kill after a late arrival, a dropped partition, a hole and a
+        quarantined scope: the resumed engine's state equals the
+        uninterrupted engine's, counters included."""
+        nl_domains = ["prot-c.nl", "plain-d.nl"]
+
+        def before_kill(stream):
+            stream.ingest_feed(day_partitions([0, 1]))
+            assert stream.ingest(partition("com", 4, DOMAINS)) == QUARANTINED
+            assert stream.skip_missing("com") == [2, 3]
+            assert stream.ingest(partition("com", 2, DOMAINS)) == RECONCILED
+            stream.quarantine_scope("nl", "poisoned feed")
+            assert stream.ingest(partition("nl", 0, nl_domains)) == DROPPED
+
+        def after_kill(stream):
+            stream.ingest_feed(day_partitions([5, 6]))
+            assert stream.ingest(partition("nl", 1, nl_domains)) == DROPPED
+
+        interrupted = engine(sources=("com", "nl"))
+        before_kill(interrupted)
+        assert interrupted.late_arrivals == 1
+        assert interrupted.partitions_dropped == 1
+        assert interrupted.missing_days("com") == [3]
+        path = str(tmp_path / "stream.ckpt")
+        save_checkpoint(interrupted, path)
+        resumed = load_checkpoint(path, catalog=StubCatalog())
+        after_kill(resumed)
+
+        uninterrupted = engine(sources=("com", "nl"))
+        before_kill(uninterrupted)
+        after_kill(uninterrupted)
+        assert resumed.to_dict() == uninterrupted.to_dict()
 
     def test_no_temp_file_left_behind(self, tmp_path):
         stream = engine()

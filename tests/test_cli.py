@@ -26,6 +26,25 @@ class TestParser:
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(command + ["--days", "-3"])
             assert exit_info.value.code == 2
+        # Counts and sizes are bounded at parse time, before any world
+        # is built or any store is touched.
+        for argv in (
+            ["study", "--workers", "0"],
+            ["study", "--shard-count", "0"],
+            ["serve", "--limit", "0"],
+            ["serve", "--window", "0"],
+            ["store", "compact", "DIR", "--fanout", "1"],
+            ["store", "migrate", "OLD", "NEW", "--compact", "1"],
+            ["zonefile", "com", "--limit", "-2"],
+            ["pfx2as", "--limit", "-2"],
+            ["sketch", "topk", "--k", "-1"],
+            ["sketch", "topk", "--k", "0"],
+            ["stream", "--interval", "-5"],
+            ["stream", "--checkpoint-every", "-1"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv)
+            assert exit_info.value.code == 2, argv
 
 
 class TestZonefile:
@@ -294,6 +313,22 @@ class TestStream:
         [line] = captured.err.splitlines()
         assert line.startswith("error: ")
         assert "com,org" in line and "holds com)" in line
+
+    def test_resume_from_a_damaged_checkpoint_fails_cleanly(
+        self, capsys, tmp_path
+    ):
+        checkpoint = tmp_path / "bad.ckpt"
+        checkpoint.write_bytes(b"not a checkpoint at all")
+        code = main(
+            ["stream", "--days", "3", "--sources", "com",
+             "--checkpoint", str(checkpoint), "--resume"] + SCALE
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert "not a stream checkpoint" in line
 
     def test_a_run_that_applies_nothing_says_why(self, capsys, tmp_path):
         code = main(["stream", "--days", "0", "--sources", "com"] + SCALE)
