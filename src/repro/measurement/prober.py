@@ -15,8 +15,9 @@ sampled domains, which is what justifies using the fast path for bulk runs.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.batch.batch import Ids, ObservationBatch
 from repro.dnscore.name import DomainName
 from repro.dnscore.resolver import IterativeResolver, ResolutionError, ResolverCache
 from repro.dnscore.rrtypes import Rcode, RRType
@@ -68,6 +69,42 @@ class FastProber:
             if observation is not None:
                 observations.append(observation)
         return observations
+
+    def append_day(
+        self,
+        batch: ObservationBatch,
+        names: Iterable[str],
+        day: int,
+        payloads: Dict[DnsConfig, Tuple[Ids, ...]],
+    ) -> None:
+        """Append to *batch* the rows :meth:`observe_day` returns, unboxed.
+
+        *payloads* maps each config seen to its NS, CNAME and address id
+        cells in *batch*'s pools, so the caller keeps it exactly as long
+        as those pools. A known config costs a dict hit; a new one is
+        boxed once and interned by :meth:`ObservationBatch.intern_row`,
+        so the pools grow id for id as under the boxed route.
+        """
+        domains = self._world.domains
+        intern = batch.names.intern
+        append = batch.append_ids
+        made = 0
+        for name in names:
+            timeline = domains.get(name)
+            if timeline is None or not timeline.alive(day):
+                continue
+            made += 1
+            config = timeline.config_at(day)
+            payload = payloads.get(config)
+            if payload is None:
+                ids = batch.intern_row(
+                    _observation_from_config(name, timeline.tld, day, config)
+                )
+                payloads[config] = ids[2:8]  # no domain, TLD or ASNs
+                append(day, *ids)
+            else:
+                append(day, intern(name), intern(timeline.tld), *payload, ())
+        self.observations_made += made
 
     def observe_segments(
         self, domain: str, horizon: Optional[int] = None

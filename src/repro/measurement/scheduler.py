@@ -1,11 +1,12 @@
-"""Stage II scheduling: the per-TLD measurement rounds and their workers.
+"""Stage II scheduling: the per-TLD measurement rounds.
 
 The real platform splits each TLD's name list over a cloud of measurement
-workers (Figure 1). :class:`PartitionFeed` reproduces the structure:
-deterministic sharding, per-shard workers, per-day collection — so the data
-flow (listing → shards → observations → enrichment → partition) matches the
-paper's, even though the workers here run in one process. Landing a
-partition is the caller's step (``SegmentStore.append_batch``).
+workers (Figure 1) and collects one partition per source per day.
+:class:`PartitionFeed` keeps the data flow (listing → observations →
+enrichment → partition) in one process: a day's rows go from the world's
+configs straight into the feed's batch. :func:`shard` is the split a
+worker cloud would make. Landing a partition is the caller's step
+(``SegmentStore.append_batch``).
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.batch.batch import BatchBuilder, BatchRows, ObservationBatch
+from repro.batch.batch import BatchBuilder, BatchRows, Ids, ObservationBatch
 from repro.measurement.enrich import AsnEnricher
 from repro.measurement.prober import FastProber
 from repro.measurement.snapshot import DomainObservation
 from repro.measurement.zonefeed import ZoneFeed
+from repro.world.domain import DnsConfig
 from repro.world.timeline import CCTLD_START_DAY
 from repro.world.world import World
 
@@ -177,7 +179,6 @@ class PartitionFeed(LandingOrder):
         world: World,
         sources: Optional[Sequence[str]] = None,
         enrich: Union[bool, AsnEnricher] = True,
-        shard_count: int = 8,
     ):
         super().__init__(world, sources)
         self._feed = ZoneFeed(world)
@@ -185,21 +186,21 @@ class PartitionFeed(LandingOrder):
         self._enricher: Optional[AsnEnricher] = (
             AsnEnricher(world) if enrich is True else (enrich or None)
         )
-        self._shard_count = shard_count
         #: One pool pair for every batch this feed lands — domains
         #: repeat daily, so interning compounds across rounds.
         self._builder = BatchBuilder()
+        #: Config → payload ids in the builder's pools (pool-relative,
+        #: so it lives as long as they do); most names keep their config.
+        self._payloads: Dict[DnsConfig, Tuple[Ids, ...]] = {}
 
     def partition(self, source: str, day: int) -> DayPartition:
-        """Measure one ``(source, day)`` partition through the cluster."""
+        """Measure one ``(source, day)`` partition straight into a batch."""
         if source == "alexa":
             listing = self._feed.alexa_listing(day)
         else:
             listing = self._feed.listing(source, day)
-        probed: List[DomainObservation] = []
-        for worker_names in shard(listing.names, self._shard_count):
-            probed.extend(self._prober.observe_day(worker_names, day))
-        batch = self._builder.build(probed)
+        batch = self._builder.new_batch()
+        self._prober.append_day(batch, listing.names, day, self._payloads)
         if self._enricher is not None:
             batch = self._enricher.enrich_batch(batch)
         return DayPartition.from_batch(

@@ -4,7 +4,11 @@ import os
 
 import pytest
 
+from repro.batch.batch import BatchBuilder
+from repro.measurement.enrich import AsnEnricher
+from repro.measurement.prober import FastProber
 from repro.measurement.scheduler import ALL_SOURCES, PartitionFeed, shard
+from repro.measurement.zonefeed import ZoneFeed
 from repro.store import SegmentStore
 from repro.store.segment import encode_partition, layout_segment
 from repro.store.store import batch_pages
@@ -79,14 +83,19 @@ class TestPartitionFeed:
         assert any(row.asns for row in part.observations)
 
     def test_partition_matches_cluster_manager(self, tiny_world):
-        """Two feeds over one world measure the same rows: a partition
-        is a function of the world, the source and the day."""
+        """The feed measures the rows the reference route does: the
+        listing split over worker shards, each shard probed, the rows
+        built and enriched."""
         feed = PartitionFeed(tiny_world, sources=("org",))
-        other = PartitionFeed(tiny_world, shard_count=3)
-        assert (
-            feed.partition("org", 0).observations
-            == other.partition("org", 0).observations
+        prober = FastProber(tiny_world)
+        listing = ZoneFeed(tiny_world).listing("org", 0)
+        probed = []
+        for worker_names in shard(listing.names, 3):
+            probed.extend(prober.observe_day(worker_names, 0))
+        reference = AsnEnricher(tiny_world).enrich_batch(
+            BatchBuilder().build(probed)
         )
+        assert feed.partition("org", 0).observations == reference.rows()
 
     def test_enrichment_can_be_disabled(self, tiny_world):
         feed = PartitionFeed(tiny_world, enrich=False)
