@@ -489,8 +489,21 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_study_day(world, day: int) -> bool:
+    """False, after one ``error:`` line, for a day the world lacks."""
+    if 0 <= day < world.horizon:
+        return True
+    print(
+        f"error: no day {day} in the study (window 0..{world.horizon})",
+        file=sys.stderr,
+    )
+    return False
+
+
 def _cmd_resolve(args: argparse.Namespace) -> int:
     world = _build_world(args)
+    if not _is_study_day(world, args.day):
+        return 1
     qname = DomainName.from_text(args.name)
     apex = qname.sld()
     target = apex.to_text() if apex is not None else args.name
@@ -516,14 +529,14 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 def _cmd_zonefile(args: argparse.Namespace) -> int:
     world = _build_world(args)
     feed = ZoneFeed(world)
-    if args.tld == "alexa":
-        listing = feed.alexa_listing(args.day)
-    else:
-        try:
+    try:
+        if args.tld == "alexa":
+            listing = feed.alexa_listing(args.day)
+        else:
             listing = feed.listing(args.tld, args.day)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     print(f"; zone {listing.tld} day {listing.day}: "
           f"{len(listing)} names")
     for name in sorted(listing.names)[: args.limit]:
@@ -535,6 +548,8 @@ def _cmd_zonefile(args: argparse.Namespace) -> int:
 
 def _cmd_pfx2as(args: argparse.Namespace) -> int:
     world = _build_world(args)
+    if not _is_study_day(world, args.day):
+        return 1
     snapshot = world.pfx2as_at(args.day)
     if args.lookup:
         origins = snapshot.lookup(args.lookup)

@@ -11,7 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.world.timeline import CCTLD_START_DAY
 from repro.world.world import World
+
+
+def _check_window(source: str, day: int, start: int, end: int) -> None:
+    if not start <= day < end:
+        raise ValueError(
+            f"no zone file for {source} on day {day} "
+            f"(window {start}..{end})"
+        )
 
 
 @dataclass(frozen=True)
@@ -51,11 +60,7 @@ class ZoneFeed:
     def listing(self, tld: str, day: int) -> ZoneListing:
         """Download the zone file for *tld* as of *day*."""
         start, days = self._world.tld_windows.get(tld, (0, self._world.horizon))
-        if not start <= day < start + days:
-            raise ValueError(
-                f"no zone file for {tld} on day {day} "
-                f"(window {start}..{start + days})"
-            )
+        _check_window(tld, day, start, start + days)
         names = tuple(self._world.zone_names(tld, day))
         self.downloads += 1
         return ZoneListing(tld=tld, day=day, names=names)
@@ -66,7 +71,9 @@ class ZoneFeed:
         Unlike TLD zones, the ranking churns daily: names enter and leave
         with popularity, so the union over the window is much larger than
         any single day's list (Table 1's 2.2M unique SLDs for a 1M list).
+        The list is measured from the ccTLD start to the horizon.
         """
+        _check_window("alexa", day, CCTLD_START_DAY, self._world.horizon)
         return ZoneListing(
             tld="alexa", day=day, names=tuple(self._world.alexa_list(day))
         )

@@ -33,6 +33,14 @@ class TestListing:
         assert listing.tld == "alexa"
         assert set(listing.names) <= set(tiny_world.alexa_names)
 
+    def test_alexa_outside_window_rejected(self, tiny_world):
+        """The ranking is measured from day 366 up to the horizon."""
+        feed = ZoneFeed(tiny_world)
+        for day in (-5, 365, tiny_world.horizon):
+            with pytest.raises(ValueError, match=f"alexa on day {day} "):
+                feed.alexa_listing(day)
+        assert len(feed.alexa_listing(tiny_world.horizon - 1)) > 0
+
     def test_sources(self, tiny_world):
         feed = ZoneFeed(tiny_world)
         assert feed.sources() == ["com", "net", "nl", "org", "alexa"]

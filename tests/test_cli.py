@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.world.timeline import CCTLD_START_DAY, GTLD_DAYS
 
 SCALE = ["--scale", "60000", "--seed", "7"]
 
@@ -64,6 +65,26 @@ class TestZonefile:
         code = main(["zonefile", "nl", "--day", "0"] + SCALE)
         assert code == 1
 
+    @pytest.mark.parametrize("day", [-5, CCTLD_START_DAY - 1, GTLD_DAYS])
+    def test_alexa_out_of_window(self, capsys, day):
+        code = main(["zonefile", "alexa", "--day", str(day)] + SCALE)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: no zone file for alexa on day {day} "
+            f"(window {CCTLD_START_DAY}..{GTLD_DAYS})\n"
+        )
+
+
+def _assert_day_refused(capsys, code, day):
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: no day {day} in the study (window 0..{GTLD_DAYS})\n"
+    )
+
 
 class TestPfx2as:
     def test_dump(self, capsys):
@@ -85,6 +106,11 @@ class TestPfx2as:
     def test_lookup_unrouted(self, capsys):
         code = main(["pfx2as", "--lookup", "203.0.113.1"] + SCALE)
         assert code == 1
+
+    @pytest.mark.parametrize("day", [-5, GTLD_DAYS])
+    def test_day_outside_the_study(self, capsys, day):
+        code = main(["pfx2as", "--day", str(day)] + SCALE)
+        _assert_day_refused(capsys, code, day)
 
 
 class TestResolve:
@@ -110,6 +136,11 @@ class TestResolve:
     def test_missing_domain_fails(self, capsys):
         code = main(["resolve", "no-such-name.com", "--day", "0"] + SCALE)
         assert code == 1
+
+    @pytest.mark.parametrize("day", [-5, GTLD_DAYS])
+    def test_day_outside_the_study(self, capsys, day):
+        code = main(["resolve", "d0000001.com", "--day", str(day)] + SCALE)
+        _assert_day_refused(capsys, code, day)
 
 
 class TestFingerprint:
@@ -262,6 +293,22 @@ class TestMeasure:
             + SCALE
         )
         assert code == 1
+
+    @pytest.mark.parametrize("day", [-5, CCTLD_START_DAY - 1, 99999])
+    def test_measure_alexa_outside_its_window(self, capsys, tmp_path, day):
+        output = tmp_path / "store"
+        code = main(
+            ["measure", "alexa", "--day", str(day), "--output", str(output)]
+            + SCALE
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: no zone file for alexa on day {day} "
+        )
+        assert captured.err.count("\n") == 1
+        assert not output.exists()
 
 
 class TestStream:
