@@ -49,8 +49,7 @@ bug of those classes planted for them (``docs/ANALYSIS.md``).
     a ``for ... in range(rows)`` loop that parses each row individually
     — reintroduce exactly the per-row decode cost the binary format
     eliminated. The store manifest (``manifest.json``, read once per
-    store open) and the v1 conversion path are off the hot path and
-    exempt.
+    store open) is off the hot path and exempt.
 """
 
 from __future__ import annotations
@@ -522,10 +521,8 @@ class SegmentDecodeRule(Rule):
     #: The segment store's read/write hot path.
     HOT_PACKAGES: Tuple[str, ...] = ("repro/store/",)
     #: Off the page hot path: the manifest is metadata (one JSON read
-    #: per store open) and migration converts the legacy v1 format.
-    EXEMPT_MODULES: FrozenSet[str] = frozenset(
-        {"repro/store/manifest.py", "repro/store/migrate.py"}
-    )
+    #: per store open).
+    EXEMPT_MODULES: FrozenSet[str] = frozenset({"repro/store/manifest.py"})
     _BANNED_MODULES: FrozenSet[str] = frozenset(
         {"json", "pickle", "marshal"}
     )

@@ -11,7 +11,7 @@ Commands::
     stream       tail the world day-by-day with the incremental engine
     serve        run the live adoption query service (docs/SERVING.md)
     analyze      run the determinism & invariant linter over source trees
-    store        migrate/compact/inspect on-disk observation stores
+    store        compact/inspect on-disk observation stores
     sketch       constant-memory streaming summaries (docs/SKETCHES.md)
     faults       list fault-injection sites / print an example fault plan
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.exposure import analyze_exposure, render_exposure
 from repro.core.pipeline import AdoptionStudy
@@ -60,7 +60,7 @@ ARTIFACT_SCOPES = {
 
 def _add_world_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scale", type=int, default=DEFAULT_SCALE,
+        "--scale", type=_count(1), default=DEFAULT_SCALE,
         help="divide the paper's absolute counts by this "
              f"(default {DEFAULT_SCALE})",
     )
@@ -93,9 +93,35 @@ def _add_days_option(parser: argparse.ArgumentParser, verb: str) -> None:
 
 
 def _build_world(args: argparse.Namespace):
-    return build_paper_world(
-        ScenarioConfig(scale=args.scale, seed=args.seed)
-    )
+    """The paper world of ``--scale``/``--seed``; a scale too coarse to
+    hold the scenario's third parties exits 1 with one ``error:`` line."""
+    try:
+        return build_paper_world(
+            ScenarioConfig(scale=args.scale, seed=args.seed)
+        )
+    except ValueError as error:
+        print(
+            f"error: --scale {args.scale} is too coarse for the paper "
+            f"world: {error}",
+            file=sys.stderr,
+        )
+        raise SystemExit(1) from None
+
+
+def _parse_sources(text: str) -> Optional[Tuple[str, ...]]:
+    """The ``--sources`` list, or None after one ``error:`` line when it
+    names an unknown source or none at all."""
+    from repro.measurement.scheduler import ALL_SOURCES
+
+    sources = tuple(s for s in text.split(",") if s)
+    unknown = set(sources) - set(ALL_SOURCES)
+    if unknown:
+        print(f"error: unknown sources {sorted(unknown)}", file=sys.stderr)
+        return None
+    if not sources:
+        print("error: --sources names no source", file=sys.stderr)
+        return None
+    return sources
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,21 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="manage on-disk observation stores (docs/STORAGE.md)",
     )
     store_commands = store.add_subparsers(dest="store_command", required=True)
-
-    store_migrate = store_commands.add_parser(
-        "migrate",
-        help="convert a legacy v1 zlib-JSON store to the v2 segment format",
-    )
-    store_migrate.add_argument("source", help="v1 store directory")
-    store_migrate.add_argument("target", help="directory for the v2 store")
-    store_migrate.add_argument(
-        "--on-error", choices=["raise", "skip"], default="raise",
-        help="skip unreadable v1 partitions instead of failing (default raise)",
-    )
-    store_migrate.add_argument(
-        "--compact", type=_count(2), default=None, metavar="FANOUT",
-        help="also compact the migrated store with this tier fanout",
-    )
 
     store_compact = store_commands.add_parser(
         "compact",
@@ -619,14 +630,12 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from repro.measurement.scheduler import ALL_SOURCES, PartitionFeed
+    from repro.measurement.scheduler import PartitionFeed
     from repro.stream import StreamEngine, load_checkpoint, save_checkpoint
     from repro.stream.checkpoint import CheckpointError
 
-    sources = tuple(s for s in args.sources.split(",") if s)
-    unknown = set(sources) - set(ALL_SOURCES)
-    if unknown:
-        print(f"error: unknown sources {sorted(unknown)}", file=sys.stderr)
+    sources = _parse_sources(args.sources)
+    if sources is None:
         return 1
 
     world = _build_world(args)
@@ -728,14 +737,12 @@ def _print_stream_snapshots(engine, as_json: bool = False) -> None:
 
 def _sketch_engine(args: argparse.Namespace):
     """Build the world and ingest it with the sketch plane enabled."""
-    from repro.measurement.scheduler import ALL_SOURCES, PartitionFeed
+    from repro.measurement.scheduler import PartitionFeed
     from repro.sketch import SketchConfig
     from repro.stream import StreamEngine
 
-    sources = tuple(s for s in args.sources.split(",") if s)
-    unknown = set(sources) - set(ALL_SOURCES)
-    if unknown:
-        print(f"error: unknown sources {sorted(unknown)}", file=sys.stderr)
+    sources = _parse_sources(args.sources)
+    if sources is None:
         return None
 
     world = _build_world(args)
@@ -996,24 +1003,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     from repro.store import SegmentStore, StorageError
-    from repro.store.migrate import migrate_store
 
     try:
-        if args.store_command == "migrate":
-            report = migrate_store(
-                args.source,
-                args.target,
-                on_error=args.on_error,
-                compact_fanout=args.compact,
-            )
-            print(
-                f"migrated {report.partitions} partitions "
-                f"({report.rows} rows) into {report.segments} segment(s): "
-                f"{report.source_bytes} -> {report.target_bytes} bytes"
-            )
-            for source, day, reason in report.skipped:
-                print(f";; skipped {source}/{day}: {reason}")
-            return 0
         if args.store_command == "compact":
             with SegmentStore(args.directory) as store:
                 written = store.compact(fanout=args.fanout)

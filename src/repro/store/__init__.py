@@ -21,14 +21,14 @@ rows, loaded from disk and accounted:
   runs.
 * :mod:`repro.store.slices` — picklable read plans a sharded pass hands
   its workers.
-* :mod:`repro.store.migrate` — the legacy v1 zlib-JSON layout's only
-  reader, converting it into a new segment store directory.
 
-See ``docs/STORAGE.md`` for the byte-level format specification.
+There is one on-disk layout: a ``manifest.json`` of any format but 2
+is refused with :class:`StorageError`. See ``docs/STORAGE.md`` for the
+byte-level format specification.
 """
 
 from repro.store.errors import StorageError
-from repro.store.manifest import SegmentMeta, StoreManifest, manifest_format
+from repro.store.manifest import SegmentMeta, StoreManifest
 from repro.store.segment import (
     SEGMENT_SUFFIX,
     SegmentReader,
@@ -49,6 +49,5 @@ __all__ = [
     "StorageError",
     "StoreManifest",
     "build_segment",
-    "manifest_format",
     "write_segment",
 ]

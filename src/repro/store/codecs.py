@@ -27,7 +27,8 @@ and two index codecs, chosen adaptively per page by encoded size:
 
 Either may carry ``FLAG_ZLIB`` in the codec id's high bit, meaning the
 whole page body is additionally deflated — the fallback that keeps
-pathological pages (e.g. all-distinct long strings) no worse than v1.
+pathological pages (e.g. all-distinct long strings) no larger than
+zlib over the raw page.
 
 Every malformed-input failure raises
 :class:`~repro.store.errors.StorageError`; ``struct.error`` and

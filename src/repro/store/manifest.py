@@ -4,10 +4,8 @@
 compaction generation, day range, source set, and the exact partitions
 inside — so a reader can answer "which segments could hold com days
 40–60?" from the manifest alone and never open (or fault in a single
-page of) the cold ones. The v1 manifest was a plain JSON list of
-partition entries; :func:`manifest_format` tells the two apart so a v1
-directory is rejected with a typed error naming the migrate command
-(:mod:`repro.store.migrate` holds the only v1 reader).
+page of) the cold ones. A ``manifest.json`` of any other shape or
+format is refused with a typed error: no other format has a reader.
 """
 
 from __future__ import annotations
@@ -127,19 +125,6 @@ class SegmentMeta:
             bytes=size,
             partitions=list(partitions),
         )
-
-
-def manifest_format(payload: Any) -> int:
-    """The manifest format of a decoded ``manifest.json`` payload:
-    1 for the legacy partition list, 2 for the segment manifest."""
-    if isinstance(payload, list):
-        return 1
-    if (
-        isinstance(payload, dict)
-        and payload.get("format") == MANIFEST_FORMAT
-    ):
-        return MANIFEST_FORMAT
-    raise StorageError("unrecognised manifest format")
 
 
 @dataclass
@@ -276,22 +261,21 @@ class StoreManifest:
 
     @classmethod
     def load(cls, directory: str) -> "StoreManifest":
-        payload = load_manifest_payload(directory)
-        if manifest_format(payload) != MANIFEST_FORMAT:
-            raise StorageError(
-                f"{directory} holds a legacy v1 store; convert it with "
-                f"`repro store migrate {directory} NEW_DIR`"
-            )
-        return cls.from_dict(payload)
-
-
-def load_manifest_payload(directory: str) -> Any:
-    """The decoded ``manifest.json`` of *directory*, any format."""
-    path = os.path.join(directory, MANIFEST_NAME)
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise StorageError(f"cannot read manifest: {exc}") from exc
-    except ValueError as exc:
-        raise StorageError(f"corrupt manifest: {exc}") from exc
+        path = os.path.join(directory, MANIFEST_NAME)
+        try:
+            with open(path) as handle:
+                payload = json.load(handle)
+        except OSError as exc:
+            raise StorageError(f"cannot read manifest: {exc}") from exc
+        except ValueError as exc:
+            raise StorageError(f"corrupt manifest: {exc}") from exc
+        if isinstance(payload, dict):
+            if payload.get("format") == MANIFEST_FORMAT:
+                return cls.from_dict(payload)
+            found = f"manifest format {payload.get('format')!r}"
+        else:
+            found = f"a JSON {type(payload).__name__} manifest"
+        raise StorageError(
+            f"{directory} holds {found}, not a format-{MANIFEST_FORMAT} "
+            f"segment store"
+        )

@@ -543,28 +543,6 @@ class SegmentStore:
         the day repeats its source's base, else the full day."""
         self._append([(source, day, batch)])
 
-    def append_columns(
-        self, source: str, day: int, columns: Columns
-    ) -> None:
-        """Land already-shredded column lists as a gen-0 segment (the
-        migration path — no row boxing), by the rule every append
-        follows: the lists are interned into a batch first."""
-        missing = [name for name in COLUMN_ORDER if name not in columns]
-        if missing:
-            raise StorageError(
-                f"partition {source}/{day} is missing columns {missing}"
-            )
-        pages = {
-            name: codecs.cell_page(kind, columns[name])
-            for name, kind in COLUMN_KINDS.items()
-        }
-        rows = {len(indexes) for _, indexes in pages.values()}
-        if len(rows) > 1:
-            raise StorageError(f"ragged partition {source}/{day}")
-        batch = BatchBuilder().new_batch()
-        extend_batch(batch, [day] * rows.pop(), pages)
-        self._append([(source, day, batch)])
-
     def append_partitions(
         self,
         partitions: Iterable[

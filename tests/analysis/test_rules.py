@@ -108,12 +108,11 @@ def test_segment_decode_scoped_to_store_package():
     assert not any(
         f.rule == "decode-in-segment-hot-path" for f in result.findings
     )
-    # The manifest and migration modules are exempt metadata paths.
-    for exempt in ("repro/store/manifest.py", "repro/store/migrate.py"):
-        result = analyze_local(source, exempt)
-        assert not any(
-            f.rule == "decode-in-segment-hot-path" for f in result.findings
-        )
+    # The manifest module is an exempt metadata path.
+    result = analyze_local(source, "repro/store/manifest.py")
+    assert not any(
+        f.rule == "decode-in-segment-hot-path" for f in result.findings
+    )
 
 
 def test_parallel_executor_is_clean():

@@ -3,15 +3,11 @@
 from __future__ import annotations
 
 import json
-import os
 import shutil
-from typing import Dict, List, NamedTuple, Tuple
 
 import pytest
 
 from repro.core.pipeline import AdoptionStudy
-from repro.faults.inject import corrupt_blob
-from repro.measurement.snapshot import DomainObservation
 from repro.store import SegmentStore
 from repro.world.scenario import ScenarioConfig, build_paper_world
 from tests.conformance import SEEDS, Conformance, build_baseline
@@ -74,53 +70,21 @@ def sketch_seeded(conformance_base):
     return world, study, results, store
 
 
-#: A tiny legacy v1 store (zlib-JSON ``.col`` files), written once by the
-#: last commit that still had a v1 writer. Nothing in the tree can
-#: regenerate it; ``expected_rows.json`` beside it lists every row.
-V1_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "store_v1")
+#: ``manifest.json`` payloads of no segment store: the retired v1
+#: partition list, and the formats on either side of format 2.
+FOREIGN_MANIFESTS = {
+    "list": [{"source": "com", "day": 0, "columns": ["domain"]}],
+    "format-1": {"format": 1},
+    "format-3": {"format": 3, "segments": []},
+}
 
 
-class V1Store(NamedTuple):
-    directory: str
-    #: (source, day) → the rows the v1 files hold, in stored order.
-    rows: Dict[Tuple[str, int], List[DomainObservation]]
-
-    def damage(self, source: str, day: int, column: str, kind: str) -> None:
-        """Damage one ``.col`` file the way the fault harness damages
-        segment files (``missing`` removes it)."""
-        path = os.path.join(
-            self.directory, source, str(day), f"{column}.col"
-        )
-        if kind == "missing":
-            os.remove(path)
-            return
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(corrupt_blob(blob, kind, salt=f"{source}/{day}"))
-
-
-@pytest.fixture
-def v1_store(tmp_path) -> V1Store:
-    """A scratch copy of the checked-in v1 store and its expected rows."""
-    directory = str(tmp_path / "v1")
-    shutil.copytree(V1_FIXTURE, directory)
-    with open(os.path.join(directory, "expected_rows.json")) as handle:
-        expected = json.load(handle)
-    rows = {}
-    for key, entries in expected.items():
-        source, day = key.split("/")
-        rows[(source, int(day))] = [
-            DomainObservation(
-                **{
-                    name: (
-                        frozenset(value) if name == "asns"
-                        else tuple(value) if isinstance(value, list)
-                        else value
-                    )
-                    for name, value in entry.items()
-                }
-            )
-            for entry in entries
-        ]
-    return V1Store(directory, rows)
+@pytest.fixture(params=sorted(FOREIGN_MANIFESTS))
+def foreign_store(request, tmp_path) -> str:
+    """A directory whose ``manifest.json`` no reader in the tree accepts."""
+    directory = tmp_path / "foreign"
+    directory.mkdir()
+    (directory / "manifest.json").write_text(
+        json.dumps(FOREIGN_MANIFESTS[request.param])
+    )
+    return str(directory)

@@ -1,7 +1,6 @@
 """Segment-read faults: corruption helpers and the hardened store load."""
 
 import hashlib
-import json
 import os
 
 import pytest
@@ -12,7 +11,6 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.measurement.snapshot import DomainObservation
 from repro.store import SegmentReader, SegmentStore, StorageError
 from repro.store.manifest import StoreManifest
-from repro.store.migrate import migrate_store
 
 
 def observation(domain, day, tld="com"):
@@ -117,10 +115,10 @@ class TestCorruptStoreFiles:
         assert len(affected) == 1
         assert affected[0].endswith(".rseg")
 
-    def test_legacy_store_is_refused(self, v1_store):
-        with pytest.raises(StorageError, match="repro store migrate"):
+    def test_foreign_manifest_is_refused(self, foreign_store):
+        with pytest.raises(StorageError, match="not a format-2 segment"):
             corrupt_store_files(
-                v1_store.directory, self.plan("bitflip").injector()
+                foreign_store, self.plan("bitflip").injector()
             )
 
 
@@ -179,40 +177,6 @@ class TestHardenedLoad:
         self.damage(tmp_path, "bitflip", keys=("com/0",))
         with pytest.raises(StorageError, match="checksum mismatch"):
             load(tmp_path)
-
-    @pytest.mark.parametrize("kind", ["truncate", "bitflip", "missing"])
-    def test_legacy_lenient_load_drops_only_damaged_partition(
-        self, v1_store, tmp_path, kind
-    ):
-        """The v1 reader (now only behind ``migrate_store``) drops a
-        damaged partition whole — never a wrong row."""
-        v1_store.damage("com", 4, "www_addrs6", kind)
-        with pytest.raises(StorageError):
-            migrate_store(v1_store.directory, str(tmp_path / "strict"))
-        v2 = str(tmp_path / "v2")
-        report = migrate_store(v1_store.directory, v2, on_error="skip")
-        assert [
-            (source, day) for source, day, _reason in report.skipped
-        ] == [("com", 4)]
-        expected = dict(v1_store.rows)
-        expected.pop(("com", 4))
-        with SegmentStore(v2) as migrated:
-            assert rows_of(migrated) == expected
-
-    def test_legacy_manifest_without_checksums_loads(
-        self, v1_store, tmp_path
-    ):
-        manifest_path = os.path.join(v1_store.directory, "manifest.json")
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        for entry in manifest:
-            del entry["checksums"]
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
-        v2 = str(tmp_path / "v2")
-        migrate_store(v1_store.directory, v2)
-        with SegmentStore(v2) as migrated:
-            assert rows_of(migrated) == v1_store.rows
 
     def test_clean_roundtrip_is_exact(self, tmp_path):
         populated_store(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for the columnar store and its size accounting."""
 
 import os
+import re
 
 import pytest
 
@@ -111,13 +112,17 @@ class TestStore:
         store.append("com", 7, [observation(0, day=7)])
         assert os.path.exists(tmp_path / "segments" / "g0-000000.rseg")
 
-    def test_legacy_store_is_rejected_naming_migrate(self, v1_store):
-        v1 = v1_store.directory
+    def test_foreign_manifest_is_refused(self, foreign_store):
+        """Format 2 is the only store format with a reader: anything
+        else is refused by name, with the format that was found."""
         for opener in (SegmentStore, StoreManifest.load):
             with pytest.raises(StorageError) as caught:
-                opener(v1)
-            message = str(caught.value)
-            assert f"`repro store migrate {v1} NEW_DIR`" in message
+                opener(foreign_store)
+            assert re.fullmatch(
+                f"{re.escape(foreign_store)} holds (a JSON list manifest"
+                f"|manifest format [13]), not a format-2 segment store",
+                str(caught.value),
+            )
 
     def test_stats_report_exact_segment_file_size(self, tmp_path):
         store = fresh(tmp_path)

@@ -35,13 +35,15 @@ class TestParser:
             ["serve", "--limit", "0"],
             ["serve", "--window", "0"],
             ["store", "compact", "DIR", "--fanout", "1"],
-            ["store", "migrate", "OLD", "NEW", "--compact", "1"],
             ["zonefile", "com", "--limit", "-2"],
             ["pfx2as", "--limit", "-2"],
             ["sketch", "topk", "--k", "-1"],
             ["sketch", "topk", "--k", "0"],
             ["stream", "--interval", "-5"],
             ["stream", "--checkpoint-every", "-1"],
+            ["zonefile", "com", "--day", "0", "--scale", "0"],
+            ["zonefile", "com", "--day", "0", "--scale", "-5"],
+            ["study", "--scale", "0"],
         ):
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
@@ -64,6 +66,17 @@ class TestZonefile:
     def test_out_of_window(self, capsys):
         code = main(["zonefile", "nl", "--day", "0"] + SCALE)
         assert code == 1
+
+    def test_unbuildable_scale_fails(self, capsys):
+        """A scale so coarse that the scenario's third parties cannot
+        claim their domains builds no world: one line, exit 1."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["zonefile", "com", "--day", "0", "--scale", "100000000"])
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --scale 100000000 ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("day", [-5, CCTLD_START_DAY - 1, GTLD_DAYS])
     def test_alexa_out_of_window(self, capsys, day):
@@ -344,6 +357,13 @@ class TestStream:
         code = main(["stream", "--sources", "bogus", "--days", "2"] + SCALE)
         assert code == 1
 
+    def test_empty_sources_fail(self, capsys):
+        code = main(["stream", "--sources", "", "--days", "3"] + SCALE)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --sources names no source\n"
+
     def test_resume_with_a_source_the_checkpoint_lacks_fails(
         self, capsys, tmp_path
     ):
@@ -480,52 +500,52 @@ class TestServe:
 
 
 class TestStore:
-    def test_migrate_then_stats(self, capsys, v1_store, tmp_path):
+    @staticmethod
+    def land(directory):
+        """Four partitions in four day segments: com days 0–1 (five
+        rows each, every row changed on day 1) and nl days 0–1."""
+        from repro.measurement.snapshot import DomainObservation
         from repro.store import SegmentStore
 
-        v2 = tmp_path / "v2"
-        code = main(["store", "migrate", v1_store.directory, str(v2)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "migrated 4 partitions (17 rows)" in out
-        with SegmentStore(str(v2)) as migrated:
-            assert migrated.partitions() == sorted(v1_store.rows)
+        def rows(source, count, day):
+            return [
+                DomainObservation(
+                    day=day,
+                    domain=f"d{index}.{source}",
+                    tld=source,
+                    ns_names=(f"ns1.d{index}.{source}",),
+                    apex_addrs=(f"192.0.2.{10 * day + index}",),
+                )
+                for index in range(count)
+            ]
 
-        code = main(["store", "stats", str(v2)])
+        with SegmentStore(str(directory), create=True) as store:
+            for day in (0, 1):
+                store.append_partitions([("com", day, rows("com", 5, day))])
+                store.append_partitions([("nl", day, rows("nl", 2, day))])
+
+    def test_stats(self, capsys, tmp_path):
+        self.land(tmp_path)
+        code = main(["store", "stats", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "SOURCE" in out and "com" in out
-        assert "generations" in out
+        assert "generations 0" in out
         assert "com: 10 rows in 10 runs (x1.00)" in out
 
-    def test_migrate_into_existing_store_fails(
-        self, capsys, v1_store, tmp_path
-    ):
-        v2 = str(tmp_path / "v2")
-        assert main(["store", "migrate", v1_store.directory, v2]) == 0
-        capsys.readouterr()
-        for target in (v2, v1_store.directory):
-            code = main(["store", "migrate", v1_store.directory, target])
-            assert code == 1
-            assert "already holds a store" in capsys.readouterr().err
-
-    def test_compact_command(self, capsys, v1_store, tmp_path):
+    def test_compact_command(self, capsys, tmp_path):
         import os
 
-        v2 = tmp_path / "v2"
-        assert main(["store", "migrate", v1_store.directory, str(v2)]) == 0
-        capsys.readouterr()
-        code = main(["store", "compact", str(v2), "--fanout", "3"])
+        self.land(tmp_path)
+        code = main(["store", "compact", str(tmp_path), "--fanout", "3"])
         out = capsys.readouterr().out
         assert code == 0
         assert ".rseg" in out
-        assert len(os.listdir(v2 / "segments")) == 1
+        assert len(os.listdir(tmp_path / "segments")) == 1
 
-    def test_compact_nothing_to_do(self, capsys, v1_store, tmp_path):
-        v2 = tmp_path / "v2"
-        assert main(["store", "migrate", v1_store.directory, str(v2)]) == 0
-        capsys.readouterr()
-        code = main(["store", "compact", str(v2), "--fanout", "8"])
+    def test_compact_nothing_to_do(self, capsys, tmp_path):
+        self.land(tmp_path)
+        code = main(["store", "compact", str(tmp_path), "--fanout", "8"])
         assert code == 0
         assert "nothing to compact" in capsys.readouterr().out
 
@@ -534,10 +554,14 @@ class TestStore:
         assert code == 1
         assert capsys.readouterr().err != ""
 
-    def test_stats_on_v1_store_points_at_migrate(self, capsys, v1_store):
-        code = main(["store", "stats", v1_store.directory])
+    @pytest.mark.parametrize("command", ["stats", "compact"])
+    def test_foreign_manifest_is_refused(self, capsys, foreign_store, command):
+        code = main(["store", command, foreign_store])
+        captured = capsys.readouterr()
         assert code == 1
-        assert "repro store migrate" in capsys.readouterr().err
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {foreign_store} holds ")
+        assert captured.err.count("\n") == 1
 
 
 class TestSketch:
@@ -599,3 +623,10 @@ class TestSketch:
         )
         assert code == 1
         assert "unknown sources" in capsys.readouterr().err
+
+    def test_empty_sources_fail(self, capsys):
+        code = main(["sketch", "stats", "--sources", ""] + self.TINY)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --sources names no source\n"
