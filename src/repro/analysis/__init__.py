@@ -3,12 +3,13 @@
 The streaming engine's guarantees (checkpoint byte-identity,
 stream-vs-batch equivalence, kill-and-resume) are enforced by tests but
 *created* by coding invariants: no wall-clock or global-RNG reads in
-pure modules, no float equality on statistics paths, no swallowed
-ingest errors, and checkpoint codecs that cover every field of state.
-This package checks the invariants a test cannot see, statically, via
-``python -m repro analyze`` (see ``docs/ANALYSIS.md``); iteration order
-and hashing are left to the conformance matrix, which checks their
-effect on the bytes.
+pure modules, no swallowed ingest errors, shard results consumed in
+shard order. This package checks the invariants a test cannot see,
+statically, via ``python -m repro analyze`` (see
+``docs/ANALYSIS.md``); iteration order and hashing are left to the
+conformance matrix, which checks their effect on the bytes, and
+checkpoint codecs and threshold arithmetic to the laws of
+``tests/property``, which run them.
 
 Two layers:
 

@@ -7,7 +7,10 @@ not judged here: the conformance matrix
 (``tests/integration/test_conformance.py``) checks their effect on the
 bytes directly. Nor are mutable defaults or per-row boxing on the
 columnar hot paths: tier-1 and the end-to-end benchmark caught every
-bug of those classes planted for them (``docs/ANALYSIS.md``).
+bug of those classes planted for them (``docs/ANALYSIS.md``). Nor are
+checkpoint codecs that forget or reset a field, or float comparisons
+on the statistics paths: the round-trip laws and the exact-arithmetic
+laws of ``tests/property`` run that code and caught every such plant.
 
 ``wall-clock``
     ``repro.core`` and ``repro.stream`` must be pure functions of their
@@ -15,22 +18,10 @@ bug of those classes planted for them (``docs/ANALYSIS.md``).
     and no module-global RNG (``random.random()`` et al.). Seeded
     ``random.Random`` instances are the sanctioned alternative.
 
-``float-equality``
-    Statistics paths must not compare floats with ``==``/``!=``;
-    binary-float roundoff makes such comparisons platform- and
-    optimisation-sensitive.
-
 ``swallowed-exception``
     Bare ``except:`` anywhere, and broad ``except Exception`` handlers
     that swallow (never re-raise) on ingest paths, hide data-quality
     problems that should quarantine a partition instead.
-
-``schema-drift``
-    Every field a codec class's ``__init__`` writes must be read by both
-    its checkpoint encoder (``to_dict``) and decoder (``from_dict``);
-    a field one side forgot is exactly the silent state loss that breaks
-    kill-and-resume equivalence. Derived/configuration fields opt out
-    with a ``repro: ignore[schema-drift]`` comment on the assignment.
 
 ``unordered-futures``
     :mod:`repro.parallel` merges per-shard results on the promise that
@@ -42,7 +33,7 @@ bug of those classes planted for them (``docs/ANALYSIS.md``).
     shard-index order instead.
 
 ``decode-in-segment-hot-path``
-    The v2 segment read path (:mod:`repro.store`) decodes whole column
+    The segment read path (:mod:`repro.store`) decodes whole column
     pages through :func:`repro.store.codecs.decode_page` and translates
     rows through the dictionary index list. Object-serialization
     decoders there (``json.loads``, ``pickle.loads``, ``marshal``) — or
@@ -55,11 +46,9 @@ bug of those classes planted for them (``docs/ANALYSIS.md``).
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
-
-_FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: Modules that must stay free of wall-clock and global-RNG reads.
 DETERMINISTIC_PACKAGES: Tuple[str, ...] = (
@@ -68,17 +57,6 @@ DETERMINISTIC_PACKAGES: Tuple[str, ...] = (
     "repro/serve/",
     "repro/store/",
     "repro/sketch/",
-)
-
-#: Statistics paths where float == / != comparisons are banned.
-STATS_MODULES: FrozenSet[str] = frozenset(
-    {
-        "repro/core/stats.py",
-        "repro/core/growth.py",
-        "repro/core/flux.py",
-        "repro/core/peaks.py",
-        "repro/measurement/quality.py",
-    }
 )
 
 #: Ingest paths where a swallowed broad except hides bad partitions.
@@ -216,55 +194,6 @@ class WallClockRule(Rule):
             )
 
 
-class FloatEqualityRule(Rule):
-    id = "float-equality"
-    summary = "float == / != comparison on statistics paths"
-
-    def applies_to(self, module: str) -> bool:
-        return module in STATS_MODULES
-
-    @staticmethod
-    def _is_floatish(node: ast.expr) -> bool:
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            return True
-        if (
-            isinstance(node, ast.UnaryOp)
-            and isinstance(node.op, (ast.USub, ast.UAdd))
-            and isinstance(node.operand, ast.Constant)
-            and isinstance(node.operand.value, float)
-        ):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "float"
-        )
-
-    def check(
-        self, tree: ast.Module, module: str, path: str
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left] + list(node.comparators)
-            for index, op in enumerate(node.ops):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                left, right = operands[index], operands[index + 1]
-                if self._is_floatish(left) or self._is_floatish(right):
-                    findings.append(
-                        self._finding(
-                            path,
-                            node,
-                            "float == / != comparison; use math.isclose "
-                            "or an explicit tolerance",
-                        )
-                    )
-                    break
-        return findings
-
-
 class SwallowedExceptionRule(Rule):
     id = "swallowed-exception"
     summary = "bare except, or broad except that swallows on ingest paths"
@@ -314,92 +243,6 @@ class SwallowedExceptionRule(Rule):
                         "bad partitions must quarantine, not vanish",
                     )
                 )
-        return findings
-
-
-class SchemaDriftRule(Rule):
-    id = "schema-drift"
-    summary = (
-        "__init__ field missing from the checkpoint encoder or decoder"
-    )
-
-    @staticmethod
-    def _references(method: _FunctionNode) -> Tuple[Set[str], Set[str]]:
-        """(attribute names, string constants) appearing in *method*."""
-        attributes: Set[str] = set()
-        strings: Set[str] = set()
-        for node in ast.walk(method):
-            if isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(
-                node.value, str
-            ):
-                strings.add(node.value)
-        return attributes, strings
-
-    @staticmethod
-    def _init_fields(init: _FunctionNode) -> List[Tuple[str, ast.stmt]]:
-        fields: List[Tuple[str, ast.stmt]] = []
-        seen: Set[str] = set()
-        for statement in ast.walk(init):
-            if isinstance(statement, ast.Assign):
-                targets: Sequence[ast.expr] = statement.targets
-            elif isinstance(statement, ast.AnnAssign):
-                targets = [statement.target]
-            else:
-                continue
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and target.attr not in seen
-                ):
-                    seen.add(target.attr)
-                    fields.append((target.attr, statement))
-        return fields
-
-    def check(
-        self, tree: ast.Module, module: str, path: str
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            methods: Dict[str, _FunctionNode] = {
-                statement.name: statement
-                for statement in node.body
-                if isinstance(
-                    statement, (ast.FunctionDef, ast.AsyncFunctionDef)
-                )
-            }
-            if not {"__init__", "to_dict", "from_dict"} <= set(methods):
-                continue
-            codec_refs = {
-                name: self._references(methods[name])
-                for name in ("to_dict", "from_dict")
-            }
-            for field, statement in self._init_fields(methods["__init__"]):
-                missing = [
-                    name
-                    for name, (attributes, strings) in sorted(
-                        codec_refs.items()
-                    )
-                    if field not in attributes
-                    and field not in strings
-                    and field.lstrip("_") not in strings
-                ]
-                if missing:
-                    findings.append(
-                        self._finding(
-                            path,
-                            statement,
-                            f"field {field!r} of {node.name!r} is written "
-                            f"by __init__ but never referenced by "
-                            f"{' or '.join(missing)}; checkpoint/resume "
-                            f"would silently drop it",
-                        )
-                    )
         return findings
 
 
@@ -665,9 +508,7 @@ def default_rules() -> Tuple[Rule, ...]:
     """All shipped rules, in reporting order."""
     return (
         WallClockRule(),
-        FloatEqualityRule(),
         SwallowedExceptionRule(),
-        SchemaDriftRule(),
         UnorderedFuturesRule(),
         DirectPoolUseRule(),
         SegmentDecodeRule(),

@@ -69,15 +69,22 @@ def _add_world_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _count(minimum: int) -> Callable[[str], int]:
-    """An argparse type: an integer no smaller than *minimum*, so a bad
-    count or size is a usage error (exit 2) before any work starts."""
+def _count(
+    minimum: int, maximum: Optional[int] = None
+) -> Callable[[str], int]:
+    """An argparse type: an integer in ``[minimum, maximum]``, so a bad
+    count, size or port is a usage error (exit 2) before any work
+    starts."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be at least {minimum}: {value}"
+            )
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {maximum}: {value}"
             )
         return value
 
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_days_option(serve, "ingest")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=0,
+        "--port", type=_count(0, 65535), default=0,
         help="listen port (default 0: ephemeral)",
     )
     serve.add_argument(
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compact",
         help="merge day segments into multi-day runs (tiered compaction)",
     )
-    store_compact.add_argument("directory", help="v2 store directory")
+    store_compact.add_argument("directory", help="segment store directory")
     store_compact.add_argument(
         "--fanout", type=_count(2), default=8,
         help="segments per tier before merging into the next (default 8)",
@@ -334,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats",
         help="print per-partition and total on-disk statistics",
     )
-    store_stats.add_argument("directory", help="v2 store directory")
+    store_stats.add_argument("directory", help="segment store directory")
     store_stats.add_argument(
         "--source", help="restrict the listing to one source",
     )

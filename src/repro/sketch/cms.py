@@ -52,7 +52,7 @@ class CountMinSketch:
         self.width = width
         self.seed = seed
         #: Derived from ``seed``; copied per key, never serialized.
-        self._hasher = keyed_hasher(seed)  # repro: ignore[schema-drift]
+        self._hasher = keyed_hasher(seed)
         self.conservative = conservative
         self.total = 0
         self.rows: List[List[int]] = [

@@ -47,9 +47,9 @@ class HyperLogLog:
             raise ValueError("precision must be in [4, 18]")
         self.precision = precision
         self.seed = seed
-        self.registers = 1 << precision  # repro: ignore[schema-drift]
+        self.registers = 1 << precision
         #: Derived from ``seed``; copied per key, never serialized.
-        self._hasher = keyed_hasher(seed)  # repro: ignore[schema-drift]
+        self._hasher = keyed_hasher(seed)
         #: Sparse regime: touched register → max rank, sorted on dump.
         self.sparse: Optional[Dict[int, int]] = {}
         #: Dense regime: one rank per register (None while sparse).

@@ -104,7 +104,7 @@ class ScopeSketches:
     def __init__(self, config: SketchConfig):
         # Shared shape parameters, not state: rebuilt from the plane's
         # config on load (from_dict re-derives every seed from it).
-        self.config = config  # repro: ignore[schema-drift]
+        self.config = config
         self.rows_observed = 0
         self.matched_rows = 0
         self.provider_days = CountMinSketch(
@@ -362,7 +362,7 @@ class SketchPlane:
         self.provider_slds = frozenset(provider_slds)
         #: (ns_names, www_cnames) → third-party keys. Derived memo,
         #: rebuilt on demand after a resume — never serialized.
-        self._third_party_cache: Dict[  # repro: ignore[schema-drift]
+        self._third_party_cache: Dict[
             Tuple[Tuple[str, ...], Tuple[str, ...]], Tuple[str, ...]
         ] = {}
 

@@ -1,4 +1,4 @@
-"""Per-column page codecs for the v2 segment format.
+"""Per-column page codecs for the segment format.
 
 A column page is a dictionary page in the Parquet spirit: the distinct
 cell values (the *dictionary*, in first-seen order) followed by an

@@ -1,4 +1,4 @@
-"""The v2 store manifest: segment metadata enabling partition pruning.
+"""The store manifest: segment metadata enabling partition pruning.
 
 ``manifest.json`` (format 2) describes every live segment file — its
 compaction generation, day range, source set, and the exact partitions

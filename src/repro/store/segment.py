@@ -65,7 +65,7 @@ VERSION = 2
 RUN_VERSION = 3
 #: The version of a segment holding at least one delta fragment.
 DELTA_VERSION = 4
-#: The on-disk extension of v2 segment files.
+#: The on-disk extension of segment files.
 SEGMENT_SUFFIX = ".rseg"
 
 _HEADER = struct.Struct("<4sHHII")

@@ -115,7 +115,7 @@ class StreamEngine:
         self.horizon = horizon
         # Configuration, not state: deliberately absent from checkpoints
         # (load_checkpoint takes the catalog as an argument).
-        self.catalog = (  # repro: ignore[schema-drift]
+        self.catalog = (
             catalog or SignatureCatalog.paper_table2()
         )
         self.sources = tuple(sources)
@@ -124,7 +124,7 @@ class StreamEngine:
             raise ValueError(f"unknown sources: {sorted(unknown)}")
         self._windows: Dict[str, Tuple[int, int]] = dict(windows or {})
         # Configuration, not state (same contract as the catalog).
-        self._growth = growth or GrowthAnalysis()  # repro: ignore[schema-drift]
+        self._growth = growth or GrowthAnalysis()
         self._scopes: Dict[str, ScopeState] = {
             scope: ScopeState(horizon)
             for scope in dict.fromkeys(
@@ -153,7 +153,7 @@ class StreamEngine:
         #: instead of a DNS-name parse (the dominant cost of naive daily
         #: ingestion). Derived data — never serialised, rebuilt on
         #: demand after a resume.
-        self._matcher = BatchMatcher(  # repro: ignore[schema-drift]
+        self._matcher = BatchMatcher(
             self.catalog
         )
         #: scope → reason, for scopes under quarantine escalation.
@@ -162,7 +162,7 @@ class StreamEngine:
         #: ``(source, day)``. Derived wiring (the serve plane's snapshot
         #: swapper hangs off this) — never serialised, re-attached after
         #: a resume.
-        self._apply_listeners: List[  # repro: ignore[schema-drift]
+        self._apply_listeners: List[
             Callable[[str, int], None]
         ] = []
         self.partitions_applied = 0

@@ -26,9 +26,7 @@ _MARKER_RE = re.compile(
 #: fixture file → logical module path it is analyzed under.
 CASES = [
     ("wall_clock.py", "repro/core/fixture_wall_clock.py"),
-    ("float_equality.py", "repro/core/stats.py"),
     ("swallowed_exception.py", "repro/stream/fixture_swallowed.py"),
-    ("schema_drift.py", "repro/core/fixture_schema.py"),
     ("unordered_futures.py", "repro/parallel/fixture_futures.py"),
     ("direct_pool_use.py", "repro/measurement/fixture_pool.py"),
     ("segment_decode.py", "repro/store/fixture_segment_decode.py"),
@@ -80,12 +78,6 @@ def test_broad_except_scoped_to_ingest_paths():
     # Off the ingest paths only the bare except remains flagged.
     assert rules == ["swallowed-exception"]
     assert "except:" in source.splitlines()[result.findings[0].line - 1]
-
-
-def test_float_equality_scoped_to_stats_modules():
-    source = (FIXTURES / "float_equality.py").read_text()
-    result = analyze_local(source, "repro/core/detection.py")
-    assert not any(f.rule == "float-equality" for f in result.findings)
 
 
 def test_wall_clock_scoped_to_deterministic_packages():

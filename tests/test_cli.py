@@ -44,6 +44,8 @@ class TestParser:
             ["zonefile", "com", "--day", "0", "--scale", "0"],
             ["zonefile", "com", "--day", "0", "--scale", "-5"],
             ["study", "--scale", "0"],
+            ["serve", "--port", "70000"],
+            ["serve", "--port", "-1"],
         ):
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
