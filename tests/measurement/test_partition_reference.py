@@ -189,3 +189,38 @@ def test_the_world_holds_the_edge_rows(world):
     assert ("d.net", CHANGE_DAY + 1) in rows
     assert ("d.net", DELETED) not in rows
     assert ("h.nl", NL_CHANGE + 1) in rows
+
+
+def test_consecutive_days_across_a_routing_change(world):
+    """One feed lands every day around the routing change, in landing
+    order: each partition equals the reference route's batch, and each
+    row's ASNs equal the per-day oracle :meth:`AsnEnricher.enrich`.
+
+    Configs do not change over these days, so every row repeats its
+    address cells from the day before; only the routing epoch moves.
+    """
+    feed = PartitionFeed(world)
+    oracle = AsnEnricher(world)
+    listings = ZoneFeed(world)
+    prober = FastProber(world)
+    builder = BatchBuilder()
+    enricher = AsnEnricher(world)
+    asns = {}
+    for source, day in feed.keys(ROUTING_DAY - 2, ROUTING_DAY + 3):
+        partition = feed.partition(source, day)
+        if source == "alexa":
+            listing = listings.alexa_listing(day)
+        else:
+            listing = listings.listing(source, day)
+        batch = enricher.enrich_batch(
+            builder.build(prober.observe_day(listing.names, day))
+        )
+        assert _columns(partition.batch) == _columns(batch)
+        for row in partition.observations:
+            assert row.asns == oracle.enrich(row.with_asns(frozenset())).asns
+            asns[source, row.domain, day] = row.asns
+    # The change reaches the rows: an apex in 10.1.0.0/24 gains an origin.
+    assert asns["com", "a.com", ROUTING_DAY - 1] == frozenset({64500, 64510})
+    assert asns["com", "a.com", ROUTING_DAY] == frozenset(
+        {64500, 64501, 64510}
+    )

@@ -315,3 +315,23 @@ class TestEngineIntegration:
             restored.sketches.state_digest()
             == engine.sketches.state_digest()
         )
+
+    def test_warm_fold_equals_a_restored_cold_plane(self, tiny_world):
+        """Days of real partitions folded into one plane leave it with
+        warm derived memos; a plane restored from its dump starts cold.
+        After the same next day both serialize alike."""
+        from repro.measurement.scheduler import PartitionFeed
+
+        feed = PartitionFeed(tiny_world)
+        # No windows: the first ingested day opens each cursor.
+        engine = StreamEngine(tiny_world.horizon, sketches=SketchConfig())
+        start = feed.window("alexa")[0]
+        for partition in feed.days(start, start + 3):
+            assert engine.ingest(partition) == "applied"
+        restored = StreamEngine.from_dict(
+            json.loads(json.dumps(engine.to_dict()))
+        )
+        for partition in feed.days(start + 3, start + 4):
+            assert engine.ingest(partition) == "applied"
+            assert restored.ingest(partition) == "applied"
+        assert restored.sketches.to_dict() == engine.sketches.to_dict()
