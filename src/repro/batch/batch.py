@@ -258,28 +258,6 @@ class ObservationBatch:
             self.asns[index],
         )
 
-    def row_address_ids(self, index: int) -> Tuple[int, ...]:
-        """Deduplicated address ids of row *index*, in the apex → www →
-        apex6 → www6 first-seen order :meth:`DomainObservation.
-        all_addresses` uses."""
-        return tuple(
-            dict.fromkeys(
-                self.apex_addrs[index]
-                + self.www_addrs[index]
-                + self.apex_addrs6[index]
-                + self.www_addrs6[index]
-            )
-        )
-
-    def unique_address_ids(self) -> List[int]:
-        """Every distinct address id referenced by this batch, in
-        first-row-seen order (the enrichment dedup pool)."""
-        seen: Dict[int, None] = {}
-        for index in range(len(self.days)):
-            for address_id in self.row_address_ids(index):
-                seen.setdefault(address_id, None)
-        return list(seen)
-
     def with_asns(
         self, asns: Sequence[Tuple[int, ...]]
     ) -> "ObservationBatch":

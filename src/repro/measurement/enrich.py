@@ -19,15 +19,20 @@ paths are tested against.
 from __future__ import annotations
 
 import ipaddress
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from bisect import bisect_right
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.batch.batch import ObservationBatch
+from repro.batch.batch import Ids, ObservationBatch
 from repro.measurement.snapshot import DomainObservation, ObservationSegment
 from repro.routing.prefixtable import PrefixTable
 from repro.world.world import World
 
 #: One address's ``[(start_day, origins)]``, ascending, deduplicated.
 Timeline = List[Tuple[int, FrozenSet[int]]]
+
+#: (routing epoch, apex, www, apex6, www6 address-id cells) → the row's
+#: sorted origin ASNs. Pool-relative, like the cells it is keyed by.
+UnionMemo = Dict[Tuple[int, Ids, Ids, Ids, Ids], Ids]
 
 
 def _origins_at(timeline: Timeline, day: int) -> FrozenSet[int]:
@@ -100,36 +105,52 @@ class AsnEnricher:
     ) -> List[DomainObservation]:
         return [self.enrich(observation) for observation in observations]
 
-    def enrich_batch(self, batch: ObservationBatch) -> ObservationBatch:
+    def epoch(self, day: int) -> int:
+        """The routing epoch of *day*: how many epoch days (day 0 and
+        the routing change days) have begun by then. Every timeline
+        reads the same origins on every day of one epoch."""
+        return bisect_right(self._epoch_days, day)
+
+    def enrich_batch(
+        self, batch: ObservationBatch, unions: Optional[UnionMemo] = None
+    ) -> ObservationBatch:
         """The batch counterpart of :meth:`enrich_day`.
 
         Each address's origins are read off its :meth:`address_timeline`
         at the row's day, so a distinct address is resolved against BGP
         data once per enricher, however many rows, days or batches
         share it (mass hosters give thousands of rows the same
-        address). Row unions are memoised by the row's deduplicated
-        address-id tuple, so identical rows cost one set union total.
-        The returned sibling batch's rows equal ``enrich_day`` output
-        value-for-value.
+        address). Row unions are memoised in *unions* by the row's
+        routing epoch and four address cells, so identical rows cost
+        one set union. The memo is pool-relative: a caller that keeps
+        it across batches (:class:`~repro.measurement.scheduler.
+        PartitionFeed`) keeps it exactly as long as their pools; by
+        default it lives for this call. The returned sibling batch's
+        rows equal ``enrich_day`` output value-for-value.
         """
+        if unions is None:
+            unions = {}
         pool = batch.addresses
-        union_memo: Dict[
-            Tuple[int, Tuple[int, ...]], Tuple[int, ...]
-        ] = {}
-        asns_column: List[Tuple[int, ...]] = []
-        for index in range(len(batch)):
-            day = batch.days[index]
-            address_ids = batch.row_address_ids(index)
-            key = (day, address_ids)
-            merged = union_memo.get(key)
+        epochs = {day: self.epoch(day) for day in set(batch.days)}
+        asns_column: List[Ids] = []
+        for day, apex, www, apex6, www6 in zip(
+            batch.days,
+            batch.apex_addrs,
+            batch.www_addrs,
+            batch.apex_addrs6,
+            batch.www_addrs6,
+        ):
+            key = (epochs[day], apex, www, apex6, www6)
+            merged = unions.get(key)
             if merged is None:
                 combined: Set[int] = set()
-                for address_id in address_ids:
-                    combined |= _origins_at(
-                        self.address_timeline(pool.value(address_id)), day
-                    )
-                merged = tuple(sorted(combined))
-                union_memo[key] = merged
+                for cell in (apex, www, apex6, www6):
+                    for address_id in cell:
+                        combined |= _origins_at(
+                            self.address_timeline(pool.value(address_id)),
+                            day,
+                        )
+                merged = unions[key] = tuple(sorted(combined))
             asns_column.append(merged)
         return batch.with_asns(asns_column)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from repro.measurement.snapshot import DomainObservation
@@ -87,11 +88,14 @@ class IncidentDetector:
         incidents: List[Tuple[str, int, int]] = []
         if self._history:
             _, previous = self._history[-1]
+            # Over the decimal the caller wrote: in floats 10 * (1 - 0.7)
+            # is 3.0000000000000004, which would flag 10 → 3.
+            kept = 1 - Fraction(str(self.drop_fraction))
             for sld, before in previous.items():
                 if before < self.min_population:
                     continue
                 after = census.get(sld, 0)
-                if after < before * (1.0 - self.drop_fraction):
+                if after < before * kept:
                     incidents.append((sld, before, after))
         self._history.append((day, census))
         return incidents

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.batch.batch import BatchBuilder, BatchRows, Ids, ObservationBatch
-from repro.measurement.enrich import AsnEnricher
+from repro.measurement.enrich import AsnEnricher, UnionMemo
 from repro.measurement.prober import FastProber
 from repro.measurement.snapshot import DomainObservation
 from repro.measurement.zonefeed import ZoneFeed
@@ -192,6 +192,10 @@ class PartitionFeed(LandingOrder):
         #: Config → payload ids in the builder's pools (pool-relative,
         #: so it lives as long as they do); most names keep their config.
         self._payloads: Dict[DnsConfig, Tuple[Ids, ...]] = {}
+        #: Address cells → ASNs, for one routing epoch at a time: also
+        #: pool-relative, and most rows repeat yesterday's cells.
+        self._unions: UnionMemo = {}
+        self._unions_epoch = -1
 
     def partition(self, source: str, day: int) -> DayPartition:
         """Measure one ``(source, day)`` partition straight into a batch."""
@@ -202,7 +206,10 @@ class PartitionFeed(LandingOrder):
         batch = self._builder.new_batch()
         self._prober.append_day(batch, listing.names, day, self._payloads)
         if self._enricher is not None:
-            batch = self._enricher.enrich_batch(batch)
+            epoch = self._enricher.epoch(day)
+            if epoch != self._unions_epoch:
+                self._unions, self._unions_epoch = {}, epoch
+            batch = self._enricher.enrich_batch(batch, self._unions)
         return DayPartition.from_batch(
             source=source,
             day=day,

@@ -56,6 +56,10 @@ from repro.sketch.topk import SpaceSaving
 #: Separates provider from day in compound count-min/HLL keys.
 KEY_SEP = "\x1f"
 
+#: A HyperLogLog rank is at most ``64 - precision + 1`` (≤ 61): six bits.
+RANK_BITS = 6
+RANK_MASK = (1 << RANK_BITS) - 1
+
 
 @dataclass(frozen=True)
 class SketchConfig:
@@ -365,6 +369,10 @@ class SketchPlane:
         self._third_party_cache: Dict[
             Tuple[Tuple[str, ...], Tuple[str, ...]], Tuple[str, ...]
         ] = {}
+        #: Domain → its ``domains``-role slot, packed as ``register <<
+        #: RANK_BITS | rank``: one digest per distinct domain, not per
+        #: row. Derived memo, never serialized.
+        self._domain_slots: Dict[str, int] = {}
 
     def scope(self, name: str) -> ScopeSketches:
         return self.scopes[name]
@@ -415,6 +423,9 @@ class SketchPlane:
         sketches = self.scopes[scope]
         config = self.config
         first = min(batch.days, default=0)
+        blank_domains = HyperLogLog(
+            config.hll_precision, config.role_seed("hll:domains")
+        )
         blank_provider = HyperLogLog(
             config.hll_precision, config.role_seed("hll:provider-domains")
         )
@@ -428,12 +439,18 @@ class SketchPlane:
         # per-batch match key dedups their extraction exactly like it
         # dedups signature matching.
         third_by_key: Dict[MatchKey, Tuple[str, ...]] = {}
+        domain_slots = self._domain_slots
+        domains = sketches.domains
         matched = 0
         for index, (start, end, matches) in enumerate(
             zip(batch.days, ends, row_matches)
         ):
             domain = batch.domain_text(index)
-            sketches.domains.add(domain)
+            packed = domain_slots.get(domain)
+            if packed is None:
+                register, rank = blank_domains.slot(domain)
+                packed = domain_slots[domain] = register << RANK_BITS | rank
+            domains.raise_register(packed >> RANK_BITS, packed & RANK_MASK)
             if not matches:
                 id_key = batch.match_key(index)
                 third = third_by_key.get(id_key)

@@ -48,13 +48,16 @@ PREVIOUS_SUFFIX = ".prev"
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is missing, damaged, or from an unknown format."""
+    """A checkpoint file is missing, damaged, or from an unknown format,
+    or the engine holds state that cannot be written to one."""
 
 
 def _engine_payload(engine: StreamEngine) -> str:
-    return json.dumps(
-        engine.to_dict(), sort_keys=True, separators=(",", ":")
-    )
+    try:
+        state = engine.to_dict()
+    except ValueError as exc:
+        raise CheckpointError(f"cannot checkpoint the engine: {exc}") from exc
+    return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 
 def dump_state(engine: StreamEngine) -> bytes:

@@ -93,31 +93,6 @@ class TestColumnarAccessors:
         assert batch.match_key(0) == batch.match_key(1)
         assert batch.match_key(0) != batch.match_key(2)
 
-    def test_row_address_ids_dedup_in_all_addresses_order(self):
-        row = DomainObservation(
-            day=0,
-            domain="dup.com",
-            tld="com",
-            ns_names=("ns.dup.com",),
-            apex_addrs=("192.0.2.1", "192.0.2.2"),
-            www_addrs=("192.0.2.2", "192.0.2.3"),
-            apex_addrs6=("2001:db8::1",),
-            www_addrs6=("2001:db8::1",),
-        )
-        batch = ObservationBatch.from_rows([row])
-        texts = batch.addresses.values(batch.row_address_ids(0))
-        assert texts == row.all_addresses()
-
-    def test_unique_address_ids_first_seen_order(self):
-        batch = ObservationBatch.from_rows(ROWS)
-        texts = batch.addresses.values(batch.unique_address_ids())
-        expected = list(
-            dict.fromkeys(
-                addr for row in ROWS for addr in row.all_addresses()
-            )
-        )
-        assert list(texts) == expected
-
 
 class TestRestructuring:
     def test_slice_shares_pools(self):

@@ -123,13 +123,3 @@ class TestBatchRoundTrip:
         assert [part.rows() for part in parts] == [
             list(chunk) for chunk in expected
         ]
-
-    @RELAXED
-    @given(rows=row_lists)
-    def test_all_addresses_matches_row_address_ids(self, rows):
-        batch = ObservationBatch.from_rows(rows)
-        for index, row in enumerate(rows):
-            assert (
-                batch.addresses.values(batch.row_address_ids(index))
-                == row.all_addresses()
-            )

@@ -15,7 +15,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repro.core.peaks import PeakStats  # noqa: E402
 from repro.measurement.quality import IncidentDetector  # noqa: E402
@@ -87,20 +87,40 @@ def census_day(day, population):
     ]
 
 
+@st.composite
+def drops_and_populations(draw):
+    """A drop fraction as a caller writes it — sixteenths (the default
+    0.5 among them), tenths or hundredths; only sixteenths are exact
+    floats — and a population before the drop. Half the populations
+    are multiples of the fraction's denominator, which put the boundary
+    on an integer day count: a float a hair above it flags a census
+    that sits exactly on it."""
+    parts = draw(st.sampled_from((16, 10, 100)))
+    drop = Fraction(draw(st.integers(min_value=1, max_value=parts - 1)), parts)
+    before = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=48),
+            st.integers(min_value=1, max_value=3).map(
+                lambda multiple: multiple * drop.denominator
+            ),
+        )
+    )
+    return drop, before
+
+
 @EXACT
+@example(case=(Fraction(7, 10), 10), offset=0, min_population=1)
 @given(
-    drop=st.integers(min_value=1, max_value=15).map(
-        lambda sixteenths: Fraction(sixteenths, 16)
-    ),
-    before=st.integers(min_value=0, max_value=48),
+    case=drops_and_populations(),
     offset=st.integers(min_value=-1, max_value=1),
     min_population=st.integers(min_value=1, max_value=6),
 )
-def test_incident_threshold_is_exact(drop, before, offset, min_population):
+def test_incident_threshold_is_exact(case, offset, min_population):
     """A collapse is flagged exactly when ``after < before * (1 - drop)``
-    over fractions. Drop fractions are sixteenths, which a float holds
-    exactly (the detector's default 0.5 among them), and ``after`` is
-    drawn at the boundary and one either side of it."""
+    over fractions, for the decimal the caller wrote even where no float
+    holds it (``10 * (1 - 0.7)`` is ``3.0000000000000004``), and
+    ``after`` is drawn at the boundary and one either side of it."""
+    drop, before = case
     after = max(0, round(before * (1 - drop)) + offset)
     detector = IncidentDetector(
         drop_fraction=float(drop), min_population=min_population

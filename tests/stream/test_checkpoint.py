@@ -6,8 +6,11 @@ import zlib
 
 import pytest
 
+from repro.faults.inject import PoisonedRow
+from repro.measurement.scheduler import DayPartition
 from repro.stream import checkpoint
 from repro.stream.checkpoint import (
+    CheckpointError,
     dump_state,
     load_checkpoint,
     save_checkpoint,
@@ -87,6 +90,26 @@ class TestSaveLoad:
         resumed.ingest(partition("com", 1, DOMAINS))
         assert resumed.next_day("com") == 3
         assert resumed.adoption("StubDPS", day=2) == 1
+
+    def test_poisoned_held_partition_refuses_a_typed_checkpoint(
+        self, tmp_path
+    ):
+        """A held (quarantined) partition is unread until it applies, so
+        a poisoned one surfaces at checkpoint time: a typed refusal
+        naming the source and day, and nothing written."""
+        stream = StreamEngine(10, sources=("com",))
+        stream.ingest(partition("com", 0, DOMAINS))
+        poisoned = DayPartition(
+            source="com", day=2, zone_size=1, observations=[PoisonedRow()]
+        )
+        assert stream.ingest(poisoned) == QUARANTINED
+        refusal = r"\(com, 2\) is unreadable: poisoned observation row"
+        with pytest.raises(CheckpointError, match=refusal):
+            dump_state(stream)
+        path = str(tmp_path / "stream.ckpt")
+        with pytest.raises(CheckpointError, match=refusal):
+            save_checkpoint(stream, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_resume_keeps_every_ingest_counter(self, tmp_path):
         """Kill after a late arrival, a dropped partition, a hole and a

@@ -49,6 +49,7 @@ class TestZoneAccounting:
         assert world.unique_slds("com") == 5
 
     def test_duplicate_domain_rejected(self, world):
+        listing = list(world.zone_names("com", 45))
         with pytest.raises(ValueError):
             world.add_domain(
                 DomainTimeline(
@@ -56,6 +57,21 @@ class TestZoneAccounting:
                     base_config=world.domains["d0.com"].config_at(0),
                 )
             )
+        assert list(world.zone_names("com", 45)) == listing
+        assert world.unique_slds("com") == 5
+
+
+def test_zone_names_equal_the_full_scan(tiny_world):
+    """The per-TLD index lists what a scan of every domain lists, in
+    the same order, for every TLD on every day of the world."""
+    timelines = list(tiny_world.domains.values())
+    for tld in sorted({timeline.tld for timeline in timelines}):
+        in_tld = [timeline for timeline in timelines if timeline.tld == tld]
+        assert tiny_world.unique_slds(tld) == len(in_tld)
+        for day in range(tiny_world.horizon):
+            assert list(tiny_world.zone_names(tld, day)) == [
+                timeline.name for timeline in in_tld if timeline.alive(day)
+            ]
 
 
 class TestRoutingView:
