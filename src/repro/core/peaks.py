@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.classification import ON_DEMAND_MIN_PEAKS
 from repro.core.detection import DetectionResult, UseInterval
@@ -26,11 +27,18 @@ class PeakStats:
     domain_count: int
     durations: List[int]
 
-    def percentile(self, fraction: float) -> int:
-        """The smallest duration d with P(duration <= d) >= fraction."""
+    def percentile(self, fraction: Union[Fraction, int]) -> int:
+        """The smallest duration d with P(duration <= d) >= fraction.
+
+        *fraction* is a :class:`~fractions.Fraction` or an ``int``: a
+        float's binary value can sit past the rational meant (``9/14``)
+        and read one duration too far, so floats raise ``TypeError``.
+        """
+        if not isinstance(fraction, (Fraction, int)):
+            raise TypeError("fraction must be a Fraction or an int")
         if not self.durations:
             raise ValueError(f"{self.provider} has no on-demand peaks")
-        if not 0.0 < fraction <= 1.0:
+        if not 0 < fraction <= 1:
             raise ValueError("fraction must be in (0, 1]")
         ordered = sorted(self.durations)
         index = max(0, math.ceil(fraction * len(ordered)) - 1)
@@ -39,7 +47,7 @@ class PeakStats:
     @property
     def p80(self) -> int:
         """The Fig. 8 marker: 80 % of peaks last at most this many days."""
-        return self.percentile(0.8)
+        return self.percentile(Fraction(4, 5))
 
     def cdf(self, max_days: Optional[int] = None) -> List[Tuple[int, float]]:
         """``(duration, P(duration <= d))`` points for plotting."""

@@ -33,9 +33,11 @@ class TestPeakStats:
 
     def test_percentile_bounds(self):
         stats = PeakStats("X", 1, durations=[5])
-        assert stats.percentile(1.0) == 5
+        assert stats.percentile(1) == 5
         with pytest.raises(ValueError):
-            stats.percentile(0.0)
+            stats.percentile(0)
+        with pytest.raises(TypeError):
+            stats.percentile(1.0)
 
     def test_empty_durations_raise(self):
         with pytest.raises(ValueError):

@@ -49,10 +49,12 @@ def exact_percentile(durations, fraction):
     ),
     tail=st.integers(min_value=0, max_value=3),
 )
+@example(durations=list(range(1, 43)), fraction=Fraction(9, 14), tail=0)
 def test_peak_percentile_and_cdf_are_exact(durations, fraction, tail):
     """``percentile`` of a rational fraction, the Fig. 8 ``p80`` marker
     (4/5) and every ``cdf`` point agree with the definition computed
-    over fractions."""
+    over fractions. Durations 1..42 at 9/14 are the case a float
+    fraction read one duration past (28, where 27/42 = 9/14 holds)."""
     stats = PeakStats("P", ON_DEMAND_DOMAINS, list(durations))
     assert stats.percentile(fraction) == exact_percentile(
         durations, fraction
