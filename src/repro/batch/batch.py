@@ -301,9 +301,9 @@ class ObservationBatch:
         """The given rows, in order, as a sub-batch sharing our pools.
 
         The row-selection counterpart of :meth:`slice` — a columnar
-        gather, no row boxing — used by sharded passes that keep only
-        their hash shard's rows of each partition (e.g. the manifest
-        slices of :mod:`repro.store.slices`).
+        gather, no row boxing — used by the store to pick one day's
+        rows out of a decoded run fragment and a delta's changed rows
+        out of a landed day.
         """
         part = ObservationBatch(names=self.names, addresses=self.addresses)
         part.days = [self.days[i] for i in indexes]

@@ -33,7 +33,7 @@ from typing import (
 if TYPE_CHECKING:  # avoid a circular import at runtime
     from repro.parallel.backend import BackendSpec
 
-from repro.batch.batch import ObservationBatch
+from repro.batch.batch import BatchBuilder, ObservationBatch
 from repro.core.attribution import AnomalyAttributor, Attribution
 from repro.core.classification import DomainUsage, UsageClassifier
 from repro.core.detection import DetectionResult, SegmentDetector
@@ -130,6 +130,21 @@ class StudyMeasurement:
     fault_log: FaultLog = field(default_factory=FaultLog)
     #: scope → reason quarantined while measuring.
     quarantined: Dict[str, str] = field(default_factory=dict)
+
+
+def detect_store(
+    store: SegmentStore,
+    sources: Sequence[str],
+    catalog: SignatureCatalog,
+    horizon: int,
+) -> DetectionResult:
+    """Whole-history detection of *sources* under *catalog*, read
+    through *store* (:meth:`AdoptionStudy.detect_from_store`)."""
+    detector = SegmentDetector(catalog, horizon)
+    partitions = store.manifest.partitions(sources=sources)
+    for batch, ends in store.spans(partitions, BatchBuilder()):
+        detector.process_runs(batch, ends)
+    return detector.result()
 
 
 class AdoptionStudy:
@@ -290,32 +305,22 @@ class AdoptionStudy:
         )
 
     def detect_from_store(
-        self,
-        store: SegmentStore,
-        sources: Sequence[str],
-        backend: Optional["BackendSpec"] = None,
+        self, store: SegmentStore, sources: Sequence[str]
     ) -> DetectionResult:
         """Columnar detection over the landed partitions of *sources*.
 
-        The pass is :func:`repro.parallel.detect.detect_from_slices`:
-        the store hands each shard a manifest slice (all partitions,
-        one domain hash shard) whose partitions decode one at a time to
-        a ``(batch, ends)`` run batch — one row per day for a daily
-        partition, one per run for a compacted fragment — folded
-        through :meth:`SegmentDetector.process_runs`; per-shard results
-        merge exactly. Without a *backend* (a
-        :class:`repro.parallel.backend.Backend` instance or spec) it is
-        one slice, in process. The accumulator takes a domain's days in
-        any order and any grouping, so the result is value-identical
-        for every backend and shard count, to streaming the same
-        partitions through a :class:`repro.stream.engine.StreamEngine`,
+        One :class:`SegmentDetector` folds *store*'s runs
+        (:meth:`SegmentStore.spans`, one fragment decoded at a time over
+        shared pools) through :meth:`SegmentDetector.process_runs`: one
+        row per day for a daily partition, one per run for a compacted
+        fragment. A lenient store records what it skipped. The
+        accumulator takes a domain's days in any order and any
+        grouping, so the result is value-identical to streaming the
+        same partitions through a :class:`repro.stream.engine.StreamEngine`
         and to :meth:`detect` over the equivalent segments.
         """
-        # Imported lazily: repro.parallel imports from this module.
-        from repro.parallel.detect import detect_from_slices
-
-        return detect_from_slices(
-            store, sources, self.catalog, self.world.horizon, backend=backend
+        return detect_store(
+            store, sources, self.catalog, self.world.horizon
         )
 
     # -- the full study -----------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.faults.runtime import faults_suppressed
 #: site → (description, (kind, ...)).
 FAULT_SITES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "storage.segment_read": (
-        "segment file reads from disk (SegmentStore, manifest slices)",
+        "segment file reads from disk (SegmentStore)",
         ("truncate", "bitflip", "missing"),
     ),
     "feed.partition": (

@@ -12,9 +12,8 @@ to serial ones, for any backend, any worker count, and any shard count:
   ``REPRO_WORKERS``, serial in-process fallback at one worker, shard
   results collected in shard-index order), and :func:`resolve_backend`,
   which picks one by name (``--backend`` / ``REPRO_BACKEND``);
-* :mod:`repro.parallel.study` / :mod:`repro.parallel.detect` — the
-  sharded measurement phase behind ``AdoptionStudy.run(backend=...)``
-  and whole-history detection from segment store manifest slices.
+* :mod:`repro.parallel.study` — the sharded measurement phase behind
+  ``AdoptionStudy.run(backend=...)`` (``repro study --workers``).
 
 See ``docs/PERFORMANCE.md`` for the architecture and tuning knobs.
 """
@@ -32,7 +31,6 @@ from repro.parallel.backend import (
     resolve_backend,
     resolve_workers,
 )
-from repro.parallel.detect import detect_from_slices
 from repro.parallel.sharding import chunk_records, partition_names, shard_of
 from repro.parallel.study import StudyMeasurement, run_sharded_measurement
 
@@ -47,7 +45,6 @@ __all__ = [
     "SerialBackend",
     "StudyMeasurement",
     "chunk_records",
-    "detect_from_slices",
     "fork_available",
     "partition_names",
     "resolve_backend",

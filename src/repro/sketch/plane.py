@@ -21,7 +21,7 @@ as one-day runs) and store rebuild (a source's stored runs) alike:
 Every update is a commutative, idempotent-under-max or additive fold of
 one ``(domain, day, matches)`` fact — a run states one per day it
 covers — so the serialized plane is a pure function of the fact set:
-in-order, late-arrival, kill/resumed, and shard-merged runs all land on
+in-order, late-arrival, kill/resumed and store-rebuilt runs all land on
 byte-identical state (the space-saving instances stay in their exact
 regime while the key universe fits capacity — see ``docs/SKETCHES.md``
 for the precise claim).
@@ -48,7 +48,7 @@ from typing import (
 from repro.batch.batch import MatchKey, ObservationBatch
 from repro.core.references import Matches, SignatureCatalog
 from repro.measurement.snapshot import sld_of
-from repro.sketch.cms import CountMinSketch, SketchMergeError
+from repro.sketch.cms import CountMinSketch
 from repro.sketch.hashing import hash64
 from repro.sketch.hll import HyperLogLog
 from repro.sketch.topk import SpaceSaving
@@ -103,7 +103,7 @@ class SketchConfig:
 
 class ScopeSketches:
     """One scope's sketch set; :meth:`SketchPlane.fold_runs` is the
-    only code that mutates it (``merge`` aside)."""
+    only code that mutates it."""
 
     def __init__(self, config: SketchConfig):
         # Shared shape parameters, not state: rebuilt from the plane's
@@ -230,33 +230,7 @@ class ScopeSketches:
             (day, joins) for day, joins in series if joins > threshold
         ]
 
-    # -- merge / copy -------------------------------------------------------
-
-    def merge(self, other: "ScopeSketches") -> None:
-        if self.config != other.config:
-            raise SketchMergeError("scope sketches differ in config")
-        self.rows_observed += other.rows_observed
-        self.matched_rows += other.matched_rows
-        self.provider_days.merge(other.provider_days)
-        self.provider_day.merge(other.provider_day)
-        self.third_party_counts.merge(other.third_party_counts)
-        self.provider_topk.merge(other.provider_topk)
-        self.third_party.merge(other.third_party)
-        self.domains.merge(other.domains)
-        for provider in sorted(other.provider_domains):
-            counter = other.provider_domains[provider]
-            mine = self.provider_domains.get(provider)
-            if mine is None:
-                self.provider_domains[provider] = counter.copy()
-            else:
-                mine.merge(counter)
-        for day_key in sorted(other.provider_day_domains):
-            counter = other.provider_day_domains[day_key]
-            mine = self.provider_day_domains.get(day_key)
-            if mine is None:
-                self.provider_day_domains[day_key] = counter.copy()
-            else:
-                mine.merge(counter)
+    # -- copy ---------------------------------------------------------------
 
     def copy(self, include_day_domains: bool = True) -> "ScopeSketches":
         twin = ScopeSketches(self.config)
@@ -373,6 +347,12 @@ class SketchPlane:
         #: RANK_BITS | rank``: one digest per distinct domain, not per
         #: row. Derived memo, never serialized.
         self._domain_slots: Dict[str, int] = {}
+        #: Matched domain → its ``provider-domains`` and ``provider-day``
+        #: role slots, the same memo for the two roles only matched rows
+        #: reach. Derived, never serialized.
+        self._matched_slots: Dict[
+            str, Tuple[Tuple[int, int], Tuple[int, int]]
+        ] = {}
 
     def scope(self, name: str) -> ScopeSketches:
         return self.scopes[name]
@@ -440,6 +420,7 @@ class SketchPlane:
         # dedups signature matching.
         third_by_key: Dict[MatchKey, Tuple[str, ...]] = {}
         domain_slots = self._domain_slots
+        matched_slots = self._matched_slots
         domains = sketches.domains
         matched = 0
         for index, (start, end, matches) in enumerate(
@@ -462,8 +443,12 @@ class SketchPlane:
                     third_rows[key] = third_rows.get(key, 0) + end - start
                 continue
             matched += end - start
-            provider_slot = blank_provider.slot(domain)
-            day_slot = blank_day.slot(domain)
+            slots = matched_slots.get(domain)
+            if slots is None:
+                slots = matched_slots[domain] = (
+                    blank_provider.slot(domain), blank_day.slot(domain)
+                )
+            provider_slot, day_slot = slots
             for provider in sorted(matches):
                 provider_rows[provider] = (
                     provider_rows.get(provider, 0) + end - start
@@ -511,16 +496,6 @@ class SketchPlane:
                         days[day].extend(keys)
             for key in itertools.chain.from_iterable(days):
                 summary.update(key)
-
-    def merge(self, other: "SketchPlane") -> None:
-        if self.config != other.config:
-            raise SketchMergeError("sketch planes differ in config")
-        if set(self.scopes) != set(other.scopes):
-            raise SketchMergeError("sketch planes differ in scopes")
-        if self.provider_slds != other.provider_slds:
-            raise SketchMergeError("sketch planes differ in provider SLDs")
-        for name in sorted(self.scopes):
-            self.scopes[name].merge(other.scopes[name])
 
     # -- serialization ------------------------------------------------------
 

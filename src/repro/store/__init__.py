@@ -19,8 +19,6 @@ rows, loaded from disk and accounted:
   partition, replay feed, whole-history pass and Table 1 size goes
   through it, with tiered compaction of day segments into multi-day
   runs.
-* :mod:`repro.store.slices` — picklable read plans a sharded pass hands
-  its workers.
 
 There is one on-disk layout: a ``manifest.json`` of any format but 2
 is refused with :class:`StorageError`. See ``docs/STORAGE.md`` for the
@@ -35,12 +33,10 @@ from repro.store.segment import (
     build_segment,
     write_segment,
 )
-from repro.store.slices import ManifestSlice
 from repro.store.stats import PartitionStats
 from repro.store.store import SegmentStore
 
 __all__ = [
-    "ManifestSlice",
     "PartitionStats",
     "SEGMENT_SUFFIX",
     "SegmentMeta",

@@ -58,7 +58,6 @@ from repro.store.codecs import COLUMN_KINDS, COLUMN_ORDER, SPAN_KINDS, Page
 from repro.store.codecs import ENDED, KIND_STR
 from repro.store.errors import StorageError
 from repro.store.manifest import SegmentMeta, StoreManifest
-from repro.store.slices import ManifestSlice
 from repro.store.segment import (
     SEGMENT_SUFFIX,
     EncodedPartition,
@@ -482,14 +481,13 @@ class SegmentStore:
     """A directory of binary column segments behind a manifest.
 
     The repo's one observation store: ``repro measure`` lands into it,
-    replay feeds, whole-history detection and the sketch rebuild read
-    it, and sharded passes slice it (:meth:`manifest_slices`).
+    and replay feeds, whole-history detection and the sketch rebuild
+    read it.
 
     ``on_error="skip"`` makes reads lenient: a damaged segment costs
     its own partitions, and a damaged fragment the days it covers —
     each ``(source, day)`` recorded once in :attr:`skipped_partitions`
-    — never the run. A sharded pass's workers read through stores of
-    their own and hand their skips back (:meth:`record_skipped`).
+    — never the run.
     """
 
     def __init__(
@@ -672,6 +670,17 @@ class SegmentStore:
 
     # -- segment access -----------------------------------------------------
 
+    def _record_skipped(
+        self, skipped: Iterable[Tuple[str, int, str]]
+    ) -> None:
+        """Enter partitions a lenient read dropped into
+        :attr:`skipped_partitions`, each ``(source, day)`` once."""
+        seen = {(source, day) for source, day, _ in self.skipped_partitions}
+        for source, day, reason in skipped:
+            if (source, day) not in seen:
+                seen.add((source, day))
+                self.skipped_partitions.append((source, day, reason))
+
     def _reader(self, meta: SegmentMeta) -> Optional[SegmentReader]:
         """The (cached) reader for one segment, honouring ``on_error``."""
         if meta.file in self._bad_files:
@@ -686,7 +695,7 @@ class SegmentStore:
             if self.on_error == "raise":
                 raise
             self._bad_files.add(meta.file)
-            self.record_skipped(
+            self._record_skipped(
                 (source, day, str(exc)) for source, day, _ in meta.partitions
             )
             return None
@@ -770,7 +779,9 @@ class SegmentStore:
             if self.on_error == "raise":
                 raise
             self._bad_fragments.add(id(ref))
-            self.record_skipped((ref.source, day, str(exc)) for day in days)
+            self._record_skipped(
+                (ref.source, day, str(exc)) for day in days
+            )
             return None
 
     def _delta_rows(
@@ -1092,48 +1103,6 @@ class SegmentStore:
             except OSError:
                 pass
         return relative
-
-    # -- distribution -------------------------------------------------------
-
-    def record_skipped(
-        self, skipped: Iterable[Tuple[str, int, str]]
-    ) -> None:
-        """Enter partitions a worker's reads of this store dropped into
-        :attr:`skipped_partitions`, each ``(source, day)`` once — as
-        this store's own reads would have recorded them."""
-        seen = {(source, day) for source, day, _ in self.skipped_partitions}
-        for source, day, reason in skipped:
-            if (source, day) not in seen:
-                seen.add((source, day))
-                self.skipped_partitions.append((source, day, reason))
-
-    def manifest_slices(
-        self,
-        shard_count: int,
-        sources: Optional[Sequence[str]] = None,
-    ) -> List[ManifestSlice]:
-        """Picklable read plans for a sharded pass over this store.
-
-        ``shard_count`` slices that each cover *all* selected
-        partitions and keep only their domain hash shard. Slices are
-        per-domain because :meth:`DetectionResult.merge` unions
-        ``(domain, provider)`` interval keys and needs them disjoint
-        across shards — a domain's days must meet in one worker to be
-        stitched into maximal intervals. A slice is directory + keys,
-        no handles, so it ships to any worker as a tiny pickle.
-        """
-        if shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        partitions = tuple(self._manifest.partitions(sources=sources))
-        return [
-            ManifestSlice(
-                self.directory,
-                partitions,
-                domain_shard=(index, shard_count),
-                on_error=self.on_error,
-            )
-            for index in range(shard_count)
-        ]
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -34,7 +34,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import (
     Callable,
     Dict,
@@ -45,8 +45,8 @@ from typing import (
     Tuple,
 )
 
-from repro.batch.batch import ObservationBatch
-from repro.core.detection import DetectionResult
+from repro.batch.batch import BatchBuilder, ObservationBatch
+from repro.core.detection import DetectionResult, SegmentDetector
 from repro.core.pipeline import AdoptionStudy, StudyResults
 from repro.core.references import SignatureCatalog
 from repro.mapreduce.engine import MapReduceEngine
@@ -56,12 +56,7 @@ from repro.mapreduce.jobs import (
     reference_count_job,
 )
 from repro.measurement.scheduler import GTLD_SOURCES
-from repro.parallel.backend import (
-    BackendSpec,
-    LocalPoolBackend,
-    SerialBackend,
-)
-from repro.parallel.detect import detect_slice
+from repro.parallel.backend import BackendSpec, LocalPoolBackend
 from repro.reporting.export import study_to_dict
 from repro.sketch import SketchConfig, SketchPlane
 from repro.sketch.build import sketch_from_store
@@ -263,14 +258,8 @@ def _run(c: Conformance) -> Digests:
     ]
 
 
-def _detect(
-    c: Conformance,
-    store: SegmentStore,
-    backend: Optional[BackendSpec] = None,
-) -> Tuple[str, str]:
-    detected = c.base.study.detect_from_store(
-        store, GTLD_SOURCES, backend=backend
-    )
+def _detect(c: Conformance, store: SegmentStore) -> Tuple[str, str]:
+    detected = c.base.study.detect_from_store(store, GTLD_SOURCES)
     return ("detection", detection_digest(detected))
 
 
@@ -294,12 +283,10 @@ def _sketch(plane: SketchPlane) -> Digests:
     return [("sketch", plane.state_digest())]
 
 
-def _pool_w2() -> LocalPoolBackend:
-    return LocalPoolBackend(workers=2, shard_count=4)
-
-
 def _on_pool(c: Conformance) -> Digests:
-    run = AdoptionStudy(c.base.world).run(backend=_pool_w2())
+    run = AdoptionStudy(c.base.world).run(
+        backend=LocalPoolBackend(workers=2, shard_count=4)
+    )
     assert run.segments == c.base.results.segments
     return [
         ("export", export_digest(run)),
@@ -309,13 +296,12 @@ def _on_pool(c: Conformance) -> Digests:
 
 def _reversed(c: Conformance) -> Digests:
     keys = list(StoreReplayFeed(c.base.store).keys())[::-1]
-    (whole,) = c.base.store.manifest_slices(1, sources=GTLD_SOURCES)
-    backwards = replace(whole, partitions=whole.partitions[::-1])
-    detected, _ = detect_slice(
-        backwards, c.base.study.catalog, c.base.world.horizon
-    )
+    detector = SegmentDetector(c.base.study.catalog, c.base.world.horizon)
+    backwards = c.base.store.manifest.partitions(sources=GTLD_SOURCES)[::-1]
+    for batch, ends in c.base.store.spans(backwards, BatchBuilder()):
+        detector.process_runs(batch, ends)
     return engine_digests(replay(c.base, c.base.store, keys=keys)) + [
-        ("detection", detection_digest(detected))
+        ("detection", detection_digest(detector.result()))
     ]
 
 
@@ -325,17 +311,11 @@ def _reversed(c: Conformance) -> Digests:
 CELLS: Dict[str, Callable[[Conformance], Digests]] = {
     "path-run": _run,
     "path-detect-from-store": lambda c: [_detect(c, c.base.store)],
-    "path-slices": lambda c: [
-        _detect(c, c.base.store, backend=SerialBackend(shard_count=2))
-    ],
     "path-engine-replay": lambda c: engine_digests(
         replay(c.base, c.base.store)
     ),
     "path-kill-resume": _kill_resume,
     "path-sketch-serial": lambda c: _sketch(sketch_from_store(c.base.store)),
-    "path-sketch-sharded": lambda c: _sketch(
-        sketch_from_store(c.base.store, backend=_pool_w2())
-    ),
     "path-mapreduce": lambda c: mapreduce_digests(
         mapreduce_records(c.base.store)
     ),

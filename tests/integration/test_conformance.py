@@ -7,10 +7,9 @@ in a fresh segment store, pinned by digest in
 star around it: each changes exactly one axis and must reproduce every
 digest it produces.
 
-* **path** — ``run()``, ``detect_from_store`` (one manifest slice),
-  two slices, engine replay, kill/resume, the in-process and
-  pool-sharded sketch rebuilds and the three MapReduce jobs, all over
-  the fresh store;
+* **path** — ``run()``, ``detect_from_store``, engine replay,
+  kill/resume, the sketch rebuild and the three MapReduce jobs, all
+  over the fresh store;
 * **backend** — the study on a two-worker pool; the sweep over both
   shipped backends (serial, and the pool at one and two workers) is
   ``tests/parallel/test_backend_identity.py`` on worlds of its own;

@@ -8,17 +8,15 @@ source's stored runs once. These tests land the same few days of
 every way in — whole-history ``process_batch``, an engine fed from the
 store, from the segment-native replay feed, from row-built partitions
 (the shape fault shims hand over) and from partitions a checkpoint
-decoded, the in-process and sharded sketch rebuilds — asserting one
+decoded, and the sketch rebuild — asserting one
 ``DetectionResult`` and one digest. Detection folds through one
 accumulator that takes a domain's days in any order, so a store landed
 or read backwards detects the same.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.batch.batch import ObservationBatch
+from repro.batch.batch import BatchBuilder, ObservationBatch
 from repro.core.detection import SegmentDetector
 from repro.core.pipeline import AdoptionStudy
 from repro.core.references import BatchMatcher, SignatureCatalog
@@ -29,8 +27,6 @@ from repro.measurement.scheduler import (
     DayPartition,
 )
 from repro.measurement.snapshot import DomainObservation
-from repro.parallel.backend import resolve_backend
-from repro.parallel.detect import detect_slice
 from repro.sketch import SketchConfig
 from repro.sketch.build import sketch_from_store
 from repro.store.store import SegmentStore
@@ -163,22 +159,11 @@ class TestEveryDoor:
         assert result.domains_seen > 0
         assert result == reference_engine.detection(scope)
 
-    @pytest.mark.parametrize(
-        "rebuild",
-        [
-            sketch_from_store,
-            lambda store: sketch_from_store(store, backend="serial"),
-            lambda store: sketch_from_store(
-                store, backend=resolve_backend(workers=2, shard_count=4)
-            ),
-        ],
-        ids=["serial", "sharded-serial", "sharded-pool-2"],
-    )
     def test_store_rebuild_equals_the_engine_plane(
-        self, rebuild, landed, reference_engine
+        self, landed, reference_engine
     ):
         assert (
-            rebuild(landed).state_digest()
+            sketch_from_store(landed).state_digest()
             == reference_engine.sketches.state_digest()
         )
 
@@ -197,14 +182,12 @@ class TestPartitionAtATime:
                 for source, day in reversed(landed.partitions())
             )
             assert study.detect_from_store(store, GTLD_SOURCES) == expected
-            (whole,) = store.manifest_slices(1, sources=GTLD_SOURCES)
-            backwards = dataclasses.replace(
-                whole, partitions=whole.partitions[::-1]
-            )
-            detected, skipped = detect_slice(
-                backwards, study.catalog, tiny_world.horizon
-            )
-            assert detected == expected and skipped == []
+            detector = SegmentDetector(study.catalog, tiny_world.horizon)
+            backwards = store.manifest.partitions(sources=GTLD_SOURCES)[::-1]
+            for batch, ends in store.spans(backwards, BatchBuilder()):
+                detector.process_runs(batch, ends)
+            assert detector.result() == expected
+            assert store.skipped_partitions == []
 
 
 class TestSegmentNativeFeed:

@@ -367,34 +367,30 @@ def sketch_plane_reads(plane):
 
 
 @LAW
-@given(config=sketch_configs, folded=folds, then=runs, other=folds)
-def test_scope_sketches_law(config, folded, then, other):
+@given(config=sketch_configs, folded=folds, then=runs)
+def test_scope_sketches_law(config, folded, then):
     plane = sketch_plane(config, folded)
     sketches = plane.scope("gtld")
     twin = SketchPlane(config, SCOPES, PROVIDER_SLDS)
     twin.scopes["gtld"] = ScopeSketches.from_dict(
         through_json(sketches), config
     )
-    merged = sketch_plane(config, other).scope("nl")
 
     def step(each):
-        owner = plane if each is sketches else twin
-        fold(owner, "gtld", then)
-        each.merge(merged)
+        fold(plane if each is sketches else twin, "gtld", then)
 
     assert_law(sketches, twin.scope("gtld"), step, scope_sketches_reads)
 
 
 @LAW
-@given(config=sketch_configs, folded=folds, then=folds, other=folds)
-def test_sketch_plane_law(config, folded, then, other):
+@given(config=sketch_configs, folded=folds, then=folds)
+def test_sketch_plane_law(config, folded, then):
     plane = sketch_plane(config, folded)
     restored = SketchPlane.from_dict(through_json(plane))
 
     def step(each):
         for scope, batch in then:
             fold(each, scope, batch)
-        each.merge(sketch_plane(config, other))
 
     assert_law(plane, restored, step, sketch_plane_reads)
 

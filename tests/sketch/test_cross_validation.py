@@ -18,7 +18,7 @@ from typing import Dict, Set, Tuple
 
 from repro.core.references import SignatureCatalog
 from repro.measurement.snapshot import sld_of
-from repro.sketch.build import sketch_from_store, store_partitions
+from repro.sketch.build import sketch_from_store
 from repro.stream.engine import SCOPE_OF_SOURCE
 
 SCOPE = "gtld"
@@ -43,7 +43,7 @@ def _exact_facts(store, catalog):
         provider_slds |= set(signature.ns_slds)
 
     cache = {}
-    for source, day in store_partitions(store):
+    for source, day in store.partitions():
         if SCOPE_OF_SOURCE[source] != SCOPE:
             continue
         batch = store.batch(source, day)

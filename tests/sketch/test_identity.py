@@ -2,13 +2,13 @@
 
 The plane is a commutative fold over observation facts, so every way of
 producing it must land on the same bytes: the live engine maintaining
-it row by row, the serial and pool-sharded store rebuilds, and an
-engine killed mid-history and resumed from its checkpoint.
+it row by row, the store rebuild, and an engine killed mid-history
+and resumed from its checkpoint.
 ``SketchPlane.state_digest`` hashes the canonical serialized form, so
 digest equality is byte equality. Each id here is a cell of the
 conformance matrix (``tests/integration/test_conformance.py``) on the
 same seed, checked through :func:`tests.conformance.check_cell`; the
-rebuild cells also assert that space-saving stayed exact, the regime
+rebuild cell also asserts that space-saving stayed exact, the regime
 the byte-identity relies on.
 """
 
@@ -19,9 +19,6 @@ class TestThreeSeedSketchIdentity:
     def test_engine_matches_serial_store_rebuild(self, conformance):
         check_cell(conformance, "path-engine-replay")
         check_cell(conformance, "path-sketch-serial")
-
-    def test_sharded_rebuild_is_byte_identical(self, conformance):
-        check_cell(conformance, "path-sketch-sharded")
 
     def test_kill_resume_plane_is_byte_identical(self, conformance):
         check_cell(conformance, "path-kill-resume")

@@ -123,32 +123,6 @@ class TestScopeSketches:
         )
         assert rehydrated.state_digest() == plane.state_digest()
 
-    def test_merge_requires_matching_config(self):
-        left = ScopeSketches(SketchConfig())
-        right = ScopeSketches(SketchConfig(seed=999))
-        with pytest.raises(SketchMergeError):
-            left.merge(right)
-
-    def test_plane_merge_requires_matching_scopes(self):
-        left = tiny_plane()
-        right = SketchPlane(
-            SketchConfig(), scope_names=("gtld",), provider_slds=()
-        )
-        with pytest.raises(SketchMergeError):
-            left.merge(right)
-
-    def test_plane_merge_requires_matching_provider_slds(self):
-        """The third-party streams exclude the provider SLDs, so two
-        planes built on different vocabularies cannot merge."""
-        left, right = (
-            SketchPlane(SketchConfig(), scope_names=("gtld",),
-                        provider_slds=(sld,))
-            for sld in ("x.net", "y.net")
-        )
-        with pytest.raises(SketchMergeError, match="provider SLDs"):
-            left.merge(right)
-        assert left.to_dict()["provider_slds"] == ["x.net"]
-
     def test_copy_without_day_domains_drops_only_day_streams(self):
         plane = tiny_plane()
         scope = fold_some(plane)

@@ -6,10 +6,9 @@ import os
 import pytest
 
 from repro.batch.batch import BatchBuilder, ObservationBatch
+from repro.core.pipeline import detect_store
 from repro.core.references import SignatureCatalog
 from repro.measurement.snapshot import DomainObservation
-from repro.parallel.backend import LocalPoolBackend, SerialBackend
-from repro.parallel.detect import detect_from_slices
 from repro.sketch.build import sketch_from_store
 from repro.store import SegmentStore, StorageError
 from repro.store.manifest import StoreManifest
@@ -335,6 +334,14 @@ def damaged(tmp_path):
 COM_DAYS = [("com", 0), ("com", 1), ("com", 2)]
 
 
+def survivors(tmp_path):
+    """A store holding only what :func:`damaged` leaves readable."""
+    store = SegmentStore(str(tmp_path / "survivors"), create=True)
+    for day in range(3):
+        store.append("nl", day, day_rows(day, count=2, tld="nl"))
+    return store
+
+
 def skipped_keys(store):
     return [(source, day) for source, day, _ in store.skipped_partitions]
 
@@ -351,31 +358,24 @@ class TestLenientReads:
                 for source, day in strict.partitions():
                     strict.batch(source, day)
 
-    def test_sharded_detection_records_the_skip_once(self, tmp_path):
-        """Each slice reads through a store of its own; the skips they
-        hand back land in the caller's store, once per partition."""
+    def test_detection_records_the_skip_once(self, tmp_path):
+        """The pass reads through the caller's store, so the skips land
+        there, once per partition; the partitions left detect as a
+        store that never held the damaged ones."""
         directory = damaged(tmp_path)
         catalog = SignatureCatalog.paper_table2()
+        with SegmentStore(directory, on_error="skip") as lenient:
+            result = detect_store(lenient, ("com", "nl"), catalog, 30)
+            assert skipped_keys(lenient) == COM_DAYS
+        with survivors(tmp_path) as intact:
+            assert result == detect_store(intact, ("com", "nl"), catalog, 30)
 
-        def detect(backend):
-            with SegmentStore(directory, on_error="skip") as lenient:
-                result = detect_from_slices(
-                    lenient, ("com", "nl"), catalog, 30, backend=backend
-                )
-                return result, skipped_keys(lenient)
-
-        one_slice = detect(None)
-        assert one_slice[1] == COM_DAYS
-        assert detect(SerialBackend(shard_count=2)) == one_slice
-
-    def test_sharded_sketch_rebuild_records_the_skip_once(self, tmp_path):
+    def test_sketch_rebuild_records_the_skip_once(self, tmp_path):
         directory = damaged(tmp_path)
-
-        def rebuild(backend):
-            with SegmentStore(directory, on_error="skip") as lenient:
-                plane = sketch_from_store(lenient, backend=backend)
-                return plane.state_digest(), skipped_keys(lenient)
-
-        in_process = rebuild(None)
-        assert in_process[1] == COM_DAYS
-        assert rebuild(LocalPoolBackend(workers=2)) == in_process
+        with SegmentStore(directory, on_error="skip") as lenient:
+            plane = sketch_from_store(lenient)
+            assert skipped_keys(lenient) == COM_DAYS
+        with survivors(tmp_path) as intact:
+            assert plane.state_digest() == (
+                sketch_from_store(intact).state_digest()
+            )
