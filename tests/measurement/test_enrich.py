@@ -7,7 +7,7 @@ import pytest
 from repro.batch.batch import BatchBuilder
 from repro.measurement.enrich import AsnEnricher
 from repro.measurement.prober import FastProber
-from repro.measurement.snapshot import DomainObservation
+from repro.measurement.snapshot import DomainObservation, ObservationSegment
 from repro.world.world import World
 
 
@@ -85,8 +85,10 @@ def _boundary_days(world):
 @pytest.fixture(scope="module")
 def moas_world():
     """A bare routing timeline with a MOAS prefix, a withdrawal that
-    leaves an address unrouted, a re-announcement and an IPv6 flip."""
+    leaves an address unrouted, a re-announcement, an IPv6 flip and a
+    MOAS prefix that never changes."""
     world = World(horizon=100)
+    world.add_routing_event(0, "10.80.0.0/16", frozenset({600, 700}))
     world.add_routing_event(0, "10.50.0.0/16", frozenset({100}))
     world.add_routing_event(0, "10.50.1.0/24", frozenset({200, 300}))
     world.add_routing_event(30, "10.50.1.0/24", frozenset())
@@ -107,6 +109,8 @@ def _moas_rows(day):
         _probe_row(day, 4, apex=["10.50.1.9"], www=["10.60.0.7", "10.50.2.2"],
                    apex6=["fd00::53"]),                     # union of all
         _probe_row(day, 5),                                 # no address
+        _probe_row(day, 6, apex=["203.0.113.9", "10.80.3.3"],
+                   www=["10.50.2.2"]),                      # static union
     ]
 
 
@@ -122,6 +126,29 @@ def _tiny_rows(world, day):
     rows.append(_probe_row(day, 0, apex=[diverted], apex6=["fd00::1"]))
     rows.append(_probe_row(day, 1, www=["203.0.113.9"]))
     return rows
+
+
+def _check_days(world, segment):
+    """A segment's start day and every routing change day inside it."""
+    return [segment.start] + [
+        day
+        for day in world.routing_change_days()
+        if segment.start < day < segment.end
+    ]
+
+
+def _covered(segments):
+    """Each source row's covered days, as merged ``(start, end)`` runs:
+    splitting a segment must neither drop nor add a day."""
+    runs = {}
+    for segment in segments:
+        key = replace(segment.observation, day=0, asns=frozenset())
+        spans = runs.setdefault(key, [])
+        if spans and spans[-1][1] == segment.start:
+            spans[-1] = (spans[-1][0], segment.end)
+        else:
+            spans.append((segment.start, segment.end))
+    return runs
 
 
 class TestBatchMatchesDailyOracle:
@@ -231,18 +258,42 @@ class TestSegmentEnrichment:
         assert frozenset({21740}) in origins_seen
         assert frozenset({26415}) in origins_seen
 
-    def test_segment_enrichment_matches_daily(self, tiny_world, enricher):
-        """Property: segment ASNs equal daily enrichment on sampled days."""
+    def test_segment_enrichment_matches_daily(self, tiny_world, enricher,
+                                              moas_world):
+        """Property: every enriched segment's ASNs equal daily enrichment
+        on its start day and on every routing change day inside it, for
+        every domain of ``tiny_world`` and every probe row of
+        ``moas_world`` (held over the whole horizon and over pieces cut
+        across its change days)."""
         prober = FastProber(tiny_world)
-        for party in ("ENOM", "Wix", "Namecheap"):
-            name = tiny_world.thirdparties[party].domains[0]
-            enriched = enricher.enrich_segments(prober.observe_segments(name))
-            for segment in enriched[:8]:
-                day = segment.start
-                daily = enricher.enrich(prober.observe(name, day))
+        checked = 0
+        for name in sorted(tiny_world.domains):
+            raw = prober.observe_segments(name)
+            enriched = enricher.enrich_segments(raw)
+            assert _covered(enriched) == _covered(raw)
+            for segment in enriched:
+                for day in _check_days(tiny_world, segment):
+                    daily = enricher.enrich(prober.observe(name, day))
+                    assert daily.asns == segment.observation.asns, (
+                        f"{name} day {day}"
+                    )
+                    checked += 1
+        moas = AsnEnricher(moas_world)
+        raw = [
+            ObservationSegment(start, end, row)
+            for start, end in ((0, 100), (0, 30), (25, 45), (45, 100))
+            for row in _moas_rows(start)
+        ]
+        enriched = moas.enrich_segments(raw)
+        assert _covered(enriched) == _covered(raw)
+        for segment in enriched:
+            for day in _check_days(moas_world, segment):
+                daily = moas.enrich(replace(segment.observation, day=day))
                 assert daily.asns == segment.observation.asns, (
-                    f"{party} day {day}"
+                    f"{segment.observation.domain} day {day}"
                 )
+                checked += 1
+        assert checked > len(tiny_world.domains)
 
     def test_segments_remain_contiguous(self, tiny_world, enricher):
         prober = FastProber(tiny_world)
