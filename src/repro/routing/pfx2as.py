@@ -15,6 +15,8 @@ from typing import FrozenSet, Iterable, Iterator, List, Optional, Union
 
 from repro.routing.prefixtable import IPAddress, IPNetwork, PrefixTable
 
+_UNROUTED: FrozenSet[int] = frozenset()
+
 
 @dataclass(frozen=True)
 class Pfx2AsEntry:
@@ -68,10 +70,7 @@ class Pfx2As:
         Returns the empty set for unrouted addresses. Multi-origin prefixes
         yield every origin (the paper attaches all involved AS numbers).
         """
-        match = self._table.longest_match(address)
-        if match is None:
-            return frozenset()
-        return match[1]
+        return self._table.longest_value(address, _UNROUTED)
 
     def lookup_prefix(
         self, address: Union[str, IPAddress]

@@ -18,6 +18,7 @@ from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar, Union
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 V = TypeVar("V")
+D = TypeVar("D")
 
 _NETWORK: Dict[int, type[IPNetwork]] = {
     4: ipaddress.IPv4Network, 6: ipaddress.IPv6Network,
@@ -78,6 +79,34 @@ class PrefixTable(Generic[V]):
         version, prefixlen, key = self._locate(prefix)
         return key in self._lengths[version].get(prefixlen, ())
 
+    def _find(
+        self, address: Union[str, IPAddress]
+    ) -> Optional[Tuple[int, int, int, V]]:
+        """``(version, prefixlen, key, value)`` of the most-specific stored
+        prefix containing *address*, or ``None``: one shift and one dict
+        probe per stored length, longest first."""
+        if isinstance(address, str):
+            address = ipaddress.ip_address(address)
+        version = address.version
+        bits, width = int(address), _WIDTH[version]
+        for prefixlen, slot in self._lengths[version].items():
+            key = bits >> (width - prefixlen)
+            if key in slot:
+                return version, prefixlen, key, slot[key]
+        return None
+
+    def longest_value(
+        self, address: Union[str, IPAddress], default: D
+    ) -> Union[V, D]:
+        """The value at the most-specific stored prefix containing
+        *address*, or *default* when none does.
+
+        The §3.2 lookup for callers that need only the value: no network
+        object is built. A stored falsy value is a match, not a miss.
+        """
+        found = self._find(address)
+        return default if found is None else found[3]
+
     def longest_match(
         self, address: Union[str, IPAddress]
     ) -> Optional[Tuple[IPNetwork, V]]:
@@ -87,17 +116,12 @@ class PrefixTable(Generic[V]):
         "the most-specific prefix in which an address was contained".
         Accepts a pre-parsed :data:`IPAddress` to skip text parsing.
         """
-        if isinstance(address, str):
-            address = ipaddress.ip_address(address)
-        version = address.version
-        bits, width = int(address), _WIDTH[version]
-        for prefixlen, slot in self._lengths[version].items():
-            host_bits = width - prefixlen
-            key = bits >> host_bits
-            if key in slot:
-                network = _NETWORK[version]((key << host_bits, prefixlen))
-                return network, slot[key]
-        return None
+        found = self._find(address)
+        if found is None:
+            return None
+        version, prefixlen, key, value = found
+        host_bits = _WIDTH[version] - prefixlen
+        return _NETWORK[version]((key << host_bits, prefixlen)), value
 
     def __len__(self) -> int:
         return sum(

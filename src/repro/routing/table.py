@@ -81,10 +81,7 @@ class RoutingTable:
         self, address: Union[str, IPAddress]
     ) -> FrozenSet[int]:
         """Origins of the most-specific prefix containing *address*."""
-        match = self._table.longest_match(address)
-        if match is None:
-            return frozenset()
-        return frozenset(match[1])
+        return frozenset(self._table.longest_value(address, ()))
 
     def most_specific(
         self, address: Union[str, IPAddress]

@@ -49,6 +49,11 @@ class TestBasics:
         assert "2001:db8::/32" in trie
         assert len(trie) == 2
         assert trie.longest_match("2001:db8::1")[1] == 0
+        # The value probe reads the same slot: a falsy value, not the
+        # caller's miss marker.
+        assert trie.longest_value("2001:db8::1", "miss") == 0
+        assert trie.longest_value("192.0.2.7", "miss") is None
+        assert trie.longest_value("198.51.100.7", "miss") == "miss"
 
     def test_remove(self):
         trie = PrefixTable()
@@ -194,6 +199,10 @@ def test_longest_match_agrees_with_linear_scan(case):
             if expected is None or network.prefixlen > expected[0].prefixlen:
                 expected = (network, index)
     assert trie.longest_match(address) == expected
+    miss = object()
+    assert trie.longest_value(address, miss) == (
+        miss if expected is None else expected[1]
+    )
 
 
 @settings(max_examples=300)
