@@ -91,7 +91,11 @@ class DomainObservation:
         )
 
     def with_asns(self, asns: FrozenSet[int]) -> "DomainObservation":
-        return replace(self, asns=asns)
+        return DomainObservation(
+            self.day, self.domain, self.tld, self.ns_names, self.apex_addrs,
+            self.www_cnames, self.www_addrs, self.apex_addrs6,
+            self.www_addrs6, asns,
+        )
 
 
 @dataclass(frozen=True)
