@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ipaddress
 import zlib
-from typing import Iterator, List, Union
+from typing import List, Union
 
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
 
@@ -79,16 +79,3 @@ def address_in(network: IPNetwork, key: str) -> str:
     else:
         offset = stable_hash(key) % host_count
     return str(network.network_address + offset)
-
-
-def addresses_in(network: IPNetwork, key: str, count: int) -> Iterator[str]:
-    """*count* distinct stable addresses inside *network* for *key*."""
-    seen = set()
-    index = 0
-    while len(seen) < count:
-        address = address_in(network, f"{key}#{index}")
-        index += 1
-        if address in seen:
-            continue
-        seen.add(address)
-        yield address

@@ -4,12 +4,20 @@ import ipaddress
 
 import pytest
 
-from repro.world.ipam import (
-    PrefixAllocator,
-    address_in,
-    addresses_in,
-    stable_hash,
-)
+from repro.world.ipam import PrefixAllocator, address_in, stable_hash
+
+
+def addresses_in(network, key, count):
+    """*count* distinct stable addresses inside *network* for *key*: the
+    keys ``key#0``, ``key#1``, ... with collisions skipped."""
+    seen = set()
+    index = 0
+    while len(seen) < count:
+        address = address_in(network, f"{key}#{index}")
+        index += 1
+        if address not in seen:
+            seen.add(address)
+            yield address
 
 
 class TestStableHash:
