@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import os
 from typing import Any
 
 
@@ -25,6 +26,24 @@ def encoded(codec: Any) -> str:
     return json.dumps(
         codec.to_dict(), sort_keys=True, separators=(",", ":")
     )
+
+
+def assert_same_text(expected: str, got: str) -> None:
+    """``assert got == expected``, reported by where the texts first
+    differ.
+
+    pytest's own ``==`` explanation runs difflib over both texts. For
+    the canonical JSON of a production sketch plane (about 0.6 MB) that
+    takes minutes per failing call, and Hypothesis calls a failing test
+    again for every example it shrinks through and explains.
+    """
+    if got != expected:
+        at = len(os.path.commonprefix([expected, got]))
+        raise AssertionError(
+            f"texts differ at offset {at} (lengths {len(expected)} and"
+            f" {len(got)}): {expected[max(at - 40, 0):at + 40]!r} != "
+            f"{got[max(at - 40, 0):at + 40]!r}"
+        )
 
 
 def through_json(codec: Any) -> Any:

@@ -40,7 +40,11 @@ from repro.stream.checkpoint import (  # noqa: E402
 )
 from repro.stream.engine import StreamEngine  # noqa: E402
 
-from tests.property.laws import plain, read_or_error  # noqa: E402
+from tests.property.laws import (  # noqa: E402
+    assert_same_text,
+    plain,
+    read_or_error,
+)
 from tests.store.cells import (  # noqa: E402
     row_columns,
     segment_roundtrip,
@@ -457,4 +461,5 @@ class TestCheckpointRoundtrip:
         engine, _ = driven
         first = json.dumps(engine.to_dict(), sort_keys=True)
         clone = StreamEngine.from_dict(engine.to_dict(), catalog=CATALOG)
-        assert json.dumps(clone.to_dict(), sort_keys=True) == first
+        again = json.dumps(clone.to_dict(), sort_keys=True)
+        assert_same_text(first, again)
