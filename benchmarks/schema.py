@@ -10,7 +10,7 @@ which exits nonzero when any benchmark entry is missing or empty.
 
 Usage::
 
-    python benchmarks/schema.py BENCH_parallel.json [more.json ...]
+    python benchmarks/schema.py BENCH_smoke.json [more.json ...]
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The streaming engine's guarantees (checkpoint byte-identity,
 stream-vs-batch equivalence, kill-and-resume) are enforced by tests but
 *created* by coding invariants: no wall-clock or global-RNG reads in
-pure modules, no swallowed ingest errors, shard results consumed in
-shard order. This package checks the invariants a test cannot see,
+pure modules, no swallowed ingest errors, no blocking call on the
+serve loop. This package checks the invariants a test cannot see,
 statically, via ``python -m repro analyze`` (see
 ``docs/ANALYSIS.md``); iteration order and hashing are left to the
 conformance matrix, which checks their effect on the bytes, and

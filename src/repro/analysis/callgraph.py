@@ -2,8 +2,9 @@
 
 The interprocedural rules (``repro/analysis/interproc.py``) need to
 answer questions no single-file AST pass can: *does this ``async def``
-ever hit a blocking syscall?* *does this argument carry a lock across a
-fork?* This module supplies the substrate: a per-module
+ever hit a blocking syscall?* *does anything outside an index class
+write to a published index?* This module supplies the substrate: a
+per-module
 symbol table (functions, classes, imports, attribute and variable
 types) and a project call graph with best-effort static resolution.
 
@@ -95,9 +96,6 @@ class CallSite:
     line: int
     column: int
     arg_count: int
-    #: Symbolic forms of name/attribute arguments (tuple literals are
-    #: flattened), for declared-type checks at fork boundaries.
-    arg_symbols: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -164,29 +162,6 @@ class ModuleSymbols:
         return out
 
 
-def _flatten_arg_symbols(call: ast.Call) -> Tuple[str, ...]:
-    symbols: List[str] = []
-    values: List[ast.expr] = list(call.args)
-    values.extend(
-        keyword.value for keyword in call.keywords
-        if keyword.value is not None
-    )
-    queue = values
-    while queue:
-        value = queue.pop(0)
-        if isinstance(value, (ast.Tuple, ast.List)):
-            queue = list(value.elts) + queue
-            continue
-        if isinstance(value, ast.Starred):
-            queue = [value.value] + queue
-            continue
-        if isinstance(value, (ast.Name, ast.Attribute)):
-            symbol = call_symbol(value)
-            if symbol is not None:
-                symbols.append(symbol)
-    return tuple(symbols)
-
-
 class _FunctionCollector(ast.NodeVisitor):
     """Collects call and attribute-write facts inside one function."""
 
@@ -213,7 +188,6 @@ class _FunctionCollector(ast.NodeVisitor):
                     line=node.lineno,
                     column=node.col_offset,
                     arg_count=len(node.args) + len(node.keywords),
-                    arg_symbols=_flatten_arg_symbols(node),
                 )
             )
         self.generic_visit(node)

@@ -19,14 +19,6 @@ that is invisible to any single-file pass:
     object outside its own methods, or to the swapper's published
     slot outside the designated publish points, would hand readers a
     torn day.
-
-``fork-unsafe-capture``
-    Objects holding locks, sockets, or open file handles must not
-    cross the fork boundary into ``Backend.map_shards`` arguments:
-    a forked lock can deadlock the pool, a forked descriptor
-    interleaves writes.
-    Classes become fork-unsafe transitively (a class holding a
-    fork-unsafe class is itself fork-unsafe).
 """
 
 from __future__ import annotations
@@ -37,7 +29,6 @@ from repro.analysis.callgraph import (
     CallGraph,
     CallSite,
     ClassSymbol,
-    FunctionSymbol,
 )
 from repro.analysis.findings import Finding
 
@@ -303,121 +294,11 @@ class SnapshotMutationRule(ProjectRule):
         return None
 
 
-#: External factories whose products must not cross a fork boundary.
-FORK_UNSAFE_FACTORIES: FrozenSet[str] = frozenset(
-    {
-        "threading.Lock", "threading.RLock", "threading.Condition",
-        "threading.Event", "threading.Semaphore",
-        "threading.BoundedSemaphore", "threading.Thread",
-        "socket.socket", "socket.create_connection",
-        "socket.create_server", "open", "io.open", "subprocess.Popen",
-        "multiprocessing.Lock", "multiprocessing.Queue",
-    }
-)
-
-#: Map entry points that ship their arguments across fork().
-FORK_ENTRY_METHODS: FrozenSet[str] = frozenset({"map_shards"})
-
-
-class ForkUnsafeCaptureRule(ProjectRule):
-    id = "fork-unsafe-capture"
-    summary = (
-        "object holding a socket/lock/open handle passed into a "
-        "fork-boundary map call"
-    )
-
-    def _unsafe_classes(self, graph: CallGraph) -> Dict[str, str]:
-        """class qualname → the attr chain that makes it fork-unsafe."""
-        unsafe: Dict[str, str] = {}
-        changed = True
-        while changed:
-            changed = False
-            for qualname in sorted(graph.classes):
-                if qualname in unsafe:
-                    continue
-                cls = graph.classes[qualname]
-                for attr in sorted(cls.attr_types):
-                    declared = cls.attr_types[attr]
-                    if declared in FORK_UNSAFE_FACTORIES:
-                        unsafe[qualname] = f"{attr}: {declared}"
-                        changed = True
-                        break
-                    if declared in unsafe:
-                        unsafe[qualname] = (
-                            f"{attr}: {declared.rsplit('.', 1)[-1]} "
-                            f"({unsafe[declared]})"
-                        )
-                        changed = True
-                        break
-        return unsafe
-
-    def _symbol_type(
-        self,
-        graph: CallGraph,
-        function: FunctionSymbol,
-        symbol: str,
-    ) -> Optional[str]:
-        """Declared type of an argument symbol in *function*'s scope."""
-        head, _, rest = symbol.partition(".")
-        if head in ("self", "cls") and function.class_name is not None:
-            table = graph.modules.get(function.module)
-            cls = (
-                table.classes.get(function.class_name)
-                if table is not None else None
-            )
-            if cls is not None and rest and "." not in rest:
-                return graph.attr_type(cls, rest)
-            if cls is not None and not rest:
-                return cls.qualname
-            return None
-        if rest:
-            return None
-        return function.var_types.get(head)
-
-    def check_project(self, project: ProjectModel) -> List[Finding]:
-        graph = project.graph
-        unsafe = self._unsafe_classes(graph)
-        findings: List[Finding] = []
-        for fqual in sorted(graph.functions):
-            function = graph.functions[fqual]
-            for site in function.calls:
-                tail = site.symbol.rpartition(".")[2]
-                if tail not in FORK_ENTRY_METHODS:
-                    continue
-                for symbol in site.arg_symbols:
-                    declared = self._symbol_type(graph, function, symbol)
-                    if declared is None:
-                        continue
-                    reason: Optional[str] = None
-                    if declared in unsafe:
-                        reason = unsafe[declared]
-                    elif declared in FORK_UNSAFE_FACTORIES:
-                        reason = declared
-                    if reason is not None:
-                        findings.append(
-                            self._finding(
-                                project,
-                                function.module,
-                                site.line,
-                                site.column,
-                                f"argument {symbol!r} of type "
-                                f"{declared.rsplit('.', 1)[-1]} crosses "
-                                f"the fork boundary into {tail}() while "
-                                f"holding {reason}; forked "
-                                f"locks/sockets/handles deadlock or "
-                                f"interleave — pass plain data and "
-                                f"rebuild handles in the worker",
-                            )
-                        )
-        return findings
-
-
 def project_rules() -> Tuple[ProjectRule, ...]:
     """All interprocedural rules, in reporting order."""
     return (
         AsyncBlockingRule(),
         SnapshotMutationRule(),
-        ForkUnsafeCaptureRule(),
     )
 
 

@@ -23,15 +23,6 @@ laws of ``tests/property`` run that code and caught every such plant.
     that swallow (never re-raise) on ingest paths, hide data-quality
     problems that should quarantine a partition instead.
 
-``unordered-futures``
-    :mod:`repro.parallel` merges per-shard results on the promise that
-    they arrive in shard-index order; collecting worker results in
-    *completion* order (``concurrent.futures.as_completed``,
-    ``pool.imap_unordered``) would make merged output depend on OS
-    scheduling — the exact nondeterminism the subsystem exists to rule
-    out. Iterate the submitted futures list and call ``.result()`` in
-    shard-index order instead.
-
 ``decode-in-segment-hot-path``
     The segment read path (:mod:`repro.store`) decodes whole column
     pages through :func:`repro.store.codecs.decode_page` and translates
@@ -246,114 +237,6 @@ class SwallowedExceptionRule(Rule):
         return findings
 
 
-class UnorderedFuturesRule(Rule):
-    id = "unordered-futures"
-    summary = (
-        "completion-order result collection in repro.parallel; merges "
-        "must consume shards in shard-index order"
-    )
-
-    #: Packages whose merge determinism depends on shard-index order.
-    PARALLEL_PACKAGES: Tuple[str, ...] = ("repro/parallel/",)
-    _UNORDERED_CALLS: FrozenSet[str] = frozenset(
-        {"as_completed", "imap_unordered"}
-    )
-
-    def applies_to(self, module: str) -> bool:
-        return module.startswith(self.PARALLEL_PACKAGES)
-
-    def check(
-        self, tree: ast.Module, module: str, path: str
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = self._called_name(node.func)
-                if name in self._UNORDERED_CALLS:
-                    findings.append(
-                        self._finding(
-                            path,
-                            node,
-                            f"{name}() yields worker results in completion "
-                            f"order, which depends on OS scheduling; "
-                            f"consume futures in shard-index order so "
-                            f"merges stay byte-identical",
-                        )
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name in self._UNORDERED_CALLS:
-                        findings.append(
-                            self._finding(
-                                path,
-                                node,
-                                f"importing {alias.name!r} invites "
-                                f"completion-order collection; consume "
-                                f"futures in shard-index order instead",
-                            )
-                        )
-        return findings
-
-    @staticmethod
-    def _called_name(function: ast.expr) -> Optional[str]:
-        if isinstance(function, ast.Name):
-            return function.id
-        if isinstance(function, ast.Attribute):
-            return function.attr
-        return None
-
-
-class DirectPoolUseRule(Rule):
-    id = "direct-pool-use"
-    summary = (
-        "multiprocessing/concurrent.futures import outside "
-        "repro.parallel; sharded work must go through a Backend"
-    )
-
-    #: The only package allowed to talk to process pools directly.
-    BACKEND_PACKAGE = "repro/parallel/"
-    _POOL_MODULES: FrozenSet[str] = frozenset(
-        {"multiprocessing", "concurrent", "concurrent.futures"}
-    )
-
-    def applies_to(self, module: str) -> bool:
-        return module.startswith("repro/") and not module.startswith(
-            self.BACKEND_PACKAGE
-        )
-
-    def check(
-        self, tree: ast.Module, module: str, path: str
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in self._POOL_MODULES:
-                        findings.append(
-                            self._pool_finding(path, node, alias.name)
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                root = node.module.split(".")[0]
-                if root in self._POOL_MODULES:
-                    findings.append(
-                        self._pool_finding(path, node, node.module)
-                    )
-        return findings
-
-    def _pool_finding(
-        self, path: str, node: ast.AST, name: str
-    ) -> Finding:
-        return self._finding(
-            path,
-            node,
-            f"direct import of {name!r} outside repro.parallel; route "
-            f"sharded work through repro.parallel.backend.resolve_backend "
-            f"so every pass honours --backend/REPRO_BACKEND and keeps "
-            f"the byte-identity and fault-retry contracts",
-        )
-
-
 class SegmentDecodeRule(Rule):
     id = "decode-in-segment-hot-path"
     summary = (
@@ -509,8 +392,6 @@ def default_rules() -> Tuple[Rule, ...]:
     return (
         WallClockRule(),
         SwallowedExceptionRule(),
-        UnorderedFuturesRule(),
-        DirectPoolUseRule(),
         SegmentDecodeRule(),
     )
 

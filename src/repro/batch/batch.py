@@ -12,7 +12,6 @@ working while the hot paths stay column-wise.
 from __future__ import annotations
 
 from typing import (
-    Dict,
     FrozenSet,
     Iterable,
     Iterator,
@@ -317,62 +316,6 @@ class ObservationBatch:
         part.www_addrs6 = [self.www_addrs6[i] for i in indexes]
         part.asns = [self.asns[i] for i in indexes]
         return part
-
-    def compact(self) -> "ObservationBatch":
-        """Re-intern into fresh pools holding only referenced values.
-
-        Sub-batches share their parent's (possibly huge) pools; compact
-        before pickling one across a process boundary so the payload
-        carries only the strings its own rows reference.
-        """
-        names = StringPool()
-        addresses = StringPool()
-        old_names = self.names
-        old_addresses = self.addresses
-        name_map: Dict[int, int] = {}
-        address_map: Dict[int, int] = {}
-
-        def remap_name(old_id: int) -> int:
-            new_id = name_map.get(old_id)
-            if new_id is None:
-                new_id = names.intern(old_names.value(old_id))
-                name_map[old_id] = new_id
-            return new_id
-
-        def remap_address(old_id: int) -> int:
-            new_id = address_map.get(old_id)
-            if new_id is None:
-                new_id = addresses.intern(old_addresses.value(old_id))
-                address_map[old_id] = new_id
-            return new_id
-
-        out = ObservationBatch(names=names, addresses=addresses)
-        for index in range(len(self.days)):
-            out.append_ids(
-                day=self.days[index],
-                domain=remap_name(self.domains[index]),
-                tld=remap_name(self.tlds[index]),
-                ns_names=tuple(
-                    remap_name(i) for i in self.ns_names[index]
-                ),
-                www_cnames=tuple(
-                    remap_name(i) for i in self.www_cnames[index]
-                ),
-                apex_addrs=tuple(
-                    remap_address(i) for i in self.apex_addrs[index]
-                ),
-                www_addrs=tuple(
-                    remap_address(i) for i in self.www_addrs[index]
-                ),
-                apex_addrs6=tuple(
-                    remap_address(i) for i in self.apex_addrs6[index]
-                ),
-                www_addrs6=tuple(
-                    remap_address(i) for i in self.www_addrs6[index]
-                ),
-                asns=self.asns[index],
-            )
-        return out
 
     @classmethod
     def concat(

@@ -6,9 +6,7 @@ objects. Ids are *pool-relative*: they are dense, assigned in first-seen
 order, and only meaningful against the pool that issued them — never use
 them as keys in any structure that outlives the pool (checkpoints,
 persistent caches). Batches sliced from the same builder share pools, so
-their ids are mutually comparable; :meth:`ObservationBatch.compact`
-re-interns into fresh pools when a batch must travel alone (e.g. across
-a fork boundary).
+their ids are mutually comparable.
 """
 
 from __future__ import annotations

@@ -153,28 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", help="also write artifacts + series.json to this dir",
     )
     study.add_argument(
-        "--workers", type=_count(1), default=None, metavar="N",
-        help=(
-            "run the measurement phase sharded over N worker processes "
-            "(results are byte-identical to a serial run; default: serial)"
-        ),
-    )
-    study.add_argument(
-        "--shard-count", type=_count(1), default=None, metavar="M",
-        help=(
-            "number of hash shards for the sharded measurement phase "
-            "(default: 4 per worker)"
-        ),
-    )
-    study.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help=(
-            "execution backend for the sharded measurement phase "
-            "(serial or local; default: $REPRO_BACKEND, else local, "
-            "when --workers or --shard-count is set)"
-        ),
-    )
-    study.add_argument(
         "--fault-plan", metavar="PLAN.JSON",
         help=(
             "run under this fault plan (see 'repro faults'); injected "
@@ -426,28 +404,9 @@ def _cmd_study(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    # Any of the three execution flags shards the measurement phase;
-    # one backend carries all of them into run().
-    backend = None
-    if (
-        args.backend
-        or args.workers is not None
-        or args.shard_count is not None
-    ):
-        from repro.parallel.backend import BackendError, resolve_backend
-
-        try:
-            backend = resolve_backend(
-                args.backend or None,
-                workers=args.workers,
-                shard_count=args.shard_count,
-            )
-        except BackendError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
     world = _build_world(args)
     study = AdoptionStudy(world, fault_plan=fault_plan)
-    results = study.run(backend=backend)
+    results = study.run()
     quarantined = results.quarantined_scopes
     renderers = {
         "table1": lambda: fig.render_table1(results),
@@ -499,8 +458,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
             f"{results.fault_log.injections()} injected, "
             f"retries {sum(log['retries'].values())} "
             f"({log['backoff_ticks']} backoff ticks), "
-            f"dropped {sum(log['dropped'].values())}, "
-            f"shards retried {log['shards_retried']}"
+            f"dropped {sum(log['dropped'].values())}"
         )
         for scope, reason in sorted(quarantined.items()):
             print(f";; quarantined {scope}: {reason}")

@@ -58,21 +58,6 @@ def combo_label(refs: FrozenSet[RefType]) -> str:
     return "+".join(ref.value for ref in order if ref in refs) or "none"
 
 
-def _sum_series(
-    series_list: Sequence[Sequence[int]], horizon: int
-) -> List[int]:
-    """Element-wise sum of daily count series, zero-padded to *horizon*."""
-    totals = [0] * horizon
-    for series in series_list:
-        if len(series) != horizon:
-            raise ValueError(
-                f"series length {len(series)} != horizon {horizon}"
-            )
-        for index, value in enumerate(series):
-            totals[index] += value
-    return totals
-
-
 @dataclass(frozen=True)
 class UseInterval:
     """A maximal ``[start, end)`` range of continuous DPS use."""
@@ -239,109 +224,6 @@ class DetectionResult:
             combo_days={},
             domains_seen=0,
         )
-
-    @classmethod
-    def merge(
-        cls, parts: Sequence["DetectionResult"]
-    ) -> "DetectionResult":
-        """Combine per-shard results into one, canonically ordered.
-
-        Every aggregate is either an integer sum (daily series, combo
-        tallies, ``domains_seen``) or a keyed union (intervals), so the
-        merge is exact: partitioning the domain set by shard and merging
-        yields the same object — byte for byte — as a single detector
-        pass over all domains, regardless of shard count. Each domain
-        must be processed by exactly one shard; a ``(domain, provider)``
-        interval key appearing in several parts means the partitioning
-        was wrong and raises.
-        """
-        if not parts:
-            raise ValueError("cannot merge zero detection results")
-        horizon = parts[0].horizon
-        for part in parts[1:]:
-            if part.horizon != horizon:
-                raise ValueError(
-                    "cannot merge detection results with different "
-                    f"horizons ({part.horizon} != {horizon})"
-                )
-
-        provider_names = sorted(
-            {name for part in parts for name in part.providers}
-        )
-        providers: Dict[str, ProviderSeries] = {}
-        for name in provider_names:
-            shards = [
-                part.providers[name]
-                for part in parts
-                if name in part.providers
-            ]
-            by_ref: Dict[RefType, List[int]] = {}
-            for ref in RefType:
-                ref_series = [
-                    shard.by_ref[ref]
-                    for shard in shards
-                    if ref in shard.by_ref
-                ]
-                if ref_series:
-                    by_ref[ref] = _sum_series(ref_series, horizon)
-            providers[name] = ProviderSeries(
-                provider=name,
-                total=_sum_series(
-                    [shard.total for shard in shards], horizon
-                ),
-                by_ref=by_ref,
-            )
-
-        tlds = sorted(
-            {tld for part in parts for tld in part.any_use_by_tld}
-        )
-        any_use_by_tld = {
-            tld: _sum_series(
-                [
-                    part.any_use_by_tld[tld]
-                    for part in parts
-                    if tld in part.any_use_by_tld
-                ],
-                horizon,
-            )
-            for tld in tlds
-        }
-
-        intervals: Dict[Tuple[str, str], List[UseInterval]] = {}
-        for part in parts:
-            for key in part.intervals:
-                if key in intervals:
-                    raise ValueError(
-                        f"interval key {key!r} appears in multiple "
-                        f"shards; domains must be partitioned disjointly"
-                    )
-            intervals.update(part.intervals)
-
-        combo_days: Dict[str, Dict[str, int]] = {}
-        for part in parts:
-            for provider, combos in part.combo_days.items():
-                bucket = combo_days.setdefault(provider, {})
-                for label, days in combos.items():
-                    bucket[label] = bucket.get(label, 0) + days
-
-        return cls(
-            horizon=horizon,
-            providers=providers,
-            any_use_by_tld=any_use_by_tld,
-            any_use_combined=_sum_series(
-                [part.any_use_combined for part in parts], horizon
-            ),
-            intervals={
-                key: sorted(values, key=lambda i: i.start)
-                for key, values in sorted(intervals.items())
-            },
-            combo_days={
-                provider: dict(sorted(combos.items()))
-                for provider, combos in sorted(combo_days.items())
-            },
-            domains_seen=sum(part.domains_seen for part in parts),
-        )
-
 
 class ScopeState:
     """The detection accumulator: every producer folds matches through it.

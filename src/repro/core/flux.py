@@ -120,42 +120,3 @@ class FluxAnalysis:
             if not censored:
                 flux.outflux[last // self._window_days] += 1
         return series
-
-    def merge(
-        self, parts: Sequence[Dict[str, FluxSeries]]
-    ) -> Dict[str, FluxSeries]:
-        """Combine per-shard flux series into one (exact aggregation).
-
-        Each domain is first/last seen in exactly one shard, so influx
-        and outflux merge as element-wise window sums; the result equals
-        a single :meth:`analyze` pass over the un-sharded detection,
-        byte for byte. Providers are emitted in sorted order, matching
-        the serial path's canonical ordering.
-        """
-        merged: Dict[str, FluxSeries] = {}
-        for provider in sorted({name for part in parts for name in part}):
-            influx = [0] * self._window_count
-            outflux = [0] * self._window_count
-            for part in parts:
-                series = part.get(provider)
-                if series is None:
-                    continue
-                if (
-                    series.window_days != self._window_days
-                    or series.windows != self._window_count
-                ):
-                    raise ValueError(
-                        f"flux series for {provider!r} has mismatched "
-                        f"windowing; cannot merge"
-                    )
-                for index, value in enumerate(series.influx):
-                    influx[index] += value
-                for index, value in enumerate(series.outflux):
-                    outflux[index] += value
-            merged[provider] = FluxSeries(
-                provider=provider,
-                window_days=self._window_days,
-                influx=influx,
-                outflux=outflux,
-            )
-        return merged

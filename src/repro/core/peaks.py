@@ -123,36 +123,7 @@ class PeakAnalysis:
                 provider=provider,
                 domain_count=counts.get(provider, 0),
                 # Canonically sorted so the duration list is a pure
-                # function of the duration multiset — which is what makes
-                # per-shard results mergeable byte-identically.
+                # function of the duration multiset.
                 durations=sorted(durations.get(provider, [])),
             )
         return stats
-
-    def merge(
-        self, parts: Sequence[Dict[str, PeakStats]]
-    ) -> Dict[str, PeakStats]:
-        """Combine per-shard peak statistics (exact aggregation).
-
-        A domain's ≥min-peaks membership is decided entirely inside its
-        shard, so domain counts sum and duration multisets union; with
-        durations kept canonically sorted, the merge equals a single
-        :meth:`analyze` pass over the un-sharded detection, byte for
-        byte.
-        """
-        merged: Dict[str, PeakStats] = {}
-        for provider in sorted({name for part in parts for name in part}):
-            domain_count = 0
-            durations: List[int] = []
-            for part in parts:
-                stats = part.get(provider)
-                if stats is None:
-                    continue
-                domain_count += stats.domain_count
-                durations.extend(stats.durations)
-            merged[provider] = PeakStats(
-                provider=provider,
-                domain_count=domain_count,
-                durations=sorted(durations),
-            )
-        return merged

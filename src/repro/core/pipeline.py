@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -29,9 +28,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-if TYPE_CHECKING:  # avoid a circular import at runtime
-    from repro.parallel.backend import BackendSpec
 
 from repro.batch.batch import BatchBuilder, ObservationBatch
 from repro.core.attribution import AnomalyAttributor, Attribution
@@ -114,22 +110,6 @@ class StudyResults:
 
     def expansion_factor(self) -> float:
         return self.growth_gtld["Overall expansion"].growth_factor
-
-
-@dataclass
-class StudyMeasurement:
-    """Everything the measurement phase produces, whole-world or per shard."""
-
-    segments: Dict[str, List[ObservationSegment]]
-    detection_gtld: DetectionResult
-    detection_nl: DetectionResult
-    detection_alexa: DetectionResult
-    flux: Dict[str, FluxSeries]
-    peaks: Dict[str, PeakStats]
-    #: The measuring study's fault accounting (empty on clean runs).
-    fault_log: FaultLog = field(default_factory=FaultLog)
-    #: scope → reason quarantined while measuring.
-    quarantined: Dict[str, str] = field(default_factory=dict)
 
 
 def detect_store(
@@ -269,41 +249,6 @@ class AdoptionStudy:
         detector.process_runs(batch, ends)
         return detector.result()
 
-    def measure(
-        self,
-        domain_names: Optional[Sequence[str]] = None,
-        alexa_names: Optional[Sequence[str]] = None,
-    ) -> StudyMeasurement:
-        """The measurement + detection phase over *domain_names*.
-
-        Probe → enrich → detect (gTLD, .nl, Alexa) → flux/peaks. The
-        defaults cover the whole world — the serial study; a sharded run
-        (:mod:`repro.parallel.study`) calls this once per shard with
-        that shard's names and merges the parts exactly.
-        """
-        if domain_names is None:
-            domain_names = list(self.world.domains)
-        domains = self.world.domains
-        horizon = self.world.horizon
-        segments = self.collect_segments(domain_names)
-        gtld_names = [
-            name for name in domain_names if domains[name].tld in GTLDS
-        ]
-        nl_names = [
-            name for name in domain_names if domains[name].tld == "nl"
-        ]
-        detection_gtld = self.detect(segments, gtld_names)
-        return StudyMeasurement(
-            segments=segments,
-            detection_gtld=detection_gtld,
-            detection_nl=self.detect(segments, nl_names),
-            detection_alexa=self.detect_alexa(segments, alexa_names),
-            flux=FluxAnalysis(horizon).analyze(detection_gtld),
-            peaks=PeakAnalysis(horizon).analyze(detection_gtld),
-            fault_log=self.fault_log,
-            quarantined=dict(self.quarantined_scopes),
-        )
-
     def detect_from_store(
         self, store: SegmentStore, sources: Sequence[str]
     ) -> DetectionResult:
@@ -325,34 +270,28 @@ class AdoptionStudy:
 
     # -- the full study -----------------------------------------------------------
 
-    def run(self, backend: Optional["BackendSpec"] = None) -> StudyResults:
+    def run(self) -> StudyResults:
         """Run the full methodology.
 
-        With a *backend* (a :class:`repro.parallel.backend.Backend`
-        instance or the name ``serial`` or ``local``; worker and shard
-        counts are set on the backend) the measurement + detection phase is
-        hash-sharded over it; the merged result — and hence the
-        returned :class:`StudyResults` — is byte-identical to the
-        in-process run ``backend=None`` gives, for any backend, worker
-        count, and shard count.
+        Probe → enrich → detect (gTLD, .nl, Alexa) → flux/peaks over
+        every domain, then growth, classification, Table 1 and the
+        anomaly attribution over what was detected.
         """
         world = self.world
         horizon = world.horizon
         window_start = CCTLD_START_DAY
+        domains = world.domains
 
-        if backend is not None:
-            # Imported lazily: repro.parallel imports from this module.
-            from repro.parallel.study import run_sharded_measurement
-
-            measured = run_sharded_measurement(self, backend=backend)
-        else:
-            measured = self.measure()
-        segments = measured.segments
-        detection_gtld = measured.detection_gtld
-        detection_nl = measured.detection_nl
-        detection_alexa = measured.detection_alexa
-        flux = measured.flux
-        peaks = measured.peaks
+        segments = self.collect_segments()
+        gtld_names = [
+            name for name in domains if domains[name].tld in GTLDS
+        ]
+        nl_names = [name for name in domains if domains[name].tld == "nl"]
+        detection_gtld = self.detect(segments, gtld_names)
+        detection_nl = self.detect(segments, nl_names)
+        detection_alexa = self.detect_alexa(segments)
+        flux = FluxAnalysis(horizon).analyze(detection_gtld)
+        peaks = PeakAnalysis(horizon).analyze(detection_gtld)
 
         # The study.detect fault site: an injected poison here models a
         # detection stage blowing up on one scope's data.

@@ -1,9 +1,9 @@
 """Deterministic fault injection and robustness instrumentation.
 
 The measurement platform must "degrade, not die": missing zone files,
-truncated storage segments, malformed DNS answers and dying workers are
-routine at production scale, and a contiguous adoption time series
-depends on surviving all of them. This package provides the harness that
+truncated storage segments and malformed DNS answers are routine at
+production scale, and a contiguous adoption time series depends on
+surviving all of them. This package provides the harness that
 proves it:
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, a seeded, serialisable
@@ -15,8 +15,8 @@ proves it:
 * :mod:`repro.faults.inject` — injection shims wrapping the real seams
   (storage segment reads, partition feeds, the simulated network, the
   prober, checkpoint bytes);
-* :mod:`repro.faults.runtime` — the suppression scope used by retry
-  paths so a re-executed shard cannot be re-killed by its own fault;
+* :mod:`repro.faults.runtime` — the suppression scope a retry path
+  enters so re-executed work cannot be re-killed by its own fault;
 * :mod:`repro.faults.report` — scope-slicing helpers behind the chaos
   invariant (a faulted run must match the clean run byte-for-byte on
   every non-quarantined scope).
@@ -30,7 +30,6 @@ from repro.faults.errors import (
     InjectedFault,
     PersistentFault,
     TransientFault,
-    WorkerCrash,
 )
 from repro.faults.runtime import fault_suppression, faults_suppressed
 from repro.faults.retry import RetryPolicy
@@ -75,7 +74,6 @@ __all__ = [
     "SCOPE_GROWTH_LABELS",
     "SCOPE_OF_SOURCE",
     "TransientFault",
-    "WorkerCrash",
     "corrupt_blob",
     "corrupt_store_files",
     "fault_suppression",

@@ -1,14 +1,14 @@
 """Typed exceptions for injected faults.
 
 Injected faults are first-class, typed errors so hardened code can react
-by *policy* — retry a transient, quarantine on a persistent, re-execute
-a crashed shard — instead of pattern-matching strings. Production code
-never raises these itself; only the injection shims do.
+by *policy* — retry a transient, quarantine on a persistent — instead
+of pattern-matching strings. Production code never raises these itself;
+only the injection shims do.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 class FaultError(Exception):
@@ -28,12 +28,6 @@ class InjectedFault(FaultError):
         self.kind = kind
         self.key = key
 
-    def __reduce__(self) -> Tuple[Callable[..., Any], Tuple[Any, ...]]:
-        # Exception pickling replays the constructor with ``args`` (the
-        # formatted message) — wrong arity here. A worker-raised crash
-        # must survive the trip back through the process pool intact.
-        return (type(self), (self.site, self.kind, self.key))
-
 
 class TransientFault(InjectedFault):
     """A fault that a bounded retry is expected to clear."""
@@ -51,19 +45,3 @@ class PersistentFault(FaultError):
     ) -> None:
         super().__init__(message)
         self.scopes: Tuple[str, ...] = tuple(scopes)
-
-    def __reduce__(self) -> Tuple[Callable[..., Any], Tuple[Any, ...]]:
-        # Without this, unpickling rebuilds from the message alone and
-        # silently drops the poisoned scopes.
-        return (type(self), (str(self), self.scopes))
-
-
-class WorkerCrash(InjectedFault):
-    """A worker process dying mid-shard (simulated).
-
-    ``shard_retryable`` is the duck-typed marker every
-    :class:`~repro.parallel.backend.Backend` looks for when deciding
-    to re-execute the shard in the parent process.
-    """
-
-    shard_retryable = True

@@ -4,15 +4,14 @@ A :class:`FaultPlan` is the reproducibility unit of chaos testing: a
 seed plus a list of :class:`FaultSpec` entries, each addressing a
 **site** (a named seam in the pipeline, see :data:`FAULT_SITES`), a
 **kind** (what goes wrong there), a **rate**, and optional **keys**
-(only fire for these shard indexes / sources / scopes) and **times** (at
+(only fire for these domains / sources / scopes) and **times** (at
 most this many firings). Serialising the plan to JSON makes a failing
 chaotic run replayable: same plan, same decisions, same faults.
 
 Decision determinism: a spec's firing decision for a call is a pure hash
 of ``(plan seed, spec identity, call key, per-key occurrence number)`` —
 no shared RNG stream — so decisions are independent of global call
-order. A domain observed by shard 3 of a parallel run draws exactly what
-it would have drawn in a serial run.
+order, and adding or dropping one spec moves no other spec's draws.
 
 The :class:`FaultLog` is the "visibly degraded" surface: a structured
 counter record of what was injected, retried, recovered, dropped and
@@ -25,7 +24,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.faults.runtime import faults_suppressed
 
@@ -59,10 +58,6 @@ FAULT_SITES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "study.detect": (
         "per-scope detection during a full study run",
         ("poison",),
-    ),
-    "parallel.executor": (
-        "sharded worker execution",
-        ("worker_crash",),
     ),
 }
 
@@ -197,8 +192,7 @@ class FaultInjector:
     :class:`FaultEvent` (and a log entry). While a
     :func:`fault_suppression` scope is active the injector never fires —
     that is how retry paths stay survivable. ``times`` bounds are
-    per-injector (per-process): a plan shipped to worker processes
-    applies its limits per worker.
+    per-injector.
     """
 
     def __init__(
@@ -247,7 +241,7 @@ class FaultLog:
     """Structured counters describing how degraded a run was.
 
     Serialises canonically (sorted keys) so it can ride along in
-    ``series.json`` exports, and merges across worker processes.
+    ``series.json`` exports.
     """
 
     def __init__(self) -> None:
@@ -265,8 +259,6 @@ class FaultLog:
         self._released: List[str] = []
         #: Logical backoff ticks accrued by deterministic backoff.
         self._backoff_ticks: int = 0
-        #: Shards re-executed in the parent after a worker death.
-        self._shards_retried: int = 0
 
     # -- recording ----------------------------------------------------------
 
@@ -291,9 +283,6 @@ class FaultLog:
         self._quarantined.pop(scope, None)
         self._released.append(scope)
 
-    def record_shard_retry(self, count: int = 1) -> None:
-        self._shards_retried += count
-
     # -- queries ------------------------------------------------------------
 
     @property
@@ -303,10 +292,6 @@ class FaultLog:
     @property
     def backoff_ticks(self) -> int:
         return self._backoff_ticks
-
-    @property
-    def shards_retried(self) -> int:
-        return self._shards_retried
 
     def injections(self) -> int:
         return sum(self._injected.values())
@@ -318,7 +303,6 @@ class FaultLog:
             and not self._dropped
             and not self._quarantined
             and not self._released
-            and self._shards_retried == 0
         )
 
     # -- serialisation ------------------------------------------------------
@@ -332,7 +316,6 @@ class FaultLog:
             "quarantined": dict(sorted(self._quarantined.items())),
             "released": list(self._released),
             "backoff_ticks": self._backoff_ticks,
-            "shards_retried": self._shards_retried,
         }
 
     @classmethod
@@ -347,28 +330,4 @@ class FaultLog:
         )
         log._released = list(payload.get("released", []))
         log._backoff_ticks = int(payload.get("backoff_ticks", 0))
-        log._shards_retried = int(payload.get("shards_retried", 0))
         return log
-
-    def absorb(self, other: "FaultLog") -> None:
-        """Fold *other*'s counters into this log (worker → parent)."""
-        for label, count in sorted(other._injected.items()):
-            self._injected[label] = self._injected.get(label, 0) + count
-        for site, count in sorted(other._retries.items()):
-            self._retries[site] = self._retries.get(site, 0) + count
-        for site, count in sorted(other._recovered.items()):
-            self._recovered[site] = self._recovered.get(site, 0) + count
-        for site, count in sorted(other._dropped.items()):
-            self._dropped[site] = self._dropped.get(site, 0) + count
-        for scope, reason in sorted(other._quarantined.items()):
-            self._quarantined.setdefault(scope, reason)
-        self._released.extend(other._released)
-        self._backoff_ticks += other._backoff_ticks
-        self._shards_retried += other._shards_retried
-
-    @classmethod
-    def merge(cls, logs: Sequence["FaultLog"]) -> "FaultLog":
-        merged = cls()
-        for log in logs:
-            merged.absorb(log)
-        return merged

@@ -1,4 +1,4 @@
-"""repro.sketch — deterministic, mergeable probabilistic summaries.
+"""repro.sketch — deterministic probabilistic summaries.
 
 Constant-memory streaming analytics over the observation feed: a
 count-min sketch (additive and conservative-update variants), a

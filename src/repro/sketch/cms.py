@@ -11,14 +11,11 @@ Two update disciplines:
 * **additive** (the default, and the only one the streaming plane
   uses): every touched cell gains ``count``. Cell values are then sums
   over the update multiset, so the state is a pure function of *what*
-  was fed, never *in which order or in which shards* — ``merge`` is a
-  cell-wise sum and equals feeding the concatenated stream exactly,
-  byte for byte.
+  was fed, never *in which order*.
 * **conservative** update tightens estimates by raising each touched
   cell only to ``min-estimate + count``. That reads the current state,
-  which makes the result order-dependent — so a conservative sketch
-  refuses to merge (see ``docs/SKETCHES.md`` for the two-key
-  counterexample).
+  which makes the result order-dependent (see ``docs/SKETCHES.md`` for
+  the two-key counterexample).
 
 State is integer-only end to end; floats appear in derived error
 bounds, never in anything serialized or accumulated.
@@ -33,7 +30,8 @@ from repro.sketch.hashing import digest64, keyed_hasher, row_indexes
 
 
 class SketchMergeError(ValueError):
-    """Two sketches whose states cannot be merged exactly."""
+    """Two sketches whose states cannot be merged exactly (HyperLogLogs
+    of different precision or seed)."""
 
 
 class CountMinSketch:
@@ -105,29 +103,6 @@ class CountMinSketch:
             row[positions[index]]
             for index, row in enumerate(self.rows)
         )
-
-    # -- merge --------------------------------------------------------------
-
-    def merge(self, other: "CountMinSketch") -> None:
-        """Fold *other* in; equals having fed both streams serially."""
-        if (self.depth, self.width, self.seed) != (
-            other.depth,
-            other.width,
-            other.seed,
-        ):
-            raise SketchMergeError(
-                "count-min sketches differ in shape or seed"
-            )
-        if self.conservative or other.conservative:
-            raise SketchMergeError(
-                "conservative-update sketches are order-dependent and "
-                "do not merge exactly; use the additive variant"
-            )
-        for index, row in enumerate(self.rows):
-            other_row = other.rows[index]
-            for cell in range(self.width):
-                row[cell] += other_row[cell]
-        self.total += other.total
 
     # -- serialization ------------------------------------------------------
 

@@ -11,9 +11,7 @@ Determinism: ties on eviction break on the key itself (the minimum
 ``(count, key)`` pair goes), so identical update multisets fed in
 identical order produce identical state on any platform. While the
 summary has never evicted it is simply the exact count map — a pure
-function of the update *multiset* — so merging two never-evicted
-summaries whose union fits capacity equals feeding the concatenated
-stream, byte for byte. Past an eviction the state becomes
+function of the update *multiset*. Past an eviction the state becomes
 order-sensitive (like every bounded heavy-hitter summary); the
 ``evictions`` counter rides the serialized state so a digest comparison
 can tell the exact regime from the lossy one. The streaming plane sizes
@@ -26,8 +24,6 @@ pool), keeping the plane in the exact, order-free regime — see
 from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Tuple
-
-from repro.sketch.cms import SketchMergeError
 
 
 class SpaceSaving:
@@ -91,38 +87,6 @@ class SpaceSaving:
     def exact(self) -> bool:
         """True while no eviction has ever lost a key (errors all 0)."""
         return self.evictions == 0
-
-    # -- merge --------------------------------------------------------------
-
-    def merge(self, other: "SpaceSaving") -> None:
-        """Fold *other* in, key by key in sorted order.
-
-        Exact (and equal to the concatenated feed) when both sides are
-        still eviction-free and the union fits capacity; otherwise the
-        combined summary keeps the guaranteed-frequency invariant but,
-        like any post-eviction state, is order-sensitive.
-        """
-        if self.capacity != other.capacity:
-            raise SketchMergeError(
-                "space-saving summaries differ in capacity"
-            )
-        for key in sorted(other.counters):
-            count, error = other.counters[key]
-            entry = self.counters.get(key)
-            if entry is not None:
-                self.counters[key] = (
-                    entry[0] + count,
-                    entry[1] + error,
-                )
-            elif len(self.counters) < self.capacity:
-                self.counters[key] = (count, error)
-            else:
-                victim, floor = self._evict()
-                del self.counters[victim]
-                self.counters[key] = (floor + count, floor + error)
-                self.evictions += 1
-        self.evictions += other.evictions
-        self.total += other.total
 
     # -- serialization ------------------------------------------------------
 

@@ -137,7 +137,7 @@ class StreamEngine:
         #: The optional streaming sketch plane (``repro.sketch``): one
         #: constant-memory summary set per scope, folded per applied
         #: partition and serialized with the engine — byte-identity
-        #: across serial/sharded/resumed runs is what the conformance
+        #: across live, store-rebuilt and resumed runs is what the conformance
         #: matrix pins.
         self._sketches: Optional[SketchPlane] = (
             SketchPlane(

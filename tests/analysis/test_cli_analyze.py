@@ -79,8 +79,12 @@ def test_analyze_rule_filter(capsys):
 
 def test_analyze_unknown_rule_is_an_error(capsys):
     # Deleted rules are unknown: the round-trip and exact-arithmetic
-    # laws of tests/property prove what they guessed at.
-    for rule in ("no-such-rule", "schema-drift", "float-equality"):
+    # laws of tests/property prove what they guessed at, and the pool
+    # rules went with the pool they policed.
+    for rule in (
+        "no-such-rule", "schema-drift", "float-equality",
+        "unordered-futures", "direct-pool-use", "fork-unsafe-capture",
+    ):
         code = main(["analyze", "--rule", rule, str(FIXTURES)])
         assert code == 2
         assert "unknown rule" in capsys.readouterr().err
@@ -90,7 +94,7 @@ def test_analyze_list_rules(capsys):
     assert main(["analyze", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in (
-        "unordered-futures", "wall-clock", "swallowed-exception",
+        "wall-clock", "swallowed-exception", "async-blocking",
     ):
         assert rule_id in out
 

@@ -32,9 +32,6 @@ GROUPS: Dict[str, Dict[str, str]] = {
     "snapshot-mutation": {
         "repro/serve/fixture_swap.py": "snapshot_mutation.py",
     },
-    "fork-unsafe-capture": {
-        "repro/parallel/fixture_fork.py": "fork_capture.py",
-    },
 }
 
 
@@ -155,7 +152,7 @@ def test_inline_suppression_silences_project_rules():
 
 
 def test_rule_filter_restricts_project_rules():
-    group = GROUPS["fork-unsafe-capture"]
+    group = GROUPS["snapshot-mutation"]
     result = ProjectAnalyzer().analyze_sources(
         _sources(group), rule_filter={"async-blocking"}
     )

@@ -27,8 +27,6 @@ _MARKER_RE = re.compile(
 CASES = [
     ("wall_clock.py", "repro/core/fixture_wall_clock.py"),
     ("swallowed_exception.py", "repro/stream/fixture_swallowed.py"),
-    ("unordered_futures.py", "repro/parallel/fixture_futures.py"),
-    ("direct_pool_use.py", "repro/measurement/fixture_pool.py"),
     ("segment_decode.py", "repro/store/fixture_segment_decode.py"),
 ]
 
@@ -86,12 +84,6 @@ def test_wall_clock_scoped_to_deterministic_packages():
     assert not result.findings
 
 
-def test_unordered_futures_scoped_to_parallel_package():
-    source = (FIXTURES / "unordered_futures.py").read_text()
-    result = analyze_local(source, "repro/stream/fixture.py")
-    assert not any(f.rule == "unordered-futures" for f in result.findings)
-
-
 def test_segment_decode_scoped_to_store_package():
     source = (FIXTURES / "segment_decode.py").read_text()
     # Outside repro/store the same code is fine — e.g. reporting may
@@ -105,16 +97,6 @@ def test_segment_decode_scoped_to_store_package():
     assert not any(
         f.rule == "decode-in-segment-hot-path" for f in result.findings
     )
-
-
-def test_parallel_executor_is_clean():
-    # The real executor (the pool backend) must satisfy its own rule.
-    path = (
-        Path(__file__).resolve().parents[2]
-        / "src" / "repro" / "parallel" / "backend.py"
-    )
-    result = analyze_local(path.read_text(), "repro/parallel/backend.py")
-    assert not result.findings
 
 
 def test_logical_module_mapping():

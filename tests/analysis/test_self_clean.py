@@ -30,7 +30,7 @@ def test_all_rules_ran():
     result = ProjectAnalyzer(rules=()).analyze_paths(
         [str(SRC / "repro" / "analysis")]
     )
-    assert len(result.rules_run) == 5
+    assert len(result.rules_run) == 3
 
 
 def test_tree_is_interprocedurally_clean():

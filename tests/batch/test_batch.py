@@ -58,7 +58,6 @@ class TestRoundTrip:
         batch = ObservationBatch()
         assert len(batch) == 0
         assert batch.rows() == []
-        assert batch.compact().rows() == []
         assert ObservationBatch.concat([]).rows() == []
 
 
@@ -108,14 +107,6 @@ class TestRestructuring:
         assert batch[1:4].rows() == ROWS[1:4]
         with pytest.raises(ValueError):
             batch[::2]
-
-    def test_compact_reinterns_only_referenced_values(self):
-        batch = ObservationBatch.from_rows(ROWS)
-        part = batch.slice(0, 2).compact()
-        assert part.rows() == ROWS[:2]
-        assert part.names is not batch.names
-        assert len(part.names) < len(batch.names)
-        assert len(part.addresses) < len(batch.addresses)
 
     def test_concat_shared_pools_fast_path(self):
         builder = BatchBuilder()

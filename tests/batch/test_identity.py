@@ -8,9 +8,7 @@ however many ids ask for it:
 
 * whole-history ``detect_from_store`` over the landed ``SegmentStore``;
 * a streamed engine fed the columnar partitions replayed from it,
-  straight through and across a kill/checkpoint/resume cycle;
-* the canonical JSON export (the bytes ``repro study --output`` writes)
-  of a ``workers=2, shard_count=4`` run.
+  straight through and across a kill/checkpoint/resume cycle.
 """
 
 from tests.conformance import check_cell
@@ -25,6 +23,3 @@ class TestThreeSeedIdentity:
 
     def test_kill_resume_streams_to_identical_state(self, conformance):
         check_cell(conformance, "path-kill-resume")
-
-    def test_workers2_export_byte_identical(self, conformance):
-        check_cell(conformance, "backend-pool-w2")

@@ -3,8 +3,8 @@
 The contract under test: for any list of observations — IPv6-only rows,
 empty CNAME chains, multi-origin ASN sets, the empty batch — boxing them
 into an :class:`ObservationBatch` and reading the rows back reproduces
-the input exactly, and every restructuring operation (slice, compact,
-concat, chunking) preserves row content. Runs only where ``hypothesis``
+the input exactly, and every restructuring operation (slice, concat)
+preserves row content. Runs only where ``hypothesis``
 is installed (optional dev dependency; the suite must not require it).
 """
 
@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from repro.batch.batch import BatchBuilder, ObservationBatch  # noqa: E402
 from repro.measurement.snapshot import DomainObservation  # noqa: E402
-from repro.parallel.sharding import chunk_batches, chunk_records  # noqa: E402
 
 RELAXED = settings(
     max_examples=50,
@@ -94,32 +93,21 @@ class TestBatchRoundTrip:
 
     @RELAXED
     @given(rows=row_lists, data=st.data())
-    def test_slice_compact_concat_preserve_rows(self, rows, data):
+    def test_slice_concat_preserve_rows(self, rows, data):
         batch = ObservationBatch.from_rows(rows)
         cut = data.draw(
             st.integers(min_value=0, max_value=len(rows)), label="cut"
         )
         head, tail = batch.slice(0, cut), batch.slice(cut, len(rows))
         assert head.rows() + tail.rows() == rows
-        assert head.compact().rows() == rows[:cut]
         assert ObservationBatch.concat([head, tail]).rows() == rows
+        # Parts with pools of their own concatenate by re-interning.
         assert (
             ObservationBatch.concat(
-                [head.compact(), tail.compact()]
+                [
+                    ObservationBatch.from_rows(rows[:cut]),
+                    ObservationBatch.from_rows(rows[cut:]),
+                ]
             ).rows()
             == rows
         )
-
-    @RELAXED
-    @given(
-        rows=row_lists,
-        chunks=st.integers(min_value=1, max_value=5),
-    )
-    def test_chunk_batches_matches_chunk_records(self, rows, chunks):
-        batch = ObservationBatch.from_rows(rows)
-        parts = chunk_batches(batch, chunks)
-        expected = chunk_records(rows, chunks)
-        assert len(parts) == chunks
-        assert [part.rows() for part in parts] == [
-            list(chunk) for chunk in expected
-        ]

@@ -56,7 +56,6 @@ from repro.mapreduce.jobs import (
     reference_count_job,
 )
 from repro.measurement.scheduler import GTLD_SOURCES
-from repro.parallel.backend import BackendSpec, LocalPoolBackend
 from repro.reporting.export import study_to_dict
 from repro.sketch import SketchConfig, SketchPlane
 from repro.sketch.build import sketch_from_store
@@ -194,17 +193,14 @@ def mapreduce_records(store: SegmentStore) -> ObservationBatch:
     )
 
 
-def mapreduce_digests(
-    records: ObservationBatch, backend: Optional[BackendSpec] = None
-) -> Digests:
+def mapreduce_digests(records: ObservationBatch) -> Digests:
     digests = []
     for name, make_job in MAPREDUCE_JOBS.items():
-        engine = MapReduceEngine(partitions=8, backend=backend)
+        engine = MapReduceEngine(partitions=8)
         outputs = engine.run(make_job(), records)
         assert engine.last_counters is not None
         counters = asdict(engine.last_counters)
-        # Map-side combine runs per chunk, so only this counter follows
-        # the shard split.
+        # The pins were taken without this counter.
         del counters["pairs_after_combine"]
         digests.append(
             (
@@ -283,17 +279,6 @@ def _sketch(plane: SketchPlane) -> Digests:
     return [("sketch", plane.state_digest())]
 
 
-def _on_pool(c: Conformance) -> Digests:
-    run = AdoptionStudy(c.base.world).run(
-        backend=LocalPoolBackend(workers=2, shard_count=4)
-    )
-    assert run.segments == c.base.results.segments
-    return [
-        ("export", export_digest(run)),
-        ("detection", detection_digest(run.detection_gtld)),
-    ]
-
-
 def _reversed(c: Conformance) -> Digests:
     keys = list(StoreReplayFeed(c.base.store).keys())[::-1]
     detector = SegmentDetector(c.base.study.catalog, c.base.world.horizon)
@@ -306,8 +291,7 @@ def _reversed(c: Conformance) -> Digests:
 
 
 #: Each cell changes one axis of the baseline and yields (digest name,
-#: digest) pairs. The backend axis beyond the one pool cell is
-#: ``tests/parallel/test_backend_identity.py``, on worlds of its own.
+#: digest) pairs.
 CELLS: Dict[str, Callable[[Conformance], Digests]] = {
     "path-run": _run,
     "path-detect-from-store": lambda c: [_detect(c, c.base.store)],
@@ -319,7 +303,6 @@ CELLS: Dict[str, Callable[[Conformance], Digests]] = {
     "path-mapreduce": lambda c: mapreduce_digests(
         mapreduce_records(c.base.store)
     ),
-    "backend-pool-w2": _on_pool,
     "store-compacted": lambda c: [_detect(c, c.compacted)] + _sketch(
         sketch_from_store(c.compacted)
     ),

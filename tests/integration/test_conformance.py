@@ -10,9 +10,6 @@ digest it produces.
 * **path** — ``run()``, ``detect_from_store``, engine replay,
   kill/resume, the sketch rebuild and the three MapReduce jobs, all
   over the fresh store;
-* **backend** — the study on a two-worker pool; the sweep over both
-  shipped backends (serial, and the pool at one and two workers) is
-  ``tests/parallel/test_backend_identity.py`` on worlds of its own;
 * **store generation** — ``detect_from_store`` over the compacted
   store;
 * **arrival order** — the landed partitions fed and read last first;
@@ -26,7 +23,7 @@ check the same cells through :func:`tests.conformance.check_cell`.
 The matrix is what keeps ordering and hashing honest; see
 ``docs/ANALYSIS.md`` ("What the matrix proves instead") for the
 violations it catches that no static rule in the tree did. Adding a
-path, backend or store is one row of ``CELLS``.
+path or store is one row of ``CELLS``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """Tests for the predefined analysis jobs."""
 
+import pytest
+
+from repro.batch.batch import ObservationBatch
 from repro.core.references import SignatureCatalog
 from repro.mapreduce.engine import run_job
 from repro.mapreduce.jobs import (
@@ -7,6 +10,7 @@ from repro.mapreduce.jobs import (
     ns_sld_frequency_job,
     reference_count_job,
 )
+from repro.measurement.scheduler import PartitionFeed
 from repro.measurement.snapshot import DomainObservation
 
 
@@ -67,3 +71,24 @@ class TestNsSldFrequencyJob:
         assert outputs["hostco-dns.com"] == 2
         assert outputs["cloudflare.com"] == 2
         assert "incapsecuredns.net" not in outputs
+
+
+JOBS = {
+    "daily-detection": lambda: daily_detection_job(CATALOG),
+    "reference-count": lambda: reference_count_job(CATALOG),
+    "ns-sld-frequency": ns_sld_frequency_job,
+}
+
+
+@pytest.mark.parametrize("job_name", sorted(JOBS))
+def test_columnar_records_match_boxed_rows(tiny_world, job_name):
+    """An ObservationBatch is mapped row view by row view, never boxed
+    whole, and gives the boxed rows' outputs."""
+    rows = []
+    feed = PartitionFeed(tiny_world)
+    for source in ("com", "net", "org"):
+        rows.extend(feed.partition(source, 30).observations)
+    batch = ObservationBatch.from_rows(rows)
+    assert rows and run_job(JOBS[job_name](), batch) == run_job(
+        JOBS[job_name](), rows
+    )

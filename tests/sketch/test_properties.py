@@ -80,27 +80,7 @@ def test_cms_overestimate_rate_within_delta(streams):
     assert violations <= max(2, 2 * sketch.delta * len(exact))
 
 
-@DETERMINISTIC
-@given(stream, st.integers(min_value=0, max_value=120))
-def test_cms_merge_equals_feed_byte_identically(events, split):
-    split = min(split, len(events))
-    whole = CountMinSketch(depth=4, width=128, seed=3)
-    for name, count in events:
-        whole.update(name, count)
-
-    left = CountMinSketch(depth=4, width=128, seed=3)
-    right = CountMinSketch(depth=4, width=128, seed=3)
-    for name, count in events[:split]:
-        left.update(name, count)
-    for name, count in events[split:]:
-        right.update(name, count)
-    left.merge(right)
-    assert json.dumps(left.to_dict(), sort_keys=True) == json.dumps(
-        whole.to_dict(), sort_keys=True
-    )
-
-
-def test_cms_conservative_tightens_but_cannot_merge():
+def test_cms_conservative_tightens():
     additive = CountMinSketch(depth=4, width=64, seed=5)
     conservative = CountMinSketch(
         depth=4, width=64, seed=5, conservative=True
@@ -114,15 +94,6 @@ def test_cms_conservative_tightens_but_cannot_merge():
         assert count <= conservative.estimate(name) <= additive.estimate(
             name
         )
-    # Conservative update is order-dependent: merging would silently
-    # break the serial == sharded identity, so it must refuse.
-    other = CountMinSketch(depth=4, width=64, seed=5, conservative=True)
-    with pytest.raises(SketchMergeError):
-        conservative.merge(other)
-    with pytest.raises(SketchMergeError):
-        additive.merge(CountMinSketch(depth=4, width=32, seed=5))
-    with pytest.raises(SketchMergeError):
-        additive.merge(CountMinSketch(depth=4, width=64, seed=6))
 
 
 # -- space-saving -------------------------------------------------------------
@@ -149,28 +120,6 @@ def test_space_saving_guaranteed_frequency_invariant(events):
         assert summary.exact
         for name, count, error in summary.top(len(exact)):
             assert error == 0 and count == exact[name]
-
-
-@DETERMINISTIC
-@given(stream, st.integers(min_value=0, max_value=120))
-def test_space_saving_merge_equals_feed_in_exact_regime(events, split):
-    """Below capacity the summary is an exact counter, so any shard
-    split must land on the identical bytes the serial feed produces."""
-    split = min(split, len(events))
-    whole = SpaceSaving(capacity=4096)
-    left = SpaceSaving(capacity=4096)
-    right = SpaceSaving(capacity=4096)
-    for name, count in events:
-        whole.update(name, count)
-    for name, count in events[:split]:
-        left.update(name, count)
-    for name, count in events[split:]:
-        right.update(name, count)
-    left.merge(right)
-    assert left.exact and whole.exact
-    assert json.dumps(left.to_dict(), sort_keys=True) == json.dumps(
-        whole.to_dict(), sort_keys=True
-    )
 
 
 # -- hyperloglog --------------------------------------------------------------

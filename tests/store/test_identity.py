@@ -5,8 +5,7 @@ so every path cell already reads it. Each id here is a cell of the
 conformance matrix (``tests/integration/test_conformance.py``) on the
 same seed, checked through :func:`tests.conformance.check_cell`: the
 streamed engine and whole-history ``detect_from_store`` over the fresh
-segment store, ``detect_from_store`` over the compacted one, and the
-canonical export of a ``workers=2, shard_count=4`` run.
+segment store, and ``detect_from_store`` over the compacted one.
 """
 
 from tests.conformance import check_cell
@@ -18,9 +17,6 @@ class TestSegmentStoreIdentity:
 
     def test_streamed_engine_state_digest_identical(self, conformance):
         check_cell(conformance, "path-engine-replay")
-
-    def test_workers2_export_byte_identical(self, conformance):
-        check_cell(conformance, "backend-pool-w2")
 
     def test_compacted_store_detection_identical(self, conformance):
         check_cell(conformance, "store-compacted")

@@ -30,8 +30,6 @@ class TestParser:
         # Counts and sizes are bounded at parse time, before any world
         # is built or any store is touched.
         for argv in (
-            ["study", "--workers", "0"],
-            ["study", "--shard-count", "0"],
             ["serve", "--limit", "0"],
             ["serve", "--window", "0"],
             ["store", "compact", "DIR", "--fanout", "1"],
@@ -193,69 +191,33 @@ class TestStudy:
         assert (tmp_path / "series.json").exists()
 
     @pytest.mark.parametrize(
-        "flags,env,expected",
-        [
-            # --shard-count alone used to be dropped on the floor.
-            (
-                ["--shard-count", "3"],
-                {"REPRO_BACKEND": "serial"},
-                ("SerialBackend", 1, 3),
-            ),
-            (["--workers", "1"], {}, ("LocalPoolBackend", 1, 4)),
-            (
-                ["--backend", "local", "--workers", "2", "--shard-count", "5"],
-                {"REPRO_BACKEND": "serial"},
-                ("LocalPoolBackend", 2, 5),
-            ),
-            # The environment alone never shards a study.
-            ([], {"REPRO_BACKEND": "serial", "REPRO_WORKERS": "2"}, None),
-        ],
+        "flags",
+        [["--workers", "2"], ["--shard-count", "3"], ["--backend", "serial"]],
     )
-    def test_any_execution_flag_resolves_one_backend(
-        self, capsys, monkeypatch, flags, env, expected
+    def test_execution_flags_are_gone(self, capsys, flags):
+        """The study runs in one process; a sharding flag is a usage
+        error, before any world is built."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["study"] + flags + SCALE)
+        assert exit_info.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+    def test_fault_plan_naming_an_unknown_site_exits_2(
+        self, capsys, tmp_path
     ):
-        from repro.core.pipeline import AdoptionStudy
-
-        for name in ("REPRO_BACKEND", "REPRO_WORKERS"):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        calls = []
-        real_run = AdoptionStudy.run
-
-        def spy(self, **kwargs):
-            calls.append(kwargs)
-            return real_run(self, **kwargs)
-
-        monkeypatch.setattr(AdoptionStudy, "run", spy)
-        code = main(["study", "--artifact", "fig5"] + flags + SCALE)
-        assert code == 0
-        assert "DPS adoption grew" in capsys.readouterr().out
-        assert [sorted(kwargs) for kwargs in calls] == [["backend"]]
-        backend = calls[0]["backend"]
-        if expected is None:
-            assert backend is None
-        else:
-            assert (
-                type(backend).__name__,
-                backend.workers,
-                backend.shard_count,
-            ) == expected
-
-    def test_unknown_backend_exits_2(self, capsys):
-        code = main(["study", "--backend", "bogus"] + SCALE)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "unknown backend 'bogus'" in captured.err
-        assert "local, serial" in captured.err
-
-    def test_serial_backend_with_workers_exits_2(self, capsys):
-        code = main(
-            ["study", "--backend", "serial", "--workers", "4"] + SCALE
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            '{"seed": 1, "specs": [{"site": "parallel.executor", '
+            '"kind": "worker_crash"}]}'
         )
+        code = main(["study", "--fault-plan", str(plan)] + SCALE)
         captured = capsys.readouterr()
         assert code == 2
-        assert "one worker" in captured.err
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "parallel.executor" in lines[0]
 
 
 class TestMeasure:
