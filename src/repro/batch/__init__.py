@@ -1,8 +1,8 @@
 """Columnar observation plane.
 
 :class:`ObservationBatch` is the batch-first unit of data flow across
-the measurement, enrichment, detection, streaming, and parallel layers:
-parallel columns per field, interned string pools for domains / TLDs /
+the measurement, enrichment, detection and streaming layers: parallel
+columns per field, interned string pools for domains / TLDs /
 NS names / CNAMEs, a pool of verbatim address texts,
 and per-row sorted ASN tuples. Row-shaped call sites keep working
 through lazy :class:`repro.measurement.snapshot.DomainObservation` views

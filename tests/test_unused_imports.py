@@ -4,7 +4,7 @@ imports (F401) and locals assigned but never read (F841).
 CI's ruff is the other gate; these run wherever the tests do, so a
 deletion that leaves an import or a local dangling fails tier-1 too. An
 import binding counts as used when the module names it anywhere — in
-code, in a string annotation (``Optional["BackendSpec"]``, the names a
+code, in a string annotation (``Optional["StudyResults"]``, the names a
 ``TYPE_CHECKING`` block imports), in ``typing.cast``'s string type, or
 in ``__all__`` — and an explicit re-export (``import x as x``) or a
 ``# noqa: F401`` / bare ``# noqa`` on the import's lines exempts it.
