@@ -95,7 +95,6 @@ class CallSite:
     symbol: str
     line: int
     column: int
-    arg_count: int
 
 
 @dataclass(frozen=True)
@@ -184,10 +183,7 @@ class _FunctionCollector(ast.NodeVisitor):
         if symbol is not None:
             self.calls.append(
                 CallSite(
-                    symbol=symbol,
-                    line=node.lineno,
-                    column=node.col_offset,
-                    arg_count=len(node.args) + len(node.keywords),
+                    symbol=symbol, line=node.lineno, column=node.col_offset
                 )
             )
         self.generic_visit(node)

@@ -366,15 +366,9 @@ class BatchBuilder:
 
     __slots__ = ("names", "addresses")
 
-    def __init__(
-        self,
-        names: Optional[StringPool] = None,
-        addresses: Optional[StringPool] = None,
-    ) -> None:
-        self.names = names if names is not None else StringPool()
-        self.addresses = (
-            addresses if addresses is not None else StringPool()
-        )
+    def __init__(self) -> None:
+        self.names = StringPool()
+        self.addresses = StringPool()
 
     def new_batch(self) -> ObservationBatch:
         return ObservationBatch(

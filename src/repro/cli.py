@@ -27,7 +27,7 @@ import sys
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.exposure import analyze_exposure, render_exposure
-from repro.core.pipeline import AdoptionStudy
+from repro.core.pipeline import STUDY_FAULT_SITES, AdoptionStudy
 from repro.core.references import SignatureCatalog
 from repro.dnscore.name import DomainName
 from repro.dnscore.resolver import IterativeResolver, ResolutionError
@@ -401,6 +401,18 @@ def _cmd_study(args: argparse.Namespace) -> int:
         except (OSError, ValueError, KeyError) as error:
             print(
                 f"error: cannot load fault plan {args.fault_plan}: {error}",
+                file=sys.stderr,
+            )
+            return 2
+        unfired = sorted(
+            {spec.site for spec in fault_plan.specs}
+            - set(STUDY_FAULT_SITES)
+        )
+        if unfired:
+            print(
+                f"error: fault plan {args.fault_plan} names "
+                f"{', '.join(unfired)}, which a study never fires "
+                f"(it fires {', '.join(STUDY_FAULT_SITES)})",
                 file=sys.stderr,
             )
             return 2
@@ -1028,7 +1040,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         plan = FaultPlan(
             seed=2016,
             specs=(
-                FaultSpec("feed.partition", "transient", rate=0.05),
                 FaultSpec("prober.observe", "transient", rate=0.01),
                 FaultSpec(
                     "study.detect", "poison", keys=("nl",), times=1

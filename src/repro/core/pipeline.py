@@ -54,6 +54,14 @@ from repro.store.store import SegmentStore, batch_pages
 from repro.world.timeline import CCTLD_START_DAY
 from repro.world.world import World
 
+#: Days per source whose partitions are encoded to estimate Table 1's
+#: storage column.
+STORAGE_SAMPLE_DAYS = 2
+
+#: The fault sites a study run fires; a plan naming any other site
+#: would inject nothing here.
+STUDY_FAULT_SITES = (FaultyProber.site, "study.detect")
+
 
 @dataclass
 class DatasetRow:
@@ -134,14 +142,11 @@ class AdoptionStudy:
         self,
         world: World,
         catalog: Optional[SignatureCatalog] = None,
-        growth: Optional[GrowthAnalysis] = None,
-        sample_days_for_storage: int = 2,
         fault_plan: Optional[FaultPlan] = None,
     ):
         self.world = world
         self.catalog = catalog or SignatureCatalog.paper_table2()
-        self.growth = growth or GrowthAnalysis()
-        self._sample_days = sample_days_for_storage
+        self.growth = GrowthAnalysis()
         self.prober = FastProber(world)
         self.enricher = AsnEnricher(world)
         #: Fault-injection state. With a plan, the prober is wrapped in a
@@ -198,9 +203,7 @@ class AdoptionStudy:
         return self._detect_runs(segments, names)
 
     def detect_alexa(
-        self,
-        segments: Mapping[str, List[ObservationSegment]],
-        names: Optional[Sequence[str]] = None,
+        self, segments: Mapping[str, List[ObservationSegment]]
     ) -> DetectionResult:
         """Detection over the ranking, honouring membership windows.
 
@@ -208,10 +211,8 @@ class AdoptionStudy:
         segment is clipped to the name's membership windows before
         detection.
         """
-        if names is None:
-            names = self.world.alexa_names
         return self._detect_runs(
-            segments, names, self.world.alexa_membership
+            segments, self.world.alexa_names, self.world.alexa_membership
         )
 
     def _detect_runs(
@@ -449,8 +450,8 @@ class AdoptionStudy:
                 domain_days = sum(sizes[start : start + days])
             data_points = domain_days * MEASUREMENTS_PER_DOMAIN_DAY
             sample_days = [
-                start + offset * max(1, days // (self._sample_days + 1))
-                for offset in range(1, self._sample_days + 1)
+                start + offset * max(1, days // (STORAGE_SAMPLE_DAYS + 1))
+                for offset in range(1, STORAGE_SAMPLE_DAYS + 1)
             ]
             sampled_bytes = 0
             sampled_points = 0
@@ -479,9 +480,7 @@ class AdoptionStudy:
 
     # -- Table 2 ---------------------------------------------------------------------
 
-    def derive_table2(
-        self, day: int = 30, min_support: int = 3, purity: float = 0.5
-    ) -> Dict[str, FingerprintResult]:
+    def derive_table2(self, day: int = 30) -> Dict[str, FingerprintResult]:
         """Run the §3.3 bootstrap on one day's full measurement.
 
         The bootstrap additionally gets an NS-host lookup — the platform
@@ -505,8 +504,6 @@ class AdoptionStudy:
         bootstrap = FingerprintBootstrap(
             observations,
             self.world.as_registry,
-            min_support=min_support,
-            purity=purity,
             ns_host_lookup=ns_host_lookup,
         )
         return {

@@ -107,9 +107,6 @@ class Message:
         """Answer-section records of the given type."""
         return [r for r in self.answers if r.rrtype == rrtype]
 
-    def authority_rrs(self, rrtype: RRType) -> List[ResourceRecord]:
-        return [r for r in self.authority if r.rrtype == rrtype]
-
     def is_referral(self) -> bool:
         """A delegation response: no answers, NS records in authority."""
         return (

@@ -184,20 +184,16 @@ class DomainName:
 
     # -- study-specific helpers ---------------------------------------------
 
-    def public_suffix(
-        self, suffixes: frozenset = DEFAULT_PUBLIC_SUFFIXES
-    ) -> Optional["DomainName"]:
+    def public_suffix(self) -> Optional["DomainName"]:
         """The longest matching public suffix of this name, if any."""
         best: Optional[DomainName] = None
         for depth in range(1, len(self._labels) + 1):
             candidate = DomainName(self._labels[-depth:])
-            if candidate.to_text() in suffixes:
+            if candidate.to_text() in DEFAULT_PUBLIC_SUFFIXES:
                 best = candidate
         return best
 
-    def sld(
-        self, suffixes: frozenset = DEFAULT_PUBLIC_SUFFIXES
-    ) -> Optional["DomainName"]:
+    def sld(self) -> Optional["DomainName"]:
         """The registrable second-level domain of this name.
 
         ``www.shop.example.co.uk`` → ``example.co.uk``; returns ``None`` when
@@ -205,7 +201,7 @@ class DomainName:
         paper detects DPS references by the SLD contained in CNAME and NS
         records (§3.3), which is exactly this operation.
         """
-        suffix = self.public_suffix(suffixes)
+        suffix = self.public_suffix()
         if suffix is None or len(suffix) >= len(self._labels):
             return None
         return DomainName(self._labels[-(len(suffix) + 1):])

@@ -128,23 +128,19 @@ def make_response_refused(query: Message) -> Message:
 
 
 #: Classic DNS UDP payload limit; larger responses come back truncated.
-DEFAULT_UDP_PAYLOAD = 512
+UDP_PAYLOAD_LIMIT = 512
 #: The server-side EDNS(0) payload ceiling (the common 1232-byte choice).
-DEFAULT_EDNS_PAYLOAD = 1232
+EDNS_PAYLOAD_LIMIT = 1232
 
 
-def make_wire_handlers(
-    server: AuthoritativeServer,
-    udp_max: int = DEFAULT_UDP_PAYLOAD,
-    edns_max: int = DEFAULT_EDNS_PAYLOAD,
-):
+def make_wire_handlers(server: AuthoritativeServer):
     """``(datagram_handler, stream_handler)`` for a server.
 
     The datagram handler enforces the UDP size limit — the classic 512
-    bytes, raised to ``min(client advertised, edns_max)`` when the query
-    carries EDNS(0) — setting TC on overflow; the stream handler never
-    truncates. Both take and return wire bytes, matching the transport's
-    handler contract.
+    bytes, raised to ``min(client advertised, EDNS_PAYLOAD_LIMIT)`` when
+    the query carries EDNS(0) — setting TC on overflow; the stream
+    handler never truncates. Both take and return wire bytes, matching
+    the transport's handler contract.
     """
     from repro.dnscore.message import EdnsInfo
     from repro.dnscore.wire import decode_message, encode_message
@@ -153,14 +149,17 @@ def make_wire_handlers(
         query = decode_message(payload)
         response = server.handle_query(query)
         if query.edns is not None:
-            response.edns = EdnsInfo(payload_size=edns_max)
+            response.edns = EdnsInfo(payload_size=EDNS_PAYLOAD_LIMIT)
         return query, response
 
     def datagram(payload: bytes) -> bytes:
         query, response = _respond(payload)
-        limit = udp_max
+        limit = UDP_PAYLOAD_LIMIT
         if query.edns is not None:
-            limit = max(udp_max, min(query.edns.payload_size, edns_max))
+            limit = max(
+                UDP_PAYLOAD_LIMIT,
+                min(query.edns.payload_size, EDNS_PAYLOAD_LIMIT),
+            )
         return encode_message(response, max_size=limit)
 
     def stream(payload: bytes) -> bytes:

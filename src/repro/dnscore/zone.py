@@ -116,13 +116,14 @@ class Zone:
             self._unregister_name(name)
         return len(keys)
 
-    def replace(self, name: str, rrtype: RRType, values: Iterable[str],
-                ttl: int = DEFAULT_TTL) -> None:
+    def replace(
+        self, name: str, rrtype: RRType, values: Iterable[str]
+    ) -> None:
         """Atomically replace the RRset at *name*/*rrtype* with *values*."""
         owner = DomainName.from_text(name)
         self.remove_rrset(owner, rrtype)
         for value in values:
-            self.add(name, rrtype, value, ttl=ttl)
+            self.add(name, rrtype, value)
 
     def _register_name(self, name: DomainName) -> None:
         cursor = name

@@ -15,8 +15,6 @@ proves it:
 * :mod:`repro.faults.inject` — injection shims wrapping the real seams
   (storage segment reads, partition feeds, the simulated network, the
   prober, checkpoint bytes);
-* :mod:`repro.faults.runtime` — the suppression scope a retry path
-  enters so re-executed work cannot be re-killed by its own fault;
 * :mod:`repro.faults.report` — scope-slicing helpers behind the chaos
   invariant (a faulted run must match the clean run byte-for-byte on
   every non-quarantined scope).
@@ -31,7 +29,6 @@ from repro.faults.errors import (
     PersistentFault,
     TransientFault,
 )
-from repro.faults.runtime import fault_suppression, faults_suppressed
 from repro.faults.retry import RetryPolicy
 from repro.faults.plan import (
     FAULT_SITES,
@@ -76,8 +73,6 @@ __all__ = [
     "TransientFault",
     "corrupt_blob",
     "corrupt_store_files",
-    "fault_suppression",
-    "faults_suppressed",
     "scope_digest",
     "strip_scopes",
 ]

@@ -22,7 +22,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 from repro.dnscore.transport import SimulatedNetwork, Timeout
 from repro.faults.errors import PersistentFault, TransientFault
 from repro.faults.plan import FaultEvent, FaultInjector
-from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.faults.retry import DEFAULT_RETRY_POLICY
 from repro.measurement.prober import FastProber
 from repro.measurement.scheduler import SCOPE_OF_SOURCE, DayPartition
 from repro.measurement.snapshot import ObservationSegment
@@ -257,12 +257,10 @@ class FaultyProber:
         inner: FastProber,
         world: World,
         injector: FaultInjector,
-        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
     ) -> None:
         self._inner = inner
         self._world = world
         self._injector = injector
-        self._policy = retry_policy
         self._alexa = frozenset(world.alexa_names)
 
     @property
@@ -279,19 +277,19 @@ class FaultyProber:
         self, domain: str, horizon: Optional[int] = None
     ) -> List[ObservationSegment]:
         log = self._injector.log
-        for attempt in range(1, self._policy.attempts + 1):
+        for attempt in range(1, DEFAULT_RETRY_POLICY.attempts + 1):
             event = self._injector.fire(self.site, key=domain)
             if event is None:
                 if attempt > 1:
                     log.record_recovery(self.site)
                 return self._inner.observe_segments(domain, horizon)
-            if attempt < self._policy.attempts:
+            if attempt < DEFAULT_RETRY_POLICY.attempts:
                 log.record_retry(
-                    self.site, self._policy.backoff_ticks(attempt)
+                    self.site, DEFAULT_RETRY_POLICY.backoff_ticks(attempt)
                 )
         raise PersistentFault(
             f"observation of {domain!r} failed after "
-            f"{self._policy.attempts} attempts",
+            f"{DEFAULT_RETRY_POLICY.attempts} attempts",
             scopes=self._scopes_of(domain),
         )
 

@@ -26,7 +26,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.faults.runtime import faults_suppressed
 
 #: Every injection seam the harness knows, with the kinds it supports.
 #: site → (description, (kind, ...)).
@@ -189,9 +188,7 @@ class FaultInjector:
 
     Call :meth:`fire` at a site with the call's key; the first matching
     spec whose decision hash lands below its rate produces a
-    :class:`FaultEvent` (and a log entry). While a
-    :func:`fault_suppression` scope is active the injector never fires —
-    that is how retry paths stay survivable. ``times`` bounds are
+    :class:`FaultEvent` (and a log entry). ``times`` bounds are
     per-injector.
     """
 
@@ -210,8 +207,6 @@ class FaultInjector:
 
     def fire(self, site: str, key: str = "") -> Optional[FaultEvent]:
         """The fault (if any) this call at *site* suffers."""
-        if faults_suppressed():
-            return None
         for index, spec in enumerate(self.plan.specs):
             if spec.site != site:
                 continue

@@ -11,7 +11,6 @@ accounting, not sleeping; a live deployment would map ticks to seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 
 @dataclass(frozen=True)
@@ -38,17 +37,6 @@ class RetryPolicy:
         if retry_number < 1:
             raise ValueError("retry_number is 1-based")
         return self.backoff_base * self.backoff_factor ** (retry_number - 1)
-
-    def schedule(self) -> List[int]:
-        """The full backoff schedule, one entry per possible retry."""
-        return [
-            self.backoff_ticks(retry)
-            for retry in range(1, self.attempts)
-        ]
-
-    def total_backoff(self) -> int:
-        """Ticks spent if every attempt fails."""
-        return sum(self.schedule())
 
 
 #: The default policy applied by hardened layers when none is given.

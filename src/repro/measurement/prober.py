@@ -132,10 +132,8 @@ class FastProber:
 class WireProber:
     """Observes domains via real resolution over the simulated network."""
 
-    def __init__(self, world: World, loss_rate: float = 0.0, seed: int = 0):
+    def __init__(self, world: World):
         self._world = world
-        self._loss_rate = loss_rate
-        self._seed = seed
         self.queries_sent = 0
         #: Lookups that fell back to an empty answer after resolution
         #: failed outright — the wire path's visible degradation counter.
@@ -145,9 +143,7 @@ class WireProber:
         self, names: Sequence[str], day: int
     ) -> List[DomainObservation]:
         """Materialise *day* once and measure every name through the wire."""
-        network, roots = self._world.materialize_dns(
-            day, names, loss_rate=self._loss_rate, seed=self._seed
-        )
+        network, roots = self._world.materialize_dns(day, names)
         resolver = IterativeResolver(network, roots, cache=ResolverCache())
         observations = []
         for name in names:

@@ -100,10 +100,6 @@ class IncidentDetector:
         self._history.append((day, census))
         return incidents
 
-    @property
-    def days_observed(self) -> int:
-        return len(self._history)
-
     def census_series(self, sld: str) -> List[Tuple[int, int]]:
         """The (day, count) history of one NS SLD."""
         return [

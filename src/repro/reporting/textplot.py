@@ -10,6 +10,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
+#: Rows of a line chart's plot area.
+_LINE_HEIGHT = 14
+#: Columns and rows of a CDF chart's plot area.
+_CDF_WIDTH = 60
+_CDF_HEIGHT = 10
 
 
 def sparkline(values: Sequence[float]) -> str:
@@ -48,7 +53,6 @@ def _resample(values: Sequence[float], width: int) -> List[float]:
 def line_chart(
     series: Dict[str, Sequence[float]],
     width: int = 72,
-    height: int = 14,
     x_labels: Optional[Tuple[str, str]] = None,
     y_format: str = "{:.0f}",
 ) -> str:
@@ -63,12 +67,12 @@ def line_chart(
     lo, hi = min(all_values), max(all_values)
     if hi == lo:
         hi = lo + 1.0
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * width for _ in range(_LINE_HEIGHT)]
     for series_index, (label, values) in enumerate(resampled.items()):
         glyph = glyphs[series_index % len(glyphs)]
         for x, value in enumerate(values):
-            y = int((value - lo) / (hi - lo) * (height - 1))
-            grid[height - 1 - y][x] = glyph
+            y = int((value - lo) / (hi - lo) * (_LINE_HEIGHT - 1))
+            grid[_LINE_HEIGHT - 1 - y][x] = glyph
     label_width = max(
         len(y_format.format(hi)), len(y_format.format(lo))
     )
@@ -76,7 +80,7 @@ def line_chart(
     for row_index, row in enumerate(grid):
         if row_index == 0:
             label = y_format.format(hi)
-        elif row_index == height - 1:
+        elif row_index == _LINE_HEIGHT - 1:
             label = y_format.format(lo)
         else:
             label = ""
@@ -98,8 +102,6 @@ def line_chart(
 
 def cdf_chart(
     points: Sequence[Tuple[float, float]],
-    width: int = 60,
-    height: int = 10,
     marker: Optional[float] = None,
     marker_label: str = "",
 ) -> str:
@@ -113,22 +115,22 @@ def cdf_chart(
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
         x_hi = x_lo + 1
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * _CDF_WIDTH for _ in range(_CDF_HEIGHT)]
     marker_col = None
     if marker is not None:
-        marker_col = int((marker - x_lo) / (x_hi - x_lo) * (width - 1))
-        marker_col = min(max(marker_col, 0), width - 1)
+        marker_col = int((marker - x_lo) / (x_hi - x_lo) * (_CDF_WIDTH - 1))
+        marker_col = min(max(marker_col, 0), _CDF_WIDTH - 1)
         for row in grid:
             row[marker_col] = ":"
     for x, y in points:
-        col = int((x - x_lo) / (x_hi - x_lo) * (width - 1))
-        row = int(y * (height - 1))
-        grid[height - 1 - row][col] = "*"
+        col = int((x - x_lo) / (x_hi - x_lo) * (_CDF_WIDTH - 1))
+        row = int(y * (_CDF_HEIGHT - 1))
+        grid[_CDF_HEIGHT - 1 - row][col] = "*"
     lines = ["1.0 |" + "".join(row) for row in grid[:1]]
     for row in grid[1:-1]:
         lines.append("    |" + "".join(row))
     lines.append("0.0 |" + "".join(grid[-1]))
-    lines.append("    +" + "-" * width)
+    lines.append("    +" + "-" * _CDF_WIDTH)
     footer = f"    x: {x_lo:.0f} .. {x_hi:.0f}"
     if marker is not None:
         footer += f"   (: marks {marker_label or marker})"

@@ -5,16 +5,16 @@ client's request rate; this guard handles the rest of the threat model
 of a service that measures DDoS protection and is therefore itself a
 target:
 
-* **burst detection** — more than ``burst_limit`` arrivals (admitted or
-  not) inside ``burst_window`` ticks flips the client into a throttled
+* **burst detection** — more than ``BURST_LIMIT`` arrivals (admitted or
+  not) inside ``BURST_WINDOW`` ticks flips the client into a throttled
   state, independent of the limiter;
 * **adaptive throttling** — while throttled, only every
-  ``throttle_factor``-th request is even offered to the limiter,
+  ``THROTTLE_FACTOR``-th request is even offered to the limiter,
   so a hammering client degrades gracefully instead of binarily;
 * **auto-block escalation** — accumulated violations (limiter denials
   and burst trips) turn into a hard block whose duration doubles per
   repeat offence; a block expires on its own (release by tick), and a
-  healed client — ``heal_after`` consecutive admissions without a
+  healed client — ``HEAL_AFTER`` consecutive admissions without a
   violation — is indistinguishable from a brand-new one.
 
 Everything is keyed per client and runs on the same injected logical
@@ -28,6 +28,23 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional
 
 from repro.serve.ratelimit import SlidingWindowLimiter
+
+#: The guard's one policy, in ticks and counts.
+#: More than BURST_LIMIT arrivals inside BURST_WINDOW ticks trip a burst.
+BURST_LIMIT = 30
+BURST_WINDOW = 10
+#: A burst throttles the client for THROTTLE_TICKS ticks, during which
+#: only every THROTTLE_FACTOR-th request reaches the limiter.
+THROTTLE_TICKS = 50
+THROTTLE_FACTOR = 2
+#: BLOCK_AFTER violations block the client for BLOCK_TICKS, times
+#: ESCALATION per earlier offence, capped at MAX_BLOCK_TICKS.
+BLOCK_AFTER = 5
+BLOCK_TICKS = 500
+ESCALATION = 2
+MAX_BLOCK_TICKS = 100_000
+#: HEAL_AFTER consecutive clean admissions forgive every offence.
+HEAL_AFTER = 20
 
 #: Decision reasons.
 OK = "ok"
@@ -61,35 +78,8 @@ class _ClientState:
 class AdmissionGuard:
     """Per-client admission control over a sliding-window limiter."""
 
-    def __init__(
-        self,
-        strategy: SlidingWindowLimiter,
-        burst_limit: int = 30,
-        burst_window: int = 10,
-        throttle_ticks: int = 50,
-        throttle_factor: int = 2,
-        block_after: int = 5,
-        block_ticks: int = 500,
-        escalation: int = 2,
-        max_block_ticks: int = 100_000,
-        heal_after: int = 20,
-    ):
-        if burst_limit < 1 or burst_window < 1:
-            raise ValueError("burst parameters must be positive")
-        if throttle_factor < 1:
-            raise ValueError("throttle_factor must be positive")
-        if block_after < 1 or block_ticks < 1 or escalation < 1:
-            raise ValueError("block parameters must be positive")
+    def __init__(self, strategy: SlidingWindowLimiter):
         self.strategy = strategy
-        self.burst_limit = burst_limit
-        self.burst_window = burst_window
-        self.throttle_ticks = throttle_ticks
-        self.throttle_factor = throttle_factor
-        self.block_after = block_after
-        self.block_ticks = block_ticks
-        self.escalation = escalation
-        self.max_block_ticks = max_block_ticks
-        self.heal_after = heal_after
         self._clients: Dict[str, _ClientState] = {}
         #: reason → decision count, for the health endpoint.
         self.decisions: Dict[str, int] = {}
@@ -113,15 +103,15 @@ class AdmissionGuard:
             state.blocked_until = None
             state.violations = 0
         state.arrivals.append(tick)
-        floor = tick - self.burst_window
+        floor = tick - BURST_WINDOW
         while state.arrivals and state.arrivals[0] <= floor:
             state.arrivals.popleft()
-        if len(state.arrivals) > self.burst_limit:
-            state.throttled_until = tick + self.throttle_ticks
+        if len(state.arrivals) > BURST_LIMIT:
+            state.throttled_until = tick + THROTTLE_TICKS
             return self._record(
                 self._violation(
                     client, state, tick, BURST,
-                    retry_after=self.burst_window,
+                    retry_after=BURST_WINDOW,
                 )
             )
         if (
@@ -129,7 +119,7 @@ class AdmissionGuard:
             and tick < state.throttled_until
         ):
             state.throttle_phase += 1
-            if state.throttle_phase % self.throttle_factor != 0:
+            if state.throttle_phase % THROTTLE_FACTOR != 0:
                 return self._record(
                     Decision(
                         False, THROTTLED,
@@ -147,7 +137,7 @@ class AdmissionGuard:
                 )
             )
         state.clean_streak += 1
-        if state.clean_streak >= self.heal_after:
+        if state.clean_streak >= HEAL_AFTER:
             # Healing: sustained good behaviour wipes the rap sheet.
             state.violations = 0
             state.offences = 0
@@ -164,11 +154,11 @@ class AdmissionGuard:
     ) -> Decision:
         state.clean_streak = 0
         state.violations += 1
-        if state.violations < self.block_after:
+        if state.violations < BLOCK_AFTER:
             return Decision(False, reason, retry_after=retry_after)
         duration = min(
-            self.max_block_ticks,
-            self.block_ticks * self.escalation ** min(state.offences, 16),
+            MAX_BLOCK_TICKS,
+            BLOCK_TICKS * ESCALATION ** min(state.offences, 16),
         )
         state.offences += 1
         state.violations = 0

@@ -279,14 +279,10 @@ class ServeServer:
         dispatcher: ServeDispatcher,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_request_bytes: int = MAX_REQUEST_BYTES,
-        client_key: Callable[[object], str] = peer_host,
     ):
         self._dispatcher = dispatcher
         self._host = host
         self._port = port
-        self._max_request_bytes = max_request_bytes
-        self._client_key = client_key
         self._listen_sock: Optional[socket.socket] = None
         self._accept_task: Optional["asyncio.Task[None]"] = None
         self._conn_tasks: Set["asyncio.Task[None]"] = set()
@@ -308,15 +304,6 @@ class ServeServer:
         self._accept_task = loop.create_task(self._accept_loop(loop, sock))
         sockname = sock.getsockname()
         return str(sockname[0]), int(sockname[1])
-
-    async def serve_forever(self) -> None:
-        accept_task = self._accept_task
-        assert accept_task is not None, "call start() first"
-        try:
-            await accept_task
-        except asyncio.CancelledError:
-            if not accept_task.cancelled():
-                raise
 
     async def _accept_loop(
         self, loop: asyncio.AbstractEventLoop, sock: socket.socket
@@ -341,7 +328,7 @@ class ServeServer:
             # the transport: an overlong line surfaces as an exception
             # in the read loop instead of buffering without bound.
             reader = asyncio.StreamReader(
-                limit=self._max_request_bytes + 2, loop=loop
+                limit=MAX_REQUEST_BYTES + 2, loop=loop
             )
             reader_protocol = asyncio.StreamReaderProtocol(reader, loop=loop)
             transport, _ = await loop.connect_accepted_socket(
@@ -359,7 +346,7 @@ class ServeServer:
         token = object()
         self._connections[token] = writer
         self.connections_served += 1
-        client = self._client_key(writer.get_extra_info("peername"))
+        client = peer_host(writer.get_extra_info("peername"))
         try:
             while not self._draining:
                 try:
@@ -373,7 +360,7 @@ class ServeServer:
                                 None,
                                 protocol.TOO_LARGE,
                                 f"request exceeds "
-                                f"{self._max_request_bytes} bytes",
+                                f"{MAX_REQUEST_BYTES} bytes",
                             )
                         )
                     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.batch.batch import BatchBuilder
 from repro.core.references import BatchMatcher, SignatureCatalog
@@ -35,10 +35,9 @@ from repro.store.store import SegmentStore
 def sketch_from_store(
     store: SegmentStore,
     config: Optional[SketchConfig] = None,
-    sources: Optional[Sequence[str]] = None,
     catalog: Optional[SignatureCatalog] = None,
 ) -> SketchPlane:
-    """Fold every partition of *sources* into a fresh plane, in
+    """Fold every stored partition into a fresh plane, in
     canonical ``(source, day)`` order, reading through *store* (a
     lenient store records what it skipped).
 
@@ -55,7 +54,7 @@ def sketch_from_store(
     )
     matcher = BatchMatcher(catalog)
     builder = BatchBuilder()
-    partitions = store.manifest.partitions(sources=sources)
+    partitions = store.manifest.partitions()
     for source, keys in itertools.groupby(partitions, key=itemgetter(0)):
         days = [day for _, day in keys]
         for batch, ends in store.source_runs(source, days, builder):

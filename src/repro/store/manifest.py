@@ -193,17 +193,12 @@ class StoreManifest:
         ]
 
     def partitions(
-        self,
-        sources: Optional[Sequence[str]] = None,
-        start: Optional[int] = None,
-        end: Optional[int] = None,
+        self, sources: Optional[Sequence[str]] = None
     ) -> List[Tuple[str, int]]:
-        """Distinct ``(source, day)`` pairs in the window, sorted."""
+        """Distinct ``(source, day)`` pairs of *sources*, sorted."""
         return sorted(
             (source, day) for source, day in self._by_partition()
-            if (sources is None or source in sources)
-            and (start is None or day >= start)
-            and (end is None or day <= end)
+            if sources is None or source in sources
         )
 
     def row_count(self, source: str, day: int) -> int:

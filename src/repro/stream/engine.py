@@ -94,11 +94,6 @@ class SourceCursor:
     #: day → listing size, for the expansion series.
     zone_sizes: Dict[int, int] = field(default_factory=dict)
 
-    def applied_days(self) -> int:
-        if self.next_day is None or self.start is None:
-            return 0
-        return self.next_day - self.start - len(self.holes)
-
 
 class StreamEngine:
     """Incremental DPS-adoption state over daily observation partitions."""
@@ -109,7 +104,6 @@ class StreamEngine:
         catalog: Optional[SignatureCatalog] = None,
         sources: Sequence[str] = ALL_SOURCES,
         windows: Optional[Mapping[str, Tuple[int, int]]] = None,
-        growth: Optional[GrowthAnalysis] = None,
         sketches: Optional[SketchConfig] = None,
     ):
         self.horizon = horizon
@@ -124,7 +118,7 @@ class StreamEngine:
             raise ValueError(f"unknown sources: {sorted(unknown)}")
         self._windows: Dict[str, Tuple[int, int]] = dict(windows or {})
         # Configuration, not state (same contract as the catalog).
-        self._growth = growth or GrowthAnalysis()
+        self._growth = GrowthAnalysis()
         self._scopes: Dict[str, ScopeState] = {
             scope: ScopeState(horizon)
             for scope in dict.fromkeys(

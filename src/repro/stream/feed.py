@@ -66,14 +66,8 @@ class StoreReplayFeed:
     by day (:meth:`SegmentStore.batch`), as segments are below.
     """
 
-    def __init__(
-        self,
-        store: SegmentStore,
-        zone_sizes: Optional[Mapping[Tuple[str, int], int]] = None,
-    ):
+    def __init__(self, store: SegmentStore):
         self._store = store
-        #: Optional (source, day) → listing size; defaults to row count.
-        self._zone_sizes = dict(zone_sizes or {})
         self._builder = BatchBuilder()
 
     def partition(self, source: str, day: int) -> DayPartition:
@@ -81,7 +75,7 @@ class StoreReplayFeed:
         return DayPartition.from_batch(
             source=source,
             day=day,
-            zone_size=self._zone_sizes.get((source, day), len(batch)),
+            zone_size=len(batch),
             batch=batch,
         )
 

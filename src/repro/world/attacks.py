@@ -91,10 +91,9 @@ class AttackModel:
         """
         return round(min(600.0, self._rng.lognormvariate(2.0, 1.4)), 1)
 
-    def episodes(
-        self, start: int, horizon: int, min_gap: int = 2
-    ) -> Iterator[AttackEpisode]:
-        """Attack episodes over ``[start, horizon)``, chronologically."""
+    def episodes(self, start: int, horizon: int) -> Iterator[AttackEpisode]:
+        """Attack episodes over ``[start, horizon)``, chronologically,
+        at least two days apart."""
         day = start + int(self._rng.expovariate(1.0 / self._mean_gap))
         while day < horizon:
             duration = self.episode_duration()
@@ -103,7 +102,7 @@ class AttackModel:
             yield AttackEpisode(
                 start=day, duration=duration, peak_gbps=self.episode_volume()
             )
-            gap = min_gap + int(self._rng.expovariate(1.0 / self._mean_gap))
+            gap = 2 + int(self._rng.expovariate(1.0 / self._mean_gap))
             day += duration + gap
 
     def mitigation_windows(

@@ -170,9 +170,6 @@ class DomainTimeline:
             self._cursor = bisect.bisect_right(self._starts, day) - 1
         return self._configs[self._cursor]
 
-    def reset_cursor(self) -> None:
-        self._cursor = 0
-
     def segments(self, horizon: int) -> Iterator[Tuple[int, int, DnsConfig]]:
         """Yield ``(start, end_exclusive, config)`` segments while alive."""
         first, last = self.lifespan(horizon)

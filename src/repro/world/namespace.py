@@ -76,13 +76,13 @@ class TldRegistry:
         parameters: ChurnParameters,
         rng: random.Random,
         name_factory: Callable[[str], str],
-        lifetime_cap_factor: float = 2.0,
     ):
         self.tld = tld
         self.parameters = parameters
         self._rng = rng
         self._name_factory = name_factory
-        self._cap = int(parameters.horizon * lifetime_cap_factor)
+        # Lifetimes past twice the horizon count as 'never deleted'.
+        self._cap = 2 * parameters.horizon
 
     def _lifetime(self) -> Optional[int]:
         """Days until deletion (exponential), or None for 'beyond cap'."""

@@ -248,13 +248,12 @@ PROVIDER_NAMES: Tuple[str, ...] = tuple(
 def build_paper_providers(
     registry: ASRegistry,
     allocator: PrefixAllocator,
-    prefixes_per_asn: int = 1,
 ) -> Dict[str, DPSProvider]:
     """Instantiate the nine providers with their Table 2 identities.
 
     Every AS number from the table is registered under the provider's name
     (that is the "AS-to-name data" the §3.3 bootstrap starts from) and gets
-    its own address space.
+    its own /20 of address space.
     """
     providers: Dict[str, DPSProvider] = {}
     for blueprint in PAPER_PROVIDER_BLUEPRINTS:
@@ -267,10 +266,9 @@ def build_paper_providers(
         for asn in blueprint.asns:
             registry.register(blueprint.name, asn)
             provider.asns.append(asn)
-            for _ in range(prefixes_per_asn):
-                prefix = allocator.allocate(20)
-                provider.prefixes.append(prefix)
-                provider.prefix_origins[prefix] = asn
+            prefix = allocator.allocate(20)
+            provider.prefixes.append(prefix)
+            provider.prefix_origins[prefix] = asn
         provider.build_shared_pool()
         providers[blueprint.name] = provider
     return providers

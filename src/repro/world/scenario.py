@@ -131,9 +131,9 @@ class ScenarioConfig:
     #: estimate from the full world validates the §4.2 anomaly cleaning.
     include_transient_anomalies: bool = True
 
-    def scaled(self, paper_count: float, minimum: int = 1) -> int:
-        """A paper-unit count brought to this scenario's scale."""
-        return max(minimum, round(paper_count / self.scale))
+    def scaled(self, paper_count: float) -> int:
+        """A paper-unit count brought to this scenario's scale, at least 1."""
+        return max(1, round(paper_count / self.scale))
 
 
 def build_paper_world(config: Optional[ScenarioConfig] = None) -> World:

@@ -235,8 +235,7 @@ class World:
         return owner.host_address(hostname)
 
     def materialize_dns(
-        self, day: int, domain_names: Sequence[str],
-        loss_rate: float = 0.0, seed: int = 0,
+        self, day: int, domain_names: Sequence[str]
     ) -> Tuple[SimulatedNetwork, List[str]]:
         """Build a live DNS tree for *day* covering *domain_names*.
 
@@ -246,7 +245,7 @@ class World:
         inside provider-run zones — so an iterative resolver sees exactly
         what OpenINTEL's resolvers saw.
         """
-        builder = _DayMaterializer(self, day, loss_rate=loss_rate, seed=seed)
+        builder = _DayMaterializer(self, day)
         for domain_name in domain_names:
             builder.add_domain(domain_name)
         return builder.finish()
@@ -261,10 +260,10 @@ def _soa_for(origin: DomainName) -> SOAData:
 class _DayMaterializer:
     """Builds zones, servers, and the network for one study day."""
 
-    def __init__(self, world: World, day: int, loss_rate: float, seed: int):
+    def __init__(self, world: World, day: int):
         self.world = world
         self.day = day
-        self.network = SimulatedNetwork(loss_rate=loss_rate, seed=seed)
+        self.network = SimulatedNetwork()
         self._zones: Dict[str, Zone] = {}
         #: zone origin text → list of ns hostnames serving it.
         self._zone_ns: Dict[str, List[str]] = {}

@@ -90,10 +90,8 @@ class TestWireProberDegradation:
         injector = plan.injector()
         original = tiny_world.materialize_dns
 
-        def faulty_materialize(day, names, loss_rate=0.0, seed=0):
-            network, roots = original(
-                day, names, loss_rate=loss_rate, seed=seed
-            )
+        def faulty_materialize(day, names):
+            network, roots = original(day, names)
             return FaultyNetwork(network, injector), roots
 
         monkeypatch.setattr(

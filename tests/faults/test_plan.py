@@ -10,7 +10,6 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
 )
-from repro.faults.runtime import fault_suppression
 
 
 class TestSpecValidation:
@@ -155,15 +154,6 @@ class TestInjectorTargeting:
         ]
         assert sum(fired) == 2
         assert fired[:2] == [True, True]
-
-    def test_suppression_blocks_firing(self):
-        plan = FaultPlan(
-            seed=1, specs=(FaultSpec("feed.partition", "transient"),)
-        )
-        injector = plan.injector()
-        with fault_suppression():
-            assert injector.fire("feed.partition", key="x") is None
-        assert injector.fire("feed.partition", key="x") is not None
 
     def test_injection_recorded_in_log(self):
         log = FaultLog()

@@ -567,7 +567,7 @@ def store_manifest_reads(manifest):
             "next": manifest.next_sequence(),
             "windows": [
                 (
-                    manifest.partitions(*window),
+                    manifest.partitions(window[0]),
                     [meta.file for meta in manifest.select(*window)],
                 )
                 for window in WINDOWS

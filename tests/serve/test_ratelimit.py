@@ -5,10 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.serve.guard import (
+    BLOCK_AFTER,
+    BLOCK_TICKS,
     BLOCKED,
     BURST,
+    BURST_LIMIT,
+    BURST_WINDOW,
+    ESCALATION,
+    HEAL_AFTER,
+    MAX_BLOCK_TICKS,
     OK,
     RATE_LIMITED,
+    THROTTLE_FACTOR,
+    THROTTLE_TICKS,
     THROTTLED,
     AdmissionGuard,
     Decision,
@@ -56,22 +65,21 @@ class TestSlidingWindow:
             SlidingWindowLimiter(limit=limit, window=window)
 
 
-def wide_guard(**overrides):
-    """A guard whose limiter never denies (isolates one feature)."""
-    defaults = dict(
-        strategy=SlidingWindowLimiter(limit=10_000, window=1),
-        burst_limit=5,
-        burst_window=10,
-        throttle_ticks=20,
-        throttle_factor=2,
-        block_after=3,
-        block_ticks=100,
-        escalation=2,
-        max_block_ticks=1000,
-        heal_after=4,
+def wide_guard(strategy=None):
+    """A guard whose limiter, unless given, never denies (isolates one
+    feature)."""
+    return AdmissionGuard(
+        strategy or SlidingWindowLimiter(limit=10_000, window=1)
     )
-    defaults.update(overrides)
-    return AdmissionGuard(**defaults)
+
+
+def offend(guard, tick):
+    """One clean admit at *tick*, then BLOCK_AFTER limiter denials at
+    ``tick + 1`` (the guard's limiter must admit one per window)."""
+    guard.admit("c", tick)
+    for _ in range(BLOCK_AFTER):
+        decision = guard.admit("c", tick + 1)
+    return decision
 
 
 class TestAdmissionGuard:
@@ -84,23 +92,30 @@ class TestAdmissionGuard:
 
     def test_burst_trips_and_throttles(self):
         guard = wide_guard()
-        decisions = [guard.admit("noisy", t) for t in range(7)]
-        assert [d.reason for d in decisions[:5]] == [OK] * 5
-        assert decisions[5].reason == BURST
+        decisions = [guard.admit("noisy", 0) for _ in range(BURST_LIMIT + 2)]
+        reasons = [d.reason for d in decisions]
+        assert reasons[:BURST_LIMIT] == [OK] * BURST_LIMIT
+        assert decisions[BURST_LIMIT].reason == BURST
+        assert decisions[BURST_LIMIT].retry_after == BURST_WINDOW
         # Now throttled: only every 2nd offered request passes.
-        follow = [guard.admit("noisy", 100 + t * 20) for t in range(4)]
+        follow = [
+            guard.admit("noisy", BURST_WINDOW + t * BURST_WINDOW)
+            for t in range(4)
+        ]
         assert follow[0].reason in (THROTTLED, OK)
 
     def test_throttle_admits_every_nth(self):
-        guard = wide_guard(burst_limit=2, burst_window=5)
-        for t in range(3):
-            guard.admit("n", t)
-        tripped = guard.admit("n", 3)
+        guard = wide_guard()
+        for _ in range(BURST_LIMIT):
+            guard.admit("n", 0)
+        tripped = guard.admit("n", 0)
         assert tripped.reason == BURST
-        # Within throttle_ticks, spaced outside the burst window: the
+        # Within THROTTLE_TICKS, spaced outside the burst window: the
         # first offered request is swallowed, the second passes.
+        spacing = BURST_WINDOW + 1
+        assert 2 * spacing < THROTTLE_TICKS and THROTTLE_FACTOR == 2
         reasons = [
-            guard.admit("n", 10 + i * 6).reason for i in range(2)
+            guard.admit("n", spacing * (i + 1)).reason for i in range(2)
         ]
         assert reasons == [THROTTLED, OK]
 
@@ -117,67 +132,69 @@ class TestAdmissionGuard:
             strategy=SlidingWindowLimiter(limit=1, window=10_000)
         )
         assert guard.admit("c", 0).allowed
-        reasons = [guard.admit("c", 20 * (i + 1)).reason for i in range(3)]
-        assert reasons == [RATE_LIMITED, RATE_LIMITED, BLOCKED]
-        blocked = guard.admit("c", 61)
+        reasons = [
+            guard.admit("c", 20 * (i + 1)).reason
+            for i in range(BLOCK_AFTER)
+        ]
+        assert reasons == [RATE_LIMITED] * (BLOCK_AFTER - 1) + [BLOCKED]
+        after = 20 * BLOCK_AFTER + 1
+        blocked = guard.admit("c", after)
         assert blocked.reason == BLOCKED
         assert blocked.retry_after > 0
-        assert guard.is_blocked("c", 61)
-        assert "c" in guard.blocked_clients(61)
+        assert guard.is_blocked("c", after)
+        assert "c" in guard.blocked_clients(after)
 
     def test_block_expires_by_tick(self):
         guard = wide_guard(
             strategy=SlidingWindowLimiter(limit=1, window=10)
         )
         guard.admit("c", 0)
-        for i in range(3):
+        for i in range(BLOCK_AFTER):
             guard.admit("c", 1 + i)
-        assert guard.is_blocked("c", 4)
+        assert guard.is_blocked("c", BLOCK_AFTER)
         # After the block and outside the rate window: clean admit.
-        later = 4 + 100 + 20
+        later = BLOCK_AFTER + BLOCK_TICKS + 20
         assert not guard.is_blocked("c", later)
         assert guard.admit("c", later).allowed
 
     def test_block_duration_escalates_and_caps(self):
         guard = wide_guard(
-            strategy=SlidingWindowLimiter(limit=1, window=5),
-            block_after=1,
-            block_ticks=100,
-            escalation=2,
-            max_block_ticks=150,
-            heal_after=10_000,
+            strategy=SlidingWindowLimiter(limit=1, window=5)
         )
+        # Offences needed before the escalated duration passes the cap.
+        offences = 1
+        while BLOCK_TICKS * ESCALATION ** (offences - 1) < MAX_BLOCK_TICKS:
+            offences += 1
+        assert offences + 1 < HEAL_AFTER  # no healing in between
+        durations = []
         tick = 0
-        guard.admit("c", tick)
-        first = guard.admit("c", tick + 1)
-        assert first.reason == BLOCKED and first.retry_after == 100
-        tick += 1 + 100 + 10
-        guard.admit("c", tick)
-        second = guard.admit("c", tick + 1)
-        assert second.reason == BLOCKED
-        assert second.retry_after == 150  # capped, not 200
+        for _ in range(offences):
+            decision = offend(guard, tick)
+            assert decision.reason == BLOCKED
+            durations.append(decision.retry_after)
+            tick += 1 + decision.retry_after + 10
+        assert durations[0] == BLOCK_TICKS
+        assert durations[1] == BLOCK_TICKS * ESCALATION
+        assert durations[-2] < MAX_BLOCK_TICKS
+        # capped, not BLOCK_TICKS * ESCALATION ** (offences - 1)
+        assert durations[-1] == MAX_BLOCK_TICKS
 
     def test_healing_wipes_the_rap_sheet(self):
         guard = wide_guard(
-            strategy=SlidingWindowLimiter(limit=1, window=5),
-            block_after=1,
-            block_ticks=100,
-            escalation=2,
-            max_block_ticks=10_000,
-            heal_after=3,
+            strategy=SlidingWindowLimiter(limit=1, window=5)
         )
-        guard.admit("c", 0)
-        assert guard.admit("c", 1).reason == BLOCKED  # offence 1
+        first = offend(guard, 0)
+        assert first.reason == BLOCKED  # offence 1
+        assert first.retry_after == BLOCK_TICKS
         # Serve the time, then behave: spaced clean requests heal.
-        tick = 200
-        for i in range(3):
+        tick = 1 + BLOCK_TICKS + 10
+        for i in range(HEAL_AFTER):
             assert guard.admit("c", tick + i * 10).allowed
         # The next block starts from the base duration again.
-        tick += 100
-        guard.admit("c", tick)
-        relapse = guard.admit("c", tick + 1)
+        tick += HEAL_AFTER * 10
+        relapse = offend(guard, tick)
         assert relapse.reason == BLOCKED
-        assert relapse.retry_after == 100
+        assert relapse.retry_after == BLOCK_TICKS
 
     def test_release_forgets_guard_and_strategy(self):
         strategy = SlidingWindowLimiter(limit=1, window=10_000)
@@ -196,18 +213,3 @@ class TestAdmissionGuard:
         stats = guard.stats()
         assert stats[OK] == 1
         assert stats[RATE_LIMITED] == 1
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"burst_limit": 0},
-            {"burst_window": 0},
-            {"throttle_factor": 0},
-            {"block_after": 0},
-            {"block_ticks": 0},
-            {"escalation": 0},
-        ],
-    )
-    def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            wide_guard(**kwargs)

@@ -9,20 +9,50 @@ heals back to a clean admit.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from repro.serve.guard import BLOCKED, AdmissionGuard
+from repro.serve.guard import (
+    BLOCKED,
+    BURST_WINDOW,
+    MAX_BLOCK_TICKS,
+    THROTTLE_TICKS,
+    AdmissionGuard,
+)
 from repro.serve.ratelimit import SlidingWindowLimiter
 
 # Non-decreasing arrival ticks: cumulative sums of small gaps, so the
 # schedules concentrate bursts (gap 0) and window-edge cases (gap ~=
 # window) rather than sampling sparse uniform ticks.
-schedules = st.lists(
-    st.integers(min_value=0, max_value=12), min_size=1, max_size=120
-).map(
-    lambda gaps: [sum(gaps[: i + 1]) for i in range(len(gaps))]
-)
+def schedules_with_gaps(max_gap):
+    return st.lists(
+        st.integers(min_value=0, max_value=max_gap), min_size=1, max_size=120
+    ).map(
+        lambda gaps: [sum(gaps[: i + 1]) for i in range(len(gaps))]
+    )
+
+
+schedules = schedules_with_gaps(12)
+# The guard blocks only after BLOCK_AFTER (5) violations; gaps well
+# under the guard limiter's 8 ticks / 2 admits make blocks common.
+guard_schedules = st.one_of(schedules, schedules_with_gaps(3))
+
+#: One request per tick: the guard's limiter below (2 per 8 ticks)
+#: denies six of every eight, so the guard blocks within the first
+#: window. Both guard properties run it, so each reaches BLOCKED.
+DENSE = list(range(40))
+
+
+def drive(guard, ticks):
+    """Admit *ticks* for one client; True when any decision blocked."""
+    saw_block = False
+    for tick in ticks:
+        saw_block = guard.admit("adv", tick).reason == BLOCKED or saw_block
+    if saw_block:
+        event("reached BLOCKED")
+    if ticks == DENSE:
+        assert saw_block
+    return saw_block
 
 
 @settings(max_examples=200, deadline=None)
@@ -60,45 +90,29 @@ def test_denied_retry_after_is_honest(ticks, limit, window):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ticks=schedules)
+@given(ticks=guard_schedules)
+@example(ticks=DENSE)
 def test_guard_release_heals_to_clean_admit(ticks):
     """However abusive the history, release() restores a clean slate."""
-    guard = AdmissionGuard(
-        SlidingWindowLimiter(limit=2, window=8),
-        burst_limit=3,
-        burst_window=5,
-        block_after=2,
-        block_ticks=50,
-    )
-    for tick in ticks:
-        guard.admit("adv", tick)
+    guard = AdmissionGuard(SlidingWindowLimiter(limit=2, window=8))
+    drive(guard, ticks)
     guard.release("adv")
     assert guard.admit("adv", ticks[-1] + 1).allowed
 
 
 @settings(max_examples=150, deadline=None)
-@given(ticks=schedules)
+@given(ticks=guard_schedules)
+@example(ticks=DENSE)
 def test_guard_block_expires_into_admission(ticks):
     """However abusive the history, blocks expire by tick: once every
     window, throttle and block horizon has passed, the client is
     admitted again without any manual intervention."""
-    guard = AdmissionGuard(
-        SlidingWindowLimiter(limit=2, window=8),
-        burst_limit=3,
-        burst_window=5,
-        throttle_ticks=50,
-        block_after=2,
-        block_ticks=50,
-        escalation=2,
-        max_block_ticks=500,
-    )
-    saw_block = False
-    for tick in ticks:
-        decision = guard.admit("adv", tick)
-        saw_block = saw_block or decision.reason == BLOCKED
-    # Beyond every horizon the guard knows: max block (500), the
-    # throttle run-out (50) and the strategy/burst windows (8).
-    healed_at = ticks[-1] + 500 + 50 + 8 + 1
+    guard = AdmissionGuard(SlidingWindowLimiter(limit=2, window=8))
+    saw_block = drive(guard, ticks)
+    # Beyond every horizon the guard knows: the longest block, the
+    # throttle run-out and the burst window (wider than the strategy's 8).
+    assert BURST_WINDOW >= 8
+    healed_at = ticks[-1] + MAX_BLOCK_TICKS + THROTTLE_TICKS + BURST_WINDOW + 1
     if saw_block:
         assert not guard.is_blocked("adv", healed_at)
     assert guard.admit("adv", healed_at).allowed

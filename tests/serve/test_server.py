@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.serve.client import ServeClient, request_mix, request_once
-from repro.serve.guard import AdmissionGuard
+from repro.serve.guard import BLOCK_AFTER, AdmissionGuard
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     encode_frame,
@@ -195,12 +195,10 @@ class TestSelfProtection:
         self, served_stack
     ):
         _, swapper = served_stack
-        guard = AdmissionGuard(
-            SlidingWindowLimiter(limit=5, window=1000),
-            burst_limit=1000,
-            burst_window=10,
-            block_after=100,  # keep this test on pure rate limiting
-        )
+        guard = AdmissionGuard(SlidingWindowLimiter(limit=5, window=1000))
+        # One denial short of an auto-block keeps this test on pure
+        # rate limiting.
+        denials = BLOCK_AFTER - 1
         dispatcher = ServeDispatcher(swapper.current_index, guard=guard)
         threaded = ThreadedServer(dispatcher)
         host, port = threaded.start()
@@ -210,13 +208,13 @@ class TestSelfProtection:
             burst = request_mix(
                 host,
                 port,
-                [("aggregate", {"scope": "gtld"})] * 20,
+                [("aggregate", {"scope": "gtld"})] * (5 + denials),
                 connections=2,
             )
             admitted = [r for r in burst if r["ok"]]
             denied = [r for r in burst if not r["ok"]]
             assert len(admitted) == 5
-            assert len(denied) == 15
+            assert len(denied) == denials
             assert {r["error"]["code"] for r in denied} == {
                 "rate-limited"
             }
@@ -228,7 +226,7 @@ class TestSelfProtection:
             assert health["ok"] is True
             stats = health["result"]["guard"]
             assert stats["ok"] == 5
-            assert stats["rate-limited"] == 15
+            assert stats["rate-limited"] == denials
         finally:
             threaded.stop()
 

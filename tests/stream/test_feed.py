@@ -37,10 +37,6 @@ class TestStoreReplayFeed:
             StoreReplayFeed(landed_store, batches=False)
         assert StoreReplayFeed(landed_store).partition("com", 0).batch is not None
 
-    def test_explicit_zone_sizes_win(self, landed_store):
-        replay = StoreReplayFeed(landed_store, zone_sizes={("com", 0): 999})
-        assert replay.partition("com", 0).zone_size == 999
-
     def test_days_are_day_major(self, landed_store):
         replay = StoreReplayFeed(landed_store)
         order = [(p.source, p.day) for p in replay.days()]

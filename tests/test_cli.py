@@ -219,6 +219,35 @@ class TestStudy:
         assert lines[0].startswith("error: ")
         assert "parallel.executor" in lines[0]
 
+    def test_fault_plan_naming_a_site_the_study_never_fires_exits_2(
+        self, capsys, tmp_path
+    ):
+        """A known site that no study code fires would inject nothing:
+        the plan is refused before any world is built, and the example
+        plan names only sites a study fires."""
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            '{"seed": 1, "specs": [{"site": "feed.partition", '
+            '"kind": "transient", "rate": 0.05}]}'
+        )
+        code = main(["study", "--fault-plan", str(plan)] + SCALE)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "feed.partition" in lines[0]
+
+        from repro.core.pipeline import STUDY_FAULT_SITES
+        from repro.faults.plan import FaultPlan
+
+        assert main(["faults", "--example-plan"]) == 0
+        example = FaultPlan.from_json(capsys.readouterr().out)
+        assert {spec.site for spec in example.specs} <= set(
+            STUDY_FAULT_SITES
+        )
+
 
 class TestMeasure:
     def test_measure_writes_partition(self, capsys, tmp_path):
